@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every test invocation runs under a wall-clock cap (seconds): a hung test
+# fails the gate loudly (exit 124) instead of stalling it.
+TEST_TIMEOUT="${TEST_TIMEOUT:-3600}"
+cargo_test() { timeout "$TEST_TIMEOUT" cargo test "$@"; }
+
+# Scratch directory for everything the smoke runs write (reports, traces),
+# so a CI run never dirties the checked-in full-mode BENCH_*.json files.
+trace_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir"' EXIT
+
 cargo build --release
 
 # Workspace contract lint: the line-local rules (unsafe/SAFETY audit,
@@ -25,20 +35,18 @@ fi
 # The checked-in baseline must be byte-identical to what --bless-baseline
 # would write today: a stale baseline silently widens or mislabels the
 # warn ratchet. (Bless to a scratch file and compare.)
-lint_scratch="$(mktemp)"
 cargo run --release -p egeria-lint -- --workspace --bless-baseline \
-    --baseline "$lint_scratch" >/dev/null
-cmp "$lint_scratch" lint-baseline.json \
+    --baseline "$trace_dir/lint-baseline.json" >/dev/null
+cmp "$trace_dir/lint-baseline.json" lint-baseline.json \
     || { echo "lint-baseline.json is stale — rerun with --bless-baseline" >&2; exit 1; }
-rm -f "$lint_scratch"
 
 # The parallel compute backend must be bit-identical at every pool size
 # and well-behaved at every ISA: run the suite pinned to 1 thread with the
 # SIMD layer forced to the scalar fallback, and again at the machine
 # default (auto-detected vector ISA, default pool). The two axes cross:
 # scalar+1-thread is the reference corner, auto+default the fastest one.
-EGERIA_THREADS=1 EGERIA_SIMD=scalar cargo test -q
-cargo test -q
+EGERIA_THREADS=1 EGERIA_SIMD=scalar cargo_test -q
+cargo_test -q
 
 # Freezing-policy A/B matrix (DESIGN §5i): the release-built harness runs
 # every policy over every model family on fixed seeds, verifies each cell
@@ -55,24 +63,25 @@ grep -q '^model,policy,final_loss' results/scenario_ab_report.csv
 
 # The golden-run fingerprint must be pool-size invariant: the full suite
 # above already pins EGERIA_THREADS=1; re-pin the golden run at 8 threads.
-EGERIA_THREADS=8 cargo test -q --test golden_run
+EGERIA_THREADS=8 cargo_test -q --test golden_run
 
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Kernel perf smoke: times the hot paths under both backends and the SIMD
-# microkernel layer, emitting a machine-readable report (BENCH_ops.json).
-# Asserts the determinism contract and the <2% disabled-telemetry overhead
-# contract (DESIGN §5d). The report must carry the SIMD entries (§5g).
-cargo run --release -p egeria-bench --bin bench_ops -- --smoke
+# Kernel perf smoke: times the hot paths against the reference oracle and
+# under the SIMD microkernel layer, emitting a machine-readable report
+# (BENCH_ops.json, written into the scratch dir — the checked-in one holds
+# full-mode numbers). Asserts the determinism contract and the <2%
+# disabled-telemetry overhead contract (DESIGN §5d). The report must carry
+# the SIMD entries (§5g).
+(cd "$trace_dir" && cargo run --release -p egeria-bench \
+    --manifest-path "$OLDPWD/Cargo.toml" --bin bench_ops -- --smoke)
 for key in simd_isa qmatmul softmax adam_update; do
-    grep -q "\"$key\"" BENCH_ops.json
+    grep -q "\"$key\"" "$trace_dir/BENCH_ops.json"
 done
 
 # Telemetry smoke: a traced quickstart must emit schema-valid JSONL that
 # trace_report can validate and summarize (trace_report exits non-zero on
 # any schema violation).
-trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
 EGERIA_TRACE="$trace_dir/quickstart" cargo run --release --example quickstart >/dev/null
 test -s "$trace_dir/quickstart.jsonl"
 test -s "$trace_dir/quickstart.chrome.json"
@@ -94,24 +103,36 @@ grep -q "serve batches" "$trace_dir/serving_report.txt"
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_serve -- --smoke >/dev/null)
 grep -q '"open_loop"' "$trace_dir/BENCH_serve.json"
 grep -q '"closed_loop"' "$trace_dir/BENCH_serve.json"
-EGERIA_SERVE=off cargo test -q --test golden_run
+EGERIA_SERVE=off cargo_test -q --test golden_run
 
 # Chaos-soak smoke (DESIGN §5f): bounded e2e training under a fixed-seed
 # fault schedule. Hard gate: fallback-covered faults must leave the loss
 # curve bit-identical, degradation-only faults must never abort, and
 # teardown must leak no threads. (~30-40s; seeds are pinned so a failure
 # reproduces exactly with the same command.)
-EGERIA_CHAOS_SEED=1337 cargo test -q --test chaos_soak
+EGERIA_CHAOS_SEED=1337 cargo_test -q --test chaos_soak
 
 # Cache v2 store gate (DESIGN §5j): the chunked backend must hold the
 # same golden-run fingerprint as flat (lossless is bit-exact), survive a
 # full traced quickstart, and the cache benchmark must emit a well-formed
 # BENCH_cache.json carrying the acceptance ratios (flat-vs-chunked
 # footprint and file count).
-EGERIA_CACHE_STORE=chunked cargo test -q --test golden_run
+EGERIA_CACHE_STORE=chunked cargo_test -q --test golden_run
 EGERIA_CACHE_STORE=chunked cargo run --release --example quickstart >/dev/null
 (cd "$trace_dir" && cargo run --release -p egeria-bench \
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_cache -- --smoke >/dev/null)
 grep -q '"footprint_ratio"' "$trace_dir/BENCH_cache.json"
 grep -q '"file_ratio"' "$trace_dir/BENCH_cache.json"
 grep -q '"chunked_int8"' "$trace_dir/BENCH_cache.json"
+
+# End-to-end benchmark smoke (benchmark/README.md): builds the benchmark
+# package as checked in against the workspace crates and trains every
+# workload once at reduced size through the real trainer (~30 s). Hard
+# gate: no workload may report a failed operation.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --smoke --out "$trace_dir/smoke.json" >/dev/null
+grep -q '"failed"' "$trace_dir/smoke.json"
+if grep -Eq '"failed": *[1-9]' "$trace_dir/smoke.json"; then
+    echo "benchmark smoke reported failed operations" >&2
+    exit 1
+fi

@@ -1,11 +1,11 @@
-//! Criterion bench: the tensor hot paths under both compute backends —
-//! blocked+parallel GEMM vs the seed's serial reference kernels. The
+//! Criterion bench: the tensor hot paths on the blocked+parallel kernels
+//! and on the seed's serial reference oracle. The
 //! machine-readable counterpart is `cargo run --release -p egeria-bench
 //! --bin bench_ops` (emits BENCH_ops.json).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egeria_tensor::backend::{set_backend, Backend};
-use egeria_tensor::conv::{conv2d, Conv2dSpec};
+use egeria_tensor::conv::{conv2d, reference, Conv2dSpec};
+use egeria_tensor::gemm::{gemm_reference, Layout};
 use egeria_tensor::{Rng, Tensor};
 use std::time::Duration;
 
@@ -18,14 +18,27 @@ fn bench_matmul(c: &mut Criterion) {
     for &dim in &[64usize, 192] {
         let a = Tensor::randn(&[dim, dim], &mut rng);
         let b = Tensor::randn(&[dim, dim], &mut rng);
-        for (backend, tag) in [(Backend::Blocked, "blocked"), (Backend::Reference, "reference")] {
-            set_backend(backend);
-            group.bench_with_input(BenchmarkId::new(tag, dim), &dim, |bch, _| {
-                bch.iter(|| a.matmul(&b).unwrap().data()[0])
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("blocked", dim), &dim, |bch, _| {
+            bch.iter(|| a.matmul(&b).unwrap().data()[0])
+        });
+        group.bench_with_input(BenchmarkId::new("reference", dim), &dim, |bch, _| {
+            bch.iter(|| {
+                let mut c = vec![0.0f32; dim * dim];
+                let (ad, bd) = (a.data(), b.data());
+                gemm_reference(
+                    ad,
+                    Layout::RowMajor,
+                    bd,
+                    Layout::RowMajor,
+                    dim,
+                    dim,
+                    dim,
+                    &mut c,
+                );
+                c[0]
+            })
+        });
     }
-    set_backend(Backend::Blocked);
     group.finish();
 }
 
@@ -38,13 +51,12 @@ fn bench_conv(c: &mut Criterion) {
     let x = Tensor::randn(&[2, 8, 12, 12], &mut rng);
     let w = Tensor::randn(&[8, 8, 3, 3], &mut rng);
     let spec = Conv2dSpec::new(1, 1).unwrap();
-    for (backend, tag) in [(Backend::Blocked, "blocked"), (Backend::Reference, "reference")] {
-        set_backend(backend);
-        group.bench_function(tag, |bch| {
-            bch.iter(|| conv2d(&x, &w, None, spec).unwrap().data()[0])
-        });
-    }
-    set_backend(Backend::Blocked);
+    group.bench_function("blocked", |bch| {
+        bch.iter(|| conv2d(&x, &w, None, spec).unwrap().data()[0])
+    });
+    group.bench_function("reference", |bch| {
+        bch.iter(|| reference::conv2d(&x, &w, None, spec).unwrap().data()[0])
+    });
     group.finish();
 }
 

@@ -4,9 +4,9 @@
 //! an int8 qmatmul, a batched softmax, a fused Adam update, and a full
 //! ResNet train step — under up to three variants:
 //!
-//! - `serial`: the seed repo's naive serial kernels
-//!   (`EGERIA_COMPUTE_BACKEND=reference` path) — only for the ops the
-//!   reference backend implements (matmul/conv2d/train_step),
+//! - `serial`: the seed repo's naive serial kernels, called directly
+//!   (`gemm::gemm_reference`, `conv::reference::*`) — only for the ops
+//!   the reference oracle implements (matmul/conv2d),
 //! - `parallel`: the blocked, register-tiled backend on the worker pool
 //!   with the SIMD layer pinned to `Isa::Scalar`, and
 //! - `simd`: the same blocked backend on this machine's best vector ISA
@@ -27,8 +27,7 @@ use egeria_models::{Batch, Input, Model, Targets};
 use egeria_nn::activation::softmax_last;
 use egeria_obs::Telemetry;
 use egeria_quant::qtensor::{qmatmul, Granularity, QTensor};
-use egeria_tensor::backend::{set_backend, Backend};
-use egeria_tensor::gemm::{gemm, Layout};
+use egeria_tensor::gemm::{gemm, gemm_reference, Layout};
 use egeria_tensor::simd::{self, Isa};
 use egeria_tensor::{pool, Rng, Tensor, ThreadPool};
 use serde::Serialize;
@@ -38,8 +37,9 @@ use std::time::Instant;
 struct OpReport {
     op: String,
     iters: u32,
-    /// Reference-backend time; `null` for the ops the seed's serial
-    /// backend does not implement (qmatmul/softmax/adam_update).
+    /// Reference-oracle time; `null` for the ops the seed's serial
+    /// kernels do not implement (qmatmul/softmax/adam_update) or cannot
+    /// be routed through (a whole train step).
     serial_ns_per_iter: Option<u64>,
     /// Blocked backend, SIMD layer pinned to `Isa::Scalar`.
     parallel_ns_per_iter: u64,
@@ -84,20 +84,20 @@ fn once(f: &mut dyn FnMut()) -> u64 {
 }
 
 /// Times one op under its variants, interleaved per round with round 0 as
-/// warmup, keeping each variant's minimum round.
-fn bench_op(op: &str, iters: u32, with_serial: bool, mut f: impl FnMut()) -> OpReport {
+/// warmup, keeping each variant's minimum round. `serial_f` is the same op
+/// on the reference oracle, where one exists.
+fn bench_op(
+    op: &str,
+    iters: u32,
+    mut serial_f: Option<&mut dyn FnMut()>,
+    mut f: impl FnMut(),
+) -> OpReport {
     let vector = simd::detect();
+    let with_serial = serial_f.is_some();
     let (mut serial, mut parallel, mut simd_t) = (u64::MAX, u64::MAX, u64::MAX);
     for round in 0..=iters {
-        let s = if with_serial {
-            set_backend(Backend::Reference);
-            simd::set_isa(Isa::Scalar);
-            once(&mut f)
-        } else {
-            0
-        };
-        set_backend(Backend::Blocked);
         simd::set_isa(Isa::Scalar);
+        let s = serial_f.as_mut().map_or(0, |sf| once(sf));
         let p = once(&mut f);
         simd::set_isa(vector);
         let v = once(&mut f);
@@ -107,7 +107,6 @@ fn bench_op(op: &str, iters: u32, with_serial: bool, mut f: impl FnMut()) -> OpR
             simd_t = simd_t.min(v);
         }
     }
-    set_backend(Backend::Blocked);
     simd::set_isa(vector);
     let r = OpReport {
         op: op.into(),
@@ -188,15 +187,36 @@ fn main() {
         let mut rng = Rng::new(1);
         let a = Tensor::randn(&[dim, dim], &mut rng);
         let b = Tensor::randn(&[dim, dim], &mut rng);
-        ops.push(bench_op(&format!("matmul_{dim}"), iters, true, || {
-            let c = a.matmul(&b).unwrap();
-            std::hint::black_box(c.data()[0]);
-        }));
+        let mut serial = || {
+            let mut c = vec![0.0f32; dim * dim];
+            gemm_reference(
+                a.data(),
+                Layout::RowMajor,
+                b.data(),
+                Layout::RowMajor,
+                dim,
+                dim,
+                dim,
+                &mut c,
+            );
+            std::hint::black_box(c[0]);
+        };
+        ops.push(bench_op(
+            &format!("matmul_{dim}"),
+            iters,
+            Some(&mut serial),
+            || {
+                let c = a.matmul(&b).unwrap();
+                std::hint::black_box(c.data()[0]);
+            },
+        ));
     }
 
     // conv2d forward + both gradients (the CNN layer hot path).
     {
-        use egeria_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, Conv2dSpec};
+        use egeria_tensor::conv::{
+            conv2d, conv2d_grad_input, conv2d_grad_weight, reference, Conv2dSpec,
+        };
         let (n, ci, co, hw) = if smoke {
             (2, 8, 8, 12)
         } else {
@@ -207,7 +227,13 @@ fn main() {
         let x = Tensor::randn(&[n, ci, hw, hw], &mut rng);
         let w = Tensor::randn(&[co, ci, 3, 3], &mut rng);
         let g = Tensor::randn(&[n, co, hw, hw], &mut rng);
-        ops.push(bench_op("conv2d", iters, true, || {
+        let mut serial = || {
+            let y = reference::conv2d(&x, &w, None, spec).unwrap();
+            let gx = reference::conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
+            let gw = reference::conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
+            std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
+        };
+        ops.push(bench_op("conv2d", iters, Some(&mut serial), || {
             let y = conv2d(&x, &w, None, spec).unwrap();
             let gx = conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
             let gw = conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
@@ -216,7 +242,7 @@ fn main() {
     }
 
     // Int8 qmatmul (the reference-model inference kernel; no serial
-    // reference — the seed backend has no int8 path).
+    // reference — the seed kernels have no int8 path).
     {
         let dim = if smoke { 128 } else { 256 };
         let mut rng = Rng::new(4);
@@ -224,7 +250,7 @@ fn main() {
         let b = Tensor::randn(&[dim, dim], &mut rng);
         let qa = QTensor::quantize(&a, Granularity::PerTensor).unwrap();
         let qb = QTensor::quantize(&b, Granularity::PerTensor).unwrap();
-        ops.push(bench_op("qmatmul", iters, false, || {
+        ops.push(bench_op("qmatmul", iters, None, || {
             let c = qmatmul(&qa, &qb).unwrap();
             std::hint::black_box(c.data()[0]);
         }));
@@ -235,7 +261,7 @@ fn main() {
         let (rows, k) = if smoke { (128, 512) } else { (512, 1024) };
         let mut rng = Rng::new(5);
         let x = Tensor::randn(&[rows, k], &mut rng);
-        ops.push(bench_op("softmax", iters, false, || {
+        ops.push(bench_op("softmax", iters, None, || {
             let p = softmax_last(&x).unwrap();
             std::hint::black_box(p.data()[0]);
         }));
@@ -250,14 +276,15 @@ fn main() {
         let m = Tensor::randn(&[len], &mut rng);
         let v = g.map(|x| x * x + 1e-3);
         let mut p = p0.clone();
-        ops.push(bench_op("adam_update", iters, false, || {
+        ops.push(bench_op("adam_update", iters, None, || {
             p.adam_update_inplace(1e-3, 1e-8, 0.9, 0.99, &m, &v)
                 .unwrap();
             std::hint::black_box(p.data()[0]);
         }));
     }
 
-    // Full ResNet train step (forward + backward through every layer).
+    // Full ResNet train step (forward + backward through every layer; no
+    // serial variant — the oracle kernels are not a dispatch target).
     {
         let n = if smoke { 2 } else { 3 };
         let mut model = resnet_cifar(
@@ -275,14 +302,13 @@ fn main() {
             targets: Targets::Classes((0..16).map(|i| i % 8).collect()),
             sample_ids: (0..16).collect(),
         };
-        ops.push(bench_op("train_step", iters, true, || {
+        ops.push(bench_op("train_step", iters, None, || {
             let r = model.train_step(&batch, None).unwrap();
             model.zero_grad();
             std::hint::black_box(r.loss);
         }));
     }
 
-    set_backend(Backend::Blocked);
     simd::set_isa(simd_isa);
     let telemetry = bench_telemetry_overhead(if smoke { 5 } else { 9 });
     let report = Report {

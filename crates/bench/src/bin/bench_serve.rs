@@ -194,7 +194,7 @@ fn closed_loop(engine: &Arc<ServeEngine>, clients: usize, per_client: u64) -> Lo
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let cfg = ServeConfig::from_env();
+    let cfg = ServeConfig::default();
     let (open_requests, interval, clients, per_client) = if smoke {
         (64u64, Duration::from_micros(500), 2usize, 16u64)
     } else {

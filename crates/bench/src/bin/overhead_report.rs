@@ -43,7 +43,13 @@ fn main() {
             .expect("probe");
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model.as_ref()).expect("generate");
-        let mut ctrl = AsyncController::spawn(refmgr, 10.0, Arc::new(|| 0.0));
+        let mut ctrl = AsyncController::spawn(
+            refmgr,
+            10.0,
+            Arc::new(|| 0.0),
+            None,
+            egeria_obs::Telemetry::disabled(),
+        );
         let act = model.capture_activation(&probe, 0).expect("capture");
         let t0 = Instant::now();
         let reps = 50;

@@ -12,12 +12,11 @@
 //! sharded files, capacity-bounded eviction. A lossless chunked cache is
 //! bit-exact with the flat one, and both honour the same degradation
 //! matrix: cache trouble is a miss + recompute, never an abort. The
-//! backend is picked by [`crate::config::EgeriaConfig::cache_store`]
-//! (env-overridable via `EGERIA_CACHE_STORE`).
+//! backend is picked by [`crate::config::EgeriaConfig::cache_store`].
 
 use crate::config::CacheStoreKind;
-use crate::faults::{FaultAction, FaultInjector, FaultSite};
 use egeria_obs::Telemetry;
+use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_resil::health::HealthMonitor;
 use egeria_store::{ChunkStore, StoreConfig, StoreStats};
 use egeria_tensor::{serialize, Result, Tensor, TensorError};
@@ -168,22 +167,18 @@ impl ActivationCache {
         Ok(cache)
     }
 
-    /// Builds the cache for a config, honouring the env overrides
-    /// (`EGERIA_CACHE_STORE`, `EGERIA_CACHE_CODEC`,
-    /// `EGERIA_CACHE_DISK_MB`). The trainer's entry point.
+    /// Builds the cache a config asks for (backend, codec, disk cap). The
+    /// trainer's entry point.
     pub fn for_config(
         dir: impl Into<PathBuf>,
         cfg: &crate::config::EgeriaConfig,
     ) -> Result<Self> {
-        let kind = CacheStoreKind::from_env().unwrap_or(cfg.cache_store);
-        match kind {
+        match cfg.cache_store {
             CacheStoreKind::Flat => ActivationCache::new(dir, cfg.cache_mem_batches),
             CacheStoreKind::Chunked => {
-                let codec = egeria_store::StoreCodec::from_env().unwrap_or(cfg.cache_codec);
-                let disk_mb = crate::config::cache_disk_mb_from_env().or(cfg.cache_disk_mb);
                 let store_cfg = StoreConfig {
-                    codec,
-                    disk_cap_bytes: disk_mb.map(|mb| mb * 1024 * 1024),
+                    codec: cfg.cache_codec,
+                    disk_cap_bytes: cfg.cache_disk_mb.map(|mb| mb * 1024 * 1024),
                     ..StoreConfig::default()
                 };
                 ActivationCache::with_store(dir, cfg.cache_mem_batches, store_cfg)

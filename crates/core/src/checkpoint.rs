@@ -35,7 +35,6 @@
 //! checkpoint silently yields the previous one.
 
 use crate::bootstrap::BootstrapSnapshot;
-use crate::faults::{FaultAction, FaultInjector, FaultSite};
 use crate::freezer::{FreezeEvent, FreezerSnapshot};
 use crate::plasticity::TrackerSnapshot;
 use crate::policy::PolicyState;
@@ -43,6 +42,7 @@ use crate::reference::ReferenceSnapshot;
 use crate::trainer::{EpochRecord, EventRecord, IterationRecord, PlasticityPoint};
 use bytes::BufMut;
 use egeria_nn::optim::OptimizerState;
+use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_tensor::{serialize, Result, Tensor, TensorError};
 use std::fs;
 use std::io::Write;

@@ -78,23 +78,6 @@ impl PolicyKind {
             _ => None,
         }
     }
-
-    /// Reads the `EGERIA_FREEZE_POLICY` override; `None` when unset.
-    /// An unparsable value is reported once and ignored rather than
-    /// aborting training.
-    pub fn from_env() -> Option<PolicyKind> {
-        let raw = std::env::var("EGERIA_FREEZE_POLICY").ok()?;
-        match PolicyKind::parse(&raw) {
-            Some(k) => Some(k),
-            None => {
-                eprintln!(
-                    "egeria: ignoring unparsable EGERIA_FREEZE_POLICY={raw:?} \
-                     (expected paper|learned|interval[:N]|never|regression)"
-                );
-                None
-            }
-        }
-    }
 }
 
 /// Default freeze period of [`PolicyKind::Interval`] when none is given.
@@ -130,40 +113,6 @@ impl CacheStoreKind {
             _ => None,
         }
     }
-
-    /// Reads the `EGERIA_CACHE_STORE` override; `None` when unset. An
-    /// unparsable value is reported once and ignored rather than aborting
-    /// training.
-    pub fn from_env() -> Option<CacheStoreKind> {
-        let raw = std::env::var("EGERIA_CACHE_STORE").ok()?;
-        match CacheStoreKind::parse(&raw) {
-            Some(k) => Some(k),
-            None => {
-                eprintln!(
-                    "egeria: ignoring unparsable EGERIA_CACHE_STORE={raw:?} \
-                     (expected flat|chunked)"
-                );
-                None
-            }
-        }
-    }
-}
-
-/// Reads the `EGERIA_CACHE_DISK_MB` live-byte cap for the chunked store;
-/// `None` when unset (unbounded). Zero or unparsable values are reported
-/// and ignored.
-pub fn cache_disk_mb_from_env() -> Option<u64> {
-    let raw = std::env::var("EGERIA_CACHE_DISK_MB").ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(mb) if mb > 0 => Some(mb),
-        _ => {
-            eprintln!(
-                "egeria: ignoring unparsable EGERIA_CACHE_DISK_MB={raw:?} \
-                 (expected a positive integer of megabytes)"
-            );
-            None
-        }
-    }
 }
 
 /// Unfreeze policy (§4.2.2).
@@ -173,8 +122,9 @@ pub enum UnfreezePolicy {
     /// dropped by ≥10× since the frontmost module froze, halving `W` and
     /// `S` for refreezing.
     LrAnnealing,
-    /// Cyclical schedules: user-customized unfreezing (hook on the
-    /// trainer); the built-in LR rule is disabled.
+    /// Cyclical schedules: user-customized unfreezing through
+    /// [`crate::freezer::FreezingEngine::unfreeze_now`]; the built-in LR
+    /// rule is disabled.
     Custom,
     /// Never unfreeze (ablation).
     Never,
@@ -218,16 +168,15 @@ pub struct EgeriaConfig {
     /// 50%). Only consulted in async mode.
     pub cpu_load_gate: f32,
     /// Freeze/unfreeze decision policy (DESIGN §5i). Overridable at run
-    /// time via `EGERIA_FREEZE_POLICY` in the trainer.
+    /// time via `EGERIA_FREEZE_POLICY` ([`EgeriaConfig::with_env_overrides`]).
     pub policy: PolicyKind,
     /// Activation-cache backend (DESIGN §5j). Overridable at run time via
-    /// `EGERIA_CACHE_STORE` in the trainer.
+    /// `EGERIA_CACHE_STORE` ([`EgeriaConfig::with_env_overrides`]).
     pub cache_store: CacheStoreKind,
-    /// Codec chain for the chunked backend (ignored by flat). Overridable
-    /// via `EGERIA_CACHE_CODEC`.
+    /// Codec chain for the chunked backend (ignored by flat).
     pub cache_codec: egeria_store::StoreCodec,
     /// Live on-disk byte cap for the chunked backend, in megabytes
-    /// (`None` = unbounded). Overridable via `EGERIA_CACHE_DISK_MB`.
+    /// (`None` = unbounded).
     pub cache_disk_mb: Option<u64>,
 }
 
@@ -262,11 +211,42 @@ impl EgeriaConfig {
         self
     }
 
+    /// Applies the two run-time overrides a config honours —
+    /// `EGERIA_FREEZE_POLICY` over [`policy`](Self::policy) and
+    /// `EGERIA_CACHE_STORE` over [`cache_store`](Self::cache_store). The
+    /// trainer calls this once per run, on its own copy of the config.
+    pub fn with_env_overrides(mut self) -> Self {
+        if let Some(policy) = env_override(
+            "EGERIA_FREEZE_POLICY",
+            "paper|learned|interval[:N]|never|regression",
+            PolicyKind::parse,
+        ) {
+            self.policy = policy;
+        }
+        if let Some(store) =
+            env_override("EGERIA_CACHE_STORE", "flat|chunked", CacheStoreKind::parse)
+        {
+            self.cache_store = store;
+        }
+        self
+    }
+
     /// Halved-criteria variant used for refreezing after an unfreeze
     /// (§4.2.2: "halve the counter and history buffer for refreezing").
     pub fn relaxed_for_refreeze(&self) -> (usize, usize) {
         ((self.w / 2).max(2), (self.s / 2).max(1))
     }
+}
+
+/// Reads one `EGERIA_*` override; `None` when unset. An unparsable value is
+/// reported and ignored rather than aborting training.
+fn env_override<T>(key: &str, expected: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
+    let raw = std::env::var(key).ok()?;
+    let parsed = parse(&raw);
+    if parsed.is_none() {
+        eprintln!("egeria: ignoring unparsable {key}={raw:?} (expected {expected})");
+    }
+    parsed
 }
 
 #[cfg(test)]

@@ -9,11 +9,11 @@
 //! worker on a decision channel. All three queues are
 //! single-producer/single-consumer, exactly as in Figure 6.
 
-use crate::faults::{FaultInjector, FaultSite};
 use crate::reference::ReferenceManager;
 use egeria_analysis::sp_loss;
 use egeria_models::{Batch, Model};
 use egeria_obs::Telemetry;
+use egeria_resil::fault::{FaultInjector, FaultSite};
 use egeria_tensor::Tensor;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
@@ -81,29 +81,13 @@ impl AsyncController {
     /// Spawns the controller thread around a reference manager.
     ///
     /// `gate` is the CPU-load fraction above which reference execution is
-    /// skipped (§4.1.2 uses 50%); `probe` supplies the load reading.
-    pub fn spawn(reference: ReferenceManager, gate: f32, probe: LoadProbe) -> Self {
-        Self::spawn_with_faults(reference, gate, probe, None)
-    }
-
-    /// [`AsyncController::spawn`] with an attached fault injector: an armed
-    /// [`FaultSite::ControllerEval`] kills the controller thread mid-eval
-    /// (before any result is sent), the way a panic in the reference
-    /// forward would.
-    pub fn spawn_with_faults(
-        reference: ReferenceManager,
-        gate: f32,
-        probe: LoadProbe,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Self {
-        Self::spawn_with_telemetry(reference, gate, probe, faults, Telemetry::disabled())
-    }
-
-    /// [`AsyncController::spawn_with_faults`] with an attached telemetry
-    /// handle: the controller thread counts `controller.evals`,
+    /// skipped (§4.1.2 uses 50%); `probe` supplies the load reading. An
+    /// armed [`FaultSite::ControllerEval`] in `faults` kills the thread
+    /// mid-eval (before any result is sent), the way a panic in the
+    /// reference forward would. The thread counts `controller.evals`,
     /// `controller.gated`, `controller.errors`, and
-    /// `controller.ref_updates` into the shared registry.
-    pub fn spawn_with_telemetry(
+    /// `controller.ref_updates` into `telemetry`'s registry.
+    pub fn spawn(
         mut reference: ReferenceManager,
         gate: f32,
         probe: LoadProbe,
@@ -331,7 +315,7 @@ mod tests {
         let (mut model, batch) = setup();
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model.as_ref()).unwrap();
-        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_idle());
+        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_idle(), None, Telemetry::disabled());
         let act = model.capture_activation(&batch, 0).unwrap();
         let id = ctrl.submit(batch, 0, act).unwrap();
         let r = ctrl.wait_for(id).unwrap();
@@ -345,7 +329,7 @@ mod tests {
         let (mut model, batch) = setup();
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model.as_ref()).unwrap();
-        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_busy());
+        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_busy(), None, Telemetry::disabled());
         let act = model.capture_activation(&batch, 0).unwrap();
         let id = ctrl.submit(batch, 0, act).unwrap();
         let r = ctrl.wait_for(id).unwrap();
@@ -360,7 +344,7 @@ mod tests {
             ..Default::default()
         });
         refmgr.generate(model.as_ref()).unwrap();
-        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_idle());
+        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_idle(), None, Telemetry::disabled());
         // Identical weights → plasticity ~ 0 with an f32 reference.
         let act = model.capture_activation(&batch, 0).unwrap();
         let id = ctrl.submit(batch.clone(), 0, act.clone()).unwrap();
@@ -386,7 +370,7 @@ mod tests {
         let (model, _) = setup();
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model.as_ref()).unwrap();
-        let ctrl = AsyncController::spawn(refmgr, 0.5, always_idle());
+        let ctrl = AsyncController::spawn(refmgr, 0.5, always_idle(), None, Telemetry::disabled());
         assert!(ctrl.poll_results().is_empty());
     }
 
@@ -405,7 +389,7 @@ mod tests {
         let (mut model, batch) = setup();
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model.as_ref()).unwrap();
-        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_idle());
+        let mut ctrl = AsyncController::spawn(refmgr, 0.5, always_idle(), None, Telemetry::disabled());
         let act = model.capture_activation(&batch, 0).unwrap();
         for _ in 0..8 {
             let _ = ctrl.submit(batch.clone(), 0, act.clone());
@@ -419,9 +403,14 @@ mod tests {
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model.as_ref()).unwrap();
         let faults = FaultInjector::new();
-        faults.arm(FaultSite::ControllerEval, 0, 1, crate::faults::FaultAction::Fail);
-        let mut ctrl =
-            AsyncController::spawn_with_faults(refmgr, 0.5, always_idle(), Some(faults.clone()));
+        faults.arm(FaultSite::ControllerEval, 0, 1, egeria_resil::FaultAction::Fail);
+        let mut ctrl = AsyncController::spawn(
+            refmgr,
+            0.5,
+            always_idle(),
+            Some(faults.clone()),
+            Telemetry::disabled(),
+        );
         assert!(ctrl.is_alive());
         let act = model.capture_activation(&batch, 0).unwrap();
         ctrl.submit(batch.clone(), 0, act.clone()).unwrap();

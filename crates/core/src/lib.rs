@@ -37,7 +37,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod controller;
 pub mod distributed;
-pub mod faults;
 pub mod freezer;
 pub mod plasticity;
 pub mod policy;
@@ -49,5 +48,4 @@ pub use checkpoint::{CheckpointOptions, CheckpointStore, TrainerCheckpoint};
 pub use config::{EgeriaConfig, PolicyKind};
 pub use policy::{build_policy, FreezePolicy, PolicyAction, PolicyState};
 pub use egeria_obs::Telemetry;
-pub use faults::{FaultAction, FaultInjector, FaultSite};
 pub use trainer::{EgeriaTrainer, TrainReport};

@@ -50,9 +50,7 @@ pub struct ReferenceStats {
 /// unaffected either way.
 pub struct ReferenceManager {
     precision: Precision,
-    update_every: usize,
     reference: Option<Box<dyn Model>>,
-    evals_since_update: usize,
     stats: ReferenceStats,
     telemetry: Telemetry,
     serve_requested: bool,
@@ -77,9 +75,7 @@ impl ReferenceManager {
     pub fn new(cfg: &EgeriaConfig) -> Self {
         ReferenceManager {
             precision: cfg.reference_precision,
-            update_every: cfg.reference_update_every,
             reference: None,
-            evals_since_update: 0,
             stats: ReferenceStats::default(),
             telemetry: Telemetry::disabled(),
             serve_requested: egeria_serve::serve_enabled(),
@@ -154,7 +150,7 @@ impl ReferenceManager {
         }
         if self.serve.is_none() {
             self.serve = Some(Arc::new(ServeEngine::with_faults(
-                ServeConfig::from_env(),
+                ServeConfig::default(),
                 Arc::clone(&self.clock),
                 self.telemetry.clone(),
                 self.faults.clone(),
@@ -227,23 +223,10 @@ impl ReferenceManager {
         self.reference = Some(quantize_reference(model, self.precision)?);
         self.stats.generations += 1;
         self.stats.total_generation_time += start.elapsed();
-        self.evals_since_update = 0;
         self.telemetry.counter("reference.generations").inc();
         drop(span);
         self.publish_snapshot();
         Ok(())
-    }
-
-    /// Counts one plasticity evaluation and refreshes the reference when
-    /// the update interval elapses (0 = never update, Figure 7a's
-    /// ablation).
-    pub fn after_evaluation(&mut self, model: &dyn Model) -> Result<bool> {
-        self.evals_since_update += 1;
-        if self.update_every > 0 && self.evals_since_update >= self.update_every {
-            self.generate(model)?;
-            return Ok(true);
-        }
-        Ok(false)
     }
 
     /// Runs the reference forward to capture module `module`'s activation.
@@ -412,63 +395,77 @@ impl ReferenceManager {
         snapshot: &ReferenceSnapshot,
     ) -> Result<()> {
         let mut r = template.clone_boxed();
-        {
-            let mut params = r.params_mut();
-            if params.len() != snapshot.params.len() {
-                return Err(TensorError::Corrupt(format!(
-                    "reference snapshot has {} params, model has {}",
-                    snapshot.params.len(),
-                    params.len()
-                )));
-            }
-            for p in params.iter_mut() {
-                let value = snapshot
-                    .params
-                    .iter()
-                    .find(|(n, _)| *n == p.name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| {
-                        TensorError::Corrupt(format!(
-                            "reference snapshot is missing parameter {:?}",
-                            p.name
-                        ))
-                    })?;
-                if value.dims() != p.value.dims() {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "restore_reference",
-                        lhs: p.value.dims().to_vec(),
-                        rhs: value.dims().to_vec(),
-                    });
-                }
-                p.value = value.clone();
-            }
-        }
-        {
-            let mut bufs = r.state_buffers_mut();
-            if bufs.len() != snapshot.state_buffers.len() {
-                return Err(TensorError::Corrupt(format!(
-                    "reference snapshot has {} state buffers, model has {}",
-                    snapshot.state_buffers.len(),
-                    bufs.len()
-                )));
-            }
-            for (dst, src) in bufs.iter_mut().zip(snapshot.state_buffers.iter()) {
-                if src.dims() != dst.dims() {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "restore_reference",
-                        lhs: dst.dims().to_vec(),
-                        rhs: src.dims().to_vec(),
-                    });
-                }
-                **dst = src.clone();
-            }
-        }
+        load_weights(
+            r.as_mut(),
+            &snapshot.params,
+            &snapshot.state_buffers,
+            "reference snapshot",
+            "restore_reference",
+        )?;
         r.unfreeze_all();
         self.reference = Some(r);
         // Serving must answer with the restored bits, not a stale version.
         self.publish_snapshot();
         Ok(())
     }
+}
+
+/// Loads saved weights into `model`: parameter values by name, non-parameter
+/// state buffers (BatchNorm running statistics) by position. When counts
+/// or names disagree the error names `source`, where the weights came from;
+/// a shape mismatch carries the caller's `op`.
+pub(crate) fn load_weights(
+    model: &mut dyn Model,
+    params: &[(String, Tensor)],
+    state_buffers: &[Tensor],
+    source: &str,
+    op: &'static str,
+) -> Result<()> {
+    let mut dst_params = model.params_mut();
+    if dst_params.len() != params.len() {
+        return Err(TensorError::Corrupt(format!(
+            "{source} has {} params, model has {}",
+            params.len(),
+            dst_params.len()
+        )));
+    }
+    for p in dst_params.iter_mut() {
+        let value = params
+            .iter()
+            .find(|(n, _)| *n == p.name)
+            .map(|(_, v)| v)
+            .ok_or_else(|| {
+                TensorError::Corrupt(format!("{source} is missing parameter {:?}", p.name))
+            })?;
+        if value.dims() != p.value.dims() {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: p.value.dims().to_vec(),
+                rhs: value.dims().to_vec(),
+            });
+        }
+        p.value = value.clone();
+    }
+    drop(dst_params);
+    let mut bufs = model.state_buffers_mut();
+    if bufs.len() != state_buffers.len() {
+        return Err(TensorError::Corrupt(format!(
+            "{source} has {} state buffers, model has {}",
+            state_buffers.len(),
+            bufs.len()
+        )));
+    }
+    for (dst, src) in bufs.iter_mut().zip(state_buffers.iter()) {
+        if src.dims() != dst.dims() {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: dst.dims().to_vec(),
+                rhs: src.dims().to_vec(),
+            });
+        }
+        **dst = src.clone();
+    }
+    Ok(())
 }
 
 /// An exported reference model: parameter values by name plus positional
@@ -525,36 +522,6 @@ mod tests {
         assert!(a.numel() > 0);
         assert_eq!(r.stats().generations, 1);
         assert_eq!(r.stats().forwards, 1);
-    }
-
-    #[test]
-    fn updates_every_interval() {
-        let (m, _) = setup();
-        let cfg = EgeriaConfig {
-            reference_update_every: 3,
-            ..Default::default()
-        };
-        let mut r = ReferenceManager::new(&cfg);
-        r.generate(m.as_ref()).unwrap();
-        assert!(!r.after_evaluation(m.as_ref()).unwrap());
-        assert!(!r.after_evaluation(m.as_ref()).unwrap());
-        assert!(r.after_evaluation(m.as_ref()).unwrap());
-        assert_eq!(r.stats().generations, 2);
-    }
-
-    #[test]
-    fn zero_interval_never_updates() {
-        let (m, _) = setup();
-        let cfg = EgeriaConfig {
-            reference_update_every: 0,
-            ..Default::default()
-        };
-        let mut r = ReferenceManager::new(&cfg);
-        r.generate(m.as_ref()).unwrap();
-        for _ in 0..10 {
-            assert!(!r.after_evaluation(m.as_ref()).unwrap());
-        }
-        assert_eq!(r.stats().generations, 1);
     }
 
     #[test]

@@ -12,19 +12,20 @@
 use crate::bootstrap::BootstrapMonitor;
 use crate::cache::{ActivationCache, CacheStats};
 use crate::checkpoint::{CheckpointOptions, CheckpointStore, TrainerCheckpoint};
-use crate::config::{ControllerMode, EgeriaConfig, PolicyKind, UnfreezePolicy};
+use crate::config::{ControllerMode, EgeriaConfig};
 use crate::controller::{system_load_probe, AsyncController};
-use crate::faults::{FaultInjector, FaultSite};
 use crate::freezer::{FreezeEvent, FreezingEngine};
-use crate::reference::{ReferenceManager, ReferenceStats};
-use egeria_resil::health::HealthMonitor;
-use egeria_resil::supervise::Watchdog;
+use crate::plasticity::PlasticityObservation;
+use crate::reference::{load_weights, ReferenceManager, ReferenceStats};
 use egeria_data::{DataLoader, Dataset};
-use egeria_models::Model;
+use egeria_models::{Batch, Model, StepResult};
 use egeria_nn::optim::{Adam, OptimizerState, Sgd};
 use egeria_nn::sched::LrSchedule;
 use egeria_obs::{ArgValue, Telemetry};
-use egeria_tensor::{Result, TensorError};
+use egeria_resil::fault::{FaultInjector, FaultSite};
+use egeria_resil::health::HealthMonitor;
+use egeria_resil::supervise::Watchdog;
+use egeria_tensor::{Result, Tensor, TensorError};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -229,6 +230,384 @@ pub struct EgeriaTrainer {
     options: TrainerOptions,
 }
 
+/// The step a phase runs in: its global index and learning rate.
+#[derive(Clone, Copy)]
+struct Step {
+    index: usize,
+    lr: f32,
+}
+
+/// How one step runs its forward/backward pass (phase 2's verdict).
+#[derive(Clone, Copy)]
+enum StepPath {
+    /// Plasticity evaluation: full pass with module `front`'s activation
+    /// hooked for the probe.
+    Probe { front: usize },
+    /// The frozen `prefix` modules' forward is served from the activation
+    /// cache (filled on a miss).
+    Cached { prefix: usize },
+    /// Plain full pass.
+    Full,
+}
+
+/// Where a run's reference model lives — one value, so "is a reference
+/// available" and "who refreshes it" cannot disagree.
+enum Probe {
+    /// On the training thread: captured inline, folded before the
+    /// optimizer step. Not ready until the bootstrap stage ends.
+    Inline(ReferenceManager),
+    /// On the controller thread behind IQ/TOQ: results drain at the top of
+    /// a later step.
+    Async(AsyncController),
+    /// The controller kept dying and its respawn budget ran out: no more
+    /// plasticity evaluations this run.
+    Lost,
+}
+
+impl Probe {
+    /// Takes the inline manager out (leaving `Lost` until the caller
+    /// installs its successor); `None` and untouched otherwise.
+    fn take_inline(&mut self) -> Option<ReferenceManager> {
+        match std::mem::replace(self, Probe::Lost) {
+            Probe::Inline(rm) => Some(rm),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
+/// Everything one Egeria-enabled run owns beyond the model and optimizer.
+/// `train` holds it as `Option<EgeriaRun>`: the vanilla baseline has none
+/// and its step stays a bare `train_step(&batch, None)`.
+///
+/// The loop body is seven phases; what each may touch (DESIGN §5k):
+/// 1. [`supervise_and_drain`](Self::supervise_and_drain) — probe, watchdog;
+///    via the fold: freezer, cache, model prefix, report.
+/// 2. [`select_path`](Self::select_path) — reads only.
+/// 3. `EgeriaTrainer::forward_backward` — model, cache.
+/// 4. [`probe_plasticity`](Self::probe_plasticity) — probe; via the fold as
+///    in phase 1.
+/// 5. [`bootstrap_and_refresh`](Self::bootstrap_and_refresh) — bootstrap,
+///    probe, `evals_since_ref_update`.
+/// 6. `EgeriaTrainer::optimizer_step` — model parameters, optimizer.
+/// 7. `EgeriaTrainer::save_checkpoint` — cache flush, checkpoint store.
+struct EgeriaRun {
+    /// This run's copy of the config, env overrides applied.
+    cfg: EgeriaConfig,
+    bootstrap: BootstrapMonitor,
+    freezer: FreezingEngine,
+    cache: Option<ActivationCache>,
+    probe: Probe,
+    watchdog: Watchdog,
+    evals_since_ref_update: usize,
+    telemetry: Telemetry,
+    faults: Option<Arc<FaultInjector>>,
+    health: Arc<HealthMonitor>,
+}
+
+impl EgeriaRun {
+    fn start(
+        cfg: EgeriaConfig,
+        model: &dyn Model,
+        options: &TrainerOptions,
+        health: Arc<HealthMonitor>,
+    ) -> Result<Self> {
+        let telemetry = options.telemetry.clone();
+        let faults = options.faults.clone();
+        let mut freezer = FreezingEngine::new(model.modules().len(), &cfg);
+        freezer.set_telemetry(telemetry.clone());
+        let cache = if cfg.cache_fp {
+            let dir = options
+                .cache_dir
+                .clone()
+                .unwrap_or_else(|| default_cache_dir(model.name()));
+            let mut cache = ActivationCache::for_config(dir, &cfg)?;
+            cache.set_faults(faults.clone());
+            cache.set_telemetry(telemetry.clone());
+            cache.set_health(Arc::clone(&health));
+            Some(cache)
+        } else {
+            None
+        };
+        let watchdog = Watchdog::new(
+            "async-controller",
+            CONTROLLER_RESPAWN_BUDGET,
+            telemetry.clone(),
+        )
+        .with_health(Arc::clone(&health), "controller-respawn-budget-exhausted");
+        Ok(EgeriaRun {
+            cfg,
+            bootstrap: BootstrapMonitor::new(cfg.w.max(4), cfg.bootstrap_rate),
+            freezer,
+            cache,
+            probe: Probe::Inline(wired_reference(&cfg, &telemetry, &faults, &health)),
+            watchdog,
+            evals_since_ref_update: 0,
+            telemetry,
+            faults,
+            health,
+        })
+    }
+
+    /// Generates `rm`'s reference from `model`'s current weights and puts
+    /// it where the controller mode says it lives: in place, or on a new
+    /// controller thread.
+    fn install_reference(&mut self, mut rm: ReferenceManager, model: &dyn Model) -> Result<()> {
+        rm.generate(model)?;
+        self.probe = match self.cfg.controller {
+            ControllerMode::Sync => Probe::Inline(rm),
+            ControllerMode::Async => Probe::Async(AsyncController::spawn(
+                rm,
+                self.cfg.cpu_load_gate,
+                system_load_probe(),
+                self.faults.clone(),
+                self.telemetry.clone(),
+            )),
+        };
+        Ok(())
+    }
+
+    /// Phase 1. Watchdog: a dead controller thread (panic or injected
+    /// fault) is respawned with a fresh reference generated from the
+    /// current weights; in-flight evaluations are lost — a skipped eval,
+    /// not an error. Respawns are capped: a controller that keeps dying is
+    /// dropped permanently (health Critical) and training continues
+    /// without plasticity evaluations. Then the controller's finished
+    /// evaluations are drained and folded, so decisions apply promptly.
+    fn supervise_and_drain(
+        &mut self,
+        model: &mut dyn Model,
+        report: &mut TrainReport,
+        step: Step,
+    ) -> Result<()> {
+        if matches!(&self.probe, Probe::Async(ctrl) if !ctrl.is_alive()) {
+            if self.watchdog.request_respawn() {
+                eprintln!("egeria: controller thread died; respawning with a fresh reference");
+                let rm = wired_reference(&self.cfg, &self.telemetry, &self.faults, &self.health);
+                self.install_reference(rm, model)?;
+                report.controller_restarts += 1;
+                self.telemetry.counter("controller.restarts").inc();
+                self.evals_since_ref_update = 0;
+            } else {
+                eprintln!(
+                    "egeria: controller respawn budget exhausted; \
+                     continuing without plasticity evaluations"
+                );
+                self.probe = Probe::Lost;
+            }
+        }
+        let Probe::Async(ctrl) = &self.probe else {
+            return Ok(());
+        };
+        for r in ctrl.poll_results() {
+            if r.module != self.freezer.front() {
+                continue; // Stale: the front advanced meanwhile.
+            }
+            if let Some(p) = r.value {
+                self.fold_plasticity(model, report, step, p, r.module)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase 2. `prefix` is the frozen prefix the step started with: an
+    /// event phase 1 just applied changes the path from the next step on.
+    fn select_path(&self, model: &dyn Model, prefix: usize, step: Step) -> StepPath {
+        let reference_available = match &self.probe {
+            Probe::Inline(rm) => rm.is_ready(),
+            Probe::Async(_) => true,
+            Probe::Lost => false,
+        };
+        if self.bootstrap.is_done() && step.index.is_multiple_of(self.cfg.n) && reference_available
+        {
+            StepPath::Probe {
+                front: self.freezer.front(),
+            }
+        } else if prefix > 0 && self.cache.is_some() && model.supports_cached_fp(prefix) {
+            StepPath::Cached { prefix }
+        } else {
+            StepPath::Full
+        }
+    }
+
+    /// Phase 4. Hands the hooked training activation to the probe. Inline:
+    /// capture the reference activation, compute the SP loss and fold it
+    /// now, before the optimizer step. Async: enqueue for the controller;
+    /// the value is folded by a later step's phase 1.
+    fn probe_plasticity(
+        &mut self,
+        model: &mut dyn Model,
+        batch: &Batch,
+        front: usize,
+        a_train: Tensor,
+        report: &mut TrainReport,
+        step: Step,
+    ) -> Result<()> {
+        match &mut self.probe {
+            Probe::Async(ctrl) => {
+                let _ = ctrl.submit(batch.clone(), front, a_train);
+            }
+            Probe::Inline(rm) => match rm.capture(batch, front) {
+                Ok(a_ref) => {
+                    let p = egeria_analysis::sp_loss(&a_train, &a_ref)?;
+                    self.fold_plasticity(model, report, step, p, front)?;
+                }
+                // A failed reference capture degrades to "don't decide
+                // yet": the evaluation is skipped (freezing on missing
+                // knowledge is the mistimed-freeze risk §4.2 warns about),
+                // training itself never aborts.
+                Err(e) => {
+                    eprintln!("egeria: reference capture failed; skipping evaluation: {e}");
+                    report.eval_skips += 1;
+                    self.telemetry.counter("trainer.eval_skips").inc();
+                }
+            },
+            Probe::Lost => {}
+        }
+        Ok(())
+    }
+
+    /// The one plasticity-fold entry point shared by the sync and
+    /// async-controller paths: fold the value into the freezer (which bumps
+    /// the evaluation telemetry and runs the policy's LR-reboot guard
+    /// exactly once), record the observation, apply the decision to the
+    /// model/cache, and record the event — so policies observe identical
+    /// state regardless of controller mode.
+    fn fold_plasticity(
+        &mut self,
+        model: &mut dyn Model,
+        report: &mut TrainReport,
+        step: Step,
+        p: f32,
+        module: usize,
+    ) -> Result<()> {
+        let (obs, event) = self.freezer.observe_value(p, step.lr)?;
+        if let Some(o) = obs {
+            record_plasticity(report, &self.telemetry, step.index, module, o);
+        }
+        match event {
+            FreezeEvent::None => {}
+            FreezeEvent::Froze(k) => model.freeze_prefix(k)?,
+            FreezeEvent::Unfroze => model.unfreeze_all(),
+        }
+        if event != FreezeEvent::None {
+            // The cached activations came from a different sub-network.
+            if let Some(c) = self.cache.as_mut() {
+                c.invalidate();
+            }
+        }
+        record_event(
+            report,
+            &self.telemetry,
+            step.index,
+            event,
+            model.frozen_prefix(),
+            obs.map(|o| o.smoothed),
+            self.freezer.policy_name(),
+        );
+        self.evals_since_ref_update += 1;
+        Ok(())
+    }
+
+    /// Phase 5. Bootstrap monitoring runs at the same `n`-interval as
+    /// evaluation; the step that ends the critical period generates the
+    /// first reference. Afterwards the reference is refreshed from the
+    /// current weights every `reference_update_every` folded evaluations.
+    fn bootstrap_and_refresh(&mut self, model: &dyn Model, loss: f32, step: Step) -> Result<()> {
+        if !self.bootstrap.is_done()
+            && step.index.is_multiple_of(self.cfg.n)
+            && self.bootstrap.observe(loss)
+        {
+            if let Some(rm) = self.probe.take_inline() {
+                self.install_reference(rm, model)?;
+            }
+        }
+        let every = self.cfg.reference_update_every;
+        if every > 0 && self.evals_since_ref_update >= every {
+            match &mut self.probe {
+                Probe::Inline(rm) => rm.generate(model)?,
+                Probe::Async(ctrl) => ctrl.update_reference(model.clone_boxed()),
+                Probe::Lost => return Ok(()),
+            }
+            self.evals_since_ref_update = 0;
+        }
+        Ok(())
+    }
+
+    /// Restores the Egeria half of a checkpoint; `model` already carries
+    /// the restored weights and frozen prefix.
+    fn restore(&mut self, ckpt: &TrainerCheckpoint, model: &dyn Model) -> Result<()> {
+        if let Some(s) = ckpt.freezer.as_ref() {
+            self.freezer.restore(s)?;
+        }
+        if let Some(s) = ckpt.bootstrap.as_ref() {
+            self.bootstrap.restore(s);
+        }
+        // The bootstrap-completion transition that normally generates the
+        // reference (and, in async mode, spawns the controller) is latched
+        // and will never re-fire after restore, so both are reconstructed
+        // here. Sync mode restores the exact checkpointed reference for
+        // exact replay; async regenerates it from the restored weights
+        // (its decisions are load-dependent and nondeterministic anyway).
+        if self.bootstrap.is_done() {
+            let exact = match self.cfg.controller {
+                ControllerMode::Sync => ckpt.reference.as_ref(),
+                ControllerMode::Async => None,
+            };
+            match (&mut self.probe, exact) {
+                (Probe::Inline(rm), Some(snap)) => rm.restore_reference(model, snap)?,
+                _ => {
+                    if let Some(rm) = self.probe.take_inline() {
+                        self.install_reference(rm, model)?;
+                    }
+                }
+            }
+        }
+        // Cache backend continuity: if the run that wrote this checkpoint
+        // used a different cache backend, the on-disk layout in the cache
+        // dir belongs to the other world (flat sample files vs chunked
+        // shards). Wipe it so the resumed run starts from a clean cache
+        // instead of carrying dead files alongside the new layout.
+        if let Some(c) = self.cache.as_mut() {
+            if c.store_kind().name() != ckpt.cache_store {
+                eprintln!(
+                    "egeria: cache backend changed across resume ({} -> {}); invalidating cache",
+                    ckpt.cache_store,
+                    c.store_kind().name()
+                );
+                c.invalidate();
+            }
+        }
+        self.evals_since_ref_update = ckpt.evals_since_ref_update as usize;
+        Ok(())
+    }
+
+    /// Flushes the activation store (chunked backend; a no-op on flat) so
+    /// the on-disk state stays consistent for a later resume. Failure is a
+    /// degradation — the resume recomputes — never fatal.
+    fn persist_cache(&mut self, when: &str) {
+        if let Some(c) = self.cache.as_mut() {
+            if let Err(e) = c.persist() {
+                eprintln!("egeria: cache persist failed {when}: {e}; resume will recompute");
+            }
+        }
+    }
+
+    /// Run boundary: flush the cache so the reported disk-byte stats
+    /// reflect what actually landed, and hand the counters to the report.
+    fn finish(mut self, report: &mut TrainReport) {
+        self.persist_cache("at end of training");
+        if let Some(c) = &self.cache {
+            report.cache_stats = c.stats();
+        }
+        if let Probe::Inline(rm) = &self.probe {
+            report.reference_stats = rm.stats();
+        }
+    }
+}
+
 impl EgeriaTrainer {
     /// Creates a trainer.
     pub fn new(
@@ -265,338 +644,99 @@ impl EgeriaTrainer {
         val: Option<(&dyn Dataset, &DataLoader)>,
     ) -> Result<TrainReport> {
         let started = Instant::now();
-        let mut egeria_cfg = self.options.egeria;
-        // `EGERIA_FREEZE_POLICY` overrides the configured decision policy
-        // (README knob; see DESIGN §5i). Applied to this run's local copy
-        // only — the options keep what the caller configured.
-        if let (Some(cfg), Some(kind)) = (egeria_cfg.as_mut(), PolicyKind::from_env()) {
-            cfg.policy = kind;
-        }
         let telemetry = self.options.telemetry.clone();
-        let mut report = TrainReport {
-            model: self.model.name().to_string(),
-            egeria: egeria_cfg.is_some(),
-            ..Default::default()
-        };
-
-        // Egeria machinery (present only when enabled).
-        let mut bootstrap = egeria_cfg.map(|c| BootstrapMonitor::new(c.w.max(4), c.bootstrap_rate));
-        let mut freezer = egeria_cfg.map(|c| FreezingEngine::new(self.model.modules().len(), &c));
-        let mut refmgr = egeria_cfg.map(|c| ReferenceManager::new(&c));
-        let mut async_ctrl: Option<AsyncController> = None;
-        let mut cache = match egeria_cfg {
-            Some(c) if c.cache_fp => {
-                let dir = self.options.cache_dir.clone().unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!(
-                        "egeria_cache_{}_{}",
-                        std::process::id(),
-                        self.model.name()
-                    ))
-                });
-                Some(ActivationCache::for_config(dir, &c)?)
-            }
-            _ => None,
-        };
         let health = self
             .options
             .health
             .clone()
             .unwrap_or_else(|| HealthMonitor::new(telemetry.clone()));
-        let faults = self.options.faults.clone();
-        if let Some(f) = freezer.as_mut() {
-            f.set_telemetry(telemetry.clone());
-        }
-        if let Some(r) = refmgr.as_mut() {
-            r.set_telemetry(telemetry.clone());
-            if let Some(f) = faults.clone() {
-                r.set_faults(f);
-            }
-            r.set_health(Arc::clone(&health));
-        }
-        if let Some(c) = cache.as_mut() {
-            c.set_faults(faults.clone());
-            c.set_telemetry(telemetry.clone());
-            c.set_health(Arc::clone(&health));
-        }
-        let ctrl_watchdog = Watchdog::new(
-            "async-controller",
-            CONTROLLER_RESPAWN_BUDGET,
-            telemetry.clone(),
-        )
-        .with_health(Arc::clone(&health), "controller-respawn-budget-exhausted");
-
-        let mut global_step = 0usize;
-        let mut evals_since_ref_update = 0usize;
+        // Env overrides apply to this run's copy of the config only — the
+        // options keep what the caller configured.
+        let mut run = match self.options.egeria {
+            Some(cfg) => Some(EgeriaRun::start(
+                cfg.with_env_overrides(),
+                self.model.as_ref(),
+                &self.options,
+                Arc::clone(&health),
+            )?),
+            None => None,
+        };
+        let mut report = TrainReport {
+            model: self.model.name().to_string(),
+            egeria: run.is_some(),
+            ..Default::default()
+        };
 
         // Crash consistency: open the checkpoint store and resume from the
         // newest valid checkpoint before the first epoch.
         let mut store = match &self.options.checkpoint {
             Some(opts) => Some(
-                CheckpointStore::open(&opts.dir, opts.keep)?.with_faults(faults.clone()),
+                CheckpointStore::open(&opts.dir, opts.keep)?
+                    .with_faults(self.options.faults.clone()),
             ),
             None => None,
         };
-        let mut start_epoch = 0usize;
-        if let Some(s) = store.as_ref() {
-            if let Some(ckpt) = s.load_latest() {
-                start_epoch = self.resume_from(
-                    &ckpt,
-                    &mut bootstrap,
-                    &mut freezer,
-                    &mut refmgr,
-                    &mut async_ctrl,
-                    &mut report,
-                    &mut global_step,
-                    &mut evals_since_ref_update,
-                    &mut cache,
-                )?;
-            }
+        let (mut start_epoch, mut global_step) = (0usize, 0usize);
+        if let Some(ckpt) = store.as_ref().and_then(|s| s.load_latest()) {
+            self.resume_from(&ckpt, run.as_mut(), &mut report)?;
+            start_epoch = ckpt.next_epoch as usize;
+            global_step = ckpt.global_step as usize;
         }
 
         for epoch in start_epoch..self.options.epochs {
             let plans = loader.epoch_plan(epoch);
             let mut epoch_loss = 0.0f64;
             let mut epoch_batches = 0usize;
-            let epoch_lr = self.schedule.lr(if self.options.lr_per_iteration {
-                global_step
-            } else {
-                epoch
-            });
+            let epoch_lr = self.lr_at(epoch, global_step);
             for plan in &plans {
                 // Simulated mid-epoch crash (robustness tests): abort the
                 // run exactly here, before any state for this step exists.
-                if let Some(f) = &faults {
+                if let Some(f) = &self.options.faults {
                     if f.should_fail(FaultSite::TrainStep) {
                         return Err(TensorError::Io(
                             "injected crash: training aborted mid-epoch".into(),
                         ));
                     }
                 }
-                let lr = self.schedule.lr(if self.options.lr_per_iteration {
-                    global_step
-                } else {
-                    epoch
-                });
-                self.optimizer.set_lr(lr);
+                let step = Step {
+                    index: global_step,
+                    lr: self.lr_at(epoch, global_step),
+                };
+                self.optimizer.set_lr(step.lr);
                 let batch = train.materialize(&plan.indices)?;
                 report.input_bytes += batch_input_bytes(&batch);
                 let prefix = self.model.frozen_prefix();
 
-                // Watchdog: a dead controller thread (panic or injected
-                // fault) is detected here and respawned with a fresh
-                // reference generated from the current weights. In-flight
-                // evaluations are lost — a skipped eval, not an error.
-                // Respawns are capped: a controller that keeps dying is
-                // dropped permanently (health Critical) and training
-                // continues without plasticity evaluations.
-                if async_ctrl.as_ref().map(|c| !c.is_alive()).unwrap_or(false) {
-                    if let Some(cfg) = egeria_cfg.as_ref() {
-                        if ctrl_watchdog.request_respawn() {
-                            eprintln!(
-                                "egeria: controller thread died; respawning with a fresh reference"
-                            );
-                            let mut rm = ReferenceManager::new(cfg);
-                            rm.set_telemetry(telemetry.clone());
-                            if let Some(f) = faults.clone() {
-                                rm.set_faults(f);
-                            }
-                            rm.set_health(Arc::clone(&health));
-                            rm.generate(self.model.as_ref())?;
-                            async_ctrl = Some(AsyncController::spawn_with_telemetry(
-                                rm,
-                                cfg.cpu_load_gate,
-                                system_load_probe(),
-                                faults.clone(),
-                                telemetry.clone(),
-                            ));
-                            report.controller_restarts += 1;
-                            telemetry.counter("controller.restarts").inc();
-                            evals_since_ref_update = 0;
-                        } else {
-                            eprintln!(
-                                "egeria: controller respawn budget exhausted; \
-                                 continuing without plasticity evaluations"
-                            );
-                            async_ctrl = None;
-                        }
-                    }
+                // Phases 1–2: supervise/drain the controller, pick the path.
+                let mut path = StepPath::Full;
+                if let Some(run) = run.as_mut() {
+                    run.supervise_and_drain(self.model.as_mut(), &mut report, step)?;
+                    path = run.select_path(self.model.as_ref(), prefix, step);
                 }
-
-                // Drain async plasticity results first so decisions apply
-                // promptly.
-                if let (Some(ctrl), Some(fr)) = (&async_ctrl, freezer.as_mut()) {
-                    for r in ctrl.poll_results() {
-                        if r.module != fr.front() {
-                            continue; // Stale: the front advanced meanwhile.
-                        }
-                        if let Some(p) = r.value {
-                            self.fold_plasticity(
-                                fr,
-                                &mut cache,
-                                &mut report,
-                                &telemetry,
-                                p,
-                                lr,
-                                r.module,
-                                global_step,
-                                &mut evals_since_ref_update,
-                            )?;
-                        }
-                    }
-                }
-
-                let bootstrap_done = bootstrap.as_ref().map(|b| b.is_done()).unwrap_or(false);
-                let reference_available = refmgr.as_ref().map(|r| r.is_ready()).unwrap_or(false)
-                    || async_ctrl.is_some();
-                let do_eval = egeria_cfg
-                    .map(|c| bootstrap_done && global_step.is_multiple_of(c.n))
-                    .unwrap_or(false)
-                    && reference_available;
-
-                let mut fp_cached = false;
-                let eval_front = if do_eval {
-                    freezer.as_ref().map(|f| f.front())
-                } else {
-                    None
-                };
                 let step_span = telemetry.span("train_step");
-                let step_result = if let Some(front) = eval_front {
-                    let r = self.model.train_step(&batch, Some(front))?;
-                    let a_train = r.captured.clone().ok_or_else(|| {
-                        TensorError::Numerical("capture hook returned nothing".into())
-                    })?;
-                    match (&mut async_ctrl, refmgr.as_mut()) {
-                        (Some(ctrl), _) => {
-                            let _ = ctrl.submit(batch.clone(), front, a_train);
-                        }
-                        (None, Some(rm)) => {
-                            // A failed reference capture degrades to
-                            // "don't decide yet": the evaluation is
-                            // skipped (freezing on missing knowledge is
-                            // the mistimed-freeze risk §4.2 warns about),
-                            // training itself never aborts.
-                            let a_ref = match rm.capture(&batch, front) {
-                                Ok(a) => Some(a),
-                                Err(e) => {
-                                    eprintln!(
-                                        "egeria: reference capture failed; skipping evaluation: {e}"
-                                    );
-                                    report.eval_skips += 1;
-                                    telemetry.counter("trainer.eval_skips").inc();
-                                    None
-                                }
-                            };
-                            if let (Some(a_ref), Some(fr), Some(cfg)) =
-                                (a_ref, freezer.as_mut(), egeria_cfg.as_ref())
-                            {
-                                let p = egeria_analysis::sp_loss(&a_train, &a_ref)?;
-                                self.fold_plasticity(
-                                    fr,
-                                    &mut cache,
-                                    &mut report,
-                                    &telemetry,
-                                    p,
-                                    lr,
-                                    front,
-                                    global_step,
-                                    &mut evals_since_ref_update,
-                                )?;
-                                if cfg.reference_update_every > 0
-                                    && evals_since_ref_update >= cfg.reference_update_every
-                                {
-                                    rm.generate(self.model.as_ref())?;
-                                    evals_since_ref_update = 0;
-                                }
-                            }
-                        }
-                        _ => {}
+                // Phase 3: forward/backward.
+                let (mut result, fp_cached) =
+                    self.forward_backward(run.as_mut(), path, &batch, step)?;
+                // Phases 4–5: fold plasticity, bootstrap/reference upkeep.
+                if let Some(run) = run.as_mut() {
+                    if let StepPath::Probe { front } = path {
+                        let a_train = result.captured.take().ok_or_else(|| {
+                            TensorError::Numerical("capture hook returned nothing".into())
+                        })?;
+                        let model = self.model.as_mut();
+                        run.probe_plasticity(model, &batch, front, a_train, &mut report, step)?;
                     }
-                    r
-                } else if let (true, Some(c)) = (
-                    prefix > 0
-                        && egeria_cfg.map(|c| c.cache_fp).unwrap_or(false)
-                        && self.model.supports_cached_fp(prefix),
-                    cache.as_mut(),
-                ) {
-                    match c.get_batch(&batch.sample_ids, prefix)? {
-                        Some(act) => {
-                            fp_cached = true;
-                            if telemetry.is_enabled() {
-                                telemetry.instant(
-                                    "cache_lookup",
-                                    Some(global_step as u64),
-                                    None,
-                                    vec![("outcome", ArgValue::Str("hit"))],
-                                );
-                            }
-                            self.model.train_step_from(&batch, prefix, &act, None)?
-                        }
-                        None => {
-                            if telemetry.is_enabled() {
-                                telemetry.instant(
-                                    "cache_lookup",
-                                    Some(global_step as u64),
-                                    None,
-                                    vec![("outcome", ArgValue::Str("miss"))],
-                                );
-                            }
-                            // Fill the cache with the frozen boundary's
-                            // activation while doing the full forward.
-                            let r = self.model.train_step(&batch, Some(prefix - 1))?;
-                            if let Some(act) = &r.captured {
-                                c.put_batch(&batch.sample_ids, act, prefix)?;
-                            }
-                            r
-                        }
-                    }
-                } else {
-                    self.model.train_step(&batch, None)?
-                };
-
-                // Bootstrap monitoring happens at the same n-interval.
-                if let (Some(b), Some(c)) = (bootstrap.as_mut(), egeria_cfg.as_ref()) {
-                    if !b.is_done() && global_step.is_multiple_of(c.n) && b.observe(step_result.loss) {
-                        // Critical period over: generate the reference.
-                        if let Some(rm) = refmgr.as_mut() {
-                            rm.generate(self.model.as_ref())?;
-                        }
-                        if c.controller == ControllerMode::Async {
-                            if let Some(rm_owned) = refmgr.take() {
-                                async_ctrl = Some(AsyncController::spawn_with_telemetry(
-                                    rm_owned,
-                                    c.cpu_load_gate,
-                                    system_load_probe(),
-                                    faults.clone(),
-                                    telemetry.clone(),
-                                ));
-                            }
-                        }
-                    }
+                    run.bootstrap_and_refresh(self.model.as_ref(), result.loss, step)?;
                 }
-                // Async reference refresh.
-                if let (Some(ctrl), Some(c)) = (&async_ctrl, egeria_cfg.as_ref()) {
-                    if c.reference_update_every > 0
-                        && evals_since_ref_update >= c.reference_update_every
-                    {
-                        ctrl.update_reference(self.model.clone_boxed());
-                        evals_since_ref_update = 0;
-                    }
-                }
-
-                {
-                    let _opt_span = telemetry.span("opt_step").iteration(global_step as u64);
-                    let mut params = self.model.params_mut();
-                    self.optimizer.step(&mut params)?;
-                    drop(params);
-                    self.model.zero_grad();
-                }
+                // Phase 6: optimizer step.
+                self.optimizer_step(step)?;
                 drop(
                     step_span
                         .iteration(global_step as u64)
                         .arg("frozen_prefix", self.model.frozen_prefix() as u64)
                         .arg("fp_cached", fp_cached),
                 );
-                epoch_loss += step_result.loss as f64;
+                epoch_loss += result.loss as f64;
                 epoch_batches += 1;
                 report.iterations.push(IterationRecord {
                     epoch: epoch as u32,
@@ -622,80 +762,14 @@ impl EgeriaTrainer {
                 frozen_prefix: self.model.frozen_prefix(),
                 active_param_fraction: self.model.active_param_fraction(),
             });
-            if telemetry.is_enabled() {
-                let pool = egeria_tensor::ThreadPool::global().stats();
-                telemetry.gauge("pool.jobs").set(pool.jobs as f64);
-                telemetry.gauge("pool.tasks").set(pool.tasks as f64);
-                telemetry.gauge("pool.inline_jobs").set(pool.inline_jobs as f64);
-                telemetry.instant(
-                    "pool_occupancy",
-                    Some(global_step as u64),
-                    None,
-                    vec![
-                        ("jobs", ArgValue::U64(pool.jobs as u64)),
-                        ("tasks", ArgValue::U64(pool.tasks as u64)),
-                        ("inline_jobs", ArgValue::U64(pool.inline_jobs as u64)),
-                    ],
-                );
-            }
-
-            // Epoch-boundary checkpoint. A failed save is a logged
-            // degradation, never a training failure.
+            record_pool_occupancy(&telemetry, global_step);
+            // Phase 7: epoch-boundary checkpoint.
             if let Some(s) = store.as_mut() {
-                let every = self
-                    .options
-                    .checkpoint
-                    .as_ref()
-                    .map(|o| o.every.max(1))
-                    .unwrap_or(1);
-                if (epoch + 1) % every == 0 || epoch + 1 == self.options.epochs {
-                    // Flush the activation store alongside the model
-                    // checkpoint so a resumed run reopens a consistent
-                    // cache (chunked backend; flat is a no-op). Failure is
-                    // a degradation — the resume recomputes — never fatal.
-                    if let Some(c) = cache.as_mut() {
-                        if let Err(e) = c.persist() {
-                            eprintln!(
-                                "egeria: cache persist failed at epoch {epoch}: {e}; resume will recompute"
-                            );
-                        }
-                    }
-                    let ckpt = self.build_checkpoint(
-                        epoch + 1,
-                        global_step,
-                        evals_since_ref_update,
-                        &bootstrap,
-                        &freezer,
-                        &refmgr,
-                        &report,
-                        &cache,
-                    );
-                    let save_span = telemetry
-                        .span("checkpoint_save")
-                        .iteration(global_step as u64);
-                    if let Err(e) = s.save(&ckpt) {
-                        eprintln!("egeria: checkpoint save failed at epoch {epoch}: {e}");
-                        s.save_errors += 1;
-                        report.checkpoint_save_errors += 1;
-                        telemetry.counter("checkpoint.save_errors").inc();
-                    } else {
-                        telemetry.counter("checkpoint.saves").inc();
-                    }
-                    drop(save_span);
-                }
+                self.save_checkpoint(s, run.as_mut(), &mut report, epoch, global_step);
             }
         }
-        if let Some(mut c) = cache {
-            // Flush the chunked store at the run boundary (no-op on flat):
-            // the on-disk state stays consistent for a later resume and the
-            // reported disk-byte stats reflect what actually landed.
-            if let Err(e) = c.persist() {
-                eprintln!("egeria: cache persist failed at end of training: {e}");
-            }
-            report.cache_stats = c.stats();
-        }
-        if let Some(rm) = refmgr {
-            report.reference_stats = rm.stats();
+        if let Some(run) = run {
+            run.finish(&mut report);
         }
         let health_state = health.state();
         report.health_level = health_state.level();
@@ -710,67 +784,116 @@ impl EgeriaTrainer {
         Ok(report)
     }
 
-    /// The one plasticity-fold entry point shared by the sync and
-    /// async-controller paths: fold the value into the freezer (which bumps
-    /// the evaluation telemetry and runs the policy's LR-reboot guard
-    /// exactly once), record the observation, apply the decision to the
-    /// model/cache, and record the event. Before this existed, the two
-    /// paths duplicated the sequence with divergent semantics (the async
-    /// drain recorded plasticity points even for unfreeze evaluations whose
-    /// value was never folded); policies now observe identical state
-    /// regardless of controller mode.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_plasticity(
+    /// The scheduled learning rate: indexed by iteration (NLP convention)
+    /// or epoch (CV convention).
+    fn lr_at(&self, epoch: usize, global_step: usize) -> f32 {
+        self.schedule.lr(if self.options.lr_per_iteration {
+            global_step
+        } else {
+            epoch
+        })
+    }
+
+    /// Phase 3: the step's forward + loss + backward along `path`; returns
+    /// the result and whether the frozen prefix's forward came from the
+    /// cache.
+    fn forward_backward(
         &mut self,
-        freezer: &mut FreezingEngine,
-        cache: &mut Option<ActivationCache>,
-        report: &mut TrainReport,
-        telemetry: &Telemetry,
-        p: f32,
-        lr: f32,
-        module: usize,
-        global_step: usize,
-        evals_since_ref_update: &mut usize,
-    ) -> Result<()> {
-        let (obs, event) = freezer.observe_value(p, lr)?;
-        if let Some(o) = &obs {
-            record_plasticity(report, telemetry, global_step, module, o.raw, obs);
+        run: Option<&mut EgeriaRun>,
+        path: StepPath,
+        batch: &Batch,
+        step: Step,
+    ) -> Result<(StepResult, bool)> {
+        match (path, run) {
+            (StepPath::Probe { front }, _) => {
+                Ok((self.model.train_step(batch, Some(front))?, false))
+            }
+            (
+                StepPath::Cached { prefix },
+                Some(EgeriaRun {
+                    cache: Some(cache),
+                    telemetry,
+                    ..
+                }),
+            ) => {
+                let cached = cache.get_batch(&batch.sample_ids, prefix)?;
+                if telemetry.is_enabled() {
+                    let outcome = if cached.is_some() { "hit" } else { "miss" };
+                    telemetry.instant(
+                        "cache_lookup",
+                        Some(step.index as u64),
+                        None,
+                        vec![("outcome", ArgValue::Str(outcome))],
+                    );
+                }
+                match cached {
+                    Some(act) => Ok((self.model.train_step_from(batch, prefix, &act, None)?, true)),
+                    None => {
+                        // Fill the cache with the frozen boundary's
+                        // activation while doing the full forward.
+                        let r = self.model.train_step(batch, Some(prefix - 1))?;
+                        if let Some(act) = &r.captured {
+                            cache.put_batch(&batch.sample_ids, act, prefix)?;
+                        }
+                        Ok((r, false))
+                    }
+                }
+            }
+            _ => Ok((self.model.train_step(batch, None)?, false)),
         }
-        self.apply_event(event, cache)?;
-        record_event(
-            report,
-            telemetry,
-            global_step,
-            event,
-            self.model.frozen_prefix(),
-            obs.map(|o| o.smoothed),
-            freezer.policy_name(),
-        );
-        *evals_since_ref_update += 1;
+    }
+
+    /// Phase 6: one optimizer update, then clear the gradients.
+    fn optimizer_step(&mut self, step: Step) -> Result<()> {
+        let _opt_span = self
+            .options
+            .telemetry
+            .span("opt_step")
+            .iteration(step.index as u64);
+        let mut params = self.model.params_mut();
+        self.optimizer.step(&mut params)?;
+        drop(params);
+        self.model.zero_grad();
         Ok(())
     }
 
-    fn apply_event(
-        &mut self,
-        event: FreezeEvent,
-        cache: &mut Option<ActivationCache>,
-    ) -> Result<()> {
-        match event {
-            FreezeEvent::None => Ok(()),
-            FreezeEvent::Froze(k) => {
-                self.model.freeze_prefix(k)?;
-                if let Some(c) = cache {
-                    c.invalidate();
-                }
-                Ok(())
-            }
-            FreezeEvent::Unfroze => {
-                self.model.unfreeze_all();
-                if let Some(c) = cache {
-                    c.invalidate();
-                }
-                Ok(())
-            }
+    /// Phase 7: the epoch-boundary checkpoint, when one is due. A failed
+    /// save is a logged degradation, never a training failure.
+    fn save_checkpoint(
+        &self,
+        store: &mut CheckpointStore,
+        mut run: Option<&mut EgeriaRun>,
+        report: &mut TrainReport,
+        epoch: usize,
+        global_step: usize,
+    ) {
+        let every = self
+            .options
+            .checkpoint
+            .as_ref()
+            .map(|o| o.every.max(1))
+            .unwrap_or(1);
+        let due = (epoch + 1).is_multiple_of(every) || epoch + 1 == self.options.epochs;
+        if !due {
+            return;
+        }
+        // Flush the activation store alongside the model checkpoint so a
+        // resumed run reopens a consistent cache.
+        if let Some(run) = run.as_deref_mut() {
+            run.persist_cache(&format!("at epoch {epoch}"));
+        }
+        let ckpt = self.build_checkpoint(run.as_deref(), report, epoch + 1, global_step);
+        let telemetry = &self.options.telemetry;
+        let _save_span = telemetry
+            .span("checkpoint_save")
+            .iteration(global_step as u64);
+        if let Err(e) = store.save(&ckpt) {
+            eprintln!("egeria: checkpoint save failed at epoch {epoch}: {e}");
+            store.save_errors += 1;
+            report.checkpoint_save_errors += 1;
+            telemetry.counter("checkpoint.save_errors").inc();
+        } else {
+            telemetry.counter("checkpoint.saves").inc();
         }
     }
 
@@ -778,19 +901,13 @@ impl EgeriaTrainer {
     ///
     /// In async mode the reference lives on the controller thread, so
     /// `reference` is `None` and resume regenerates it from the restored
-    /// weights (async decisions are load-dependent and nondeterministic
-    /// anyway; sync mode restores the exact reference for exact replay).
-    #[allow(clippy::too_many_arguments)]
+    /// weights.
     fn build_checkpoint(
         &self,
+        run: Option<&EgeriaRun>,
+        report: &TrainReport,
         next_epoch: usize,
         global_step: usize,
-        evals_since_ref_update: usize,
-        bootstrap: &Option<BootstrapMonitor>,
-        freezer: &Option<FreezingEngine>,
-        refmgr: &Option<ReferenceManager>,
-        report: &TrainReport,
-        cache: &Option<ActivationCache>,
     ) -> TrainerCheckpoint {
         let params = self.model.params();
         let optimizer = self.optimizer.export_state(&params);
@@ -798,7 +915,7 @@ impl EgeriaTrainer {
             model_name: self.model.name().to_string(),
             next_epoch: next_epoch as u64,
             global_step: global_step as u64,
-            evals_since_ref_update: evals_since_ref_update as u64,
+            evals_since_ref_update: run.map_or(0, |r| r.evals_since_ref_update as u64),
             frozen_prefix: self.model.frozen_prefix() as u64,
             params: params
                 .iter()
@@ -811,36 +928,34 @@ impl EgeriaTrainer {
                 .map(|t| (*t).clone())
                 .collect(),
             optimizer,
-            freezer: freezer.as_ref().map(|f| f.snapshot()),
-            bootstrap: bootstrap.as_ref().map(|b| b.snapshot()),
-            reference: refmgr.as_ref().and_then(|rm| rm.export_reference()),
+            freezer: run.map(|r| r.freezer.snapshot()),
+            bootstrap: run.map(|r| r.bootstrap.snapshot()),
+            reference: run.and_then(|r| match &r.probe {
+                Probe::Inline(rm) => rm.export_reference(),
+                _ => None,
+            }),
             epochs: report.epochs.clone(),
             iterations: report.iterations.clone(),
             plasticity: report.plasticity.clone(),
             events: report.events.clone(),
             input_bytes: report.input_bytes,
-            cache_store: cache
-                .as_ref()
+            cache_store: run
+                .and_then(|r| r.cache.as_ref())
                 .map(|c| c.store_kind().name().to_string())
                 .unwrap_or_else(|| "flat".to_string()),
         }
     }
 
-    /// Restores trainer state from a loaded checkpoint; returns the epoch
-    /// to continue from.
-    #[allow(clippy::too_many_arguments)]
+    /// Restores trainer state from a loaded checkpoint: model (parameters
+    /// by name, state buffers by position, frozen prefix) and optimizer
+    /// here, the Egeria machinery in [`EgeriaRun::restore`], and the report
+    /// accumulators so the final report covers the whole run.
     fn resume_from(
         &mut self,
         ckpt: &TrainerCheckpoint,
-        bootstrap: &mut Option<BootstrapMonitor>,
-        freezer: &mut Option<FreezingEngine>,
-        refmgr: &mut Option<ReferenceManager>,
-        async_ctrl: &mut Option<AsyncController>,
+        run: Option<&mut EgeriaRun>,
         report: &mut TrainReport,
-        global_step: &mut usize,
-        evals_since_ref_update: &mut usize,
-        cache: &mut Option<ActivationCache>,
-    ) -> Result<usize> {
+    ) -> Result<()> {
         if ckpt.model_name != self.model.name() {
             return Err(TensorError::Corrupt(format!(
                 "checkpoint is for model {:?}, trainer has {:?}",
@@ -848,140 +963,29 @@ impl EgeriaTrainer {
                 self.model.name()
             )));
         }
-        // Model parameters, by name.
-        {
-            let mut params = self.model.params_mut();
-            if params.len() != ckpt.params.len() {
-                return Err(TensorError::Corrupt(format!(
-                    "checkpoint has {} params, model has {}",
-                    ckpt.params.len(),
-                    params.len()
-                )));
-            }
-            for p in params.iter_mut() {
-                let value = ckpt
-                    .params
-                    .iter()
-                    .find(|(n, _)| *n == p.name)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| {
-                        TensorError::Corrupt(format!(
-                            "checkpoint is missing parameter {:?}",
-                            p.name
-                        ))
-                    })?;
-                if value.dims() != p.value.dims() {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "resume",
-                        lhs: p.value.dims().to_vec(),
-                        rhs: value.dims().to_vec(),
-                    });
-                }
-                p.value = value.clone();
-            }
-        }
-        // Non-parameter state (BatchNorm running statistics), positional.
-        {
-            let mut bufs = self.model.state_buffers_mut();
-            if bufs.len() != ckpt.state_buffers.len() {
-                return Err(TensorError::Corrupt(format!(
-                    "checkpoint has {} state buffers, model has {}",
-                    ckpt.state_buffers.len(),
-                    bufs.len()
-                )));
-            }
-            for (dst, src) in bufs.iter_mut().zip(ckpt.state_buffers.iter()) {
-                if src.dims() != dst.dims() {
-                    return Err(TensorError::ShapeMismatch {
-                        op: "resume",
-                        lhs: dst.dims().to_vec(),
-                        rhs: src.dims().to_vec(),
-                    });
-                }
-                **dst = src.clone();
-            }
-        }
+        load_weights(
+            self.model.as_mut(),
+            &ckpt.params,
+            &ckpt.state_buffers,
+            "checkpoint",
+            "resume",
+        )?;
         self.model.zero_grad();
         self.model.unfreeze_all();
         if ckpt.frozen_prefix > 0 {
             self.model.freeze_prefix(ckpt.frozen_prefix as usize)?;
         }
-        {
-            let params = self.model.params();
-            self.optimizer.load_state(&ckpt.optimizer, &params)?;
+        self.optimizer
+            .load_state(&ckpt.optimizer, &self.model.params())?;
+        if let Some(run) = run {
+            run.restore(ckpt, self.model.as_ref())?;
         }
-        if let (Some(fr), Some(s)) = (freezer.as_mut(), ckpt.freezer.as_ref()) {
-            fr.restore(s)?;
-        }
-        if let (Some(b), Some(s)) = (bootstrap.as_mut(), ckpt.bootstrap.as_ref()) {
-            b.restore(s);
-        }
-        // Reference model. The bootstrap-completion transition that
-        // normally generates the reference (and, in async mode, spawns the
-        // controller) is latched and will never re-fire after restore, so
-        // both are reconstructed here explicitly.
-        let bootstrap_done = bootstrap.as_ref().map(|b| b.is_done()).unwrap_or(false);
-        if let Some(cfg) = self.options.egeria.as_ref() {
-            if bootstrap_done {
-                match cfg.controller {
-                    ControllerMode::Sync => {
-                        if let Some(rm) = refmgr.as_mut() {
-                            match ckpt.reference.as_ref() {
-                                Some(snap) => {
-                                    rm.restore_reference(self.model.as_ref(), snap)?
-                                }
-                                None => rm.generate(self.model.as_ref())?,
-                            }
-                        }
-                    }
-                    ControllerMode::Async => {
-                        if let Some(mut rm) = refmgr.take() {
-                            rm.generate(self.model.as_ref())?;
-                            *async_ctrl = Some(AsyncController::spawn_with_telemetry(
-                                rm,
-                                cfg.cpu_load_gate,
-                                system_load_probe(),
-                                self.options.faults.clone(),
-                                self.options.telemetry.clone(),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        // Cache backend continuity: if the run that wrote this checkpoint
-        // used a different cache backend, the on-disk layout in the cache
-        // dir belongs to the other world (flat sample files vs chunked
-        // shards). Wipe it so the resumed run starts from a clean cache
-        // instead of carrying dead files alongside the new layout.
-        if let Some(c) = cache.as_mut() {
-            if c.store_kind().name() != ckpt.cache_store {
-                eprintln!(
-                    "egeria: cache backend changed across resume ({} -> {}); invalidating cache",
-                    ckpt.cache_store,
-                    c.store_kind().name()
-                );
-                c.invalidate();
-            }
-        }
-        // Report accumulators, so the final report covers the whole run.
         report.epochs = ckpt.epochs.clone();
         report.iterations = ckpt.iterations.clone();
         report.plasticity = ckpt.plasticity.clone();
         report.events = ckpt.events.clone();
         report.input_bytes = ckpt.input_bytes;
         report.resumed_from_epoch = Some(ckpt.next_epoch as usize);
-        *global_step = ckpt.global_step as usize;
-        *evals_since_ref_update = ckpt.evals_since_ref_update as usize;
-        Ok(ckpt.next_epoch as usize)
-    }
-
-    /// Applies a user-defined cyclical unfreeze (the `Custom` policy hook).
-    pub fn custom_unfreeze(&mut self, freezer: &mut FreezingEngine) -> Result<()> {
-        if self.options.egeria.map(|c| c.unfreeze) == Some(UnfreezePolicy::Custom) {
-            freezer.unfreeze_now();
-            self.model.unfreeze_all();
-        }
         Ok(())
     }
 }
@@ -1017,15 +1021,60 @@ fn batch_input_bytes(batch: &egeria_models::Batch) -> u64 {
     }
 }
 
+/// A reference manager reporting through a run's telemetry, fault and
+/// health handles.
+fn wired_reference(
+    cfg: &EgeriaConfig,
+    telemetry: &Telemetry,
+    faults: &Option<Arc<FaultInjector>>,
+    health: &Arc<HealthMonitor>,
+) -> ReferenceManager {
+    let mut rm = ReferenceManager::new(cfg);
+    rm.set_telemetry(telemetry.clone());
+    if let Some(f) = faults {
+        rm.set_faults(Arc::clone(f));
+    }
+    rm.set_health(Arc::clone(health));
+    rm
+}
+
+/// The activation-cache directory used when the options name none.
+fn default_cache_dir(model_name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "egeria_cache_{}_{}",
+        std::process::id(),
+        model_name
+    ))
+}
+
+fn record_pool_occupancy(telemetry: &Telemetry, global_step: usize) {
+    if !telemetry.is_enabled() {
+        return;
+    }
+    let pool = egeria_tensor::ThreadPool::global().stats();
+    telemetry.gauge("pool.jobs").set(pool.jobs as f64);
+    telemetry.gauge("pool.tasks").set(pool.tasks as f64);
+    telemetry.gauge("pool.inline_jobs").set(pool.inline_jobs as f64);
+    telemetry.instant(
+        "pool_occupancy",
+        Some(global_step as u64),
+        None,
+        vec![
+            ("jobs", ArgValue::U64(pool.jobs as u64)),
+            ("tasks", ArgValue::U64(pool.tasks as u64)),
+            ("inline_jobs", ArgValue::U64(pool.inline_jobs as u64)),
+        ],
+    );
+}
+
 fn record_plasticity(
     report: &mut TrainReport,
     telemetry: &Telemetry,
     iteration: usize,
     module: usize,
-    raw: f32,
-    obs: Option<crate::plasticity::PlasticityObservation>,
+    obs: PlasticityObservation,
 ) {
-    let smoothed = obs.map(|o| o.smoothed).unwrap_or(raw);
+    let PlasticityObservation { raw, smoothed, .. } = obs;
     report.plasticity.push(PlasticityPoint {
         iteration,
         module,
@@ -1086,6 +1135,7 @@ fn record_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::UnfreezePolicy;
     use egeria_data::images::{ImageDataConfig, SyntheticImages};
     use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
     use egeria_nn::sched::MultiStepDecay;
@@ -1179,6 +1229,40 @@ mod tests {
         for w in prefixes.windows(2) {
             assert!(w[1] >= w[0], "prefix shrank without an unfreeze event");
         }
+    }
+
+    /// A short sync run's `(reference generations, folded evaluations)`:
+    /// inline, every reference forward is one capture whose value is folded.
+    fn refresh_counts(reference_update_every: usize) -> (usize, usize) {
+        let cfg = EgeriaConfig {
+            n: 2,
+            w: 3,
+            s: 2,
+            bootstrap_rate: 0.9,
+            reference_update_every,
+            cache_fp: false,
+            ..Default::default()
+        };
+        let (mut t, data, loader) = tiny_setup(Some(cfg), 8);
+        let report = t.train(&data, &loader, None).unwrap();
+        assert_eq!(report.eval_skips, 0);
+        let stats = report.reference_stats;
+        assert!(stats.forwards >= 6, "only {} folds", stats.forwards);
+        (stats.generations, stats.forwards)
+    }
+
+    #[test]
+    fn updates_every_interval() {
+        let (generations, folds) = refresh_counts(3);
+        // The bootstrap transition's reference, then one per three folds.
+        assert_eq!(generations, 1 + folds / 3);
+    }
+
+    #[test]
+    fn zero_interval_never_updates() {
+        // 0 = never refresh (Figure 7a's ablation).
+        let (generations, _) = refresh_counts(0);
+        assert_eq!(generations, 1);
     }
 
     #[test]

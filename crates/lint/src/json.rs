@@ -24,10 +24,12 @@
 //! violation appears (or an existing one multiplies). `--bless-baseline`
 //! rewrites the file from the current findings.
 //!
-//! The parser below reads exactly this document family (and rejects
-//! everything else); the lint stays dependency-free.
+//! Documents are read back with the workspace's one JSON reader,
+//! `egeria_obs::jsonl::parse` (egeria-obs is itself dependency-free, so
+//! the lint still builds from nothing but this workspace).
 
 use crate::rules::{Finding, Tier};
+use egeria_obs::jsonl::{parse, Value};
 use std::collections::BTreeMap;
 
 /// Stable sort used for JSON output and the baseline: rule, file, line.
@@ -124,18 +126,16 @@ pub struct BaselineEntry {
 /// Parses a findings/baseline document, returning the `(rule, path)` of
 /// every finding in it.
 pub fn parse_baseline(src: &str) -> Result<Vec<BaselineEntry>, String> {
-    let v = JsonParser::new(src).parse_document()?;
-    let obj = v.as_object().ok_or("baseline: top level must be an object")?;
-    let findings = obj
+    let doc = parse(src)?;
+    let findings = doc
         .get("findings")
         .ok_or("baseline: missing \"findings\" array")?
-        .as_array()
+        .as_arr()
         .ok_or("baseline: \"findings\" must be an array")?;
     let mut out = Vec::new();
     for f in findings {
-        let fo = f.as_object().ok_or("baseline: finding must be an object")?;
         let field = |k: &str| -> Result<String, String> {
-            fo.get(k)
+            f.get(k)
                 .and_then(Value::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("baseline: finding missing string field \"{k}\""))
@@ -170,232 +170,6 @@ pub fn new_warn_findings<'a>(
         }
     }
     fresh
-}
-
-// --- minimal JSON value parser ---------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-    fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    src: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(src: &'a str) -> Self {
-        JsonParser {
-            src: src.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<Value, String> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.i != self.src.len() {
-            return Err(format!("json: trailing bytes at offset {}", self.i));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .src
-            .get(self.i)
-            .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.i += 1;
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.src.get(self.i) {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", Value::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Value::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Value::Null),
-            Some(_) => self.parse_number(),
-            None => Err("json: unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.src[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("json: invalid literal at offset {}", self.i))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        let start = self.i;
-        while self
-            .src
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.src[start..self.i])
-            .map_err(|_| "json: bad number bytes".to_string())?;
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("json: invalid number `{text}`"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.i += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match self.src.get(self.i) {
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.src.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .src
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("json: truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "json: bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "json: bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        _ => return Err("json: bad escape".to_string()),
-                    }
-                    self.i += 1;
-                }
-                Some(&c) => {
-                    // Multi-byte UTF-8 sequences pass through byte-wise; the
-                    // source was a &str, so re-assembling is safe.
-                    let len = utf8_len(c);
-                    let bytes = self
-                        .src
-                        .get(self.i..self.i + len)
-                        .ok_or("json: truncated utf-8")?;
-                    out.push_str(
-                        std::str::from_utf8(bytes).map_err(|_| "json: invalid utf-8")?,
-                    );
-                    self.i += len;
-                }
-                None => return Err("json: unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.i += 1; // [
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.src.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Value::Arr(out));
-        }
-        loop {
-            out.push(self.parse_value()?);
-            self.skip_ws();
-            match self.src.get(self.i) {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Value::Arr(out));
-                }
-                _ => return Err(format!("json: expected , or ] at offset {}", self.i)),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.i += 1; // {
-        let mut out = BTreeMap::new();
-        self.skip_ws();
-        if self.src.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Value::Obj(out));
-        }
-        loop {
-            self.skip_ws();
-            if self.src.get(self.i) != Some(&b'"') {
-                return Err(format!("json: expected object key at offset {}", self.i));
-            }
-            let key = self.parse_string()?;
-            self.skip_ws();
-            if self.src.get(self.i) != Some(&b':') {
-                return Err(format!("json: expected : at offset {}", self.i));
-            }
-            self.i += 1;
-            let v = self.parse_value()?;
-            out.insert(key, v);
-            self.skip_ws();
-            match self.src.get(self.i) {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Value::Obj(out));
-                }
-                _ => return Err(format!("json: expected , or }} at offset {}", self.i)),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0xF0..=0xF7 => 4,
-        0xE0..=0xEF => 3,
-        0xC0..=0xDF => 2,
-        _ => 1,
-    }
 }
 
 #[cfg(test)]

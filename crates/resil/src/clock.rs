@@ -59,15 +59,22 @@ impl Clock for RealClock {
 /// the clock past the wake time, so threaded code under test makes progress
 /// only when the test says time passed.
 pub struct VirtualClock {
-    now_us: Mutex<u64>,
+    state: Mutex<VirtualState>,
     advanced: Condvar,
+}
+
+#[derive(Default)]
+struct VirtualState {
+    now_us: u64,
+    /// Threads currently blocked in `sleep_us`.
+    sleepers: usize,
 }
 
 impl VirtualClock {
     /// A virtual clock starting at 0 µs.
     pub fn new() -> Self {
         VirtualClock {
-            now_us: Mutex::new(0),
+            state: Mutex::new(VirtualState::default()),
             advanced: Condvar::new(),
         }
     }
@@ -80,9 +87,17 @@ impl VirtualClock {
 
     /// Moves time forward by `us` microseconds and wakes sleepers.
     pub fn advance_us(&self, us: u64) {
-        let mut now = self.now_us.lock().expect("virtual clock poisoned");
-        *now += us;
+        let mut state = self.state.lock().expect("virtual clock poisoned");
+        state.now_us += us;
         self.advanced.notify_all();
+    }
+
+    /// How many threads are blocked in [`sleep_us`](Clock::sleep_us) right
+    /// now. A sleeper's wake time is fixed when it registers, so a test
+    /// that spawns a sleeper waits for this to reach the expected count
+    /// before advancing — otherwise an early advance is lost to it.
+    pub fn sleepers(&self) -> usize {
+        self.state.lock().expect("virtual clock poisoned").sleepers
     }
 }
 
@@ -94,15 +109,17 @@ impl Default for VirtualClock {
 
 impl Clock for VirtualClock {
     fn now_us(&self) -> u64 {
-        *self.now_us.lock().expect("virtual clock poisoned")
+        self.state.lock().expect("virtual clock poisoned").now_us
     }
 
     fn sleep_us(&self, us: u64) {
-        let mut now = self.now_us.lock().expect("virtual clock poisoned");
-        let wake = *now + us;
-        while *now < wake {
-            now = self.advanced.wait(now).expect("virtual clock poisoned");
+        let mut state = self.state.lock().expect("virtual clock poisoned");
+        let wake = state.now_us + us;
+        state.sleepers += 1;
+        while state.now_us < wake {
+            state = self.advanced.wait(state).expect("virtual clock poisoned");
         }
+        state.sleepers -= 1;
     }
 }
 
@@ -138,6 +155,12 @@ mod tests {
             c2.sleep_us(100);
             c2.now_us()
         });
+        // The wake time is fixed at registration: advancing before the
+        // sleeper registers would leave it waiting for time that never
+        // comes.
+        while c.sleepers() < 1 {
+            std::thread::yield_now();
+        }
         // Advance in two steps; the sleeper must see at least 100 µs.
         c.advance_us(60);
         c.advance_us(60);

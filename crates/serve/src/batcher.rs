@@ -159,7 +159,7 @@ impl<K: Clone + PartialEq, T> BatcherCore<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, VirtualClock};
+    use egeria_resil::clock::{Clock, VirtualClock};
 
     fn ready_sizes<K, T>(batches: &[ReadyBatch<K, T>]) -> Vec<usize> {
         batches.iter().map(|b| b.requests.len()).collect()

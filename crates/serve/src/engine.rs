@@ -30,7 +30,6 @@
 //! section.
 
 use crate::batcher::{BatcherCore, Push, ReadyBatch};
-use crate::clock::Clock;
 use crate::error::{ServeError, ServeResult};
 use crate::exec;
 use crate::snapshot::{ModelSnapshot, SnapshotRegistry};
@@ -40,6 +39,7 @@ use egeria_models::model::Model;
 use egeria_models::{Batch, Input};
 use egeria_obs::telemetry::Telemetry;
 use egeria_quant::model::Precision;
+use egeria_resil::clock::Clock;
 use egeria_resil::fault::{FaultInjector, FaultSite};
 use egeria_resil::health::HealthMonitor;
 use egeria_resil::supervise::Watchdog;
@@ -751,7 +751,7 @@ fn worker_loop(ctx: &WorkerCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::RealClock;
+    use egeria_resil::clock::RealClock;
     use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
     use egeria_models::Targets;
     use egeria_tensor::Rng;

@@ -10,10 +10,10 @@
 //!   via `egeria-quant`) published by the trainer and swapped atomically —
 //!   in-flight requests keep executing against the version they were
 //!   admitted under.
-//! - [`clock`]: the pluggable [`Clock`] every batching-policy decision is
-//!   timed by. Production uses [`clock::RealClock`] (the only module in
-//!   this crate allowed to read the wall clock — enforced by
-//!   `egeria-lint`); tests drive a deterministic [`clock::VirtualClock`].
+//! - the pluggable [`Clock`] (from `egeria_resil::clock`) every
+//!   batching-policy decision is timed by. Production uses [`RealClock`];
+//!   nothing in this crate reads the wall clock itself (enforced by
+//!   `egeria-lint`), and tests drive a deterministic [`VirtualClock`].
 //! - [`batcher`]: a pure micro-batching state machine — bounded pending
 //!   budget, flush-on-full (`max_batch`), flush-on-deadline (`max_wait`),
 //!   shed-on-overflow — with no threads inside, so every policy behavior
@@ -43,13 +43,12 @@
 #![forbid(unsafe_code)]
 
 pub mod batcher;
-pub mod clock;
 pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod snapshot;
 
-pub use clock::{Clock, RealClock, VirtualClock};
+pub use egeria_resil::clock::{Clock, RealClock, VirtualClock};
 pub use engine::{ProbeRequest, ProbeResponse, ProbeTicket, ServeEngine};
 pub use error::{ServeError, ServeResult};
 pub use snapshot::{ModelSnapshot, SnapshotRegistry};
@@ -91,35 +90,6 @@ impl Default for ServeConfig {
             worker_respawn_budget: 8,
         }
     }
-}
-
-impl ServeConfig {
-    /// Reads the `EGERIA_SERVE_*` environment knobs over the defaults:
-    /// `EGERIA_SERVE_WORKERS`, `EGERIA_SERVE_MAX_BATCH`,
-    /// `EGERIA_SERVE_MAX_WAIT_US`, and `EGERIA_SERVE_QUEUE`.
-    pub fn from_env() -> Self {
-        let mut cfg = ServeConfig::default();
-        if let Some(v) = env_usize("EGERIA_SERVE_WORKERS") {
-            cfg.workers = v.clamp(1, 64);
-        }
-        if let Some(v) = env_usize("EGERIA_SERVE_MAX_BATCH") {
-            cfg.max_batch = v.max(1);
-        }
-        if let Some(v) = env_usize("EGERIA_SERVE_MAX_WAIT_US") {
-            cfg.max_wait = Duration::from_micros(v as u64);
-        }
-        if let Some(v) = env_usize("EGERIA_SERVE_QUEUE") {
-            cfg.queue_depth = v.max(1);
-        }
-        if let Some(v) = env_usize("EGERIA_SERVE_RESPAWNS") {
-            cfg.worker_respawn_budget = v.min(u32::MAX as usize) as u32;
-        }
-        cfg
-    }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
 }
 
 /// Whether the serving path is enabled for this process: `EGERIA_SERVE`

@@ -15,10 +15,10 @@
 //! workers clone the model once per (worker, version) and reuse the clone,
 //! leaving the published master untouched.
 
-use crate::clock::Clock;
 use crate::error::{ServeError, ServeResult};
 use egeria_models::model::Model;
 use egeria_quant::model::{quantize_reference, Precision};
+use egeria_resil::clock::Clock;
 use std::sync::{Arc, Mutex};
 
 /// One published, immutable version of the reference model.
@@ -144,7 +144,7 @@ impl Default for SnapshotRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
+    use egeria_resil::clock::VirtualClock;
     use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
 
     fn model() -> Box<dyn Model> {

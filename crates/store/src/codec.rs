@@ -29,8 +29,8 @@ use egeria_quant::qtensor::Granularity;
 use egeria_quant::QTensor;
 use egeria_tensor::{serialize, Result, Tensor, TensorError};
 
-/// The user-facing codec selection (`EGERIA_CACHE_CODEC`). Picks a
-/// (transform, byte-codec) pair for the whole store.
+/// The user-facing codec selection. Picks a (transform, byte-codec) pair
+/// for the whole store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreCodec {
     /// Byte-shuffle (width 4) + LZ over exact f32 records. Bit-exact.
@@ -57,33 +57,6 @@ impl StoreCodec {
             StoreCodec::Raw => "raw",
             StoreCodec::F16 => "f16",
             StoreCodec::Int8 => "int8",
-        }
-    }
-
-    /// Parses the `EGERIA_CACHE_CODEC` spellings.
-    pub fn parse(s: &str) -> Option<StoreCodec> {
-        match s.trim() {
-            "lossless" | "shuffle-lz" => Some(StoreCodec::Lossless),
-            "raw" | "none" => Some(StoreCodec::Raw),
-            "f16" => Some(StoreCodec::F16),
-            "int8" => Some(StoreCodec::Int8),
-            _ => None,
-        }
-    }
-
-    /// Reads `EGERIA_CACHE_CODEC`; `None` when unset. An unparsable value
-    /// is reported once and ignored rather than aborting training.
-    pub fn from_env() -> Option<StoreCodec> {
-        let raw = std::env::var("EGERIA_CACHE_CODEC").ok()?;
-        match StoreCodec::parse(&raw) {
-            Some(c) => Some(c),
-            None => {
-                eprintln!(
-                    "egeria: ignoring unparsable EGERIA_CACHE_CODEC={raw:?} \
-                     (expected lossless|raw|f16|int8)"
-                );
-                None
-            }
         }
     }
 
@@ -453,14 +426,10 @@ mod tests {
     }
 
     #[test]
-    fn codec_env_parsing() {
-        assert_eq!(StoreCodec::parse("lossless"), Some(StoreCodec::Lossless));
-        assert_eq!(StoreCodec::parse("shuffle-lz"), Some(StoreCodec::Lossless));
-        assert_eq!(StoreCodec::parse("raw"), Some(StoreCodec::Raw));
-        assert_eq!(StoreCodec::parse("f16"), Some(StoreCodec::F16));
-        assert_eq!(StoreCodec::parse("int8"), Some(StoreCodec::Int8));
-        assert_eq!(StoreCodec::parse("zstd"), None);
+    fn only_exact_transforms_are_lossless() {
         assert!(StoreCodec::Lossless.is_lossless());
+        assert!(StoreCodec::Raw.is_lossless());
+        assert!(!StoreCodec::F16.is_lossless());
         assert!(!StoreCodec::Int8.is_lossless());
     }
 }

@@ -7,15 +7,14 @@
 //! The three GEMM-bound kernels are lowered to im2col plus the parallel
 //! blocked GEMM in [`crate::gemm`], dispatched one pool task per image so a
 //! batch saturates the worker pool. The seed repo's direct loops survive in
-//! [`reference`] as the numerical baseline and the
-//! [`Backend::Reference`](crate::backend::Backend) path.
+//! [`reference`] as the numerical oracle the tests and benches compare
+//! against.
 //!
 //! Determinism: each task writes a disjoint image slice, im2col/col2im walk
 //! fixed index orders, and the cross-image reduction in
 //! [`conv2d_grad_weight`] folds per-image partials in ascending image order
 //! — so outputs are bit-identical for every thread count.
 
-use crate::backend::{backend, Backend};
 use crate::error::{Result, TensorError};
 use crate::gemm::{gemm, Layout};
 use crate::pool::{self, ThreadPool};
@@ -206,9 +205,6 @@ pub fn conv2d(
             });
         }
     }
-    if backend() == Backend::Reference {
-        return reference::conv2d(input, weight, bias, spec);
-    }
     conv2d_with_pool(ThreadPool::global(), input, weight, bias, spec)
 }
 
@@ -287,9 +283,6 @@ pub fn conv2d_grad_input(
             rhs: input_dims.to_vec(),
         });
     }
-    if backend() == Backend::Reference {
-        return reference::conv2d_grad_input(grad_out, weight, input_dims, spec);
-    }
     conv2d_grad_input_with_pool(ThreadPool::global(), grad_out, weight, input_dims, spec)
 }
 
@@ -363,9 +356,6 @@ pub fn conv2d_grad_weight(
             rhs: weight_dims.to_vec(),
         });
     }
-    if backend() == Backend::Reference {
-        return reference::conv2d_grad_weight(grad_out, input, weight_dims, spec);
-    }
     conv2d_grad_weight_with_pool(ThreadPool::global(), grad_out, input, weight_dims, spec)
 }
 
@@ -419,8 +409,8 @@ pub fn conv2d_grad_weight_with_pool(
 }
 
 /// The seed repo's serial direct-convolution loops, kept as the numerical
-/// baseline for property tests, the `EGERIA_COMPUTE_BACKEND=reference`
-/// escape hatch, and the perf benches' "seed serial kernel" timings.
+/// oracle for property tests and the perf benches' "seed serial kernel"
+/// timings.
 ///
 /// The seed's `wv == 0.0` inner-loop skip is gone: it silently collapsed
 /// `0 · NaN` and `0 · ∞` to `0` and cost a branch per iteration on dense

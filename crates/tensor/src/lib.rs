@@ -24,7 +24,6 @@
 // to the simd module by the arch-intrinsics-confined lint rule.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod backend;
 pub mod conv;
 pub mod error;
 pub mod gemm;

@@ -1,8 +1,7 @@
 //! The dense, contiguous, row-major `f32` tensor.
 
-use crate::backend::{backend, Backend};
 use crate::error::{Result, TensorError};
-use crate::gemm::{gemm, gemm_reference, Layout};
+use crate::gemm::{gemm, Layout};
 use crate::pool::{self, ThreadPool};
 use crate::rng::Rng;
 use crate::shape::Shape;
@@ -725,29 +724,17 @@ impl Tensor {
             });
         }
         let mut out = vec![0.0f32; m * n];
-        match backend() {
-            Backend::Blocked => gemm(
-                ThreadPool::global(),
-                &self.data,
-                a_layout,
-                &other.data,
-                b_layout,
-                m,
-                n,
-                k,
-                &mut out,
-            ),
-            Backend::Reference => gemm_reference(
-                &self.data,
-                a_layout,
-                &other.data,
-                b_layout,
-                m,
-                n,
-                k,
-                &mut out,
-            ),
-        }
+        gemm(
+            ThreadPool::global(),
+            &self.data,
+            a_layout,
+            &other.data,
+            b_layout,
+            m,
+            n,
+            k,
+            &mut out,
+        );
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -803,7 +790,6 @@ impl Tensor {
         }
         let b = self.dims()[0];
         let mut out = vec![0.0f32; b * m * n];
-        let reference = backend() == Backend::Reference;
         // Parallel over the batch; each task owns one output matrix. Inner
         // GEMMs run inline inside pool tasks (single-batch calls still
         // parallelize internally).
@@ -814,13 +800,9 @@ impl Tensor {
         pool::for_each_batch_mut(pool_ref, &mut out, o_sz, |bi, o_slice| {
             let a_slice = &self.data[bi * a_sz..(bi + 1) * a_sz];
             let b_slice = &other.data[bi * b_sz..(bi + 1) * b_sz];
-            if reference {
-                gemm_reference(a_slice, a_layout, b_slice, b_layout, m, n, k, o_slice);
-            } else {
-                gemm(
-                    pool_ref, a_slice, a_layout, b_slice, b_layout, m, n, k, o_slice,
-                );
-            }
+            gemm(
+                pool_ref, a_slice, a_layout, b_slice, b_layout, m, n, k, o_slice,
+            );
         });
         Tensor::from_vec(out, &[b, m, n])
     }
@@ -902,17 +884,26 @@ mod tests {
     }
 
     /// Regression for the seed's `a == 0.0` inner-loop skip: a zero operand
-    /// times NaN must yield NaN in both compute backends, not a silent 0.
+    /// times NaN must yield NaN in the blocked GEMM and in the reference
+    /// oracle, not a silent 0.
     #[test]
     fn matmul_propagates_nan_through_zero_operand() {
         let a = t(&[0.0, 1.0], &[1, 2]);
         let b = t(&[f32::NAN, 1.0], &[2, 1]);
         let c = a.matmul(&b).unwrap();
         assert!(c.data()[0].is_nan(), "0·NaN + 1·1 must be NaN");
-        crate::backend::set_backend(crate::backend::Backend::Reference);
-        let c_ref = a.matmul(&b).unwrap();
-        crate::backend::set_backend(crate::backend::Backend::Blocked);
-        assert!(c_ref.data()[0].is_nan(), "reference backend must agree");
+        let mut c_ref = [0.0f32];
+        crate::gemm::gemm_reference(
+            a.data(),
+            Layout::RowMajor,
+            b.data(),
+            Layout::RowMajor,
+            1,
+            1,
+            2,
+            &mut c_ref,
+        );
+        assert!(c_ref[0].is_nan(), "reference oracle must agree");
     }
 
     #[test]

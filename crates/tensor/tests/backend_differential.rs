@@ -1,51 +1,71 @@
-//! Differential test of the two compute backends.
+//! Differential test of the blocked kernels against the reference oracle.
 //!
 //! `parallel_determinism.rs` pins the *thread-count* contract (blocked
 //! output is bit-identical at any pool size). This suite pins the
-//! *backend* contract: routing an op through
-//! `EGERIA_COMPUTE_BACKEND=reference` (the seed's serial loops) and
-//! through the blocked backend must agree — **bit-identically** while the
-//! reduction fits one `KC = 256` k-block, because both kernels then fold
-//! the same products in the same order, and within float tolerance beyond
-//! that (the blocked kernel re-associates across k-blocks).
-//!
-//! `set_backend` is process-global, so every test serializes behind one
-//! mutex and restores the blocked default before releasing it.
+//! *kernel* contract: an op computed by the seed's serial loops
+//! (`gemm::gemm_reference`, `conv::reference::*`) and by the production
+//! blocked path must agree — **bit-identically** while the reduction fits
+//! one `KC = 256` k-block, because both kernels then fold the same
+//! products in the same order, and within float tolerance beyond that (the
+//! blocked kernel re-associates across k-blocks).
 
-use egeria_tensor::backend::{set_backend, Backend};
-use egeria_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, Conv2dSpec};
+use egeria_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, reference, Conv2dSpec};
+use egeria_tensor::gemm::{gemm_reference, Layout};
 use egeria_tensor::simd::{self, Isa};
 use egeria_tensor::{Rng, Tensor};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
 /// One k-block of the blocked GEMM (crate::gemm::KC). A reduction this
-/// short is accumulated in identical order by both backends.
+/// short is accumulated in identical order by both kernels.
 const KC: usize = 256;
 
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
+static ISA_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` under each backend and returns (reference, blocked) results.
-fn differential<T>(f: impl Fn() -> T) -> (T, T) {
-    let _guard = BACKEND_LOCK.lock().unwrap();
-    set_backend(Backend::Reference);
-    let r = f();
-    set_backend(Backend::Blocked);
-    let b = f();
-    (r, b)
+/// The logical `(rows, cols)` of a matrix stored as `dims` under `layout`.
+fn logical(dims: &[usize], layout: Layout) -> (usize, usize) {
+    match layout {
+        Layout::RowMajor => (dims[0], dims[1]),
+        Layout::Transposed => (dims[1], dims[0]),
+    }
+}
+
+/// The oracle's 2-D product of `a` and `b` as stored under the given
+/// layouts (`RowMajor`/`RowMajor` is `matmul`, `Transposed` on the right is
+/// `matmul_tb`, on the left `matmul_ta`).
+fn ref_matmul(a: &Tensor, a_layout: Layout, b: &Tensor, b_layout: Layout) -> Tensor {
+    let (m, k) = logical(a.dims(), a_layout);
+    let (_, n) = logical(b.dims(), b_layout);
+    let mut out = vec![0.0f32; m * n];
+    gemm_reference(a.data(), a_layout, b.data(), b_layout, m, n, k, &mut out);
+    Tensor::from_vec(out, &[m, n]).unwrap()
+}
+
+/// The oracle's batched product: one [`ref_matmul`] per leading index.
+fn ref_bmm(a: &Tensor, a_layout: Layout, b: &Tensor, b_layout: Layout) -> Tensor {
+    let (m, k) = logical(&a.dims()[1..], a_layout);
+    let (_, n) = logical(&b.dims()[1..], b_layout);
+    let bsz = a.dims()[0];
+    let mut out = vec![0.0f32; bsz * m * n];
+    for (bi, o) in out.chunks_mut(m * n).enumerate() {
+        let a_slice = &a.data()[bi * m * k..(bi + 1) * m * k];
+        let b_slice = &b.data()[bi * k * n..(bi + 1) * k * n];
+        gemm_reference(a_slice, a_layout, b_slice, b_layout, m, n, k, o);
+    }
+    Tensor::from_vec(out, &[bsz, m, n]).unwrap()
 }
 
 /// Runs `f` under `Isa::Scalar` and under this machine's vector unit,
 /// returning `None` when there is no vector unit (the ISA contract is then
-/// trivially satisfied). `set_isa`, like `set_backend`, is process-global,
-/// so this shares `BACKEND_LOCK`; the lock is released with the ISA back at
+/// trivially satisfied). `set_isa` is process-global, so every caller
+/// serializes behind one mutex; the lock is released with the ISA back at
 /// the auto-detected default.
 fn isa_differential<T>(f: impl Fn() -> T) -> Option<(T, T)> {
     let vector = simd::detect();
     if vector == Isa::Scalar {
         return None;
     }
-    let _guard = BACKEND_LOCK.lock().unwrap();
+    let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     simd::set_isa(Isa::Scalar);
     let s = f();
     simd::set_isa(vector);
@@ -70,7 +90,7 @@ fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
 }
 
 #[test]
-fn matmul_backends_bit_identical_within_one_k_block() {
+fn matmul_bit_identical_to_reference_within_one_k_block() {
     let mut rng = Rng::new(101);
     for &(m, n, k) in &[
         (1usize, 1usize, 1usize),
@@ -80,16 +100,19 @@ fn matmul_backends_bit_identical_within_one_k_block() {
     ] {
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
-        let (r, p) = differential(|| a.matmul(&b).unwrap());
+        let (r, p) = (
+            ref_matmul(&a, Layout::RowMajor, &b, Layout::RowMajor),
+            a.matmul(&b).unwrap(),
+        );
         assert!(
             bits_eq(&r, &p),
-            "matmul ({m},{n},{k}) differs between backends"
+            "matmul ({m},{n},{k}) differs from the reference oracle"
         );
     }
 }
 
 #[test]
-fn matmul_backends_agree_numerically_across_k_blocks() {
+fn matmul_agrees_with_reference_numerically_across_k_blocks() {
     // Beyond KC the blocked kernel finishes one k-block before the next, so
     // the association differs from the reference's single left-to-right
     // fold; the results stay within tight float tolerance.
@@ -97,7 +120,10 @@ fn matmul_backends_agree_numerically_across_k_blocks() {
     let (m, n, k) = (16, 16, KC * 2 + 7);
     let a = Tensor::randn(&[m, k], &mut rng);
     let b = Tensor::randn(&[k, n], &mut rng);
-    let (r, p) = differential(|| a.matmul(&b).unwrap());
+    let (r, p) = (
+        ref_matmul(&a, Layout::RowMajor, &b, Layout::RowMajor),
+        a.matmul(&b).unwrap(),
+    );
     let d = max_abs_diff(&r, &p);
     assert!(d <= 1e-3, "matmul across k-blocks drifted {d}");
 }
@@ -108,12 +134,24 @@ fn transposed_matmul_variants_bit_identical() {
     let (m, n, k) = (19, 11, 37);
     let a = Tensor::randn(&[m, k], &mut rng);
     let bt = Tensor::randn(&[n, k], &mut rng);
-    let (r, p) = differential(|| a.matmul_tb(&bt).unwrap());
-    assert!(bits_eq(&r, &p), "matmul_tb differs between backends");
+    let (r, p) = (
+        ref_matmul(&a, Layout::RowMajor, &bt, Layout::Transposed),
+        a.matmul_tb(&bt).unwrap(),
+    );
+    assert!(
+        bits_eq(&r, &p),
+        "matmul_tb differs from the reference oracle"
+    );
     let at = Tensor::randn(&[k, m], &mut rng);
     let b = Tensor::randn(&[k, n], &mut rng);
-    let (r, p) = differential(|| at.matmul_ta(&b).unwrap());
-    assert!(bits_eq(&r, &p), "matmul_ta differs between backends");
+    let (r, p) = (
+        ref_matmul(&at, Layout::Transposed, &b, Layout::RowMajor),
+        at.matmul_ta(&b).unwrap(),
+    );
+    assert!(
+        bits_eq(&r, &p),
+        "matmul_ta differs from the reference oracle"
+    );
 }
 
 #[test]
@@ -122,20 +160,29 @@ fn bmm_variants_bit_identical() {
     let (bsz, m, n, k) = (3, 9, 7, 31);
     let a = Tensor::randn(&[bsz, m, k], &mut rng);
     let b = Tensor::randn(&[bsz, k, n], &mut rng);
-    let (r, p) = differential(|| a.bmm(&b).unwrap());
-    assert!(bits_eq(&r, &p), "bmm differs between backends");
+    let (r, p) = (
+        ref_bmm(&a, Layout::RowMajor, &b, Layout::RowMajor),
+        a.bmm(&b).unwrap(),
+    );
+    assert!(bits_eq(&r, &p), "bmm differs from the reference oracle");
     let bt = Tensor::randn(&[bsz, n, k], &mut rng);
-    let (r, p) = differential(|| a.bmm_tb(&bt).unwrap());
-    assert!(bits_eq(&r, &p), "bmm_tb differs between backends");
+    let (r, p) = (
+        ref_bmm(&a, Layout::RowMajor, &bt, Layout::Transposed),
+        a.bmm_tb(&bt).unwrap(),
+    );
+    assert!(bits_eq(&r, &p), "bmm_tb differs from the reference oracle");
     let at = Tensor::randn(&[bsz, k, m], &mut rng);
-    let (r, p) = differential(|| at.bmm_ta(&b).unwrap());
-    assert!(bits_eq(&r, &p), "bmm_ta differs between backends");
+    let (r, p) = (
+        ref_bmm(&at, Layout::Transposed, &b, Layout::RowMajor),
+        at.bmm_ta(&b).unwrap(),
+    );
+    assert!(bits_eq(&r, &p), "bmm_ta differs from the reference oracle");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random shapes with the reduction inside one k-block: the backends
+    /// Random shapes with the reduction inside one k-block: the kernels
     /// must agree bit-for-bit on matmul.
     #[test]
     fn prop_matmul_bit_identical(
@@ -147,7 +194,7 @@ proptest! {
         let mut rng = Rng::new(seed);
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
-        let (r, p) = differential(|| a.matmul(&b).unwrap());
+        let (r, p) = (ref_matmul(&a, Layout::RowMajor, &b, Layout::RowMajor), a.matmul(&b).unwrap());
         prop_assert!(bits_eq(&r, &p), "matmul ({m},{n},{k}) differs");
     }
 
@@ -167,17 +214,17 @@ proptest! {
             0 => {
                 let a = Tensor::randn(&[bsz, m, k], &mut rng);
                 let b = Tensor::randn(&[bsz, k, n], &mut rng);
-                differential(|| a.bmm(&b).unwrap())
+                (ref_bmm(&a, Layout::RowMajor, &b, Layout::RowMajor), a.bmm(&b).unwrap())
             }
             1 => {
                 let a = Tensor::randn(&[bsz, m, k], &mut rng);
                 let b = Tensor::randn(&[bsz, n, k], &mut rng);
-                differential(|| a.bmm_tb(&b).unwrap())
+                (ref_bmm(&a, Layout::RowMajor, &b, Layout::Transposed), a.bmm_tb(&b).unwrap())
             }
             _ => {
                 let a = Tensor::randn(&[bsz, k, m], &mut rng);
                 let b = Tensor::randn(&[bsz, k, n], &mut rng);
-                differential(|| a.bmm_ta(&b).unwrap())
+                (ref_bmm(&a, Layout::Transposed, &b, Layout::RowMajor), a.bmm_ta(&b).unwrap())
             }
         };
         prop_assert!(bits_eq(&r, &p), "bmm variant {variant} differs");
@@ -206,14 +253,17 @@ proptest! {
         let w = Tensor::randn(&[c_out, c_in, kk, kk], &mut rng);
         let b = Tensor::randn(&[c_out], &mut rng);
         let b_opt = if bias { Some(&b) } else { None };
-        let (yr, yp) = differential(|| conv2d(&x, &w, b_opt, spec).unwrap());
+        let yr = reference::conv2d(&x, &w, b_opt, spec).unwrap();
+        let yp = conv2d(&x, &w, b_opt, spec).unwrap();
         let dy = max_abs_diff(&yr, &yp);
         prop_assert!(dy <= 1e-4, "conv2d forward drifted {dy}");
         let g = Tensor::randn(yr.dims(), &mut rng);
-        let (gxr, gxp) = differential(|| conv2d_grad_input(&g, &w, x.dims(), spec).unwrap());
+        let gxr = reference::conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
+        let gxp = conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
         let dgx = max_abs_diff(&gxr, &gxp);
         prop_assert!(dgx <= 1e-4, "conv2d grad_input drifted {dgx}");
-        let (gwr, gwp) = differential(|| conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap());
+        let gwr = reference::conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
+        let gwp = conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
         let dgw = max_abs_diff(&gwr, &gwp);
         prop_assert!(dgw <= 1e-3, "conv2d grad_weight drifted {dgw}");
     }

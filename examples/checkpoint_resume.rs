@@ -7,11 +7,11 @@
 //! ```
 //!
 //! The "crash" is injected with the deterministic fault harness
-//! (`egeria_core::faults`) — the same mechanism the robustness tests use —
+//! (`egeria_resil::fault`) — the same mechanism the robustness tests use —
 //! so the example is reproducible end to end.
 
 use egeria_core::checkpoint::CheckpointOptions;
-use egeria_core::faults::{FaultAction, FaultInjector, FaultSite};
+use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::EgeriaConfig;
 use egeria_data::images::{ImageDataConfig, SyntheticImages};

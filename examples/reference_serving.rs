@@ -11,9 +11,6 @@
 //! version, how requests coalesced into batches, and the client-measured
 //! probe latency distribution (p50/p95/p99).
 //!
-//! Tuning knobs: `EGERIA_SERVE_WORKERS`, `EGERIA_SERVE_MAX_BATCH`,
-//! `EGERIA_SERVE_MAX_WAIT_US`, `EGERIA_SERVE_QUEUE`.
-//!
 //! Set `EGERIA_TRACE=<prefix>` to record the run's telemetry:
 //! `<prefix>.jsonl` (summarized by `trace_report`, including its
 //! "serve batches" section) and `<prefix>.chrome.json` (Perfetto).
@@ -65,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         42,
     );
-    let cfg = ServeConfig::from_env();
+    let cfg = ServeConfig::default();
     println!(
         "serve config: {} worker(s), max_batch {}, max_wait {:?}, queue {}",
         cfg.workers, cfg.max_batch, cfg.max_wait, cfg.queue_depth

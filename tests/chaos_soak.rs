@@ -34,13 +34,20 @@ use egeria_nn::optim::Sgd;
 use egeria_nn::sched::MultiStepDecay;
 use egeria_resil::{ChaosPlan, FaultInjector, FaultSite, HealthMonitor};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Serializes the soak tests within this binary: each one measures thread
 /// counts and drop latencies, which a concurrently-running sibling test
 /// would pollute.
 static SOAK_LOCK: Mutex<()> = Mutex::new(());
+
+/// Queues for the soak lock, taking it even after a sibling soak panicked
+/// while holding it (the lock guards no data), so one failing soak stays
+/// one failure.
+fn soak_turn() -> MutexGuard<'static, ()> {
+    SOAK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Fixed default master seed; override with `EGERIA_CHAOS_SEED`.
 const BASE_SEED: u64 = 0xE6E1A;
@@ -61,6 +68,25 @@ fn thread_count() -> usize {
                 .and_then(|n| n.parse().ok())
         })
         .unwrap_or(0)
+}
+
+/// The thread count a soak must return to. The process-lifetime tensor
+/// pool is spawned first, so its workers are in the baseline even when no
+/// training has run yet. The count is read until it holds still: the
+/// harness starts the next test's thread a moment after the previous soak
+/// released the lock, and a baseline read in between would take that
+/// thread (parked on the lock for as long as this soak runs) for a leak.
+fn baseline_thread_count() -> usize {
+    egeria_tensor::ThreadPool::global();
+    let mut count = thread_count();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = thread_count();
+        if now == count {
+            return count;
+        }
+        count = now;
+    }
 }
 
 /// Spins until the process thread count returns to `baseline` (detached
@@ -204,7 +230,7 @@ fn fingerprint(r: &TrainReport) -> String {
 /// fault-free run, at the base seed and a sibling seed.
 #[test]
 fn fallback_covered_faults_preserve_loss_bit_identity() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_turn();
     let clean = soak(None, ControllerMode::Sync, "clean");
     let golden = fingerprint(&clean.report);
     assert!(
@@ -213,7 +239,7 @@ fn fallback_covered_faults_preserve_loss_bit_identity() {
     );
     // Worker/engine threads from the warmup run are down; everything the
     // chaos runs spawn must be gone again by the end.
-    let baseline = thread_count();
+    let baseline = baseline_thread_count();
 
     for (label, seed) in [
         ("base", chaos_seed()),
@@ -264,7 +290,7 @@ fn fallback_covered_faults_preserve_loss_bit_identity() {
 /// with its reasons — at two seeds.
 #[test]
 fn full_chaos_degrades_gracefully_and_never_aborts() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_turn();
     let mut baseline = 0usize;
 
     for (label, seed) in [
@@ -276,7 +302,7 @@ fn full_chaos_degrades_gracefully_and_never_aborts() {
         if baseline == 0 {
             // Taken after the first run so lazily-spawned process-lifetime
             // threads (if any) are excluded from the leak accounting.
-            baseline = thread_count();
+            baseline = baseline_thread_count();
         }
         assert!(
             run.faults.as_ref().unwrap().injected_total() > 0,
@@ -326,7 +352,7 @@ fn full_chaos_degrades_gracefully_and_never_aborts() {
 /// fault counts (sync controller — async is load-dependent by design).
 #[test]
 fn full_chaos_run_is_reproducible_at_a_fixed_seed() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_turn();
     let plan = ChaosPlan::full(chaos_seed());
     let a = soak(Some(&plan), ControllerMode::Sync, "repro_a");
     let b = soak(Some(&plan), ControllerMode::Sync, "repro_b");
@@ -350,9 +376,9 @@ fn full_chaos_run_is_reproducible_at_a_fixed_seed() {
 /// degradation — not bit-identity — is asserted.
 #[test]
 fn async_controller_survives_full_chaos() {
-    let _guard = SOAK_LOCK.lock().unwrap();
+    let _guard = soak_turn();
     let plan = ChaosPlan::full(chaos_seed());
-    let baseline = thread_count();
+    let baseline = baseline_thread_count();
     let run = soak(Some(&plan), ControllerMode::Async, "async_full");
     for e in &run.report.epochs {
         assert!(e.train_loss.is_finite());

@@ -6,7 +6,7 @@
 
 use egeria_core::checkpoint::CheckpointOptions;
 use egeria_core::config::ControllerMode;
-use egeria_core::faults::{FaultAction, FaultInjector, FaultSite};
+use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions, TrainReport};
 use egeria_core::EgeriaConfig;
 use egeria_data::images::{ImageDataConfig, SyntheticImages};

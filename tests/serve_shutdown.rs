@@ -89,7 +89,7 @@ fn controller_drop_with_full_result_queue_is_bounded() {
     refmgr.generate(model().as_ref()).unwrap();
     // Always-busy gate: every eval is answered immediately (no reference
     // forward), so results pile up as fast as we can submit them.
-    let mut ctrl = AsyncController::spawn(refmgr, 0.5, Arc::new(|| 1.0));
+    let mut ctrl = AsyncController::spawn(refmgr, 0.5, Arc::new(|| 1.0), None, Telemetry::disabled());
     let mut m = model();
     let act = m.capture_activation(&batch(0), 0).unwrap();
     // The result queue holds 64; keep submitting until the controller has
@@ -158,7 +158,7 @@ fn respawned_controller_after_drop_still_works() {
     for round in 0..2 {
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model().as_ref()).unwrap();
-        let mut ctrl = AsyncController::spawn(refmgr, 0.5, Arc::new(|| 0.0));
+        let mut ctrl = AsyncController::spawn(refmgr, 0.5, Arc::new(|| 0.0), None, Telemetry::disabled());
         let mut m = model();
         let act = m.capture_activation(&batch(round), 0).unwrap();
         let id = ctrl.submit(batch(round), 0, act).unwrap();

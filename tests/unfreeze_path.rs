@@ -41,7 +41,7 @@ fn regression_config_every(n: usize) -> EgeriaConfig {
 
 fn make_trainer(
     ckpt: Option<CheckpointOptions>,
-    faults: Option<std::sync::Arc<egeria_core::faults::FaultInjector>>,
+    faults: Option<std::sync::Arc<egeria_resil::fault::FaultInjector>>,
     epochs: usize,
     cfg: EgeriaConfig,
 ) -> EgeriaTrainer {
@@ -50,7 +50,7 @@ fn make_trainer(
 
 fn make_trainer_with_milestone(
     ckpt: Option<CheckpointOptions>,
-    faults: Option<std::sync::Arc<egeria_core::faults::FaultInjector>>,
+    faults: Option<std::sync::Arc<egeria_resil::fault::FaultInjector>>,
     epochs: usize,
     cfg: EgeriaConfig,
     milestone: usize,
@@ -267,12 +267,12 @@ fn rebound_timeline_replays_across_resume() {
 
     // Crash mid-run, inside a watch window (right after a freeze).
     let ckpt_dir = scratch("ckpt");
-    let faults = egeria_core::faults::FaultInjector::new();
+    let faults = egeria_resil::fault::FaultInjector::new();
     faults.arm(
-        egeria_core::faults::FaultSite::TrainStep,
+        egeria_resil::fault::FaultSite::TrainStep,
         23,
         1,
-        egeria_core::faults::FaultAction::Fail,
+        egeria_resil::fault::FaultAction::Fail,
     );
     let mut crashed_trainer = make_trainer(
         Some(CheckpointOptions::new(&ckpt_dir)),
