@@ -16,6 +16,11 @@ trap 'rm -rf "$trace_dir"' EXIT
 
 cargo build --release
 
+# Layering gate: the serving crate stays off the training path. (grep -c,
+# not -q: an early exit would SIGPIPE cargo under pipefail.)
+[ "$(cargo tree --offline -p egeria-core -e normal | grep -c egeria-serve)" = 0 ] \
+    || { echo "egeria-core depends on egeria-serve" >&2; exit 1; }
+
 # Workspace contract lint: the line-local rules (unsafe/SAFETY audit,
 # kernel panic ban, float exact-eq, determinism, vendored-deps) plus the
 # graph tier (panic/wallclock/entropy reachability from kernel and
@@ -70,9 +75,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Kernel perf smoke: times the hot paths against the reference oracle and
 # under the SIMD microkernel layer, emitting a machine-readable report
 # (BENCH_ops.json, written into the scratch dir — the checked-in one holds
-# full-mode numbers). Asserts the determinism contract and the <2%
-# disabled-telemetry overhead contract (DESIGN §5d). The report must carry
-# the SIMD entries (§5g).
+# full-mode numbers). Asserts the determinism contract; the <2%
+# disabled-telemetry overhead contract (DESIGN §5d) is reported here and
+# asserted by the full-mode run only. The report must carry the SIMD
+# entries (§5g).
 (cd "$trace_dir" && cargo run --release -p egeria-bench \
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_ops -- --smoke)
 for key in simd_isa qmatmul softmax adam_update; do
@@ -90,10 +96,10 @@ cargo run --release -p egeria-bench --bin trace_report -- "$trace_dir/quickstart
     > "$trace_dir/report.txt"
 grep -q "freeze timeline" "$trace_dir/report.txt"
 
-# Serving smoke (DESIGN §5e): a traced serving run must emit schema-valid
-# JSONL whose trace_report summary includes the serve-batch section, and
-# bench_serve must emit a well-formed BENCH_serve.json with both load
-# shapes. The off switch must leave the golden-run fingerprint unchanged.
+# Serving smoke (DESIGN §5e; the standalone library, off the training
+# path): a traced serving run must emit schema-valid JSONL whose
+# trace_report summary includes the serve-batch section, and bench_serve
+# must emit a well-formed BENCH_serve.json with both load shapes.
 EGERIA_TRACE="$trace_dir/serving" cargo run --release --example reference_serving >/dev/null
 test -s "$trace_dir/serving.jsonl"
 cargo run --release -p egeria-bench --bin trace_report -- "$trace_dir/serving.jsonl" \
@@ -103,7 +109,6 @@ grep -q "serve batches" "$trace_dir/serving_report.txt"
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_serve -- --smoke >/dev/null)
 grep -q '"open_loop"' "$trace_dir/BENCH_serve.json"
 grep -q '"closed_loop"' "$trace_dir/BENCH_serve.json"
-EGERIA_SERVE=off cargo_test -q --test golden_run
 
 # Chaos-soak smoke (DESIGN §5f): bounded e2e training under a fixed-seed
 # fault schedule. Hard gate: fallback-covered faults must leave the loss

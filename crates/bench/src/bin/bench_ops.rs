@@ -19,7 +19,8 @@
 //! Also asserts the determinism contract (blocked output at the default
 //! thread count is bit-identical to a 1-thread pool) and records the
 //! verdict in the report. Pass `--smoke` for a fast low-iteration run with
-//! the same report shape.
+//! the same report shape (it reports, but does not gate on, the
+//! disabled-telemetry overhead — too few rounds to resolve 2 %).
 
 use egeria_bench::write_json;
 use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
@@ -310,7 +311,7 @@ fn main() {
     }
 
     simd::set_isa(simd_isa);
-    let telemetry = bench_telemetry_overhead(if smoke { 5 } else { 9 });
+    let telemetry = bench_telemetry_overhead(if smoke { 5 } else { 40 });
     let report = Report {
         threads,
         simd_isa: simd_isa.name().to_string(),
@@ -322,8 +323,10 @@ fn main() {
         report.bit_identical_to_serial,
         "determinism contract violated: blocked GEMM differs across thread counts"
     );
+    // Five smoke rounds of a ~3 ms step cannot resolve 2 % on a busy host:
+    // the smoke run reports the figure, only the full run gates on it.
     assert!(
-        report.telemetry.disabled_overhead_pct < 2.0,
+        smoke || report.telemetry.disabled_overhead_pct < 2.0,
         "disabled telemetry costs {:.3}% on the train step (contract: < 2%)",
         report.telemetry.disabled_overhead_pct
     );

@@ -4,10 +4,11 @@
 //! and LR schedule. With `egeria: Some(config)` the loop runs the full
 //! knowledge-guided pipeline — bootstrap monitoring, reference generation
 //! and refresh, periodic plasticity evaluation, Algorithm 1
-//! freezing/unfreezing, and cached-FP with prefetching. With `egeria: None`
-//! it is the vanilla baseline the paper compares against. Either way it
-//! emits a [`TrainReport`] whose per-iteration records feed the performance
-//! simulator.
+//! freezing/unfreezing, and cached-FP (looked up on the training thread;
+//! `cache::Prefetcher` is a library piece this loop does not use yet). With
+//! `egeria: None` it is the vanilla baseline the paper compares against.
+//! Either way it emits a [`TrainReport`] whose per-iteration records feed
+//! the performance simulator.
 
 use crate::bootstrap::BootstrapMonitor;
 use crate::cache::{ActivationCache, CacheStats};
@@ -28,6 +29,7 @@ use egeria_resil::supervise::Watchdog;
 use egeria_tensor::{Result, Tensor, TensorError};
 use serde::Serialize;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -88,8 +90,9 @@ pub struct TrainerOptions {
     /// Whether the LR schedule is indexed by iteration (NLP convention) or
     /// epoch (CV convention).
     pub lr_per_iteration: bool,
-    /// Directory for the activation cache (a temp dir is created when
-    /// omitted and caching is on).
+    /// Directory for the activation cache. When omitted and caching is
+    /// on, each run makes a temp dir of its own and removes it when it
+    /// ends; a directory named here is never removed.
     pub cache_dir: Option<PathBuf>,
     /// Evaluate on the validation set every this many epochs (1 = every).
     pub eval_every: usize,
@@ -99,8 +102,8 @@ pub struct TrainerOptions {
     pub checkpoint: Option<CheckpointOptions>,
     /// Fault injector for robustness tests; `None` in production.
     pub faults: Option<Arc<FaultInjector>>,
-    /// Health monitor aggregating degradation signals from the breaker,
-    /// watchdogs, and cache quarantine. One is created internally when
+    /// Health monitor aggregating degradation signals from the controller
+    /// watchdog and cache quarantine. One is created internally when
     /// omitted, so the report always carries a final health state.
     pub health: Option<Arc<HealthMonitor>>,
     /// Telemetry handle wired through the freezer, cache, reference
@@ -299,12 +302,13 @@ struct EgeriaRun {
     bootstrap: BootstrapMonitor,
     freezer: FreezingEngine,
     cache: Option<ActivationCache>,
+    /// Declared after `cache`, so the store closes before its files go.
+    _own_cache_dir: Option<OwnCacheDir>,
     probe: Probe,
     watchdog: Watchdog,
     evals_since_ref_update: usize,
     telemetry: Telemetry,
     faults: Option<Arc<FaultInjector>>,
-    health: Arc<HealthMonitor>,
 }
 
 impl EgeriaRun {
@@ -318,11 +322,12 @@ impl EgeriaRun {
         let faults = options.faults.clone();
         let mut freezer = FreezingEngine::new(model.modules().len(), &cfg);
         freezer.set_telemetry(telemetry.clone());
+        let mut own_cache_dir = None;
         let cache = if cfg.cache_fp {
-            let dir = options
-                .cache_dir
-                .clone()
-                .unwrap_or_else(|| default_cache_dir(model.name()));
+            let dir = options.cache_dir.clone().unwrap_or_else(|| {
+                let own = own_cache_dir.insert(OwnCacheDir(default_cache_dir(model.name())));
+                own.0.clone()
+            });
             let mut cache = ActivationCache::for_config(dir, &cfg)?;
             cache.set_faults(faults.clone());
             cache.set_telemetry(telemetry.clone());
@@ -342,12 +347,12 @@ impl EgeriaRun {
             bootstrap: BootstrapMonitor::new(cfg.w.max(4), cfg.bootstrap_rate),
             freezer,
             cache,
-            probe: Probe::Inline(wired_reference(&cfg, &telemetry, &faults, &health)),
+            _own_cache_dir: own_cache_dir,
+            probe: Probe::Inline(wired_reference(&cfg, &telemetry, &faults)),
             watchdog,
             evals_since_ref_update: 0,
             telemetry,
             faults,
-            health,
         })
     }
 
@@ -385,7 +390,7 @@ impl EgeriaRun {
         if matches!(&self.probe, Probe::Async(ctrl) if !ctrl.is_alive()) {
             if self.watchdog.request_respawn() {
                 eprintln!("egeria: controller thread died; respawning with a fresh reference");
-                let rm = wired_reference(&self.cfg, &self.telemetry, &self.faults, &self.health);
+                let rm = wired_reference(&self.cfg, &self.telemetry, &self.faults);
                 self.install_reference(rm, model)?;
                 report.controller_restarts += 1;
                 self.telemetry.counter("controller.restarts").inc();
@@ -1021,28 +1026,41 @@ fn batch_input_bytes(batch: &egeria_models::Batch) -> u64 {
     }
 }
 
-/// A reference manager reporting through a run's telemetry, fault and
-/// health handles.
+/// A reference manager reporting through a run's telemetry and fault
+/// handles.
 fn wired_reference(
     cfg: &EgeriaConfig,
     telemetry: &Telemetry,
     faults: &Option<Arc<FaultInjector>>,
-    health: &Arc<HealthMonitor>,
 ) -> ReferenceManager {
     let mut rm = ReferenceManager::new(cfg);
     rm.set_telemetry(telemetry.clone());
     if let Some(f) = faults {
         rm.set_faults(Arc::clone(f));
     }
-    rm.set_health(Arc::clone(health));
     rm
 }
 
-/// The activation-cache directory used when the options name none.
+/// The cache directory a run made for itself (`cache_dir: None`), removed
+/// when the run ends — after `finish` and after an error alike. A directory
+/// the caller named is never wrapped in one.
+struct OwnCacheDir(PathBuf);
+
+impl Drop for OwnCacheDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The activation-cache directory of one run whose options name none:
+/// unique per run (process id + a process-wide run counter), so concurrent
+/// trainers of one model never share `sample_<id>.act` files.
 fn default_cache_dir(model_name: &str) -> PathBuf {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
     std::env::temp_dir().join(format!(
-        "egeria_cache_{}_{}",
+        "egeria_cache_{}_{}_{}",
         std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed),
         model_name
     ))
 }
@@ -1332,6 +1350,98 @@ mod tests {
         // Async decisions should still land and freeze something.
         let max_prefix = report.iterations.iter().map(|i| i.frozen_prefix).max().unwrap();
         assert!(max_prefix >= 1, "async mode froze nothing");
+    }
+
+    /// Everything a cross-read cache file would disturb: per-epoch loss
+    /// bits, which steps were served from the cache, and the events.
+    fn outcome(report: &TrainReport) -> String {
+        let loss_bits: Vec<u32> = report
+            .epochs
+            .iter()
+            .map(|e| e.train_loss.to_bits())
+            .collect();
+        let cached: Vec<bool> = report.iterations.iter().map(|i| i.fp_cached).collect();
+        format!("{loss_bits:08x?} {cached:?} {:?}", report.events)
+    }
+
+    /// Regression: with `cache_dir: None` every trainer of one model in one
+    /// process used `egeria_cache_<pid>_<model>`, so two at once read each
+    /// other's `sample_<id>.act` files. resnet20 is this test's alone, so
+    /// the leftover check cannot see a sibling test's live directory.
+    #[test]
+    fn concurrent_same_model_trainers_keep_their_caches_apart() {
+        fn run(data_seed: u64) -> TrainReport {
+            let model = resnet_cifar(
+                ResNetCifarConfig {
+                    n: 3,
+                    width: 4,
+                    classes: 4,
+                    ..Default::default()
+                },
+                7,
+            );
+            let data = SyntheticImages::new(
+                ImageDataConfig {
+                    samples: 64,
+                    classes: 4,
+                    size: 8,
+                    noise: 0.3,
+                    augment: false,
+                },
+                data_seed,
+            );
+            let loader = DataLoader::new(64, 16, 13, true);
+            let mut t = EgeriaTrainer::new(
+                Box::new(model),
+                Optimizer::Sgd(Sgd::new(0.05, 0.9, 1e-4)),
+                Box::new(MultiStepDecay::new(0.05, 0.1, vec![usize::MAX])),
+                TrainerOptions {
+                    epochs: 24,
+                    egeria: Some(EgeriaConfig {
+                        n: 2,
+                        w: 3,
+                        s: 2,
+                        t: 5.0,
+                        bootstrap_rate: 0.9,
+                        // One resident batch: hits come from the disk files.
+                        cache_mem_batches: 1,
+                        ..Default::default()
+                    }),
+                    ..Default::default()
+                },
+            );
+            t.train(&data, &loader, None).unwrap()
+        }
+        let alone = [run(11), run(12)];
+        assert!(
+            alone[0].iterations.iter().any(|i| i.fp_cached),
+            "the cache never hit"
+        );
+        let alone = alone.map(|r| outcome(&r));
+        assert_ne!(alone[0], alone[1], "the two runs must differ to collide");
+        let start = &std::sync::Barrier::new(2);
+        let together = std::thread::scope(|s| {
+            let go = |data_seed| {
+                s.spawn(move || {
+                    start.wait();
+                    outcome(&run(data_seed))
+                })
+            };
+            let (a, b) = (go(11), go(12));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        assert_eq!(together, alone);
+        let mine = format!("egeria_cache_{}_", std::process::id());
+        let left: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&mine) && n.ends_with("resnet20"))
+            .collect();
+        assert!(
+            left.is_empty(),
+            "runs left their cache directories: {left:?}"
+        );
     }
 
     #[test]

@@ -361,10 +361,10 @@ fn determinism(rel: &str, scan: &Scan, cfg: &Config, findings: &mut Vec<Finding>
     }
 }
 
-/// `no-wallclock-sleep-retry`: retry/backoff/supervision modules must route
-/// every wait and timestamp through the injected `Clock` trait so breaker
-/// cooldowns and exponential backoff replay identically under
-/// `VirtualClock`. Flags `thread::sleep`, `Instant::now`, and `SystemTime`.
+/// `no-wallclock-sleep-retry`: fault-plane and supervision modules must
+/// route every wait and timestamp through the injected `Clock` trait so
+/// timed schedules replay identically under `VirtualClock`. Flags
+/// `thread::sleep`, `Instant::now`, and `SystemTime`.
 fn no_wallclock_sleep_retry(
     rel: &str,
     scan: &Scan,

@@ -94,13 +94,8 @@ pub struct ServeBatchStat {
     pub total_queue_wait_us: u64,
     /// Total execution (span) time across batches in µs.
     pub total_exec_us: u64,
-    /// Requests shed at admission (`serve.shed`): the queue was full and
-    /// the caller degraded to the inline path.
+    /// Requests shed at admission (`serve.shed`): the queue was full.
     pub shed: u64,
-    /// Probe captures that fell back to the inline reference forward
-    /// (`serve.fallbacks`): serve failure, tripped breaker, or stale
-    /// snapshot — bit-identical either way.
-    pub fallbacks: u64,
 }
 
 impl ServeBatchStat {
@@ -126,17 +121,10 @@ pub struct HealthTransition {
     pub level: u64,
 }
 
-/// Resilience-layer aggregates: circuit-breaker, watchdog, and health
-/// counters plus the health-transition timeline.
+/// Resilience-layer aggregates: watchdog and health counters plus the
+/// health-transition timeline.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceStat {
-    /// Breaker Closed→Open trips (`resil.breaker.trips`).
-    pub breaker_trips: u64,
-    /// Breaker HalfOpen→Closed recoveries (`resil.breaker.recoveries`).
-    pub breaker_recoveries: u64,
-    /// Probes rejected while the breaker was open
-    /// (`resil.breaker.rejected`).
-    pub breaker_rejected: u64,
     /// Watchdog-granted respawns (`resil.watchdog.respawns`).
     pub watchdog_respawns: u64,
     /// Watchdog budgets exhausted (`resil.watchdog.exhausted`).
@@ -154,10 +142,7 @@ pub struct ResilienceStat {
 impl ResilienceStat {
     /// Whether any resilience event occurred at all.
     pub fn any(&self) -> bool {
-        self.breaker_trips
-            + self.breaker_recoveries
-            + self.breaker_rejected
-            + self.watchdog_respawns
+        self.watchdog_respawns
             + self.watchdog_exhausted
             + self.health_degradations
             + self.health_recoveries
@@ -232,7 +217,7 @@ pub struct TraceSummary {
     pub splits: Vec<SplitStat>,
     /// Serving-engine batch aggregates from `serve_batch` spans.
     pub serve: ServeBatchStat,
-    /// Resilience-layer aggregates (breaker, watchdogs, health).
+    /// Resilience-layer aggregates (watchdogs, health).
     pub resilience: ResilienceStat,
     /// Chunked activation-store aggregates (cache v2; zero when flat).
     pub cache_v2: CacheV2Stat,
@@ -369,11 +354,7 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                 .unwrap_or(0)
         };
         let shed = get("serve.shed");
-        let fallbacks = get("serve.fallbacks");
         let resil = ResilienceStat {
-            breaker_trips: get("resil.breaker.trips"),
-            breaker_recoveries: get("resil.breaker.recoveries"),
-            breaker_rejected: get("resil.breaker.rejected"),
             watchdog_respawns: get("resil.watchdog.respawns"),
             watchdog_exhausted: get("resil.watchdog.exhausted"),
             health_degradations: get("resil.health.degradations"),
@@ -382,7 +363,6 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
             transitions: Vec::new(),
         };
         summary.serve.shed = shed;
-        summary.serve.fallbacks = fallbacks;
         let transitions = std::mem::take(&mut summary.resilience.transitions);
         summary.resilience = ResilienceStat {
             transitions,
@@ -556,17 +536,11 @@ pub fn render(summary: &TraceSummary) -> String {
         );
     }
     let _ = writeln!(out, "shed at admission (overloaded): {}", summary.serve.shed);
-    let _ = writeln!(out, "inline fallbacks: {}", summary.serve.fallbacks);
     let _ = writeln!(out, "\n== resilience ==");
     if !summary.resilience.any() {
         let _ = writeln!(out, "(no resilience events recorded)");
     } else {
         let r = &summary.resilience;
-        let _ = writeln!(
-            out,
-            "breaker: {} trips, {} recoveries, {} rejected probes",
-            r.breaker_trips, r.breaker_recoveries, r.breaker_rejected
-        );
         let _ = writeln!(
             out,
             "watchdog: {} respawns, {} budgets exhausted",
@@ -660,7 +634,6 @@ mod tests {
                 .arg("queue_wait_us", 10u64);
         }
         t.counter("serve.shed").add(2);
-        t.counter("serve.fallbacks").add(5);
         t.counter("store.chunks_written").add(10);
         t.counter("store.bytes_raw").add(4000);
         t.counter("store.bytes_encoded").add(1000);
@@ -671,8 +644,6 @@ mod tests {
         t.counter("store.corrupt_chunks").add(1);
         t.gauge("store.live_bytes").set(900.0);
         t.gauge("store.shard_files").set(2.0);
-        t.counter("resil.breaker.trips").add(1);
-        t.counter("resil.breaker.recoveries").add(1);
         t.counter("resil.watchdog.respawns").add(2);
         t.counter("resil.health.degradations").add(1);
         t.counter("resil.health.recoveries").add(1);
@@ -682,7 +653,7 @@ mod tests {
             None,
             vec![
                 ("edge", ArgValue::Str("degraded")),
-                ("reason", ArgValue::Str("serve-breaker-open")),
+                ("reason", ArgValue::Str("cache-quarantine")),
                 ("level", ArgValue::U64(1)),
             ],
         );
@@ -692,7 +663,7 @@ mod tests {
             None,
             vec![
                 ("edge", ArgValue::Str("recovered")),
-                ("reason", ArgValue::Str("serve-breaker-open")),
+                ("reason", ArgValue::Str("cache-quarantine")),
                 ("level", ArgValue::U64(0)),
             ],
         );
@@ -731,16 +702,13 @@ mod tests {
         assert!((s.serve.mean_batch_size() - 7.0 / 3.0).abs() < 1e-12);
         // Degradation counters flow into the serve section.
         assert_eq!(s.serve.shed, 2);
-        assert_eq!(s.serve.fallbacks, 5);
         // Resilience aggregates: counters plus the transition timeline.
         assert!(s.resilience.any());
-        assert_eq!(s.resilience.breaker_trips, 1);
-        assert_eq!(s.resilience.breaker_recoveries, 1);
         assert_eq!(s.resilience.watchdog_respawns, 2);
         assert_eq!(s.resilience.health_degradations, 1);
         assert_eq!(s.resilience.transitions.len(), 2);
         assert_eq!(s.resilience.transitions[0].edge, "degraded");
-        assert_eq!(s.resilience.transitions[0].reason, "serve-breaker-open");
+        assert_eq!(s.resilience.transitions[0].reason, "cache-quarantine");
         assert_eq!(s.resilience.transitions[1].level, 0);
         // Cache v2 aggregates from the store.* counters and gauges.
         assert!(s.cache_v2.any());
@@ -777,11 +745,9 @@ mod tests {
         assert!(text.contains("3 batches, 7 requests (14 rows), mean batch size 2.33"));
         assert!(text.contains("latency split: queue wait 30 us"));
         assert!(text.contains("shed at admission (overloaded): 2"));
-        assert!(text.contains("inline fallbacks: 5"));
-        assert!(text.contains("breaker: 1 trips, 1 recoveries, 0 rejected probes"));
         assert!(text.contains("watchdog: 2 respawns, 0 budgets exhausted"));
-        assert!(text.contains("health degraded: serve-breaker-open -> level 1"));
-        assert!(text.contains("health recovered: serve-breaker-open -> level 0"));
+        assert!(text.contains("health degraded: cache-quarantine -> level 1"));
+        assert!(text.contains("health recovered: cache-quarantine -> level 0"));
         assert!(text.contains("codec: 4000 raw -> 1000 encoded bytes (ratio 4.00x) over 10 chunks"));
         assert!(text.contains("footprint: 900 live bytes across 2 shard files"));
     }

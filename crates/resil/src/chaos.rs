@@ -5,17 +5,19 @@
 //! profiles, matching the semantics the chaos-soak harness asserts:
 //!
 //! - [`fallback_only`](ChaosPlan::fallback_only): sites whose failure is
-//!   absorbed by a **bit-identical** fallback path — serve admission
-//!   sheds, serve execution errors, worker panics, stale snapshot
-//!   publishes, cache/checkpoint write failures. A training run under
-//!   this profile must reproduce the fault-free loss curve bit-for-bit.
+//!   absorbed by a **bit-identical** fallback path — cache and checkpoint
+//!   write failures, skipped prefetch reads. A training run under this
+//!   profile must reproduce the fault-free loss curve bit-for-bit.
 //! - [`full`](ChaosPlan::full): adds sites whose degradation changes the
-//!   control-plane timeline (corrupted cache reads, failed inline
+//!   control-plane timeline (corrupted cache reads, failed reference
 //!   captures, controller deaths). The contract drops to "never aborts,
 //!   degradation counters move monotonically".
 //!
 //! [`FaultSite::TrainStep`] is in neither profile: it models a process
 //! crash and aborts training by design (the crash/resume tests own it).
+//! Neither are the serve engine's sites (`ServeAdmission`, `ServeExecute`,
+//! `PoolTaskPanic`): the engine is off the training path, so a trainer run
+//! cannot reach them; its own tests arm them directly.
 
 use crate::fault::{splitmix64, FaultAction, FaultInjector, FaultSite};
 
@@ -23,6 +25,14 @@ use crate::fault::{splitmix64, FaultAction, FaultInjector, FaultSite};
 pub type ChaosEntry = (FaultSite, u32, usize, FaultAction);
 
 /// A named, seeded set of per-site fault schedules.
+///
+/// Of the sites a plan arms, a trainer run consults exactly these:
+/// `CheckpointWrite` and `CacheWrite` (both profiles), `CacheRead`,
+/// `ReferenceCapture` and — async controller only — `ControllerEval`
+/// ([`full`](Self::full)). `PrefetchRead` is armed but never consulted:
+/// `ActivationCache::prefetch` is a library piece the trainer does not
+/// call yet. (Outside the plans a run also consults `TrainStep`, and
+/// `CheckpointRead` when it resumes.)
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
     /// The master seed every per-site stream is derived from.
@@ -36,10 +46,6 @@ impl ChaosPlan {
         ChaosPlan {
             seed,
             entries: vec![
-                (FaultSite::ServeAdmission, 150, 16, FaultAction::Fail),
-                (FaultSite::ServeExecute, 150, 16, FaultAction::Fail),
-                (FaultSite::PoolTaskPanic, 40, 2, FaultAction::Fail),
-                (FaultSite::SnapshotPublish, 300, 2, FaultAction::Fail),
                 (FaultSite::CheckpointWrite, 300, 4, FaultAction::Fail),
                 (FaultSite::CacheWrite, 150, 8, FaultAction::Fail),
                 (FaultSite::PrefetchRead, 150, 8, FaultAction::Fail),

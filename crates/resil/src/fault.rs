@@ -2,12 +2,12 @@
 //!
 //! A [`FaultInjector`] is armed with per-site plans and shared via `Arc`
 //! with the components under test: the activation cache, the checkpoint
-//! writer, the async controller, the trainer's step loop, the serve
-//! engine's admission and execution paths, and the reference manager's
-//! capture/publish paths. Each component consults the injector at
-//! well-defined points and reacts the way a real disk error, bit flip,
-//! controller stall, shed, or worker panic would — which is what the
-//! crash/resume, degradation, and chaos-soak tests drive.
+//! writer, the async controller, the trainer's step loop, the reference
+//! manager's capture path, and (standalone, off the training path) the
+//! serve engine's admission and execution paths. Each component consults
+//! the injector at well-defined points and reacts the way a real disk
+//! error, bit flip, controller stall, shed, or worker panic would — which
+//! is what the crash/resume, degradation, and chaos-soak tests drive.
 //!
 //! Two plan kinds, both fully deterministic:
 //!
@@ -26,44 +26,44 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Where a fault can be injected.
+///
+/// The discriminant is the site's stable stream index for seeded
+/// schedules: new sites take new numbers and a retired site's number (8,
+/// the serve-registry publish) is never reused, so existing `(seed, site)`
+/// streams stay unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// A cache entry write (simulates ENOSPC / write failure).
-    CacheWrite,
+    CacheWrite = 0,
     /// A cache entry read (the bytes read back are corrupted).
-    CacheRead,
+    CacheRead = 1,
     /// A checkpoint file write (simulates disk-full mid-save).
-    CheckpointWrite,
+    CheckpointWrite = 2,
     /// A checkpoint file read (the bytes read back are corrupted).
-    CheckpointRead,
+    CheckpointRead = 3,
     /// One controller-side plasticity evaluation (the controller thread
     /// dies mid-eval).
-    ControllerEval,
+    ControllerEval = 4,
     /// One training step (the process "crashes" mid-epoch).
-    TrainStep,
+    TrainStep = 5,
     /// Serve admission: a probe submit is rejected at the queue boundary
     /// as if the engine were overloaded (the caller sheds to fallback).
-    ServeAdmission,
+    ServeAdmission = 6,
     /// Serve execution: a batched reference forward fails inside a worker
     /// (the requests in the batch resolve with an execution error).
-    ServeExecute,
-    /// A reference-snapshot publish into the serve registry fails (the
-    /// registry keeps serving the previous — now stale — version).
-    SnapshotPublish,
-    /// An inline reference-model activation capture fails.
-    ReferenceCapture,
+    ServeExecute = 7,
+    /// A reference-model activation capture fails.
+    ReferenceCapture = 9,
     /// A prefetcher disk read fails (the entry is skipped, not loaded).
-    PrefetchRead,
+    PrefetchRead = 10,
     /// A pool/worker task panics mid-execution (the worker thread dies
     /// and must be respawned by its supervisor).
-    PoolTaskPanic,
+    PoolTaskPanic = 11,
 }
 
 impl FaultSite {
-    /// Every site, in declaration order. The position of a site in this
-    /// array is its stable stream index for seeded schedules — appending
-    /// new sites keeps existing `(seed, site)` streams unchanged.
-    pub const ALL: [FaultSite; 12] = [
+    /// Every site, in declaration order.
+    pub const ALL: [FaultSite; 11] = [
         FaultSite::CacheWrite,
         FaultSite::CacheRead,
         FaultSite::CheckpointWrite,
@@ -72,18 +72,14 @@ impl FaultSite {
         FaultSite::TrainStep,
         FaultSite::ServeAdmission,
         FaultSite::ServeExecute,
-        FaultSite::SnapshotPublish,
         FaultSite::ReferenceCapture,
         FaultSite::PrefetchRead,
         FaultSite::PoolTaskPanic,
     ];
 
-    /// The site's stable stream index (its position in [`Self::ALL`]).
+    /// The site's stable stream index (its discriminant).
     pub fn stream_index(self) -> u64 {
-        Self::ALL
-            .iter()
-            .position(|s| *s == self)
-            .expect("every site is listed in ALL") as u64
+        self as u64
     }
 }
 
@@ -386,14 +382,17 @@ mod tests {
     #[test]
     fn seeded_zero_rate_never_fires() {
         let f = FaultInjector::new();
-        f.arm_seeded(FaultSite::SnapshotPublish, 9, 0, usize::MAX, FaultAction::Fail);
-        assert!((0..256).all(|_| f.check(FaultSite::SnapshotPublish).is_none()));
+        f.arm_seeded(FaultSite::CheckpointRead, 9, 0, usize::MAX, FaultAction::Fail);
+        assert!((0..256).all(|_| f.check(FaultSite::CheckpointRead).is_none()));
     }
 
     #[test]
-    fn stream_index_is_stable_declaration_order() {
+    fn stream_index_survives_a_retired_site() {
         assert_eq!(FaultSite::CacheWrite.stream_index(), 0);
         assert_eq!(FaultSite::TrainStep.stream_index(), 5);
+        assert_eq!(FaultSite::ServeExecute.stream_index(), 7);
+        // 8 was the serve-registry publish site; its number stays retired.
+        assert_eq!(FaultSite::ReferenceCapture.stream_index(), 9);
         assert_eq!(FaultSite::PoolTaskPanic.stream_index(), 11);
     }
 }

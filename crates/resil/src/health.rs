@@ -1,14 +1,14 @@
 //! The workspace health state machine.
 //!
 //! A [`HealthMonitor`] aggregates degradation signals from everywhere the
-//! resilience layer is wired — breaker trips, watchdog respawns and
-//! budget exhaustion, cache quarantines — into one three-level
+//! resilience layer is wired — watchdog respawns and budget exhaustion,
+//! cache quarantines — into one three-level
 //! [`HealthState`]:
 //!
 //! - **Healthy**: no outstanding degradation reasons.
 //! - **Degraded{reasons}**: at least one recoverable degradation is
-//!   active (a tripped breaker, a quarantined cache entry). The system is
-//!   still making progress on a fallback path.
+//!   active (a quarantined cache entry). The system is still making
+//!   progress on a fallback path.
 //! - **Critical{reasons}**: a non-recoverable condition (a respawn budget
 //!   exhausted). Training continues where possible, but the control plane
 //!   has permanently lost a component.
@@ -146,12 +146,12 @@ mod tests {
     fn starts_healthy_and_degrades_with_sorted_reasons() {
         let h = HealthMonitor::new(Telemetry::disabled());
         assert_eq!(h.state(), HealthState::Healthy);
-        h.degrade("serve-breaker-open");
+        h.degrade("second-reason");
         h.degrade("cache-quarantine");
         assert_eq!(
             h.state(),
             HealthState::Degraded {
-                reasons: vec!["cache-quarantine", "serve-breaker-open"],
+                reasons: vec!["cache-quarantine", "second-reason"],
             }
         );
         assert_eq!(h.level(), 1);
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn critical_dominates_and_never_clears() {
         let h = HealthMonitor::new(Telemetry::disabled());
-        h.degrade("serve-breaker-open");
+        h.degrade("second-reason");
         h.critical("controller-respawn-budget-exhausted");
         let state = h.state();
         assert_eq!(state.level(), 2);
@@ -180,11 +180,11 @@ mod tests {
             HealthState::Critical {
                 reasons: vec![
                     "controller-respawn-budget-exhausted",
-                    "serve-breaker-open",
+                    "second-reason",
                 ],
             }
         );
-        h.resolve("serve-breaker-open");
+        h.resolve("second-reason");
         assert_eq!(h.level(), 2, "critical outlives degradation recovery");
     }
 

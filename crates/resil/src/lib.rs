@@ -8,21 +8,16 @@
 //! - [`clock`]: the pluggable [`Clock`] trait (moved here from
 //!   egeria-serve) — the **only** module in this crate allowed to read the
 //!   wall clock. Everything else times itself through the trait so tests
-//!   drive retries, breakers, and batching off a [`VirtualClock`].
+//!   drive batching off a [`VirtualClock`].
 //! - [`fault`]: the seeded, schedule-driven fault plane. Deterministic
 //!   counter plans (PR 1 semantics, unchanged) plus xorshift-seeded
 //!   randomized schedules — an explicit seed, never entropy, so every
 //!   chaos run replays bit-for-bit.
-//! - [`retry`]: [`RetryPolicy`], deterministic exponential backoff with
-//!   seeded jitter, timed via [`Clock`].
-//! - [`breaker`]: [`CircuitBreaker`] wrapping serve-routed probes:
-//!   Closed → Open on consecutive failures → inline fallback → Half-Open
-//!   single recovery probe → Closed.
 //! - [`supervise`]: [`Watchdog`], capped-respawn budgets for the async
 //!   controller and serve workers.
 //! - [`health`]: the workspace [`HealthState`] machine
-//!   (Healthy / Degraded{reasons} / Critical) fed by breaker, watchdog,
-//!   and cache-quarantine events, exported through egeria-obs counters.
+//!   (Healthy / Degraded{reasons} / Critical) fed by watchdog and
+//!   cache-quarantine events, exported through egeria-obs counters.
 //! - [`chaos`]: seeded site schedules bundled into named profiles for the
 //!   chaos-soak harness (`EGERIA_CHAOS_SEED`).
 //!
@@ -33,18 +28,14 @@
 // No unsafe outside egeria-tensor: enforced here and audited by egeria-lint.
 #![forbid(unsafe_code)]
 
-pub mod breaker;
 pub mod chaos;
 pub mod clock;
 pub mod fault;
 pub mod health;
-pub mod retry;
 pub mod supervise;
 
-pub use breaker::{BreakerState, CircuitBreaker};
 pub use chaos::ChaosPlan;
 pub use clock::{Clock, RealClock, VirtualClock};
 pub use fault::{FaultAction, FaultInjector, FaultSite};
 pub use health::{HealthMonitor, HealthState};
-pub use retry::RetryPolicy;
 pub use supervise::Watchdog;

@@ -3,11 +3,14 @@
 //!
 //! Egeria's reference model is an always-on, forward-only inference
 //! workload that answers plasticity probes beside training (§4.2–§4.3 of
-//! the paper). This crate turns the inline per-probe execution into an
-//! embeddable serving subsystem:
+//! the paper). This crate is a standalone, embeddable serving subsystem for
+//! that traffic when it has many clients. It is **off the training path**:
+//! `egeria-core` does not depend on it — a trainer has one in-process
+//! client, whose probes never coalesced, so `ReferenceManager::capture` is
+//! a direct forward (ROADMAP 4(h)).
 //!
 //! - [`snapshot`]: immutable, versioned model snapshots (fp32 / f16 / int8
-//!   via `egeria-quant`) published by the trainer and swapped atomically —
+//!   via `egeria-quant`) published by the caller and swapped atomically —
 //!   in-flight requests keep executing against the version they were
 //!   admitted under.
 //! - the pluggable [`Clock`] (from `egeria_resil::clock`) every
@@ -89,22 +92,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             worker_respawn_budget: 8,
         }
-    }
-}
-
-/// Whether the serving path is enabled for this process: `EGERIA_SERVE`
-/// set to `off`, `0`, or `false` (any case) disables it; anything else —
-/// including unset — leaves it on. The off path preserves the inline
-/// per-probe behavior bit-for-bit (and the on path does too, by the
-/// batched-execution determinism contract; the knob exists so the two can
-/// be compared and the seed behavior pinned).
-pub fn serve_enabled() -> bool {
-    match std::env::var("EGERIA_SERVE") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
     }
 }
 

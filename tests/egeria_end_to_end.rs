@@ -8,21 +8,6 @@ use egeria_data::DataLoader;
 use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
 use egeria_nn::optim::Sgd;
 use egeria_nn::sched::MultiStepDecay;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// An activation-cache directory for one trainer alone. The default one
-/// (`cache_dir: None`) is per process and model name, and the harness runs
-/// these tests concurrently on one model: they would read each other's
-/// activations.
-fn own_cache_dir() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    std::env::temp_dir().join(format!(
-        "egeria_e2e_cache_{}_{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 fn setup(
     egeria: Option<EgeriaConfig>,
@@ -67,7 +52,6 @@ fn setup(
         TrainerOptions {
             epochs,
             egeria,
-            cache_dir: Some(own_cache_dir()),
             ..Default::default()
         },
     );

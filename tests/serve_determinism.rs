@@ -1,9 +1,9 @@
 //! Serving determinism: batched execution is bit-identical to singleton
 //! execution, however requests coalesce (DESIGN.md §5e).
 //!
-//! This is the contract that makes `EGERIA_SERVE` safe to leave on: a
-//! plasticity probe answered through the serve engine must produce the
-//! same activation bits as the inline reference forward it replaced,
+//! This is the serve == singleton oracle: a plasticity probe answered
+//! through the serve engine must produce the same activation bits as the
+//! direct reference forward (`ReferenceManager::capture`'s one path),
 //! regardless of how the micro-batcher groups it with other probes, at
 //! any precision and any `EGERIA_THREADS` setting (the tensor pool's
 //! fixed-geometry partitioning carries the thread-count half of the

@@ -11,9 +11,6 @@
 //!   thread is blocked publishing into a full result queue (the drop
 //!   drains results while it waits — without that, every such drop ate
 //!   the full 2 s timeout and leaked the thread).
-//! - A [`ReferenceManager`] owns its serve engine: dropping the manager
-//!   tears the engine down while the shared telemetry handle and any
-//!   pinned snapshot registry remain fully usable afterwards.
 
 use egeria_core::controller::AsyncController;
 use egeria_core::reference::ReferenceManager;
@@ -117,44 +114,10 @@ fn controller_drop_with_full_result_queue_is_bounded() {
 }
 
 #[test]
-fn manager_drop_tears_down_engine_but_not_telemetry_or_registry() {
-    let telemetry = Telemetry::enabled();
-    let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
-    refmgr.set_telemetry(telemetry.clone());
-    refmgr.generate(model().as_ref()).unwrap();
-    refmgr.set_serve_engine(Arc::new(ServeEngine::new(
-        ServeConfig::default(),
-        RealClock::shared(),
-        telemetry.clone(),
-    )));
-    let _ = refmgr.capture(&batch(1), 0).unwrap();
-    // Pin the registry the way a long-lived observer (or in-flight
-    // request) would, then drop the manager — and with it the engine.
-    let registry = refmgr.serve_engine().unwrap().registry();
-    drop(refmgr);
-    // The pinned registry still answers: snapshots are owned by Arcs, not
-    // by the engine's threads.
-    assert_eq!(registry.version(), 1);
-    let snapshot = registry.latest().unwrap();
-    let mut executor = snapshot.clone_executor();
-    assert!(executor.capture_activation(&batch(2), 0).is_ok());
-    // The telemetry handle outlives every serve worker: counters written
-    // by the (now joined) threads are all present and consistent.
-    let snap = telemetry.metrics_snapshot();
-    assert!(snap.counter("serve.requests").unwrap_or(0) >= 1);
-    assert_eq!(
-        snap.counter("serve.requests"),
-        snap.counter("serve.responses"),
-        "every admitted probe resolved before teardown"
-    );
-}
-
-#[test]
 fn respawned_controller_after_drop_still_works() {
     // The trainer's watchdog rebuilds a controller (with a fresh
-    // reference manager, and under EGERIA_SERVE a fresh engine) after the
-    // previous one died; teardown of the old one must leave nothing
-    // behind that breaks the replacement.
+    // reference manager) after the previous one died; teardown of the old
+    // one must leave nothing behind that breaks the replacement.
     for round in 0..2 {
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model().as_ref()).unwrap();
