@@ -1,18 +1,20 @@
-//! Activation caching and prefetching (§4.3).
+//! Activation caching (§4.3).
 //!
 //! Frozen-prefix output activations are serialized to disk keyed by sample
-//! id. A hash table of the most recent batches stays "in GPU memory" (a
-//! bounded in-process map here), and a prefetcher thread loads upcoming
-//! samples from disk ahead of the training loop, exploiting the loader's
-//! known-future batch order.
+//! id, and a hash table of the most recent batches stays "in GPU memory" (a
+//! bounded in-process map here). Lookups are synchronous, on the training
+//! thread: the paper pairs the cache with a prefetcher, but a disk read
+//! here is ~0.15 ms per batch against 4–18 ms cached steps (DESIGN §5j),
+//! so there is nothing for a second thread to hide.
 //!
-//! Two disk backends sit behind one API (DESIGN §5j): **flat** writes one
-//! serialized tensor file per sample (the original layout), **chunked**
-//! delegates to [`egeria_store::ChunkStore`] — chunk grid, codec chain,
-//! sharded files, capacity-bounded eviction. A lossless chunked cache is
-//! bit-exact with the flat one, and both honour the same degradation
-//! matrix: cache trouble is a miss + recompute, never an abort. The
-//! backend is picked by [`crate::config::EgeriaConfig::cache_store`].
+//! The cache is that memory window over **one disk layer** with two
+//! layouts (DESIGN §5j): **flat** writes one serialized tensor file per
+//! sample (the original layout), **chunked** delegates to
+//! [`egeria_store::ChunkStore`] — chunk grid, codec chain, sharded files,
+//! capacity-bounded eviction. A lossless chunked cache is bit-exact with
+//! the flat one, and both honour the same degradation matrix: cache
+//! trouble is a miss + recompute, never an abort. The layout is picked by
+//! [`crate::config::EgeriaConfig::cache_store`].
 
 use crate::config::CacheStoreKind;
 use egeria_obs::Telemetry;
@@ -20,7 +22,6 @@ use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_resil::health::HealthMonitor;
 use egeria_store::{ChunkStore, StoreConfig, StoreStats};
 use egeria_tensor::{serialize, Result, Tensor, TensorError};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::path::PathBuf;
@@ -43,7 +44,7 @@ pub struct CacheStats {
     /// against — the old single `disk_bytes` conflated this with the
     /// cumulative counter and never went down.
     pub disk_bytes_live: u64,
-    /// Samples loaded from disk by prefetch/get.
+    /// Samples loaded from disk by a lookup.
     pub disk_reads: usize,
     /// Disk writes that failed (ENOSPC etc.); the entry stays
     /// memory-resident and training continues.
@@ -51,9 +52,6 @@ pub struct CacheStats {
     /// Corrupt on-disk entries detected (bad magic/length/checksum); each
     /// is deleted and recomputed on the next full forward.
     pub corrupt_entries: usize,
-    /// Prefetch reads that failed (injected or I/O); the entry is skipped
-    /// and the later direct lookup serves it instead.
-    pub prefetch_errors: usize,
 }
 
 impl CacheStats {
@@ -71,8 +69,7 @@ impl CacheStats {
 /// [`CacheStats::corrupt_entries`], and reported as a miss so the trainer
 /// recomputes the activation.
 pub struct ActivationCache {
-    dir: PathBuf,
-    backend: Backend,
+    disk: Disk,
     mem: HashMap<u64, Tensor>,
     /// Batch-granularity eviction queue: the ids of the most recent batches.
     recent: VecDeque<Vec<u64>>,
@@ -81,50 +78,199 @@ pub struct ActivationCache {
     /// change invalidates everything.
     valid_prefix: Option<usize>,
     stats: CacheStats,
-    /// Flat backend only: per-id on-disk entry sizes, so deletions can
-    /// decrement [`CacheStats::disk_bytes_live`] exactly.
-    flat_sizes: HashMap<u64, u64>,
     faults: Option<Arc<FaultInjector>>,
     telemetry: Telemetry,
     health: Option<Arc<HealthMonitor>>,
 }
 
-/// The disk layer behind the cache.
-enum Backend {
-    /// One `sample_{id}.act` file per sample under `dir`.
-    Flat,
-    /// The egeria-store chunk/shard layout rooted at `dir`.
+/// The disk layer under the memory window: where entries live once they
+/// leave it. Every verb is total — disk trouble comes back as a value.
+enum Disk {
+    /// One `sample_{id}.act` file per sample.
+    Flat(FlatDir),
+    /// The egeria-store chunk/shard layout.
     Chunked(Box<ChunkStore>),
 }
 
-/// What a backend disk lookup produced (used to keep the hit/miss/corrupt
-/// accounting identical across backends).
+/// The flat layout's state: its directory and byte accounting.
+struct FlatDir {
+    dir: PathBuf,
+    /// Per-id on-disk entry sizes, so a delete decrements `live` exactly.
+    sizes: HashMap<u64, u64>,
+    written: u64,
+    live: u64,
+}
+
+impl FlatDir {
+    fn path_of(&self, id: u64) -> PathBuf {
+        self.dir.join(format!("sample_{id}.act"))
+    }
+
+    fn remove(&mut self, id: u64) {
+        let _ = fs::remove_file(self.path_of(id));
+        self.live -= self.sizes.remove(&id).unwrap_or(0);
+    }
+}
+
+/// What a disk lookup produced.
 enum DiskFetch {
     Got(Tensor),
     Absent,
-    /// The entry (flat) or its chunk (chunked) was quarantined.
+    /// The entry (flat) or its chunk (chunked) failed validation and was
+    /// quarantined, so the next full forward refills the slot instead of
+    /// failing forever.
     Corrupt,
 }
 
+impl Disk {
+    /// Writes one sample's entry.
+    fn put(&mut self, id: u64, sample: &Tensor) -> Result<()> {
+        match self {
+            Disk::Flat(flat) => {
+                let bytes = serialize::to_bytes(sample);
+                fs::write(flat.path_of(id), &bytes)?;
+                let len = bytes.len() as u64;
+                flat.written += len;
+                // An overwrite's old copy is gone.
+                flat.live = flat.live + len - flat.sizes.insert(id, len).unwrap_or(0);
+                Ok(())
+            }
+            Disk::Chunked(store) => store.put(id, sample),
+        }
+    }
+
+    /// Reads one sample's entry. An armed [`FaultSite::CacheRead`] is
+    /// consumed only when bytes actually came off disk: flat corrupts the
+    /// bytes it decodes, chunked quarantines the slot.
+    fn get(&mut self, id: u64, faults: Option<&FaultInjector>) -> DiskFetch {
+        let injected = || {
+            let fired = faults.and_then(|f| f.check(FaultSite::CacheRead));
+            matches!(fired, Some(FaultAction::CorruptBytes))
+        };
+        match self {
+            Disk::Flat(flat) => {
+                let Ok(mut bytes) = fs::read(flat.path_of(id)) else {
+                    return DiskFetch::Absent;
+                };
+                if injected() {
+                    FaultInjector::corrupt(&mut bytes);
+                }
+                match serialize::from_bytes(&bytes) {
+                    Ok(t) => DiskFetch::Got(t),
+                    Err(_) => {
+                        flat.remove(id);
+                        DiskFetch::Corrupt
+                    }
+                }
+            }
+            Disk::Chunked(store) => {
+                let before = store.stats().corrupt_chunks;
+                let got = store.get(id);
+                if store.stats().corrupt_chunks > before {
+                    // The store quarantined the chunk itself.
+                    return DiskFetch::Corrupt;
+                }
+                match got {
+                    Some(_) if injected() => {
+                        store.delete_samples(&[id]);
+                        DiskFetch::Corrupt
+                    }
+                    Some(t) => DiskFetch::Got(t),
+                    None => DiskFetch::Absent,
+                }
+            }
+        }
+    }
+
+    /// Removes the given samples' entries, leaving their neighbours.
+    fn delete(&mut self, ids: &[u64]) {
+        match self {
+            Disk::Flat(flat) => ids.iter().for_each(|&id| flat.remove(id)),
+            Disk::Chunked(store) => store.delete_samples(ids),
+        }
+    }
+
+    /// Removes every entry; what is written next belongs to `prefix`
+    /// (which only the chunked layout can record).
+    fn clear(&mut self, prefix: Option<usize>) {
+        match self {
+            Disk::Flat(flat) => {
+                // Only this layout's files — those an earlier process left
+                // included — and nothing else a caller-named directory holds.
+                for entry in fs::read_dir(&flat.dir).into_iter().flatten().flatten() {
+                    let name = entry.file_name();
+                    let id = name
+                        .to_str()
+                        .and_then(|n| n.strip_prefix("sample_")?.strip_suffix(".act"));
+                    if id.is_some_and(|id| id.parse::<u64>().is_ok()) {
+                        let _ = fs::remove_file(entry.path());
+                    }
+                }
+                flat.sizes.clear();
+                flat.live = 0;
+            }
+            Disk::Chunked(store) => {
+                store.clear();
+                store.set_valid_prefix(prefix.map(|p| p as u64));
+            }
+        }
+    }
+
+    /// Makes what was put durable (chunked: flush + manifest save; flat
+    /// writes through, so a no-op). Returns how many writes were lost.
+    fn persist(&mut self) -> Result<usize> {
+        match self {
+            Disk::Flat(_) => Ok(0),
+            Disk::Chunked(store) => Ok(store.persist()?.failed),
+        }
+    }
+
+    /// `(bytes ever written, bytes live now)`.
+    fn footprint(&self) -> (u64, u64) {
+        match self {
+            Disk::Flat(flat) => (flat.written, flat.live),
+            Disk::Chunked(store) => {
+                let s = store.stats();
+                (s.bytes_encoded, s.live_bytes)
+            }
+        }
+    }
+
+    /// The chunked store mirrors its own counters under `store.`.
+    fn set_telemetry(&mut self, telemetry: &Telemetry) {
+        if let Disk::Chunked(store) = self {
+            store.set_telemetry(telemetry.clone());
+        }
+    }
+}
+
 impl ActivationCache {
-    /// Creates a **flat-backend** cache rooted at `dir` (created if
-    /// missing), keeping the most recent `mem_batches` batches in memory.
-    pub fn new(dir: impl Into<PathBuf>, mem_batches: usize) -> Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(ActivationCache {
-            dir,
-            backend: Backend::Flat,
+    fn over(disk: Disk, mem_batches: usize) -> Self {
+        ActivationCache {
+            disk,
             mem: HashMap::new(),
             recent: VecDeque::new(),
             mem_batches: mem_batches.max(1),
             valid_prefix: None,
             stats: CacheStats::default(),
-            flat_sizes: HashMap::new(),
             faults: None,
             telemetry: Telemetry::disabled(),
             health: None,
-        })
+        }
+    }
+
+    /// Creates a **flat-backend** cache rooted at `dir` (created if
+    /// missing), keeping the most recent `mem_batches` batches in memory.
+    pub fn new(dir: impl Into<PathBuf>, mem_batches: usize) -> Result<Self> {
+        let dir = dir.into();
+        fs::create_dir_all(&dir)?;
+        let flat = FlatDir {
+            dir,
+            sizes: HashMap::new(),
+            written: 0,
+            live: 0,
+        };
+        Ok(Self::over(Disk::Flat(flat), mem_batches))
     }
 
     /// Creates a **chunked-backend** cache over an [`egeria_store`]
@@ -136,32 +282,19 @@ impl ActivationCache {
         mem_batches: usize,
         store_cfg: StoreConfig,
     ) -> Result<Self> {
-        let dir = dir.into();
-        let store = ChunkStore::open(&dir, store_cfg)?;
-        let mut cache = ActivationCache {
-            dir,
-            backend: Backend::Chunked(Box::new(store)),
-            mem: HashMap::new(),
-            recent: VecDeque::new(),
-            mem_batches: mem_batches.max(1),
-            valid_prefix: None,
-            stats: CacheStats::default(),
-            flat_sizes: HashMap::new(),
-            faults: None,
-            telemetry: Telemetry::disabled(),
-            health: None,
-        };
-        if let Backend::Chunked(store) = &cache.backend {
-            if store.recovered_corrupt_manifest() {
-                cache.stats.corrupt_entries += 1;
-                cache.telemetry.counter("cache.corrupt_entries").inc();
-            }
-            // Adopt the persisted prefix: a resumed run whose frozen
-            // prefix matches keeps its cached activations instead of
-            // wiping them on the first put (flat can't do this — its
-            // layout stores no prefix — so resume always recomputes
-            // there).
-            cache.valid_prefix = store.valid_prefix().map(|p| p as usize);
+        let store = ChunkStore::open(dir, store_cfg)?;
+        // Adopt the persisted prefix: a resumed run whose frozen prefix
+        // matches keeps its cached activations instead of wiping them on
+        // the first put (flat can't do this — its layout stores no prefix
+        // — so resume always recomputes there).
+        let valid_prefix = store.valid_prefix().map(|p| p as usize);
+        let degraded_open = store.recovered_corrupt_manifest();
+        let mut cache = Self::over(Disk::Chunked(Box::new(store)), mem_batches);
+        cache.valid_prefix = valid_prefix;
+        if degraded_open {
+            // Nothing is attached yet: `set_telemetry` / `set_health`
+            // mirror this count when they are.
+            cache.stats.corrupt_entries += 1;
         }
         cache.sync_disk_stats();
         Ok(cache)
@@ -188,17 +321,17 @@ impl ActivationCache {
 
     /// Which backend this cache runs on.
     pub fn store_kind(&self) -> CacheStoreKind {
-        match &self.backend {
-            Backend::Flat => CacheStoreKind::Flat,
-            Backend::Chunked(_) => CacheStoreKind::Chunked,
+        match &self.disk {
+            Disk::Flat(_) => CacheStoreKind::Flat,
+            Disk::Chunked(_) => CacheStoreKind::Chunked,
         }
     }
 
     /// Chunked-backend store counters (`None` on the flat backend).
     pub fn store_stats(&self) -> Option<StoreStats> {
-        match &self.backend {
-            Backend::Flat => None,
-            Backend::Chunked(store) => Some(store.stats()),
+        match &self.disk {
+            Disk::Flat(_) => None,
+            Disk::Chunked(store) => Some(store.stats()),
         }
     }
 
@@ -206,34 +339,41 @@ impl ActivationCache {
     /// backend; a no-op on flat). Called at checkpoint boundaries so a
     /// resumed run reopens a consistent store.
     pub fn persist(&mut self) -> Result<()> {
-        if let Backend::Chunked(store) = &mut self.backend {
-            let outcome = store.persist()?;
-            if outcome.failed > 0 {
-                self.stats.write_errors += outcome.failed;
-                self.telemetry
-                    .counter("cache.write_errors")
-                    .add(outcome.failed as u64);
-            }
-            self.sync_disk_stats();
+        let failed = self.disk.persist()?;
+        if failed > 0 {
+            self.stats.write_errors += failed;
+            self.telemetry
+                .counter("cache.write_errors")
+                .add(failed as u64);
         }
+        self.sync_disk_stats();
         Ok(())
     }
 
     /// Attaches a health monitor: a quarantined entry marks the cache
     /// degraded; the next clean hit resolves it (the slot was refilled).
+    /// Corruption counted before the monitor was attached (a degraded
+    /// open) and not yet answered by a hit degrades it here.
     pub fn set_health(&mut self, health: Arc<HealthMonitor>) {
+        if self.stats.corrupt_entries > 0 && self.stats.hits == 0 {
+            health.degrade("cache-quarantine");
+        }
         self.health = Some(health);
     }
 
     /// Attaches a telemetry handle; cache counters (`cache.hits`,
-    /// `cache.misses`, `cache.corrupt_entries`, `cache.write_errors`,
-    /// `cache.prefetched`) mirror [`CacheStats`] into its registry. On
-    /// the chunked backend the store mirrors its own counters under the
+    /// `cache.misses`, `cache.corrupt_entries`, `cache.write_errors`)
+    /// mirror [`CacheStats`] into its registry, starting with the
+    /// corruption a degraded open counted before any handle was attached.
+    /// On the chunked backend the store mirrors its own counters under the
     /// `store.` prefix.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        if let Backend::Chunked(store) = &mut self.backend {
-            store.set_telemetry(telemetry.clone());
+        if !self.telemetry.is_enabled() && self.stats.corrupt_entries > 0 {
+            telemetry
+                .counter("cache.corrupt_entries")
+                .add(self.stats.corrupt_entries as u64);
         }
+        self.disk.set_telemetry(&telemetry);
         self.telemetry = telemetry;
     }
 
@@ -251,6 +391,17 @@ impl ActivationCache {
         self.telemetry.counter("cache.misses").inc();
     }
 
+    /// One quarantine: a corrupt flat entry, a corrupt chunk (counted once
+    /// however many of its samples a lookup touches — they read as absent
+    /// afterwards), or one shape-audit failure.
+    fn count_corrupt(&mut self) {
+        self.stats.corrupt_entries += 1;
+        self.telemetry.counter("cache.corrupt_entries").inc();
+        if let Some(h) = &self.health {
+            h.degrade("cache-quarantine");
+        }
+    }
+
     /// Attaches a fault injector (testing): [`FaultSite::CacheWrite`] makes
     /// entry writes fail, [`FaultSite::CacheRead`] corrupts the bytes read
     /// back from disk.
@@ -258,137 +409,9 @@ impl ActivationCache {
         self.faults = faults;
     }
 
-    fn read_entry(&mut self, id: u64) -> Option<Vec<u8>> {
-        let mut bytes = fs::read(self.path_of(id)).ok()?;
-        if let Some(FaultAction::CorruptBytes) = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.check(FaultSite::CacheRead))
-        {
-            FaultInjector::corrupt(&mut bytes);
-        }
-        Some(bytes)
-    }
-
-    /// A disk entry failed validation: drop it so the slot is refilled by
-    /// the next full forward pass instead of failing forever. Flat deletes
-    /// the sample's file; chunked removes exactly its slot from the store.
-    fn quarantine(&mut self, id: u64) {
-        match &mut self.backend {
-            Backend::Flat => {
-                let _ = fs::remove_file(self.dir.join(format!("sample_{id}.act")));
-                if let Some(sz) = self.flat_sizes.remove(&id) {
-                    self.stats.disk_bytes_live = self.stats.disk_bytes_live.saturating_sub(sz);
-                }
-            }
-            Backend::Chunked(store) => store.delete_samples(&[id]),
-        }
-        self.sync_disk_stats();
-        self.stats.corrupt_entries += 1;
-        self.telemetry.counter("cache.corrupt_entries").inc();
-        if let Some(h) = &self.health {
-            h.degrade("cache-quarantine");
-        }
-        eprintln!(
-            "egeria: corrupt cache entry for sample {id}; deleted, will recompute"
-        );
-    }
-
-    /// The store quarantined `n` chunks during a lookup; mirror them into
-    /// the cache's corruption accounting (chunk granularity: one corrupt
-    /// chunk counts once however many of its samples the lookup touched).
-    fn count_store_corruption(&mut self, n: u64) {
-        self.stats.corrupt_entries += n as usize;
-        self.telemetry.counter("cache.corrupt_entries").add(n);
-        if let Some(h) = &self.health {
-            h.degrade("cache-quarantine");
-        }
-        self.sync_disk_stats();
-    }
-
-    /// Refreshes the disk-footprint stats from the backend's accounting.
+    /// Refreshes the disk-footprint stats from the disk layer's accounting.
     fn sync_disk_stats(&mut self) {
-        if let Backend::Chunked(store) = &self.backend {
-            let s = store.stats();
-            self.stats.disk_bytes_written = s.bytes_encoded;
-            self.stats.disk_bytes_live = s.live_bytes;
-        }
-    }
-
-    fn path_of(&self, id: u64) -> PathBuf {
-        self.dir.join(format!("sample_{id}.act"))
-    }
-
-    /// One sample's disk lookup, dispatched by backend, with the
-    /// hit/miss/corrupt accounting the two backends must share: a decode
-    /// failure quarantines (flat: the file; chunked: the chunk) and
-    /// reports [`DiskFetch::Corrupt`]; a clean read counts `disk_reads`.
-    fn fetch_from_disk(&mut self, id: u64) -> DiskFetch {
-        if matches!(self.backend, Backend::Flat) {
-            match self.read_entry(id) {
-                Some(bytes) => match serialize::from_bytes(&bytes) {
-                    Ok(t) => {
-                        self.stats.disk_reads += 1;
-                        DiskFetch::Got(t)
-                    }
-                    Err(_) => {
-                        self.quarantine(id);
-                        DiskFetch::Corrupt
-                    }
-                },
-                None => DiskFetch::Absent,
-            }
-        } else {
-            let (got, corrupt_delta) = {
-                let Backend::Chunked(store) = &mut self.backend else {
-                    unreachable!("backend checked above")
-                };
-                let before = store.stats().corrupt_chunks;
-                let got = store.get(id);
-                (got, store.stats().corrupt_chunks - before)
-            };
-            if corrupt_delta > 0 {
-                // The store already quarantined the chunk(s); mirror the
-                // count and report corrupt so the lookup reads as a miss.
-                self.count_store_corruption(corrupt_delta);
-                return DiskFetch::Corrupt;
-            }
-            match got {
-                Some(t) => {
-                    // Injected read corruption, consumed (as on flat) only
-                    // when an entry actually came off disk.
-                    if let Some(FaultAction::CorruptBytes) = self
-                        .faults
-                        .as_ref()
-                        .and_then(|f| f.check(FaultSite::CacheRead))
-                    {
-                        self.quarantine(id);
-                        return DiskFetch::Corrupt;
-                    }
-                    self.stats.disk_reads += 1;
-                    DiskFetch::Got(t)
-                }
-                None => DiskFetch::Absent,
-            }
-        }
-    }
-
-    /// Removes the given samples' disk entries (shape-audit quarantine),
-    /// keeping the live-byte accounting exact on both backends.
-    fn delete_disk_entries(&mut self, ids: &[u64]) {
-        match &mut self.backend {
-            Backend::Flat => {
-                for &id in ids {
-                    let _ = fs::remove_file(self.dir.join(format!("sample_{id}.act")));
-                    if let Some(sz) = self.flat_sizes.remove(&id) {
-                        self.stats.disk_bytes_live =
-                            self.stats.disk_bytes_live.saturating_sub(sz);
-                    }
-                }
-            }
-            Backend::Chunked(store) => store.delete_samples(ids),
-        }
-        self.sync_disk_stats();
+        (self.stats.disk_bytes_written, self.stats.disk_bytes_live) = self.disk.footprint();
     }
 
     /// The frozen-prefix length current entries are valid for.
@@ -399,25 +422,17 @@ impl ActivationCache {
     /// Invalidates everything (called when the frozen prefix changes: the
     /// cached activations were produced by a different sub-network).
     pub fn invalidate(&mut self) {
+        self.reset(None);
+    }
+
+    /// Empties memory and disk; what is put next is valid for `prefix`.
+    fn reset(&mut self, prefix: Option<usize>) {
         self.mem.clear();
         self.recent.clear();
-        self.valid_prefix = None;
-        match &mut self.backend {
-            Backend::Flat => {
-                if let Ok(entries) = fs::read_dir(&self.dir) {
-                    for e in entries.flatten() {
-                        let _ = fs::remove_file(e.path());
-                    }
-                }
-                self.flat_sizes.clear();
-            }
-            Backend::Chunked(store) => {
-                store.clear();
-                store.set_valid_prefix(None);
-            }
-        }
+        self.valid_prefix = prefix;
+        self.disk.clear(prefix);
         self.stats.mem_entries = 0;
-        self.stats.disk_bytes_live = 0;
+        self.sync_disk_stats();
     }
 
     /// Stores one batch's frozen-prefix activation, computed at prefix
@@ -429,11 +444,7 @@ impl ActivationCache {
     /// caller bugs (batch/id mismatch) return `Err`.
     pub fn put_batch(&mut self, ids: &[u64], activation: &Tensor, prefix: usize) -> Result<()> {
         if self.valid_prefix != Some(prefix) {
-            self.invalidate();
-            self.valid_prefix = Some(prefix);
-            if let Backend::Chunked(store) = &mut self.backend {
-                store.set_valid_prefix(Some(prefix as u64));
-            }
+            self.reset(Some(prefix));
         }
         let b = *activation.dims().first().ok_or(TensorError::ShapeMismatch {
             op: "cache put",
@@ -449,9 +460,9 @@ impl ActivationCache {
         }
         for (row, &id) in ids.iter().enumerate() {
             let sample = activation.narrow(0, row, 1)?;
-            // The injected-write-failure check runs identically for both
-            // backends, *before* any backend write, so `write_errors`
-            // counts are backend-independent (the golden run pins them).
+            // The injected-write-failure check runs *before* any disk
+            // write, so `write_errors` counts are backend-independent (the
+            // golden run pins them).
             let injected_fail = self
                 .faults
                 .as_ref()
@@ -460,23 +471,7 @@ impl ActivationCache {
             let write = if injected_fail {
                 Err(TensorError::Io("injected cache write failure".into()))
             } else {
-                match &mut self.backend {
-                    Backend::Flat => {
-                        let bytes = serialize::to_bytes(&sample);
-                        fs::write(self.path_of(id), &bytes)
-                            .map(|()| {
-                                self.stats.disk_bytes_written += bytes.len() as u64;
-                                self.stats.disk_bytes_live += bytes.len() as u64;
-                                if let Some(old) = self.flat_sizes.insert(id, bytes.len() as u64) {
-                                    // Overwrite: the old copy's bytes are gone.
-                                    self.stats.disk_bytes_live =
-                                        self.stats.disk_bytes_live.saturating_sub(old);
-                                }
-                            })
-                            .map_err(TensorError::from)
-                    }
-                    Backend::Chunked(store) => store.put(id, &sample),
-                }
+                self.disk.put(id, &sample)
             };
             if let Err(e) = write {
                 if self.stats.write_errors == 0 {
@@ -506,90 +501,6 @@ impl ActivationCache {
         Ok(())
     }
 
-    /// Loads the given samples from disk into memory ahead of use.
-    /// Unreadable or corrupt entries are quarantined and skipped —
-    /// prefetching is best-effort and never fails the caller. On the
-    /// chunked backend the wanted ids go through the store's concurrent
-    /// shard readers in one coalesced fetch.
-    pub fn prefetch(&mut self, ids: &[u64]) -> Result<usize> {
-        let mut loaded = 0;
-        let mut wanted: Vec<u64> = Vec::new();
-        for &id in ids {
-            if self.mem.contains_key(&id) {
-                continue;
-            }
-            // Injected prefetch-read failure: the entry is skipped (left
-            // on disk, untouched); the later lookup reads it directly.
-            let injected_fail = self
-                .faults
-                .as_ref()
-                .map(|f| f.should_fail(FaultSite::PrefetchRead))
-                .unwrap_or(false);
-            if injected_fail {
-                self.stats.prefetch_errors += 1;
-                self.telemetry.counter("cache.prefetch_errors").inc();
-                continue;
-            }
-            wanted.push(id);
-        }
-        if matches!(self.backend, Backend::Flat) {
-            for id in wanted {
-                if let Some(bytes) = self.read_entry(id) {
-                    match serialize::from_bytes(&bytes) {
-                        Ok(t) => {
-                            self.mem.insert(id, t);
-                            self.stats.disk_reads += 1;
-                            self.telemetry.counter("cache.prefetched").inc();
-                            loaded += 1;
-                        }
-                        Err(_) => self.quarantine(id),
-                    }
-                }
-            }
-        } else {
-            let (results, corrupt_delta) = {
-                let Backend::Chunked(store) = &mut self.backend else {
-                    unreachable!("backend checked above")
-                };
-                let before = store.stats().corrupt_chunks;
-                let results = store.get_many(&wanted);
-                (results, store.stats().corrupt_chunks - before)
-            };
-            if corrupt_delta > 0 {
-                self.count_store_corruption(corrupt_delta);
-            }
-            for (&id, got) in wanted.iter().zip(results) {
-                let Some(t) = got else { continue };
-                // Injected read corruption, consumed (as on flat) only
-                // when an entry actually came off disk.
-                if let Some(FaultAction::CorruptBytes) = self
-                    .faults
-                    .as_ref()
-                    .and_then(|f| f.check(FaultSite::CacheRead))
-                {
-                    self.quarantine(id);
-                    continue;
-                }
-                self.mem.insert(id, t);
-                self.stats.disk_reads += 1;
-                self.telemetry.counter("cache.prefetched").inc();
-                loaded += 1;
-            }
-        }
-        self.recent.push_back(ids.to_vec());
-        while self.recent.len() > self.mem_batches {
-            if let Some(old) = self.recent.pop_front() {
-                for id in old {
-                    if !self.recent.iter().any(|b| b.contains(&id)) {
-                        self.mem.remove(&id);
-                    }
-                }
-            }
-        }
-        self.stats.mem_entries = self.mem.len();
-        Ok(loaded)
-    }
-
     /// Fetches a whole batch; `None` (a miss) if any sample is absent from
     /// both memory and disk, corrupt on disk, shape-inconsistent, or the
     /// cache is valid for a different prefix. A corrupt or mismatched
@@ -609,9 +520,21 @@ impl ActivationCache {
             let (part, from_disk) = if let Some(t) = self.mem.get(&id) {
                 (t.clone(), false)
             } else {
-                match self.fetch_from_disk(id) {
-                    DiskFetch::Got(t) => (t, true),
-                    DiskFetch::Absent | DiskFetch::Corrupt => {
+                match self.disk.get(id, self.faults.as_deref()) {
+                    DiskFetch::Got(t) => {
+                        self.stats.disk_reads += 1;
+                        (t, true)
+                    }
+                    DiskFetch::Absent => {
+                        self.count_miss();
+                        return Ok(None);
+                    }
+                    DiskFetch::Corrupt => {
+                        eprintln!(
+                            "egeria: corrupt cache entry for sample {id}; deleted, will recompute"
+                        );
+                        self.count_corrupt();
+                        self.sync_disk_stats();
                         self.count_miss();
                         return Ok(None);
                     }
@@ -642,15 +565,12 @@ impl ActivationCache {
                 if !from_disk {
                     self.mem.remove(&id);
                 }
-                self.delete_disk_entries(&disk_ids);
+                self.disk.delete(&disk_ids);
+                self.sync_disk_stats();
                 for did in &disk_ids {
                     self.mem.remove(did);
                 }
-                self.stats.corrupt_entries += 1;
-                self.telemetry.counter("cache.corrupt_entries").inc();
-                if let Some(h) = &self.health {
-                    h.degrade("cache-quarantine");
-                }
+                self.count_corrupt();
                 eprintln!(
                     "egeria: shape-mismatched cache entry in batch lookup (sample {id}); quarantined, will recompute"
                 );
@@ -682,67 +602,6 @@ impl ActivationCache {
     }
 }
 
-/// A background prefetcher: feeds upcoming batch id lists to a thread that
-/// loads them into the shared cache.
-pub struct Prefetcher {
-    tx: Option<crossbeam::channel::Sender<Vec<u64>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Count of fully-processed hints plus the condvar that announces each
-    /// increment, so waiters can block instead of polling.
-    processed: Arc<(std::sync::Mutex<u64>, std::sync::Condvar)>,
-}
-
-impl Prefetcher {
-    /// Spawns the prefetch thread over a shared cache.
-    pub fn spawn(cache: Arc<Mutex<ActivationCache>>) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded::<Vec<u64>>(64);
-        let processed = Arc::new((std::sync::Mutex::new(0u64), std::sync::Condvar::new()));
-        let signal = Arc::clone(&processed);
-        let handle = std::thread::spawn(move || {
-            while let Ok(ids) = rx.recv() {
-                let _ = cache.lock().prefetch(&ids);
-                let (count, cv) = &*signal;
-                *count.lock().expect("prefetch counter poisoned") += 1;
-                cv.notify_all();
-            }
-        });
-        Prefetcher {
-            tx: Some(tx),
-            handle: Some(handle),
-            processed,
-        }
-    }
-
-    /// Enqueues an upcoming batch's sample ids (non-blocking; drops the
-    /// hint if the queue is full — prefetching is best-effort).
-    pub fn hint(&self, ids: Vec<u64>) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.try_send(ids);
-        }
-    }
-
-    /// Blocks until at least `count` hints have been fully processed or
-    /// `timeout` elapses; returns whether the count was reached. Dropped
-    /// hints (full queue) never count, so callers should bound the wait.
-    pub fn wait_processed(&self, count: u64, timeout: std::time::Duration) -> bool {
-        let (lock, cv) = &*self.processed;
-        let guard = lock.lock().expect("prefetch counter poisoned");
-        let (_guard, res) = cv
-            .wait_timeout_while(guard, timeout, |n| *n < count)
-            .expect("prefetch counter poisoned");
-        !res.timed_out()
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        self.tx.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -752,6 +611,14 @@ mod tests {
         let d = std::env::temp_dir().join(format!("egeria_cache_test_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    /// Where a flat cache keeps sample `id`.
+    fn path_of(c: &ActivationCache, id: u64) -> PathBuf {
+        match &c.disk {
+            Disk::Flat(flat) => flat.path_of(id),
+            Disk::Chunked(_) => panic!("not a flat cache"),
+        }
     }
 
     #[test]
@@ -791,6 +658,29 @@ mod tests {
     }
 
     #[test]
+    fn flat_clear_spares_files_it_did_not_write() {
+        // A caller-named cache directory is never removed, and neither is
+        // anything in it that is not a flat entry.
+        let dir = tmp_dir("bystander");
+        let mut c = ActivationCache::new(&dir, 5).unwrap();
+        let foreign = [dir.join("notes.txt"), dir.join("sample_7.act.bak")];
+        for f in &foreign {
+            fs::write(f, b"not the cache's").unwrap();
+        }
+        let act = Tensor::ones(&[1, 2]);
+        c.put_batch(&[1], &act, 1).unwrap();
+        c.invalidate();
+        assert!(!path_of(&c, 1).exists());
+        c.put_batch(&[1], &act, 1).unwrap();
+        c.put_batch(&[2], &act, 2).unwrap(); // prefix change
+        assert!(!path_of(&c, 1).exists(), "the old prefix's entry must go");
+        assert!(path_of(&c, 2).exists());
+        for f in &foreign {
+            assert!(f.exists(), "{} was removed", f.display());
+        }
+    }
+
+    #[test]
     fn memory_window_evicts_but_disk_persists() {
         let mut c = ActivationCache::new(tmp_dir("evict"), 2).unwrap();
         let act = Tensor::ones(&[1, 2]);
@@ -811,7 +701,8 @@ mod tests {
         // Quarantining one entry decrements live but never written: the
         // old single `disk_bytes` counter conflated the two and only ever
         // grew.
-        c.quarantine(0);
+        fs::write(path_of(&c, 0), b"garbage").unwrap();
+        assert!(c.get_batch(&[0], 0).unwrap().is_none());
         assert_eq!(c.stats().disk_bytes_live, per_entry * 5);
         assert_eq!(c.stats().disk_bytes_written, per_entry * 6);
         // Invalidation empties the disk: live drops to zero, written is
@@ -824,48 +715,6 @@ mod tests {
         c.put_batch(&[1], &act, 0).unwrap();
         assert_eq!(c.stats().disk_bytes_live, per_entry);
         assert_eq!(c.stats().disk_bytes_written, per_entry * 8);
-    }
-
-    #[test]
-    fn prefetch_loads_into_memory() {
-        let dir = tmp_dir("prefetch");
-        let mut c = ActivationCache::new(&dir, 3).unwrap();
-        let act = Tensor::ones(&[2, 2]);
-        c.put_batch(&[1, 2], &act, 0).unwrap();
-        // Push the entries out of memory.
-        for id in 10..16u64 {
-            c.put_batch(&[id], &Tensor::ones(&[1, 2]), 0).unwrap();
-        }
-        let before = c.stats().disk_reads;
-        let loaded = c.prefetch(&[1, 2]).unwrap();
-        assert_eq!(loaded, 2);
-        assert_eq!(c.stats().disk_reads, before + 2);
-        // Now get_batch is a pure memory hit (no further disk reads).
-        let after_prefetch = c.stats().disk_reads;
-        let _ = c.get_batch(&[1, 2], 0).unwrap().unwrap();
-        assert_eq!(c.stats().disk_reads, after_prefetch);
-    }
-
-    #[test]
-    fn prefetcher_thread_warms_the_cache() {
-        let dir = tmp_dir("thread");
-        let cache = Arc::new(Mutex::new(ActivationCache::new(&dir, 4).unwrap()));
-        {
-            let mut c = cache.lock();
-            c.put_batch(&[7], &Tensor::ones(&[1, 3]), 0).unwrap();
-            for id in 100..110u64 {
-                c.put_batch(&[id], &Tensor::ones(&[1, 3]), 0).unwrap();
-            }
-        }
-        let p = Prefetcher::spawn(Arc::clone(&cache));
-        p.hint(vec![7]);
-        // Block on the processed-count condvar — no sleep polling.
-        assert!(
-            p.wait_processed(1, std::time::Duration::from_secs(5)),
-            "prefetch never landed"
-        );
-        assert!(cache.lock().mem.contains_key(&7));
-        drop(p);
     }
 
     #[test]
@@ -883,7 +732,7 @@ mod tests {
         // Evict from memory so the next get goes to disk.
         c.put_batch(&[6], &act, 0).unwrap();
         // Flip a byte of the on-disk entry.
-        let path = c.path_of(5);
+        let path = path_of(&c, 5);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
@@ -953,13 +802,13 @@ mod tests {
         // Overwrite sample 1 on disk with a differently-shaped tensor, as
         // a stale file from another geometry would be.
         let stale = serialize::to_bytes(&Tensor::ones(&[1, 7]));
-        fs::write(c.path_of(1), &stale).unwrap();
+        fs::write(path_of(&c, 1), &stale).unwrap();
         let got = c.get_batch(&[1, 2], 0).unwrap();
         assert!(got.is_none(), "mismatched entry must degrade to a miss");
         assert_eq!(c.stats().hits, 0, "no hit may be counted for a recompute");
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.stats().corrupt_entries, 1);
-        assert!(!c.path_of(1).exists(), "stale entry must be quarantined");
+        assert!(!path_of(&c, 1).exists(), "stale entry must be quarantined");
         // Telemetry counters mirror the stats exactly.
         let snap = tele.metrics_snapshot();
         assert_eq!(snap.counter("cache.hits"), None);
@@ -985,7 +834,7 @@ mod tests {
         // Row 2: corrupt on-disk bytes → quarantine + miss.
         c.put_batch(&[404], &act, 0).unwrap();
         c.put_batch(&[5], &act, 0).unwrap(); // evict 404 from memory
-        fs::write(c.path_of(404), b"garbage").unwrap();
+        fs::write(path_of(&c, 404), b"garbage").unwrap();
         assert!(c.get_batch(&[404], 0).unwrap().is_none());
         // Row 3: write failure → entry memory-resident, training alive.
         let faults = FaultInjector::new();
@@ -1002,22 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_prefetch_failure_skips_entry_and_direct_lookup_heals() {
-        let mut c = ActivationCache::new(tmp_dir("prefetchfault"), 1).unwrap();
-        let faults = FaultInjector::new();
-        faults.arm(FaultSite::PrefetchRead, 0, 1, FaultAction::Fail);
-        c.set_faults(Some(faults));
-        let act = Tensor::ones(&[1, 4]);
-        c.put_batch(&[1], &act, 0).unwrap();
-        c.put_batch(&[2], &act, 0).unwrap(); // evict 1 from memory
-        let loaded = c.prefetch(&[1]).unwrap();
-        assert_eq!(loaded, 0, "injected failure skips the entry");
-        assert_eq!(c.stats().prefetch_errors, 1);
-        // The entry was left intact on disk: a direct lookup serves it.
-        assert!(c.get_batch(&[1], 0).unwrap().is_some());
-    }
-
-    #[test]
     fn quarantine_degrades_health_and_clean_hit_resolves_it() {
         let t = Telemetry::enabled();
         let health = HealthMonitor::new(t.clone());
@@ -1026,7 +859,7 @@ mod tests {
         let act = Tensor::ones(&[1, 4]);
         c.put_batch(&[1], &act, 0).unwrap();
         c.put_batch(&[2], &act, 0).unwrap(); // evict 1 from memory
-        fs::write(c.path_of(1), b"garbage").unwrap();
+        fs::write(path_of(&c, 1), b"garbage").unwrap();
         assert!(c.get_batch(&[1], 0).unwrap().is_none());
         assert_eq!(health.level(), 1, "quarantine degrades health");
         // Recompute refills the slot; the clean hit resolves the tag.
@@ -1106,7 +939,7 @@ mod tests {
         let mut c = ActivationCache::with_store(&dir, 1, cfg).unwrap();
         let live_before = c.stats().disk_bytes_live;
         // Flip bytes in the middle of the shard file.
-        let shard = c.dir.join("shard_00000.egs");
+        let shard = dir.join("shard_00000.egs");
         let mut bytes = fs::read(&shard).unwrap();
         let mid = bytes.len() / 2;
         let end = (mid + 8).min(bytes.len());
@@ -1145,6 +978,29 @@ mod tests {
     }
 
     #[test]
+    fn degraded_open_reaches_telemetry_and_health_once_attached() {
+        let dir = tmp_dir("ck_badmanifest");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(egeria_store::manifest::MANIFEST_FILE), b"garbage").unwrap();
+        let mut c = ActivationCache::with_store(&dir, 1, StoreConfig::default()).unwrap();
+        assert_eq!(c.stats().corrupt_entries, 1);
+        // The open ran before anything could be attached.
+        let tele = Telemetry::enabled();
+        let health = HealthMonitor::new(tele.clone());
+        c.set_telemetry(tele.clone());
+        c.set_health(Arc::clone(&health));
+        let snap = tele.metrics_snapshot();
+        assert_eq!(snap.counter("cache.corrupt_entries"), Some(1));
+        assert_eq!(snap.counter("store.corrupt_chunks"), Some(1));
+        assert_eq!(health.level(), 1, "a degraded open degrades cache-quarantine");
+        // The first clean hit resolves it, as after any quarantine.
+        let act = Tensor::ones(&[1, 4]);
+        c.put_batch(&[1], &act, 0).unwrap();
+        assert!(c.get_batch(&[1], 0).unwrap().is_some());
+        assert_eq!(health.level(), 0);
+    }
+
+    #[test]
     fn chunked_prefix_change_invalidates_store() {
         let mut c = chunked_cache("ck_prefix", 5);
         let act = Tensor::ones(&[1, 2]);
@@ -1156,36 +1012,6 @@ mod tests {
         assert!(c.get_batch(&[2], 2).unwrap().is_some());
         let st = c.store_stats().unwrap();
         assert_eq!(st.live_bytes, c.stats().disk_bytes_live);
-    }
-
-    #[test]
-    fn chunked_prefetch_coalesces_and_warms_memory() {
-        let dir = tmp_dir("ck_prefetch");
-        let cfg = StoreConfig {
-            chunk_samples: 4,
-            chunks_per_shard: 2,
-            ..StoreConfig::default()
-        };
-        let act = Tensor::ones(&[1, 4]);
-        {
-            let mut c = ActivationCache::with_store(&dir, 2, cfg).unwrap();
-            for id in 0..12u64 {
-                c.put_batch(&[id], &act, 0).unwrap();
-            }
-            c.persist().unwrap();
-        }
-        // Reopen: the decoded-block cache is cold, so the prefetch has to
-        // coalesce real shard reads.
-        let mut c = ActivationCache::with_store(&dir, 2, cfg).unwrap();
-        let before = c.stats().disk_reads;
-        // ids 0..8 span two chunks in the same shard: one coalesced fetch.
-        let loaded = c.prefetch(&[0, 1, 2, 3, 4, 5, 6, 7]).unwrap();
-        assert_eq!(loaded, 8);
-        assert_eq!(c.stats().disk_reads, before + 8);
-        assert!(c.store_stats().unwrap().coalesced_reads >= 1);
-        let after = c.stats().disk_reads;
-        let _ = c.get_batch(&[6, 7], 0).unwrap().unwrap();
-        assert_eq!(c.stats().disk_reads, after, "prefetched ids hit memory");
     }
 
     #[test]
@@ -1211,16 +1037,4 @@ mod tests {
         assert_eq!(faults.injected(FaultSite::CacheRead), 1);
     }
 
-    #[test]
-    fn prefetch_skips_corrupt_entries() {
-        let mut c = ActivationCache::new(tmp_dir("prefetchcorrupt"), 1).unwrap();
-        let act = Tensor::ones(&[1, 4]);
-        c.put_batch(&[1], &act, 0).unwrap();
-        c.put_batch(&[2], &act, 0).unwrap();
-        c.put_batch(&[3], &act, 0).unwrap(); // evict 1 and 2 from memory
-        fs::write(c.path_of(1), b"garbage").unwrap();
-        let loaded = c.prefetch(&[1, 2]).unwrap();
-        assert_eq!(loaded, 1, "only the intact entry loads");
-        assert_eq!(c.stats().corrupt_entries, 1);
-    }
 }

@@ -15,9 +15,9 @@
 //!    ([`freezer`], Algorithm 1). Learning-rate annealing triggers
 //!    unfreezing with relaxed refreeze criteria.
 //! 3. **Forward-pass skipping** ([`cache`]): frozen-prefix activations are
-//!    cached to disk keyed by sample id, prefetched ahead of the training
-//!    loop (the loader knows the future batch order), and spliced into the
-//!    forward pass so frozen modules skip computation entirely.
+//!    cached to disk keyed by sample id, looked up by the step that needs
+//!    them, and spliced into the forward pass so frozen modules skip
+//!    computation entirely.
 //!
 //! The controller/worker split of §4.1 is in [`controller`]: the reference
 //! model runs on a separate thread behind the paper's three

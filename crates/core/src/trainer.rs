@@ -4,8 +4,8 @@
 //! and LR schedule. With `egeria: Some(config)` the loop runs the full
 //! knowledge-guided pipeline — bootstrap monitoring, reference generation
 //! and refresh, periodic plasticity evaluation, Algorithm 1
-//! freezing/unfreezing, and cached-FP (looked up on the training thread;
-//! `cache::Prefetcher` is a library piece this loop does not use yet). With
+//! freezing/unfreezing, and cached-FP (a synchronous lookup on the
+//! training thread, in the step that needs the batch). With
 //! `egeria: None` it is the vanilla baseline the paper compares against.
 //! Either way it emits a [`TrainReport`] whose per-iteration records feed
 //! the performance simulator.
@@ -573,8 +573,9 @@ impl EgeriaRun {
         // Cache backend continuity: if the run that wrote this checkpoint
         // used a different cache backend, the on-disk layout in the cache
         // dir belongs to the other world (flat sample files vs chunked
-        // shards). Wipe it so the resumed run starts from a clean cache
-        // instead of carrying dead files alongside the new layout.
+        // shards). Invalidate so the resumed run starts from a clean cache.
+        // (A chunked run wipes the directory; a flat run removes only flat
+        // entries, so it leaves a chunked run's shards behind, unread.)
         if let Some(c) = self.cache.as_mut() {
             if c.store_kind().name() != ckpt.cache_store {
                 eprintln!(

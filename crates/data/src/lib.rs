@@ -9,8 +9,8 @@
 //!    function of `(dataset seed, sample id)`, identical across epochs, so
 //!    frozen-prefix activations can be cached and replayed.
 //! 2. **Known-future sampling**: the loader fixes each epoch's batch order
-//!    up front, so the prefetcher can see the incoming sample ids before
-//!    the iteration reaches them ("we actually know the future").
+//!    up front, so the incoming sample ids are known before the iteration
+//!    reaches them ("we actually know the future").
 
 // No unsafe outside egeria-tensor: enforced here and audited by egeria-lint.
 #![forbid(unsafe_code)]

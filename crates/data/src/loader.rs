@@ -35,8 +35,8 @@ pub struct BatchPlan {
 /// Shuffling data loader with an up-front per-epoch order.
 ///
 /// The entire epoch's batch sequence is derivable from `(seed, epoch)`, so
-/// [`DataLoader::epoch_plan`] can be consulted by the activation prefetcher
-/// arbitrarily far ahead of the training loop.
+/// [`DataLoader::epoch_plan`] can be consulted arbitrarily far ahead of the
+/// training loop.
 pub struct DataLoader {
     len: usize,
     batch_size: usize,

@@ -129,7 +129,7 @@ impl Network {
     /// Forward starting at block `start` from a given activation.
     ///
     /// This is the cached-FP entry point: when the frozen prefix's output
-    /// was prefetched from the activation cache, training resumes here
+    /// was read from the activation cache, training resumes here
     /// (§4.3 of the paper).
     pub fn forward_from(&mut self, start: usize, x: &Tensor, mode: Mode) -> Result<Tensor> {
         if start > self.blocks.len() {

@@ -165,9 +165,6 @@ pub struct CacheV2Stat {
     pub bytes_encoded: u64,
     /// Chunk blocks decoded from disk (`store.chunk_reads`).
     pub chunk_reads: u64,
-    /// Multi-chunk reads served by one coalesced shard fetch
-    /// (`store.coalesced_reads`).
-    pub coalesced_reads: u64,
     /// Chunks evicted by the capacity bound (`store.evicted_chunks`).
     pub evicted_chunks: u64,
     /// Bytes freed by eviction (`store.evicted_bytes`).
@@ -381,7 +378,6 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
             bytes_raw: get("store.bytes_raw"),
             bytes_encoded: get("store.bytes_encoded"),
             chunk_reads: get("store.chunk_reads"),
-            coalesced_reads: get("store.coalesced_reads"),
             evicted_chunks: get("store.evicted_chunks"),
             evicted_bytes: get("store.evicted_bytes"),
             corrupt_chunks: get("store.corrupt_chunks"),
@@ -572,11 +568,7 @@ pub fn render(summary: &TraceSummary) -> String {
             c.codec_ratio(),
             c.chunks_written
         );
-        let _ = writeln!(
-            out,
-            "reads: {} chunk decodes, {} coalesced shard fetches",
-            c.chunk_reads, c.coalesced_reads
-        );
+        let _ = writeln!(out, "reads: {} chunk decodes", c.chunk_reads);
         let _ = writeln!(
             out,
             "eviction: {} chunks ({} bytes) evicted, {} compactions",
@@ -638,7 +630,6 @@ mod tests {
         t.counter("store.bytes_raw").add(4000);
         t.counter("store.bytes_encoded").add(1000);
         t.counter("store.chunk_reads").add(6);
-        t.counter("store.coalesced_reads").add(2);
         t.counter("store.evicted_chunks").add(1);
         t.counter("store.evicted_bytes").add(100);
         t.counter("store.corrupt_chunks").add(1);
@@ -717,7 +708,6 @@ mod tests {
         assert_eq!(s.cache_v2.bytes_encoded, 1000);
         assert!((s.cache_v2.codec_ratio() - 4.0).abs() < 1e-12);
         assert_eq!(s.cache_v2.chunk_reads, 6);
-        assert_eq!(s.cache_v2.coalesced_reads, 2);
         assert_eq!(s.cache_v2.evicted_chunks, 1);
         assert_eq!(s.cache_v2.corrupt_chunks, 1);
         assert_eq!(s.cache_v2.live_bytes, 900);

@@ -6,8 +6,8 @@
 //!
 //! - [`fallback_only`](ChaosPlan::fallback_only): sites whose failure is
 //!   absorbed by a **bit-identical** fallback path — cache and checkpoint
-//!   write failures, skipped prefetch reads. A training run under this
-//!   profile must reproduce the fault-free loss curve bit-for-bit.
+//!   write failures. A training run under this profile must reproduce the
+//!   fault-free loss curve bit-for-bit.
 //! - [`full`](ChaosPlan::full): adds sites whose degradation changes the
 //!   control-plane timeline (corrupted cache reads, failed reference
 //!   captures, controller deaths). The contract drops to "never aborts,
@@ -26,12 +26,10 @@ pub type ChaosEntry = (FaultSite, u32, usize, FaultAction);
 
 /// A named, seeded set of per-site fault schedules.
 ///
-/// Of the sites a plan arms, a trainer run consults exactly these:
-/// `CheckpointWrite` and `CacheWrite` (both profiles), `CacheRead`,
-/// `ReferenceCapture` and — async controller only — `ControllerEval`
-/// ([`full`](Self::full)). `PrefetchRead` is armed but never consulted:
-/// `ActivationCache::prefetch` is a library piece the trainer does not
-/// call yet. (Outside the plans a run also consults `TrainStep`, and
+/// A trainer run consults every site a plan arms: `CheckpointWrite` and
+/// `CacheWrite` (both profiles), `CacheRead`, `ReferenceCapture` and —
+/// async controller only — `ControllerEval` ([`full`](Self::full)).
+/// (Outside the plans a run also consults `TrainStep`, and
 /// `CheckpointRead` when it resumes.)
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
@@ -48,7 +46,6 @@ impl ChaosPlan {
             entries: vec![
                 (FaultSite::CheckpointWrite, 300, 4, FaultAction::Fail),
                 (FaultSite::CacheWrite, 150, 8, FaultAction::Fail),
-                (FaultSite::PrefetchRead, 150, 8, FaultAction::Fail),
             ],
         }
     }

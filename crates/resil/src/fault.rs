@@ -29,8 +29,8 @@ use std::sync::Arc;
 ///
 /// The discriminant is the site's stable stream index for seeded
 /// schedules: new sites take new numbers and a retired site's number (8,
-/// the serve-registry publish) is never reused, so existing `(seed, site)`
-/// streams stay unchanged.
+/// the serve-registry publish; 10, the prefetcher read) is never reused,
+/// so existing `(seed, site)` streams stay unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// A cache entry write (simulates ENOSPC / write failure).
@@ -54,8 +54,6 @@ pub enum FaultSite {
     ServeExecute = 7,
     /// A reference-model activation capture fails.
     ReferenceCapture = 9,
-    /// A prefetcher disk read fails (the entry is skipped, not loaded).
-    PrefetchRead = 10,
     /// A pool/worker task panics mid-execution (the worker thread dies
     /// and must be respawned by its supervisor).
     PoolTaskPanic = 11,
@@ -63,7 +61,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in declaration order.
-    pub const ALL: [FaultSite; 11] = [
+    pub const ALL: [FaultSite; 10] = [
         FaultSite::CacheWrite,
         FaultSite::CacheRead,
         FaultSite::CheckpointWrite,
@@ -73,7 +71,6 @@ impl FaultSite {
         FaultSite::ServeAdmission,
         FaultSite::ServeExecute,
         FaultSite::ReferenceCapture,
-        FaultSite::PrefetchRead,
         FaultSite::PoolTaskPanic,
     ];
 
@@ -371,12 +368,12 @@ mod tests {
     #[test]
     fn seeded_respects_max_fires() {
         let f = FaultInjector::new();
-        f.arm_seeded(FaultSite::PrefetchRead, 3, 1000, 4, FaultAction::Fail);
+        f.arm_seeded(FaultSite::CacheWrite, 3, 1000, 4, FaultAction::Fail);
         let fires = (0..64)
-            .filter(|_| f.check(FaultSite::PrefetchRead).is_some())
+            .filter(|_| f.check(FaultSite::CacheWrite).is_some())
             .count();
         assert_eq!(fires, 4);
-        assert_eq!(f.injected(FaultSite::PrefetchRead), 4);
+        assert_eq!(f.injected(FaultSite::CacheWrite), 4);
     }
 
     #[test]
@@ -391,7 +388,8 @@ mod tests {
         assert_eq!(FaultSite::CacheWrite.stream_index(), 0);
         assert_eq!(FaultSite::TrainStep.stream_index(), 5);
         assert_eq!(FaultSite::ServeExecute.stream_index(), 7);
-        // 8 was the serve-registry publish site; its number stays retired.
+        // 8 was the serve-registry publish site and 10 the prefetcher
+        // read; their numbers stay retired.
         assert_eq!(FaultSite::ReferenceCapture.stream_index(), 9);
         assert_eq!(FaultSite::PoolTaskPanic.stream_index(), 11);
     }

@@ -118,9 +118,11 @@ pub struct ScenarioResult {
     /// Mean fraction of gradient-synchronization traffic skipped (frozen
     /// parameter share per iteration).
     pub comm_skipped: f64,
-    /// Activation-cache hit rate over cache lookups (0 when caching never
-    /// engaged).
-    pub cache_hit_rate: f64,
+    /// Activation-cache hit rate over cache lookups; `None` (an empty CSV
+    /// cell) when the run made no lookup, so no rate was measured — with
+    /// `n = 1` every post-bootstrap step is a probe step and the cached
+    /// path is unreachable.
+    pub cache_hit_rate: Option<f64>,
     /// Frozen-prefix length at the end of training.
     pub frozen_final: usize,
     /// Freeze events over the run.
@@ -197,11 +199,7 @@ pub fn run_scenario(family: ModelFamily, policy: PolicyKind) -> Result<ScenarioR
         tta_epochs: None, // Filled in by `run_family` against the baseline.
         compute_saved: compute / iters,
         comm_skipped: comm / iters,
-        cache_hit_rate: if lookups > 0 {
-            report.cache_stats.hits as f64 / lookups as f64
-        } else {
-            0.0
-        },
+        cache_hit_rate: (lookups > 0).then(|| report.cache_stats.hits as f64 / lookups as f64),
         frozen_final: report.epochs.last().map(|e| e.frozen_prefix).unwrap_or(0),
         freezes: report.events.iter().filter(|e| e.kind == "freeze").count(),
         unfreezes: report.events.iter().filter(|e| e.kind == "unfreeze").count(),
@@ -265,14 +263,16 @@ pub fn write_report(results: &[ScenarioResult], dir: &Path) -> std::io::Result<(
     for r in results {
         let _ = writeln!(
             csv,
-            "{},{},{:.6},{},{:.4},{:.4},{:.4},{},{},{}",
+            "{},{},{:.6},{},{:.4},{:.4},{},{},{},{}",
             r.model,
             r.policy,
             r.final_loss,
             r.tta_epochs.map(|t| t.to_string()).unwrap_or_default(),
             r.compute_saved,
             r.comm_skipped,
-            r.cache_hit_rate,
+            r.cache_hit_rate
+                .map(|h| format!("{h:.4}"))
+                .unwrap_or_default(),
             r.frozen_final,
             r.freezes,
             r.unfreezes

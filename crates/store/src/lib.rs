@@ -16,8 +16,11 @@
 //!   transpose + the [`lz`] LZSS stage),
 //! - [`chunk`]: the slot-directory block format one grid cell serializes
 //!   to,
-//! - [`manifest`]: the CRC'd index mapping chunks to shard extents,
-//! - [`readers`]: a small thread pool fanning multi-shard extent reads.
+//! - [`manifest`]: the CRC'd index mapping chunks to shard extents.
+//!
+//! The store owns no threads: every read is one synchronous extent read
+//! on the caller's thread (the activation cache looks entries up on the
+//! training thread, and a disk batch costs ~0.17 ms there — DESIGN §5j).
 //!
 //! The load-bearing contract: **lossless configurations are bit-exact**
 //! (`get` returns the identical f32 bits `put` stored), which is what
@@ -33,7 +36,6 @@ pub mod chunk;
 pub mod codec;
 pub mod lz;
 pub mod manifest;
-pub mod readers;
 pub mod shuffle;
 pub mod store;
 

@@ -32,12 +32,11 @@
 use crate::chunk::ChunkBlock;
 use crate::codec::{ByteCodec, StoreCodec, Transform};
 use crate::manifest::{Manifest, ManifestEntry};
-use crate::readers::{ExtentReq, ReaderPool};
 use egeria_obs::Telemetry;
 use egeria_tensor::serialize::crc32;
 use egeria_tensor::{Result, Tensor, TensorError};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Store geometry and policy.
@@ -51,8 +50,6 @@ pub struct StoreConfig {
     pub chunks_per_shard: u16,
     /// Live on-disk byte cap; `None` is unbounded.
     pub disk_cap_bytes: Option<u64>,
-    /// Shard reader threads for multi-extent fetches.
-    pub reader_threads: usize,
     /// Dirty chunks buffered before an automatic flush.
     pub dirty_chunk_cap: usize,
 }
@@ -64,7 +61,6 @@ impl Default for StoreConfig {
             chunk_samples: 64,
             chunks_per_shard: 16,
             disk_cap_bytes: None,
-            reader_threads: 2,
             dirty_chunk_cap: 32,
         }
     }
@@ -81,8 +77,6 @@ pub struct StoreStats {
     pub bytes_encoded: u64,
     /// Chunk blocks read and decoded from shards.
     pub chunk_reads: u64,
-    /// Multi-extent fetches served concurrently by the reader pool.
-    pub coalesced_reads: u64,
     /// Chunks evicted by the capacity bound.
     pub evicted_chunks: u64,
     /// Encoded bytes those evictions released.
@@ -126,8 +120,9 @@ const COMPACT_MIN_BYTES: u64 = 4096;
 /// Decoded chunk blocks kept hot for repeated slot lookups.
 const BLOCK_CACHE_CAP: usize = 8;
 
-/// The store. Not internally locked: callers (the activation cache)
-/// already serialize access behind their own mutex.
+/// The store. Not internally locked and it owns no threads: its one
+/// caller (the activation cache) holds it exclusively and reads extents
+/// synchronously.
 pub struct ChunkStore {
     dir: PathBuf,
     cfg: StoreConfig,
@@ -138,7 +133,6 @@ pub struct ChunkStore {
     dirty: BTreeMap<u64, BTreeMap<u16, Vec<u8>>>,
     /// Small LRU of decoded blocks (chunk id, slot → record).
     block_cache: Vec<(u64, BTreeMap<u16, Vec<u8>>)>,
-    readers: ReaderPool,
     stats: StoreStats,
     telemetry: Telemetry,
     /// Whether open found a manifest it had to throw away.
@@ -194,12 +188,12 @@ impl ChunkStore {
             manifest,
             dirty: BTreeMap::new(),
             block_cache: Vec::new(),
-            readers: ReaderPool::new(cfg.reader_threads),
             stats: StoreStats::default(),
             telemetry: Telemetry::disabled(),
             recovered_corrupt_manifest: recovered,
         };
         if recovered {
+            // No handle is attached yet; `set_telemetry` mirrors the count.
             store.count_corrupt_chunk();
         }
         store.sync_level_stats();
@@ -208,11 +202,17 @@ impl ChunkStore {
 
     /// Attaches a telemetry handle; store counters use the `store.`
     /// prefix (`store.chunks_written`, `store.bytes_raw`,
-    /// `store.bytes_encoded`, `store.chunk_reads`,
-    /// `store.coalesced_reads`, `store.evicted_chunks`,
+    /// `store.bytes_encoded`, `store.chunk_reads`, `store.evicted_chunks`,
     /// `store.evicted_bytes`, `store.corrupt_chunks`,
-    /// `store.compactions`, `store.write_errors`).
+    /// `store.compactions`, `store.write_errors`). The corruption a
+    /// degraded open counted before any handle was attached is mirrored
+    /// here.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        if !self.telemetry.is_enabled() && self.stats.corrupt_chunks > 0 {
+            telemetry
+                .counter("store.corrupt_chunks")
+                .add(self.stats.corrupt_chunks);
+        }
         self.telemetry = telemetry;
     }
 
@@ -291,53 +291,6 @@ impl ChunkStore {
         let rec = slots.get(&slot)?.clone();
         self.touch(chunk);
         self.decode_record(chunk, &rec)
-    }
-
-    /// Fetches many samples at once; extents from distinct chunks are read
-    /// concurrently through the reader pool. Results are in request
-    /// order, `None` per missing sample.
-    pub fn get_many(&mut self, ids: &[u64]) -> Vec<Option<Tensor>> {
-        // Which chunks must come off disk?
-        let mut need: Vec<u64> = Vec::new();
-        for &id in ids {
-            let chunk = self.chunk_of(id);
-            let slot = self.slot_of(id);
-            let in_dirty = self
-                .dirty
-                .get(&chunk)
-                .is_some_and(|slots| slots.contains_key(&slot));
-            let cached = self.block_cache.iter().any(|(c, _)| *c == chunk);
-            if !in_dirty && !cached && self.manifest.chunks.contains_key(&chunk) && !need.contains(&chunk)
-            {
-                need.push(chunk);
-            }
-        }
-        need.sort_unstable();
-        if need.len() > 1 {
-            let reqs: Vec<ExtentReq> = need
-                .iter()
-                .map(|&chunk| {
-                    let e = &self.manifest.chunks[&chunk];
-                    ExtentReq {
-                        path: self.shard_path(e.shard),
-                        offset: e.offset,
-                        len: e.len,
-                    }
-                })
-                .collect();
-            self.stats.coalesced_reads += 1;
-            self.telemetry.counter("store.coalesced_reads").inc();
-            let fetched = self.readers.read_extents(reqs);
-            for (&chunk, bytes) in need.iter().zip(fetched) {
-                match bytes.and_then(|b| self.validate_block(chunk, &b)) {
-                    Ok(slots) => self.cache_block(chunk, slots),
-                    Err(e) => self.quarantine_chunk(chunk, &e),
-                }
-            }
-        }
-        // Assemble in request order; single-chunk loads (or reloads after
-        // an eviction from the tiny block cache) go through `get`.
-        ids.iter().map(|&id| self.get(id)).collect()
     }
 
     /// Removes specific samples (the shape-audit quarantine path): their
@@ -456,12 +409,8 @@ impl ChunkStore {
             return Some(slots.clone());
         }
         let entry = *self.manifest.chunks.get(&chunk)?;
-        let req = ExtentReq {
-            path: self.shard_path(entry.shard),
-            offset: entry.offset,
-            len: entry.len,
-        };
-        let loaded = crate::readers::read_one(&req).and_then(|b| self.validate_block(chunk, &b));
+        let loaded = read_extent(&self.shard_path(entry.shard), entry.offset, entry.len)
+            .and_then(|b| self.validate_block(chunk, &b));
         match loaded {
             Ok(slots) => {
                 self.cache_block(chunk, slots.clone());
@@ -643,11 +592,7 @@ impl ChunkStore {
         let mut keep: Vec<(u64, Vec<u8>)> = Vec::with_capacity(chunks.len());
         for &chunk in &chunks {
             let e = self.manifest.chunks[&chunk];
-            let bytes = crate::readers::read_one(&ExtentReq {
-                path: self.shard_path(shard),
-                offset: e.offset,
-                len: e.len,
-            })?;
+            let bytes = read_extent(&self.shard_path(shard), e.offset, e.len)?;
             if crc32(&bytes) != e.crc {
                 self.quarantine_chunk(chunk, &TensorError::Corrupt("crc mismatch during compaction".into()));
                 continue;
@@ -688,6 +633,24 @@ impl ChunkStore {
         self.telemetry.gauge("store.live_bytes").set(self.stats.live_bytes as f64);
         self.telemetry.gauge("store.shard_files").set(self.stats.shard_files as f64);
     }
+}
+
+/// Reads one extent of a shard file, validating that the file actually
+/// contains it.
+fn read_extent(path: &Path, offset: u64, len: u32) -> Result<Vec<u8>> {
+    let mut f = std::fs::File::open(path)?;
+    let file_len = f.metadata()?.len();
+    let end = offset + len as u64;
+    if end > file_len {
+        return Err(TensorError::Corrupt(format!(
+            "shard {}: extent [{offset}, {end}) past file end {file_len}",
+            path.display()
+        )));
+    }
+    f.seek(SeekFrom::Start(offset))?;
+    let mut buf = vec![0u8; len as usize];
+    f.read_exact(&mut buf)?;
+    Ok(buf)
 }
 
 /// Deletes every regular file directly inside `dir` (shards, manifest).
@@ -892,6 +855,10 @@ mod tests {
         let mut s = ChunkStore::open(&dir, small_cfg()).unwrap();
         assert!(s.recovered_corrupt_manifest());
         assert_eq!(s.stats().corrupt_chunks, 1, "degraded open counts once");
+        // The open ran before a handle could be attached; attaching mirrors it.
+        let tele = Telemetry::enabled();
+        s.set_telemetry(tele.clone());
+        assert_eq!(tele.metrics_snapshot().counter("store.corrupt_chunks"), Some(1));
         assert!(s.get(1).is_none());
         // The store still works after the degraded open.
         s.put(1, &sample(1)).unwrap();
@@ -930,26 +897,6 @@ mod tests {
         assert!(s.get(0).is_none());
         let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
         assert!(leftovers.is_empty(), "no files may survive a clear");
-    }
-
-    #[test]
-    fn get_many_coalesces_multi_shard_reads() {
-        let mut s = ChunkStore::open(tmp_dir("coalesce"), small_cfg()).unwrap();
-        let ids: Vec<u64> = vec![0, 9, 17, 33]; // four distinct chunks
-        for &id in &ids {
-            s.put(id, &sample(id)).unwrap();
-        }
-        s.flush();
-        s.block_cache.clear();
-        let got = s.get_many(&ids);
-        assert!(got.iter().all(|g| g.is_some()));
-        assert_eq!(s.stats().coalesced_reads, 1);
-        // Request order is preserved.
-        for (g, &id) in got.iter().zip(&ids) {
-            assert_eq!(g.as_ref().unwrap(), &sample(id));
-        }
-        let missing = s.get_many(&[500, 501]);
-        assert!(missing.iter().all(|g| g.is_none()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! - convolution/pooling kernels (forward and the gradient kernels used by the
 //!   autograd layer implementations),
 //! - deterministic random tensor constructors seeded explicitly (training runs
-//!   must be reproducible so the cache/prefetch path can be validated
+//!   must be reproducible so the cached-FP path can be validated
 //!   bit-for-bit),
 //! - serialization of tensors to/from byte buffers (the on-disk activation
 //!   cache format).

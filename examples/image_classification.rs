@@ -8,7 +8,7 @@
 //! This is the paper's headline CV scenario: the controller evaluates
 //! plasticity against an int8 reference on a separate thread (IQ/ROQ/TOQ
 //! queues), converged front modules freeze, their activations get cached to
-//! disk, and later epochs skip the frozen forward pass via prefetch.
+//! disk, and later epochs skip the frozen forward pass by looking them up.
 
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::{config::ControllerMode, EgeriaConfig};

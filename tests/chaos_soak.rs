@@ -4,8 +4,8 @@
 //! The contract being pinned, per chaos profile:
 //!
 //! - [`ChaosPlan::fallback_only`] covers only sites whose failure is
-//!   absorbed by a **bit-identical** fallback (cache write/prefetch miss →
-//!   recompute, checkpoint write → skip). A run under this profile must
+//!   absorbed by a **bit-identical** fallback (cache write → recompute,
+//!   checkpoint write → skip). A run under this profile must
 //!   reproduce the fault-free loss curve and freeze timeline bit-for-bit.
 //! - [`ChaosPlan::full`] adds degradation-only sites (corrupt cache
 //!   reads, failed captures). The contract drops to: the run completes
@@ -22,7 +22,7 @@
 //! thread-leak accounting sees only its own run.
 
 use egeria_core::checkpoint::CheckpointOptions;
-use egeria_core::config::ControllerMode;
+use egeria_core::config::{CacheStoreKind, ControllerMode};
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::{EgeriaConfig, Telemetry, TrainReport};
 use egeria_data::images::{ImageDataConfig, SyntheticImages};
@@ -146,8 +146,17 @@ impl SoakRun {
 
 /// One fixed-seed training run at golden-run scale (8 epochs, n=2 ResNet,
 /// 64 synthetic samples) with checkpointing on, under an optional chaos
-/// plan. Asserts the drop itself is bounded.
+/// plan, on the flat cache store. Asserts the drop itself is bounded.
 fn soak(plan: Option<&ChaosPlan>, controller: ControllerMode, tag: &str) -> SoakRun {
+    soak_on(CacheStoreKind::Flat, plan, controller, tag)
+}
+
+fn soak_on(
+    cache_store: CacheStoreKind,
+    plan: Option<&ChaosPlan>,
+    controller: ControllerMode,
+    tag: &str,
+) -> SoakRun {
     let telemetry = Telemetry::enabled();
     let health = HealthMonitor::new(telemetry.clone());
     let faults = plan.map(|p| {
@@ -182,6 +191,7 @@ fn soak(plan: Option<&ChaosPlan>, controller: ControllerMode, tag: &str) -> Soak
                 bootstrap_rate: 0.9,
                 reference_update_every: 4,
                 controller,
+                cache_store,
                 ..Default::default()
             }),
             checkpoint: Some(CheckpointOptions {
@@ -292,25 +302,31 @@ fn fallback_covered_faults_preserve_loss_bit_identity() {
     assert_no_leaked_threads(baseline, "after fallback-profile soaks");
 }
 
-/// The reference probe is a direct call: a sync-controller run — started
-/// once the process-lifetime tensor pool is up — has no thread of its own
-/// at any step, and so none to leave behind.
+/// The reference probe is a direct call and a cache lookup a synchronous
+/// read: a sync-controller run — started once the process-lifetime tensor
+/// pool is up — has no thread of its own at any step on either cache
+/// store, and so none to leave behind.
 #[test]
 fn sync_run_spawns_no_threads() {
     let _guard = soak_turn();
     let baseline = baseline_thread_count();
-    let run = soak(None, ControllerMode::Sync, "threads");
-    assert!(
-        run.report.reference_stats.forwards > 0,
-        "the run never probed — nothing that could have spawned was exercised"
-    );
-    if baseline > 0 {
+    for store in [CacheStoreKind::Flat, CacheStoreKind::Chunked] {
+        let name = store.name();
+        let run = soak_on(store, None, ControllerMode::Sync, &format!("threads_{name}"));
+        let cache = run.report.cache_stats;
         assert!(
-            run.peak_threads <= baseline,
-            "{} threads alive mid-run vs {baseline} before it",
-            run.peak_threads
+            run.report.reference_stats.forwards > 0 && cache.hits + cache.misses > 0,
+            "{name}: the run never probed or never looked its cache up — nothing that \
+             could have spawned was exercised"
         );
-        assert_eq!(thread_count(), baseline, "thread count after the run");
+        if baseline > 0 {
+            assert!(
+                run.peak_threads <= baseline,
+                "{name}: {} threads alive mid-run vs {baseline} before it",
+                run.peak_threads
+            );
+            assert_eq!(thread_count(), baseline, "{name}: thread count after the run");
+        }
     }
 }
 
