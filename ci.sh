@@ -28,7 +28,10 @@ cargo build --release
 # — hard gate before any test runs. Deny findings fail outright; warn
 # findings fail only when new vs the checked-in lint-baseline.json
 # ratchet. The gate doubles as the lint's own perf smoke: parsing and
-# resolving the whole workspace must stay under 5 seconds.
+# resolving the whole workspace must stay under 5 seconds. The root build
+# above covers only the façade package, so build the lint first: the
+# timed window holds its run, never its compilation.
+cargo build --release -p egeria-lint
 lint_start=$SECONDS
 cargo run --release -p egeria-lint -- --workspace
 lint_elapsed=$(( SECONDS - lint_start ))

@@ -1001,6 +1001,68 @@ mod tests {
     }
 
     #[test]
+    fn chunked_clear_spares_files_it_did_not_write() {
+        // The chunked twin of `flat_clear_spares_files_it_did_not_write`:
+        // an invalidation, a prefix change, a corrupt-manifest reopen and a
+        // codec-change reopen each remove the store's shards and manifest
+        // and nothing else.
+        let dir = tmp_dir("ck_bystander");
+        let cfg = StoreConfig {
+            chunk_samples: 4,
+            chunks_per_shard: 2,
+            ..StoreConfig::default()
+        };
+        let manifest = dir.join(egeria_store::manifest::MANIFEST_FILE);
+        let shards = || -> Vec<String> {
+            let names = fs::read_dir(&dir).unwrap().flatten();
+            let mut names: Vec<String> = names
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| {
+                    let digits = n.strip_prefix("shard_").and_then(|s| s.strip_suffix(".egs"));
+                    digits.is_some_and(|d| d.bytes().all(|b| b.is_ascii_digit()))
+                })
+                .collect();
+            names.sort();
+            names
+        };
+        let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
+        let foreign = ["notes.txt", "shard_00000.egs.bak", "shard_x.egs", "manifest.egm.orig"];
+        let foreign = foreign.map(|f| dir.join(f));
+        for f in &foreign {
+            fs::write(f, b"not the store's").unwrap();
+        }
+        let act = Tensor::ones(&[1, 2]);
+        c.put_batch(&[1], &act, 1).unwrap();
+        c.persist().unwrap();
+        assert_eq!(shards(), ["shard_00000.egs"]);
+        c.invalidate();
+        assert!(shards().is_empty(), "invalidate removes the store's shards");
+        c.put_batch(&[1], &act, 1).unwrap();
+        c.persist().unwrap();
+        c.put_batch(&[2], &act, 2).unwrap(); // prefix change
+        assert!(shards().is_empty(), "the old prefix's shard must go");
+        c.persist().unwrap();
+        drop(c);
+        fs::write(&manifest, b"garbage").unwrap();
+        let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
+        assert_eq!(c.stats().corrupt_entries, 1);
+        assert!(shards().is_empty() && !manifest.exists(), "a degraded open starts empty");
+        c.put_batch(&[3], &act, 2).unwrap();
+        c.persist().unwrap();
+        drop(c);
+        let recoded = StoreConfig {
+            codec: egeria_store::StoreCodec::Raw,
+            ..cfg
+        };
+        let c = ActivationCache::with_store(&dir, 5, recoded).unwrap();
+        assert!(shards().is_empty(), "undecodable shards of the old codec must go");
+        assert_eq!(c.stats().corrupt_entries, 0);
+        for f in &foreign {
+            assert!(f.exists(), "{} was removed", f.display());
+        }
+    }
+
+    #[test]
     fn chunked_prefix_change_invalidates_store() {
         let mut c = chunked_cache("ck_prefix", 5);
         let act = Tensor::ones(&[1, 2]);

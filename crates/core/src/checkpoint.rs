@@ -21,8 +21,8 @@
 //! Version history: v2 added the freeze-policy state block
 //! ([`crate::policy::PolicyState`]) to the freezer section. v3 appended
 //! the activation-cache backend kind (`cache_store`) so a resumed run can
-//! detect a backend switch and wipe the incompatible cache layout instead
-//! of silently recomputing against garbage files. Older files are still
+//! detect a backend switch and start from an empty cache instead of
+//! reading the other layout's files. Older files are still
 //! decodable — v1 freezer state upgrades with [`PolicyState::legacy`]
 //! (those runs were always paper-policy driven), and v≤2 upgrades with
 //! `cache_store = "flat"` (the only backend that existed).
@@ -121,7 +121,7 @@ pub struct TrainerCheckpoint {
     /// Input bytes accumulated so far.
     pub input_bytes: u64,
     /// Activation-cache backend name (`"flat"` / `"chunked"`) the run was
-    /// using; a resumed run on a different backend wipes the cache dir
+    /// using; a resumed run on a different backend invalidates its cache
     /// instead of reading a foreign layout. v≤2 files decode as `"flat"`.
     pub cache_store: String,
 }

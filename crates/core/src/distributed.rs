@@ -48,11 +48,6 @@ impl DataParallel {
         self.replicas[0].as_ref()
     }
 
-    /// Mutable rank-0 replica.
-    pub fn primary_mut(&mut self) -> &mut dyn Model {
-        self.replicas[0].as_mut()
-    }
-
     /// Applies a freeze decision to every replica (the controller's
     /// broadcast in Figure 5).
     pub fn freeze_prefix(&mut self, k: usize) -> Result<()> {

@@ -7,7 +7,7 @@
 //! shared mechanics — trackers, front cursor, event log, telemetry, tail
 //! guard — and delegates freeze/unfreeze/hold to the configured policy.
 
-use crate::config::{EgeriaConfig, PolicyKind, UnfreezePolicy};
+use crate::config::{EgeriaConfig, UnfreezePolicy};
 use crate::plasticity::{PlasticityObservation, PlasticityTracker, TrackerSnapshot};
 use crate::policy::{build_policy, FreezePolicy, PolicyAction, PolicyState, PostCtx, PreCtx};
 use egeria_obs::Telemetry;
@@ -103,11 +103,6 @@ impl FreezingEngine {
     /// The stable short name of the driving policy.
     pub fn policy_name(&self) -> &'static str {
         self.policy.name()
-    }
-
-    /// The kind of the driving policy.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
     }
 
     /// Attaches a telemetry handle: every plasticity evaluation bumps

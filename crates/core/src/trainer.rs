@@ -574,8 +574,8 @@ impl EgeriaRun {
         // used a different cache backend, the on-disk layout in the cache
         // dir belongs to the other world (flat sample files vs chunked
         // shards). Invalidate so the resumed run starts from a clean cache.
-        // (A chunked run wipes the directory; a flat run removes only flat
-        // entries, so it leaves a chunked run's shards behind, unread.)
+        // (Either backend removes only the files of its own layout, so the
+        // other layout's files stay behind, unread.)
         if let Some(c) = self.cache.as_mut() {
             if c.store_kind().name() != ckpt.cache_store {
                 eprintln!(
@@ -633,11 +633,6 @@ impl EgeriaTrainer {
     /// Access to the trained model after (or during) training.
     pub fn model(&self) -> &dyn Model {
         self.model.as_ref()
-    }
-
-    /// Mutable access to the model (snapshotting between runs).
-    pub fn model_mut(&mut self) -> &mut dyn Model {
-        self.model.as_mut()
     }
 
     /// Runs the full training loop.

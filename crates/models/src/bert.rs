@@ -13,7 +13,7 @@ use egeria_nn::embedding::Embedding;
 use egeria_nn::layer::{Layer, Mode};
 use egeria_nn::linear::Linear;
 use egeria_nn::loss::cross_entropy;
-use egeria_nn::Parameter;
+use egeria_nn::{Network, Parameter};
 use egeria_tensor::{Result, Rng, Tensor, TensorError};
 
 /// BERT-style model hyperparameters.
@@ -50,106 +50,104 @@ pub struct BertQa {
     cfg: BertConfig,
     seed: u64,
     embed: Embedding,
-    blocks: Vec<EncoderBlock>,
+    /// The encoder blocks: the freezable chain, and the only place the
+    /// frozen prefix is recorded.
+    net: Network,
     span_head: Linear,
-    frozen: usize,
 }
 
 impl BertQa {
     /// Creates the model from a config and init seed.
     pub fn new(name: impl Into<String>, cfg: BertConfig, seed: u64) -> Result<Self> {
         let mut rng = Rng::new(seed);
-        let mut blocks = Vec::with_capacity(cfg.layers);
+        let mut net = Network::new();
         for i in 0..cfg.layers {
-            blocks.push(EncoderBlock::new(
-                &format!("block.{i}"),
-                cfg.d_model,
-                cfg.heads,
-                cfg.d_ff,
-                &mut rng,
-            )?);
+            let name = format!("block.{i}");
+            let block = EncoderBlock::new(&name, cfg.d_model, cfg.heads, cfg.d_ff, &mut rng)?;
+            net.add_block(name, Box::new(block));
         }
         Ok(BertQa {
             name: name.into(),
             cfg,
             seed,
             embed: Embedding::new("embed", cfg.vocab, cfg.d_model, true, &mut rng),
-            blocks,
+            net,
             // Two logits per token: span start and span end.
             span_head: Linear::new("span_head", cfg.d_model, 2, true, &mut rng),
-            frozen: 0,
         })
     }
 
-    fn tokens(batch: &Batch) -> Result<&[Vec<usize>]> {
-        match &batch.input {
-            Input::Tokens(t) => Ok(t),
-            _ => Err(TensorError::Numerical("bert needs token input".into())),
-        }
-    }
-
-    fn spans(targets: &Targets) -> Result<&[(usize, usize)]> {
-        match targets {
-            Targets::Spans(s) => Ok(s),
-            _ => Err(TensorError::Numerical("bert needs span targets".into())),
-        }
-    }
-
-    /// Forward returning `(start_logits, end_logits)`, each `(b, t)`.
-    fn forward_spans(
+    /// The model's one call into the block walk: modules `start..until`,
+    /// entered from the embedded tokens (the embedding is part of module
+    /// 0), or — a cached step — from `resume = (start, output of module
+    /// start − 1)`.
+    fn walk(
         &mut self,
-        tokens: &[Vec<usize>],
+        batch: &Batch,
+        resume: Option<(usize, &Tensor)>,
+        until: usize,
         mode: Mode,
         capture: Option<usize>,
-    ) -> Result<(Tensor, Tensor, Option<Tensor>)> {
-        let mut h = self
-            .embed
-            .forward_ids(tokens, if self.frozen > 0 { Mode::Eval } else { mode })?;
-        let mut captured = None;
-        for (i, b) in self.blocks.iter_mut().enumerate() {
-            let m = if i < self.frozen { Mode::Eval } else { mode };
-            h = b.forward(&h, m)?;
-            if capture == Some(i) {
-                captured = Some(h.clone());
+    ) -> Result<(Tensor, Option<Tensor>)> {
+        let embedded;
+        let (start, x) = match (resume, &batch.input) {
+            (Some(at), _) => at,
+            (None, Input::Tokens(tokens)) => {
+                embedded = self.embed.forward_ids(tokens, mode)?;
+                (0, &embedded)
             }
-        }
-        let logits = self.span_head.forward(&h, mode)?; // (b, t, 2)
-        let b = logits.dims()[0];
-        let t = logits.dims()[1];
-        let mut start = Tensor::zeros(&[b, t]);
-        let mut end = Tensor::zeros(&[b, t]);
-        for bi in 0..b {
-            for ti in 0..t {
-                start.data_mut()[bi * t + ti] = logits.data()[(bi * t + ti) * 2];
-                end.data_mut()[bi * t + ti] = logits.data()[(bi * t + ti) * 2 + 1];
-            }
-        }
-        Ok((start, end, captured))
+            (None, _) => return Err(TensorError::Numerical("bert needs token input".into())),
+        };
+        self.net.forward_range(start..until, x, mode, capture)
     }
 
-    fn backward_spans(&mut self, g_start: &Tensor, g_end: &Tensor) -> Result<usize> {
-        let b = g_start.dims()[0];
-        let t = g_start.dims()[1];
-        let mut g = Tensor::zeros(&[b, t, 2]);
-        for bi in 0..b {
-            for ti in 0..t {
-                g.data_mut()[(bi * t + ti) * 2] = g_start.data()[bi * t + ti];
-                g.data_mut()[(bi * t + ti) * 2 + 1] = g_end.data()[bi * t + ti];
+    /// The loss tail: span head, start/end split, and the mean of the two
+    /// cross-entropies. Returns `(loss, ∂loss/∂head logits, mean span F1)`;
+    /// the F1 is only computed in `Mode::Eval`.
+    fn loss(&mut self, h: &Tensor, targets: &Targets, mode: Mode) -> Result<(f32, Tensor, f32)> {
+        let Targets::Spans(spans) = targets else {
+            return Err(TensorError::Numerical("bert needs span targets".into()));
+        };
+        let logits = self.span_head.forward(h, mode)?; // (b, t, 2)
+        let dims = [logits.dims()[0], logits.dims()[1]];
+        let start = Tensor::from_vec(logits.data().iter().step_by(2).copied().collect(), &dims)?;
+        let end = Tensor::from_vec(logits.data().iter().skip(1).step_by(2).copied().collect(), &dims)?;
+        let (starts, ends): (Vec<usize>, Vec<usize>) = spans.iter().copied().unzip();
+        let (l1, g1) = cross_entropy(&start, &starts, 0.0)?;
+        let (l2, g2) = cross_entropy(&end, &ends, 0.0)?;
+        let interleaved = g1.data().iter().zip(g2.data()).flat_map(|(&s, &e)| [s, e]);
+        let grad = Tensor::from_vec(interleaved.collect(), logits.dims())?;
+        let mut f1 = 0.0f32;
+        if mode == Mode::Eval {
+            let (ps, pe) = (start.argmax_last()?, end.argmax_last()?);
+            for ((&s, &e), &gold) in ps.iter().zip(pe.iter()).zip(spans.iter()) {
+                f1 += span_f1((s, e), gold);
             }
+            f1 /= spans.len().max(1) as f32;
         }
-        let mut gh = self.span_head.backward(&g)?;
-        let mut ran = 0usize;
-        for (i, blk) in self.blocks.iter_mut().enumerate().rev() {
-            if i < self.frozen {
-                break;
-            }
-            gh = blk.backward(&gh)?;
-            ran += 1;
+        Ok((0.5 * (l1 + l2), grad, f1))
+    }
+
+    /// One training step: walk (from the tokens, or resumed), loss, backward.
+    fn step(
+        &mut self,
+        batch: &Batch,
+        resume: Option<(usize, &Tensor)>,
+        capture: Option<usize>,
+    ) -> Result<StepResult> {
+        let n = self.net.num_blocks();
+        let (h, captured) = self.walk(batch, resume, n, Mode::Train, capture)?;
+        let (loss, grad, _) = self.loss(&h, &batch.targets, Mode::Train)?;
+        let gh = self.span_head.backward(&grad)?;
+        let (g_in, ran) = self.net.backward(gh)?;
+        if self.net.frozen_prefix() == 0 {
+            self.embed.backward_ids(&g_in)?;
         }
-        if self.frozen == 0 {
-            self.embed.backward_ids(&gh)?;
-        }
-        Ok(ran)
+        Ok(StepResult {
+            loss,
+            captured,
+            modules_backpropped: ran,
+        })
     }
 }
 
@@ -176,49 +174,38 @@ impl Model for BertQa {
     }
 
     fn modules(&self) -> Vec<ModuleMeta> {
-        let n = self.blocks.len();
-        self.blocks
+        let mut mods: Vec<ModuleMeta> = self
+            .net
+            .blocks()
             .iter()
-            .enumerate()
-            .map(|(i, b)| {
-                let mut params: usize = b.params().iter().map(|p| p.numel()).sum();
-                if i == 0 {
-                    params += self.embed.table.numel();
-                }
-                if i == n - 1 {
-                    params += self
-                        .span_head
-                        .params()
-                        .iter()
-                        .map(|p| p.numel())
-                        .sum::<usize>();
-                }
-                ModuleMeta {
-                    name: format!("block.{i}"),
-                    param_count: params,
-                }
+            .map(|b| ModuleMeta {
+                name: b.name.clone(),
+                param_count: b.param_count(),
             })
-            .collect()
+            .collect();
+        // The embedding is folded into the first module, the head into the last.
+        if let Some(first) = mods.first_mut() {
+            first.param_count += self.embed.table.numel();
+        }
+        if let Some(last) = mods.last_mut() {
+            last.param_count += self.span_head.param_count();
+        }
+        mods
     }
 
     fn frozen_prefix(&self) -> usize {
-        self.frozen
+        self.net.frozen_prefix()
     }
 
     fn freeze_prefix(&mut self, k: usize) -> Result<()> {
-        if k >= self.blocks.len() {
+        if k >= self.net.num_blocks() {
             return Err(TensorError::Numerical(format!(
                 "cannot freeze {k} of {} bert modules",
-                self.blocks.len()
+                self.net.num_blocks()
             )));
         }
-        for (i, b) in self.blocks.iter_mut().enumerate() {
-            for p in b.params_mut() {
-                p.requires_grad = i >= k;
-            }
-        }
+        self.net.freeze_prefix(k)?;
         self.embed.table.requires_grad = k == 0;
-        self.frozen = k;
         Ok(())
     }
 
@@ -227,121 +214,53 @@ impl Model for BertQa {
     }
 
     fn train_step(&mut self, batch: &Batch, capture: Option<usize>) -> Result<StepResult> {
-        let tokens = Self::tokens(batch)?.to_vec();
-        let spans = Self::spans(&batch.targets)?.to_vec();
-        let (start, end, captured) = self.forward_spans(&tokens, Mode::Train, capture)?;
-        let starts: Vec<usize> = spans.iter().map(|s| s.0).collect();
-        let ends: Vec<usize> = spans.iter().map(|s| s.1).collect();
-        let (l1, g1) = cross_entropy(&start, &starts, 0.0)?;
-        let (l2, g2) = cross_entropy(&end, &ends, 0.0)?;
-        let ran = self.backward_spans(&g1, &g2)?;
-        Ok(StepResult {
-            loss: 0.5 * (l1 + l2),
-            captured,
-            modules_backpropped: ran,
-        })
+        self.step(batch, None, capture)
     }
 
     fn supports_cached_fp(&self, prefix: usize) -> bool {
-        prefix > 0 && prefix < self.blocks.len()
+        prefix > 0 && prefix < self.net.num_blocks()
     }
 
     fn train_step_from(
         &mut self,
         batch: &Batch,
         prefix: usize,
-        prefix_activation: &egeria_tensor::Tensor,
+        prefix_activation: &Tensor,
         capture: Option<usize>,
     ) -> Result<StepResult> {
         if !self.supports_cached_fp(prefix) {
             return Err(TensorError::AxisOutOfRange {
                 axis: prefix,
-                rank: self.blocks.len(),
+                rank: self.net.num_blocks(),
             });
         }
-        let spans = Self::spans(&batch.targets)?.to_vec();
-        let mut h = prefix_activation.clone();
-        let mut captured = None;
-        for (i, b) in self.blocks.iter_mut().enumerate().skip(prefix) {
-            h = b.forward(&h, Mode::Train)?;
-            if capture == Some(i) {
-                captured = Some(h.clone());
-            }
-        }
-        let logits = self.span_head.forward(&h, Mode::Train)?;
-        let b = logits.dims()[0];
-        let t = logits.dims()[1];
-        let mut start = Tensor::zeros(&[b, t]);
-        let mut end = Tensor::zeros(&[b, t]);
-        for bi in 0..b {
-            for ti in 0..t {
-                start.data_mut()[bi * t + ti] = logits.data()[(bi * t + ti) * 2];
-                end.data_mut()[bi * t + ti] = logits.data()[(bi * t + ti) * 2 + 1];
-            }
-        }
-        let starts: Vec<usize> = spans.iter().map(|s| s.0).collect();
-        let ends: Vec<usize> = spans.iter().map(|s| s.1).collect();
-        let (l1, g1) = cross_entropy(&start, &starts, 0.0)?;
-        let (l2, g2) = cross_entropy(&end, &ends, 0.0)?;
-        let ran = self.backward_spans(&g1, &g2)?;
-        Ok(StepResult {
-            loss: 0.5 * (l1 + l2),
-            captured,
-            modules_backpropped: ran,
-        })
+        self.step(batch, Some((prefix, prefix_activation)), capture)
     }
 
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
-        let tokens = Self::tokens(batch)?.to_vec();
-        let spans = Self::spans(&batch.targets)?.to_vec();
-        let (start, end, _) = self.forward_spans(&tokens, Mode::Eval, None)?;
-        let starts: Vec<usize> = spans.iter().map(|s| s.0).collect();
-        let ends: Vec<usize> = spans.iter().map(|s| s.1).collect();
-        let (l1, _) = cross_entropy(&start, &starts, 0.0)?;
-        let (l2, _) = cross_entropy(&end, &ends, 0.0)?;
-        let ps = start.argmax_last()?;
-        let pe = end.argmax_last()?;
-        let mut f1 = 0.0f32;
-        for ((&s, &e), &(gs, ge)) in ps.iter().zip(pe.iter()).zip(spans.iter()) {
-            f1 += span_f1((s, e), (gs, ge));
-        }
-        let n = spans.len().max(1);
+        let (h, _) = self.walk(batch, None, self.net.num_blocks(), Mode::Eval, None)?;
+        let (loss, _, metric) = self.loss(&h, &batch.targets, Mode::Eval)?;
         Ok(EvalResult {
-            loss: 0.5 * (l1 + l2),
-            metric: f1 / n as f32,
-            count: n,
+            loss,
+            metric,
+            count: batch.input.batch_size(),
         })
     }
 
     fn capture_activation(&mut self, batch: &Batch, module: usize) -> Result<Tensor> {
-        let tokens = Self::tokens(batch)?.to_vec();
-        if module >= self.blocks.len() {
-            return Err(TensorError::AxisOutOfRange {
-                axis: module,
-                rank: self.blocks.len(),
-            });
-        }
-        let mut h = self.embed.forward_ids(&tokens, Mode::Eval)?;
-        for b in self.blocks.iter_mut().take(module + 1) {
-            h = b.forward(&h, Mode::Eval)?;
-        }
-        Ok(h)
+        Ok(self.walk(batch, None, module.saturating_add(1), Mode::Eval, None)?.0)
     }
 
     fn params(&self) -> Vec<&Parameter> {
         let mut v = vec![&self.embed.table];
-        for b in &self.blocks {
-            v.extend(b.params());
-        }
+        v.extend(self.net.params());
         v.extend(self.span_head.params());
         v
     }
 
     fn params_mut(&mut self) -> Vec<&mut Parameter> {
         let mut v = vec![&mut self.embed.table];
-        for b in &mut self.blocks {
-            v.extend(b.params_mut());
-        }
+        v.extend(self.net.params_mut());
         v.extend(self.span_head.params_mut());
         v
     }
@@ -419,8 +338,9 @@ mod tests {
         let b = batch(12, 2, 6);
         let r = m.train_step(&b, None).unwrap();
         assert_eq!(r.modules_backpropped, 1);
-        assert!(m.blocks[0].params().iter().all(|p| p.grad.is_none()));
-        assert!(m.blocks[2].params().iter().any(|p| p.grad.is_some()));
+        let blocks = m.net.blocks();
+        assert!(blocks[0].layer().params().iter().all(|p| p.grad.is_none()));
+        assert!(blocks[2].layer().params().iter().any(|p| p.grad.is_some()));
         assert!(m.embed.table.grad.is_none());
     }
 

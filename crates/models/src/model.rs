@@ -1,4 +1,20 @@
 //! The uniform model interface Egeria trains through.
+//!
+//! Every family implements the four forward entry points below as ranges of
+//! one walk over its modules — `nn::Network::forward_range`, the only loop
+//! that decides what a frozen module does (the Transformer's two-input
+//! decoder stack keeps the one other loop) — followed by one `loss` tail:
+//!
+//! | entry point | modules run | mode | capture |
+//! |---|---|---|---|
+//! | `train_step` | all | `Train` (frozen ⇒ `Eval`) | the hooked module, if any |
+//! | `train_step_from` | `prefix..`, from the cached output of `prefix − 1` | same | same, `≥ prefix` |
+//! | `eval_batch` | all | `Eval` | none |
+//! | `capture_activation` | `..= module` | `Eval` | the range's output |
+//!
+//! So a frozen module computes the same function in all four, which is what
+//! lets a cached step resume from a stored activation and a reference probe
+//! be compared with a training hook.
 
 use crate::input::{Batch, EvalResult, StepResult};
 use egeria_nn::Parameter;

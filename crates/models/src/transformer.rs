@@ -14,13 +14,10 @@ use egeria_nn::attention::MultiHeadAttention;
 use egeria_nn::embedding::Embedding;
 use egeria_nn::layer::{Layer, Mode};
 use egeria_nn::linear::Linear;
-use egeria_nn::loss::cross_entropy;
+use egeria_nn::loss::{accuracy, cross_entropy};
 use egeria_nn::norm::LayerNorm;
-use egeria_nn::Parameter;
+use egeria_nn::{Network, Parameter};
 use egeria_tensor::{Result, Rng, Tensor, TensorError};
-
-/// Borrowed `(source, target)` token sequences from a seq2seq batch.
-type SeqPair<'a> = (&'a [Vec<usize>], &'a [Vec<usize>]);
 
 /// One post-LN encoder block: self-attention + feed-forward, each with a
 /// residual connection and layer norm.
@@ -235,41 +232,38 @@ impl TransformerConfig {
 }
 
 /// An encoder–decoder Transformer exposed as freezable layer modules.
+///
+/// Module indexing: `0..encoders` are the encoder blocks, then the decoders.
 pub struct Seq2SeqTransformer {
     name: String,
     cfg: TransformerConfig,
     seed: u64,
     src_embed: Embedding,
     tgt_embed: Embedding,
-    encoders: Vec<EncoderBlock>,
+    /// The encoder stack: a freezable chain that records its own share of
+    /// the frozen prefix.
+    encoders: Network,
     decoders: Vec<DecoderBlock>,
     generator: Linear,
-    frozen: usize,
+    /// How far the frozen prefix reaches into the decoder stack; non-zero
+    /// only when every encoder is frozen.
+    frozen_decoders: usize,
 }
 
 impl Seq2SeqTransformer {
     /// Creates a Transformer from a config and an init seed.
     pub fn new(name: impl Into<String>, cfg: TransformerConfig, seed: u64) -> Result<Self> {
         let mut rng = Rng::new(seed);
-        let mut encoders = Vec::with_capacity(cfg.encoders);
+        let (d, heads, d_ff) = (cfg.d_model, cfg.heads, cfg.d_ff);
+        let mut encoders = Network::new();
         for i in 0..cfg.encoders {
-            encoders.push(EncoderBlock::new(
-                &format!("encoder.{i}"),
-                cfg.d_model,
-                cfg.heads,
-                cfg.d_ff,
-                &mut rng,
-            )?);
+            let name = format!("encoder.{i}");
+            let block = EncoderBlock::new(&name, d, heads, d_ff, &mut rng)?;
+            encoders.add_block(name, Box::new(block));
         }
         let mut decoders = Vec::with_capacity(cfg.decoders);
         for i in 0..cfg.decoders {
-            decoders.push(DecoderBlock::new(
-                &format!("decoder.{i}"),
-                cfg.d_model,
-                cfg.heads,
-                cfg.d_ff,
-                &mut rng,
-            )?);
+            decoders.push(DecoderBlock::new(&format!("decoder.{i}"), d, heads, d_ff, &mut rng)?);
         }
         Ok(Seq2SeqTransformer {
             name: name.into(),
@@ -280,82 +274,112 @@ impl Seq2SeqTransformer {
             encoders,
             decoders,
             generator: Linear::new("generator", cfg.d_model, cfg.vocab, true, &mut rng),
-            frozen: 0,
+            frozen_decoders: 0,
         })
     }
 
-    fn seq_input(batch: &Batch) -> Result<SeqPair<'_>> {
-        match &batch.input {
-            Input::Seq2Seq { src, tgt } => Ok((src, tgt)),
-            _ => Err(TensorError::Numerical("transformer needs seq2seq input".into())),
-        }
+    fn num_modules(&self) -> usize {
+        self.encoders.num_blocks() + self.decoders.len()
     }
 
-    fn flat_targets(targets: &Targets) -> Result<Vec<usize>> {
-        match targets {
-            Targets::TokenTargets(ts) => Ok(ts.iter().flatten().copied().collect()),
-            _ => Err(TensorError::Numerical("transformer needs token targets".into())),
-        }
-    }
-
-    fn module_mode(&self, module: usize, mode: Mode) -> Mode {
-        if module < self.frozen {
-            Mode::Eval
-        } else {
-            mode
-        }
-    }
-
-    /// Full forward pass; optionally captures the output of one module.
-    ///
-    /// Module indexing: `0..encoders` are encoder blocks, then decoders.
-    fn forward_full(
+    /// The model's one walk over modules `start..until`, entered from the
+    /// embedded source tokens (part of module 0), or — a cached step — from
+    /// `resume = (start, output of module start − 1)` with `start` inside
+    /// the encoder stack or at its end. Encoder modules go through the
+    /// [`Network`] walk; the decoder stack takes two inputs and keeps the
+    /// one loop of its own. Returns the last module's output and a copy of
+    /// module `capture`'s.
+    fn walk(
         &mut self,
-        src: &[Vec<usize>],
-        tgt: &[Vec<usize>],
+        batch: &Batch,
+        resume: Option<(usize, &Tensor)>,
+        until: usize,
         mode: Mode,
         capture: Option<usize>,
     ) -> Result<(Tensor, Option<Tensor>)> {
-        let ne = self.encoders.len();
-        let mut captured = None;
-        let mut h = self.src_embed.forward_ids(src, self.module_mode(0, mode))?;
-        for (i, enc) in self.encoders.iter_mut().enumerate() {
-            let m = if i < self.frozen { Mode::Eval } else { mode };
-            h = enc.forward(&h, m)?;
-            if capture == Some(i) {
-                captured = Some(h.clone());
-            }
+        let Input::Seq2Seq { src, tgt } = &batch.input else {
+            return Err(TensorError::Numerical("transformer needs seq2seq input".into()));
+        };
+        let ne = self.encoders.num_blocks();
+        let start = resume.map_or(0, |(start, _)| start);
+        let modules = start..until;
+        if start > ne
+            || modules.is_empty()
+            || until > self.num_modules()
+            || capture.is_some_and(|c| !modules.contains(&c))
+        {
+            return Err(TensorError::AxisOutOfRange {
+                axis: until,
+                rank: self.num_modules(),
+            });
         }
-        let memory = h;
-        let mut d = self
-            .tgt_embed
-            .forward_ids(tgt, self.module_mode(ne, mode))?;
-        for (j, dec) in self.decoders.iter_mut().enumerate() {
-            let m = if ne + j < self.frozen { Mode::Eval } else { mode };
-            d = dec.forward_dec(&d, &memory, m)?;
+        let (embedded, encoded);
+        let x = match resume {
+            Some((_, activation)) => activation,
+            None => {
+                embedded = self.src_embed.forward_ids(src, mode)?;
+                &embedded
+            }
+        };
+        let mut captured = None;
+        // Resumed at the encoder/decoder boundary, `x` already is the memory.
+        let memory = if start < ne {
+            let enc_capture = capture.filter(|&c| c < ne);
+            let (h, c) = self.encoders.forward_range(start..until.min(ne), x, mode, enc_capture)?;
+            if until <= ne {
+                return Ok((h, c));
+            }
+            (encoded, captured) = (h, c);
+            &encoded
+        } else {
+            x
+        };
+        let mut d = self.tgt_embed.forward_ids(tgt, mode)?;
+        for (j, dec) in self.decoders.iter_mut().enumerate().take(until - ne) {
+            let m = if j < self.frozen_decoders { Mode::Eval } else { mode };
+            d = dec.forward_dec(&d, memory, m)?;
             if capture == Some(ne + j) {
                 captured = Some(d.clone());
             }
         }
-        let logits = self.generator.forward(&d, mode)?;
-        Ok((logits, captured))
+        Ok((d, captured))
     }
 
-    /// Backward through the decoder stack, the memory, and the active
-    /// encoder suffix. Returns the number of modules backpropagated.
-    fn backward_full(&mut self, g_logits: &Tensor) -> Result<usize> {
-        let ne = self.encoders.len();
-        let mut ran = 0usize;
-        let mut g = self.generator.backward(g_logits)?;
+    /// The loss tail: generator, row-flattened logits, token cross-entropy.
+    /// Returns `(loss, ∂loss/∂logits, token accuracy)`. Training smooths the
+    /// labels and skips the accuracy; `Mode::Eval` reports the unsmoothed
+    /// loss (for perplexity) and the accuracy.
+    fn loss(&mut self, d: &Tensor, targets: &Targets, mode: Mode) -> Result<(f32, Tensor, f32)> {
+        let Targets::TokenTargets(targets) = targets else {
+            return Err(TensorError::Numerical("transformer needs token targets".into()));
+        };
+        let targets: Vec<usize> = targets.iter().flatten().copied().collect();
+        let logits = self.generator.forward(d, mode)?;
+        let flat = logits.reshape(&[logits.numel() / self.cfg.vocab, self.cfg.vocab])?;
+        let (smoothing, metric) = match mode {
+            Mode::Train => (0.1, 0.0),
+            Mode::Eval => (0.0, accuracy(&flat, &targets)?),
+        };
+        let (loss, grad) = cross_entropy(&flat, &targets, smoothing)?;
+        Ok((loss, grad.reshape(logits.dims())?, metric))
+    }
+
+    /// One training step: walk (from the tokens, or resumed), loss, then
+    /// backward through the active decoders, the memory, and the active
+    /// encoder suffix.
+    fn step(
+        &mut self,
+        batch: &Batch,
+        resume: Option<(usize, &Tensor)>,
+        capture: Option<usize>,
+    ) -> Result<StepResult> {
+        let n = self.num_modules();
+        let (d, captured) = self.walk(batch, resume, n, Mode::Train, capture)?;
+        let (loss, grad, _) = self.loss(&d, &batch.targets, Mode::Train)?;
+        let mut g = self.generator.backward(&grad)?;
         let mut g_memory: Option<Tensor> = None;
-        for (j, dec) in self.decoders.iter_mut().enumerate().rev() {
-            if ne + j < self.frozen {
-                // Frozen decoder prefix: no decoder gradients needed at all,
-                // and with all encoders necessarily frozen too, no memory
-                // gradient is needed either.
-                g_memory = None;
-                break;
-            }
+        let mut ran = 0usize;
+        for dec in self.decoders[self.frozen_decoders..].iter_mut().rev() {
             let (gx, gm) = dec.backward_dec(&g)?;
             g = gx;
             g_memory = Some(match g_memory {
@@ -364,27 +388,22 @@ impl Seq2SeqTransformer {
             });
             ran += 1;
         }
-        if self.frozen <= ne {
-            if let Some(mut gm) = g_memory {
-                for (i, enc) in self.encoders.iter_mut().enumerate().rev() {
-                    if i < self.frozen {
-                        break;
-                    }
-                    gm = enc.backward(&gm)?;
-                    ran += 1;
-                }
-                if self.frozen == 0 {
-                    self.src_embed.backward_ids(&gm)?;
-                }
+        // A frozen decoder prefix means the target embedding (part of the
+        // first decoder module) and every encoder are frozen too: neither
+        // `g` nor the memory gradient has anywhere to go.
+        if let (Some(gm), 0) = (g_memory, self.frozen_decoders) {
+            self.tgt_embed.backward_ids(&g)?;
+            let (g_src, encoders_ran) = self.encoders.backward(gm)?;
+            if self.encoders.frozen_prefix() == 0 {
+                self.src_embed.backward_ids(&g_src)?;
             }
+            ran += encoders_ran;
         }
-        if self.frozen < ne + self.decoders.len() {
-            // Target embedding belongs to the first decoder module.
-            if self.frozen <= ne {
-                self.tgt_embed.backward_ids(&g)?;
-            }
-        }
-        Ok(ran)
+        Ok(StepResult {
+            loss,
+            captured,
+            modules_backpropped: ran,
+        })
     }
 }
 
@@ -394,55 +413,51 @@ impl Model for Seq2SeqTransformer {
     }
 
     fn modules(&self) -> Vec<ModuleMeta> {
-        let mut v = Vec::new();
-        for (i, e) in self.encoders.iter().enumerate() {
-            let mut params: usize = e.params().iter().map(|p| p.numel()).sum();
-            if i == 0 {
-                params += self.src_embed.table.numel();
-            }
-            v.push(ModuleMeta {
-                name: format!("encoder.{i}"),
-                param_count: params,
-            });
-        }
+        // Each embedding is folded into the first module of its stack, the
+        // generator into the last decoder.
         let nd = self.decoders.len();
-        for (j, d) in self.decoders.iter().enumerate() {
+        let encoders = self.encoders.blocks().iter().enumerate().map(|(i, e)| {
+            let embed = if i == 0 { self.src_embed.table.numel() } else { 0 };
+            ModuleMeta {
+                name: e.name.clone(),
+                param_count: e.param_count() + embed,
+            }
+        });
+        let decoders = self.decoders.iter().enumerate().map(|(j, d)| {
             let mut params: usize = d.params().iter().map(|p| p.numel()).sum();
             if j == 0 {
                 params += self.tgt_embed.table.numel();
             }
             if j == nd - 1 {
-                params += self.generator.params().iter().map(|p| p.numel()).sum::<usize>();
+                params += self.generator.param_count();
             }
-            v.push(ModuleMeta {
+            ModuleMeta {
                 name: format!("decoder.{j}"),
                 param_count: params,
-            });
-        }
-        v
+            }
+        });
+        encoders.chain(decoders).collect()
     }
 
     fn frozen_prefix(&self) -> usize {
-        self.frozen
+        self.encoders.frozen_prefix() + self.frozen_decoders
     }
 
     fn freeze_prefix(&mut self, k: usize) -> Result<()> {
-        let n = self.encoders.len() + self.decoders.len();
+        let n = self.num_modules();
         if k >= n {
             return Err(TensorError::Numerical(format!(
                 "cannot freeze {k} of {n} transformer modules"
             )));
         }
-        let ne = self.encoders.len();
-        for (i, e) in self.encoders.iter_mut().enumerate() {
-            e.set_trainable(i >= k);
-        }
+        let ne = self.encoders.num_blocks();
+        self.encoders.freeze_prefix(k.min(ne))?;
+        self.frozen_decoders = k.saturating_sub(ne);
         for (j, d) in self.decoders.iter_mut().enumerate() {
-            d.set_trainable(ne + j >= k);
+            d.set_trainable(j >= self.frozen_decoders);
         }
         self.src_embed.table.requires_grad = k == 0;
         self.tgt_embed.table.requires_grad = k <= ne;
-        self.frozen = k;
         Ok(())
     }
 
@@ -451,26 +466,14 @@ impl Model for Seq2SeqTransformer {
     }
 
     fn train_step(&mut self, batch: &Batch, capture: Option<usize>) -> Result<StepResult> {
-        let (src, tgt) = Self::seq_input(batch)?;
-        let targets = Self::flat_targets(&batch.targets)?;
-        let (logits, captured) = self.forward_full(src, tgt, Mode::Train, capture)?;
-        let rows = logits.numel() / self.cfg.vocab;
-        let flat = logits.reshape(&[rows, self.cfg.vocab])?;
-        let (loss, grad) = cross_entropy(&flat, &targets, 0.1)?;
-        let g = grad.reshape(logits.dims())?;
-        let ran = self.backward_full(&g)?;
-        Ok(StepResult {
-            loss,
-            captured,
-            modules_backpropped: ran,
-        })
+        self.step(batch, None, capture)
     }
 
     fn supports_cached_fp(&self, prefix: usize) -> bool {
         // The boundary activation is a single tensor only within the
         // encoder stack (a decoder-side boundary would additionally need
         // the memory tensor).
-        prefix > 0 && prefix <= self.encoders.len()
+        prefix > 0 && prefix <= self.encoders.num_blocks()
     }
 
     fn train_step_from(
@@ -483,52 +486,15 @@ impl Model for Seq2SeqTransformer {
         if !self.supports_cached_fp(prefix) {
             return Err(TensorError::AxisOutOfRange {
                 axis: prefix,
-                rank: self.encoders.len() + self.decoders.len(),
+                rank: self.num_modules(),
             });
         }
-        let (_, tgt) = Self::seq_input(batch)?;
-        let tgt = tgt.to_vec();
-        let targets = Self::flat_targets(&batch.targets)?;
-        let ne = self.encoders.len();
-        let mut captured = None;
-        // Resume encoding above the frozen boundary.
-        let mut h = prefix_activation.clone();
-        for (i, enc) in self.encoders.iter_mut().enumerate().skip(prefix) {
-            h = enc.forward(&h, Mode::Train)?;
-            if capture == Some(i) {
-                captured = Some(h.clone());
-            }
-        }
-        let memory = h;
-        let mut d = self.tgt_embed.forward_ids(&tgt, Mode::Train)?;
-        for (j, dec) in self.decoders.iter_mut().enumerate() {
-            d = dec.forward_dec(&d, &memory, Mode::Train)?;
-            if capture == Some(ne + j) {
-                captured = Some(d.clone());
-            }
-        }
-        let logits = self.generator.forward(&d, Mode::Train)?;
-        let rows = logits.numel() / self.cfg.vocab;
-        let flat = logits.reshape(&[rows, self.cfg.vocab])?;
-        let (loss, grad) = cross_entropy(&flat, &targets, 0.1)?;
-        let g = grad.reshape(logits.dims())?;
-        let ran = self.backward_full(&g)?;
-        Ok(StepResult {
-            loss,
-            captured,
-            modules_backpropped: ran,
-        })
+        self.step(batch, Some((prefix, prefix_activation)), capture)
     }
 
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
-        let (src, tgt) = Self::seq_input(batch)?;
-        let targets = Self::flat_targets(&batch.targets)?;
-        let (logits, _) = self.forward_full(src, tgt, Mode::Eval, None)?;
-        let rows = logits.numel() / self.cfg.vocab;
-        let flat = logits.reshape(&[rows, self.cfg.vocab])?;
-        // Unsmoothed loss for perplexity reporting.
-        let (loss, _) = cross_entropy(&flat, &targets, 0.0)?;
-        let metric = egeria_nn::loss::accuracy(&flat, &targets)?;
+        let (d, _) = self.walk(batch, None, self.num_modules(), Mode::Eval, None)?;
+        let (loss, _, metric) = self.loss(&d, &batch.targets, Mode::Eval)?;
         Ok(EvalResult {
             loss,
             metric,
@@ -537,28 +503,13 @@ impl Model for Seq2SeqTransformer {
     }
 
     fn capture_activation(&mut self, batch: &Batch, module: usize) -> Result<Tensor> {
-        let (src, tgt) = Self::seq_input(batch)?;
-        let ne = self.encoders.len();
-        // Encoder captures do not need the decoder stack at all.
-        if module < ne {
-            let mut h = self.src_embed.forward_ids(src, Mode::Eval)?;
-            for enc in self.encoders.iter_mut().take(module + 1) {
-                h = enc.forward(&h, Mode::Eval)?;
-            }
-            return Ok(h);
-        }
-        let (_, captured) = self.forward_full(src, tgt, Mode::Eval, Some(module))?;
-        captured.ok_or_else(|| TensorError::AxisOutOfRange {
-            axis: module,
-            rank: ne + self.decoders.len(),
-        })
+        // Stops after `module`: an encoder capture never touches the decoders.
+        Ok(self.walk(batch, None, module.saturating_add(1), Mode::Eval, None)?.0)
     }
 
     fn params(&self) -> Vec<&Parameter> {
         let mut v = vec![&self.src_embed.table, &self.tgt_embed.table];
-        for e in &self.encoders {
-            v.extend(e.params());
-        }
+        v.extend(self.encoders.params());
         for d in &self.decoders {
             v.extend(d.params());
         }
@@ -568,9 +519,7 @@ impl Model for Seq2SeqTransformer {
 
     fn params_mut(&mut self) -> Vec<&mut Parameter> {
         let mut v = vec![&mut self.src_embed.table, &mut self.tgt_embed.table];
-        for e in &mut self.encoders {
-            v.extend(e.params_mut());
-        }
+        v.extend(self.encoders.params_mut());
         for d in &mut self.decoders {
             v.extend(d.params_mut());
         }
@@ -641,9 +590,9 @@ mod tests {
         // 1 encoder frozen → 1 encoder + 2 decoders backprop.
         assert_eq!(r.modules_backpropped, 3);
         // Frozen encoder params kept no gradient.
-        let frozen_grads: Vec<bool> = m.encoders[0].params().iter().map(|p| p.grad.is_some()).collect();
-        assert!(frozen_grads.iter().all(|&g| !g));
-        assert!(m.encoders[1].params().iter().any(|p| p.grad.is_some()));
+        let encoders = m.encoders.blocks();
+        assert!(encoders[0].layer().params().iter().all(|p| p.grad.is_none()));
+        assert!(encoders[1].layer().params().iter().any(|p| p.grad.is_some()));
     }
 
     #[test]

@@ -52,21 +52,6 @@ impl VisionModel {
         &self.net
     }
 
-    /// Mutable access to the underlying network.
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    fn image_of(batch: &Batch) -> Result<&Tensor> {
-        match &batch.input {
-            Input::Image(t) => Ok(t),
-            other => Err(TensorError::Numerical(format!(
-                "vision model got non-image input with batch size {}",
-                other.batch_size()
-            ))),
-        }
-    }
-
     /// Flattens segmentation logits `(n, k, h, w)` into `(n·h·w, k)` rows.
     fn seg_rows(&self, logits: &Tensor) -> Result<Tensor> {
         logits.permute(&[0, 2, 3, 1])?.reshape(&[
@@ -81,7 +66,32 @@ impl VisionModel {
         grad.reshape(&[n, h, w, k])?.permute(&[0, 3, 1, 2])
     }
 
-    fn loss_and_grad(&self, logits: &Tensor, targets: &Targets) -> Result<(f32, Tensor, f32)> {
+    /// The model's one call into the block walk: modules `start..until`,
+    /// entered from the batch's image, or — a cached step — from
+    /// `resume = (start, output of module start − 1)`.
+    fn walk(
+        &mut self,
+        batch: &Batch,
+        resume: Option<(usize, &Tensor)>,
+        until: usize,
+        mode: Mode,
+        capture: Option<usize>,
+    ) -> Result<(Tensor, Option<Tensor>)> {
+        let (start, x) = match (resume, &batch.input) {
+            (Some(at), _) => at,
+            (None, Input::Image(t)) => (0, t),
+            (None, other) => {
+                return Err(TensorError::Numerical(format!(
+                    "vision model got non-image input with batch size {}",
+                    other.batch_size()
+                )))
+            }
+        };
+        self.net.forward_range(start..until, x, mode, capture)
+    }
+
+    /// The loss tail: `(loss, ∂loss/∂logits, task metric)`.
+    fn loss(&self, logits: &Tensor, targets: &Targets) -> Result<(f32, Tensor, f32)> {
         match (self.task, targets) {
             (VisionTask::Classification, Targets::Classes(ys)) => {
                 let (loss, grad) = cross_entropy(logits, ys, 0.0)?;
@@ -99,6 +109,24 @@ impl VisionModel {
                 "target kind does not match vision task".into(),
             )),
         }
+    }
+
+    /// One training step: walk (from the image, or resumed), loss, backward.
+    fn step(
+        &mut self,
+        batch: &Batch,
+        resume: Option<(usize, &Tensor)>,
+        capture: Option<usize>,
+    ) -> Result<StepResult> {
+        let n = self.net.num_blocks();
+        let (logits, captured) = self.walk(batch, resume, n, Mode::Train, capture)?;
+        let (loss, grad, _) = self.loss(&logits, &batch.targets)?;
+        let (_, ran) = self.net.backward(grad)?;
+        Ok(StepResult {
+            loss,
+            captured,
+            modules_backpropped: ran,
+        })
     }
 }
 
@@ -156,6 +184,13 @@ impl Model for VisionModel {
     }
 
     fn freeze_prefix(&mut self, k: usize) -> Result<()> {
+        // Algorithm 1 asserts `l` is never the last layer.
+        if k >= self.net.num_blocks() && k > 0 {
+            return Err(TensorError::Numerical(format!(
+                "cannot freeze {k} of {} blocks: the last block must stay active",
+                self.net.num_blocks()
+            )));
+        }
         self.net.freeze_prefix(k)
     }
 
@@ -164,21 +199,7 @@ impl Model for VisionModel {
     }
 
     fn train_step(&mut self, batch: &Batch, capture: Option<usize>) -> Result<StepResult> {
-        let x = Self::image_of(batch)?;
-        let (logits, captured) = match capture {
-            Some(idx) => {
-                let (y, a) = self.net.forward_capture(x, Mode::Train, idx)?;
-                (y, Some(a))
-            }
-            None => (self.net.forward(x, Mode::Train)?, None),
-        };
-        let (loss, grad, _) = self.loss_and_grad(&logits, &batch.targets)?;
-        let ran = self.net.backward(&grad)?;
-        Ok(StepResult {
-            loss,
-            captured,
-            modules_backpropped: ran,
-        })
+        self.step(batch, None, capture)
     }
 
     fn supports_cached_fp(&self, prefix: usize) -> bool {
@@ -198,30 +219,12 @@ impl Model for VisionModel {
                 rank: self.net.num_blocks(),
             });
         }
-        let mut cur = prefix_activation.clone();
-        let mut captured = None;
-        // Resume the forward pass at the first active block.
-        for idx in prefix..self.net.num_blocks() {
-            let block = self.net.block_mut(idx).expect("index in range");
-            let m = if block.is_frozen() { Mode::Eval } else { Mode::Train };
-            cur = block.layer_mut().forward(&cur, m)?;
-            if capture == Some(idx) {
-                captured = Some(cur.clone());
-            }
-        }
-        let (loss, grad, _) = self.loss_and_grad(&cur, &batch.targets)?;
-        let ran = self.net.backward(&grad)?;
-        Ok(StepResult {
-            loss,
-            captured,
-            modules_backpropped: ran,
-        })
+        self.step(batch, Some((prefix, prefix_activation)), capture)
     }
 
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
-        let x = Self::image_of(batch)?;
-        let logits = self.net.forward(x, Mode::Eval)?;
-        let (loss, _, metric) = self.loss_and_grad(&logits, &batch.targets)?;
+        let (logits, _) = self.walk(batch, None, self.net.num_blocks(), Mode::Eval, None)?;
+        let (loss, _, metric) = self.loss(&logits, &batch.targets)?;
         Ok(EvalResult {
             loss,
             metric,
@@ -230,8 +233,7 @@ impl Model for VisionModel {
     }
 
     fn capture_activation(&mut self, batch: &Batch, module: usize) -> Result<Tensor> {
-        let x = Self::image_of(batch)?;
-        self.net.forward_until(x, Mode::Eval, module)
+        Ok(self.walk(batch, None, module.saturating_add(1), Mode::Eval, None)?.0)
     }
 
     fn params(&self) -> Vec<&Parameter> {
@@ -275,6 +277,30 @@ impl Model for VisionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egeria_nn::linear::Linear;
+    use egeria_tensor::Rng;
+
+    #[test]
+    fn cannot_freeze_everything() {
+        let builder = || {
+            let mut rng = Rng::new(3);
+            let mut net = Network::new();
+            for (i, (d_in, d_out)) in [(4, 8), (8, 8), (8, 3)].into_iter().enumerate() {
+                let name = format!("b{i}");
+                net.add_block(name.clone(), Box::new(Linear::new(&name, d_in, d_out, true, &mut rng)));
+            }
+            net
+        };
+        let mut m = VisionModel::new("mlp", VisionTask::Classification, 3, Arc::new(builder));
+        // The chain would take 3; the model keeps its last module active.
+        for k in [3, 4] {
+            assert!(m.freeze_prefix(k).is_err());
+            assert_eq!(m.frozen_prefix(), 0);
+        }
+        m.freeze_prefix(2).unwrap();
+        assert_eq!(m.frozen_prefix(), 2);
+        assert!(!m.supports_cached_fp(3));
+    }
 
     #[test]
     fn mean_iou_perfect_and_disjoint() {

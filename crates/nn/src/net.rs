@@ -1,19 +1,34 @@
 //! A network of named, freezable layer blocks.
 //!
 //! [`Network`] is the structure Egeria's `EgeriaModule` wraps: an ordered
-//! list of *blocks* (the paper's "layer modules"), each of which can be
-//! frozen independently. The network enforces the paper's invariants:
+//! chain of *blocks* (the paper's "layer modules") of which a *prefix* is
+//! frozen (§4.2.2: "KGT monitors the frontmost active layer module to avoid
+//! a fragmented frozen model"). It is the only chain that knows what
+//! "frozen" means, and it states the rule once, in one walk:
 //!
-//! - freezing always covers a *prefix* of blocks (§4.2.2: "KGT monitors the
-//!   frontmost active layer module to avoid a fragmented frozen model"),
-//! - frozen blocks run forward in `Eval` mode, which turns BatchNorm into
-//!   dataset-statistics normalization and disables dropout (§4.3) — the
-//!   property that makes their outputs cacheable,
-//! - backward stops at the frozen/active boundary, skipping the frozen
-//!   prefix's gradient computation entirely.
+//! - [`Network::forward_range`] is the only forward loop. A frozen block
+//!   runs in `Mode::Eval` whatever mode the caller asked for — BatchNorm
+//!   normalizes with dataset statistics and dropout is the identity (§4.3),
+//!   which is what makes a frozen prefix's output cacheable; an active
+//!   block runs in the caller's mode.
+//! - Capture happens inside that walk: the output of block `capture` is
+//!   copied as the walk passes it (the forward hook of plasticity
+//!   evaluation), so a training step and a probe are the same pass.
+//! - A cached step resumes the walk at the first active block: the range
+//!   starts at the frozen-prefix length and `x` is the cached output of
+//!   the block before it. A reference capture ends the range after the
+//!   block under evaluation (§4.1.2).
+//! - [`Network::backward`] stops at the frozen/active boundary and hands
+//!   back the gradient entering the first active block.
+//!
+//! Whether the *last* block may be frozen is the owner's call: a vision or
+//! BERT model keeps its last module active (Algorithm 1 never freezes the
+//! last layer), while the Transformer's encoder stack is followed by
+//! decoder modules and may be frozen whole.
 
 use crate::layer::{Layer, Mode};
 use crate::param::Parameter;
+use std::ops::Range;
 use egeria_tensor::{Result, Tensor, TensorError};
 
 /// A named freezable unit of the network.
@@ -26,11 +41,6 @@ pub struct Block {
 }
 
 impl Block {
-    /// Whether the block is currently frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Total scalar parameters in the block.
     pub fn param_count(&self) -> usize {
         self.param_count
@@ -39,11 +49,6 @@ impl Block {
     /// Immutable access to the wrapped layer.
     pub fn layer(&self) -> &dyn Layer {
         self.layer.as_ref()
-    }
-
-    /// Mutable access to the wrapped layer.
-    pub fn layer_mut(&mut self) -> &mut dyn Layer {
-        self.layer.as_mut()
     }
 }
 
@@ -79,11 +84,6 @@ impl Network {
         &self.blocks
     }
 
-    /// Mutable access to a block by index.
-    pub fn block_mut(&mut self, idx: usize) -> Option<&mut Block> {
-        self.blocks.get_mut(idx)
-    }
-
     /// Length of the frozen prefix (0 = nothing frozen).
     pub fn frozen_prefix(&self) -> usize {
         self.blocks.iter().take_while(|b| b.frozen).count()
@@ -91,15 +91,15 @@ impl Network {
 
     /// Freezes exactly the first `k` blocks and thaws the rest.
     ///
-    /// Returns an error if `k` exceeds the block count or would freeze the
-    /// entire network (the last block must stay active — Algorithm 1 asserts
-    /// `l` is never the last layer).
+    /// Returns an error if `k` exceeds the block count. `k` may equal it:
+    /// whether the chain's last block must stay active is decided by the
+    /// model that owns the chain.
     pub fn freeze_prefix(&mut self, k: usize) -> Result<()> {
-        if k >= self.blocks.len() && !(k == 0 && self.blocks.is_empty()) {
-            return Err(TensorError::Numerical(format!(
-                "cannot freeze {k} of {} blocks: the last block must stay active",
-                self.blocks.len()
-            )));
+        if k > self.blocks.len() {
+            return Err(TensorError::AxisOutOfRange {
+                axis: k,
+                rank: self.blocks.len(),
+            });
         }
         for (i, b) in self.blocks.iter_mut().enumerate() {
             let frozen = i < k;
@@ -113,97 +113,62 @@ impl Network {
 
     /// Unfreezes every block (the LR-annealing unfreeze of §4.2.2).
     pub fn unfreeze_all(&mut self) {
-        for b in &mut self.blocks {
-            if b.frozen {
-                b.frozen = false;
-                b.layer.set_trainable(true);
-            }
-        }
+        let _ = self.freeze_prefix(0); // 0 never exceeds the block count
     }
 
-    /// Forward through all blocks; frozen blocks run in `Eval` mode.
-    pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.forward_from(0, x, mode)
-    }
-
-    /// Forward starting at block `start` from a given activation.
+    /// The block walk: runs `x` through `blocks`, frozen blocks in
+    /// `Mode::Eval` and active ones in `mode`, and returns the last block's
+    /// output together with a copy of block `capture`'s output.
     ///
-    /// This is the cached-FP entry point: when the frozen prefix's output
-    /// was read from the activation cache, training resumes here
-    /// (§4.3 of the paper).
-    pub fn forward_from(&mut self, start: usize, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        if start > self.blocks.len() {
-            return Err(TensorError::AxisOutOfRange {
-                axis: start,
-                rank: self.blocks.len(),
-            });
-        }
-        let mut cur = x.clone();
-        for b in &mut self.blocks[start..] {
-            let m = if b.frozen { Mode::Eval } else { mode };
-            cur = b.layer.forward(&cur, m)?;
-        }
-        Ok(cur)
-    }
-
-    /// Forward that additionally captures the output activation of block
-    /// `capture` (the forward hook used for plasticity evaluation).
-    pub fn forward_capture(
+    /// `blocks.start` is where a cached step resumes (with `x` the cached
+    /// output of block `start − 1`), `blocks.end` where a reference capture
+    /// stops. The input is only borrowed, so the range must hold at least
+    /// one block; an empty or out-of-range `blocks`, or a `capture` outside
+    /// it, is an error.
+    pub fn forward_range(
         &mut self,
+        blocks: Range<usize>,
         x: &Tensor,
         mode: Mode,
-        capture: usize,
-    ) -> Result<(Tensor, Tensor)> {
-        if capture >= self.blocks.len() {
-            return Err(TensorError::AxisOutOfRange {
-                axis: capture,
-                rank: self.blocks.len(),
-            });
+        capture: Option<usize>,
+    ) -> Result<(Tensor, Option<Tensor>)> {
+        let n = self.blocks.len();
+        let outside = |axis| TensorError::AxisOutOfRange { axis, rank: n };
+        if blocks.end > n {
+            return Err(outside(blocks.end));
         }
-        let mut cur = x.clone();
+        if let Some(c) = capture.filter(|c| !blocks.contains(c)) {
+            return Err(outside(c));
+        }
+        let end = blocks.end;
+        let mut cur: Option<Tensor> = None;
         let mut captured = None;
-        for (i, b) in self.blocks.iter_mut().enumerate() {
+        for i in blocks {
+            let b = &mut self.blocks[i];
             let m = if b.frozen { Mode::Eval } else { mode };
-            cur = b.layer.forward(&cur, m)?;
-            if i == capture {
-                captured = Some(cur.clone());
+            let out = b.layer.forward(cur.as_ref().unwrap_or(x), m)?;
+            if capture == Some(i) {
+                captured = Some(out.clone());
             }
+            cur = Some(out);
         }
-        Ok((cur, captured.expect("capture index checked")))
-    }
-
-    /// Forward that stops after block `until`, returning its output.
-    ///
-    /// The reference model only needs the activation of the module under
-    /// plasticity evaluation, so its forward pass ends there (§4.1.2).
-    pub fn forward_until(&mut self, x: &Tensor, mode: Mode, until: usize) -> Result<Tensor> {
-        if until >= self.blocks.len() {
-            return Err(TensorError::AxisOutOfRange {
-                axis: until,
-                rank: self.blocks.len(),
-            });
-        }
-        let mut cur = x.clone();
-        for b in &mut self.blocks[..=until] {
-            let m = if b.frozen { Mode::Eval } else { mode };
-            cur = b.layer.forward(&cur, m)?;
-        }
-        Ok(cur)
+        // An empty range ran no block, so there is no output to hand back.
+        cur.map(|y| (y, captured)).ok_or_else(|| outside(end))
     }
 
     /// Backward from the loss gradient, stopping at the frozen/active
-    /// boundary. Returns the number of blocks whose backward ran.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<usize> {
+    /// boundary. Returns the gradient entering the first active block (what
+    /// an owner's embedding needs when nothing is frozen; `grad_out` itself
+    /// when every block is) and the number of blocks whose backward ran.
+    pub fn backward(&mut self, grad_out: Tensor) -> Result<(Tensor, usize)> {
         let stop = self.frozen_prefix();
-        let mut g = grad_out.clone();
-        let mut ran = 0usize;
-        for i in (stop..self.blocks.len()).rev() {
-            // The frontmost active block still computes parameter grads but
-            // its input gradient is discarded — backpropagation ends here.
-            g = self.blocks[i].layer.backward(&g)?;
-            ran += 1;
+        let mut g = grad_out;
+        for b in self.blocks[stop..].iter_mut().rev() {
+            // The frontmost active block still computes parameter grads;
+            // what it hands back is the gradient at the frozen boundary.
+            g = b.layer.backward(&g)?;
         }
-        Ok(ran)
+        Ok((g, self.blocks.len() - stop))
     }
 
     /// All parameters, frozen or not.
@@ -329,15 +294,22 @@ mod tests {
         net
     }
 
+    /// The whole chain, no capture.
+    fn run(net: &mut Network, x: &Tensor, mode: Mode) -> Tensor {
+        let n = net.num_blocks();
+        net.forward_range(0..n, x, mode, None).unwrap().0
+    }
+
     #[test]
     fn forward_backward_all_blocks() {
         let mut rng = Rng::new(1);
         let mut net = three_block_net(&mut rng);
         let x = Tensor::randn(&[2, 4], &mut rng);
-        let y = net.forward(&x, Mode::Train).unwrap();
+        let y = run(&mut net, &x, Mode::Train);
         assert_eq!(y.dims(), &[2, 3]);
-        let ran = net.backward(&Tensor::ones(&[2, 3])).unwrap();
+        let (g_in, ran) = net.backward(Tensor::ones(&[2, 3])).unwrap();
         assert_eq!(ran, 3);
+        assert_eq!(g_in.dims(), x.dims(), "gradient entering block 0");
         assert!(net.params().iter().all(|p| p.grad.is_some()));
     }
 
@@ -348,20 +320,31 @@ mod tests {
         net.freeze_prefix(2).unwrap();
         assert_eq!(net.frozen_prefix(), 2);
         let x = Tensor::randn(&[2, 4], &mut rng);
-        let _ = net.forward(&x, Mode::Train).unwrap();
-        let ran = net.backward(&Tensor::ones(&[2, 3])).unwrap();
+        let _ = run(&mut net, &x, Mode::Train);
+        let (g_in, ran) = net.backward(Tensor::ones(&[2, 3])).unwrap();
         assert_eq!(ran, 1);
+        assert_eq!(g_in.dims(), &[2, 8], "gradient entering the first active block");
         // Frozen blocks have no grads; active block does.
         let grads: Vec<bool> = net.params().iter().map(|p| p.grad.is_some()).collect();
         assert_eq!(grads, vec![false, false, false, false, true, true]);
     }
 
     #[test]
-    fn cannot_freeze_everything() {
+    fn freezing_the_whole_chain_is_the_owners_call() {
+        // "The last module stays active" is a model-level rule
+        // (`vision::tests::cannot_freeze_everything`); the chain itself only
+        // rejects a prefix longer than it is.
         let mut rng = Rng::new(3);
         let mut net = three_block_net(&mut rng);
-        assert!(net.freeze_prefix(3).is_err());
-        assert!(net.freeze_prefix(2).is_ok());
+        assert!(net.freeze_prefix(4).is_err());
+        assert_eq!(net.frozen_prefix(), 0, "a rejected prefix changes nothing");
+        net.freeze_prefix(3).unwrap();
+        let x = Tensor::randn(&[2, 4], &mut rng);
+        let _ = run(&mut net, &x, Mode::Train);
+        let g = Tensor::ones(&[2, 3]);
+        let (g_in, ran) = net.backward(g.clone()).unwrap();
+        assert_eq!((g_in, ran), (g, 0), "nothing active: the gradient passes through");
+        assert!(net.params().iter().all(|p| p.grad.is_none()));
     }
 
     #[test]
@@ -375,13 +358,39 @@ mod tests {
     }
 
     #[test]
-    fn forward_from_matches_full_forward() {
+    fn forward_range_resumes_and_stops_bit_for_bit() {
         let mut rng = Rng::new(5);
         let mut net = three_block_net(&mut rng);
         let x = Tensor::randn(&[2, 4], &mut rng);
-        let (full, mid) = net.forward_capture(&x, Mode::Train, 0).unwrap();
-        let resumed = net.forward_from(1, &mid, Mode::Train).unwrap();
-        assert!(full.allclose(&resumed, 1e-6));
+        for cut in 0..2 {
+            let (full, mid) = net.forward_range(0..3, &x, Mode::Train, Some(cut)).unwrap();
+            let mid = mid.unwrap();
+            // Resuming after `cut` reproduces the tail; stopping at it, the head.
+            let (resumed, none) = net.forward_range(cut + 1..3, &mid, Mode::Train, None).unwrap();
+            assert_eq!(full, resumed);
+            assert!(none.is_none());
+            assert_eq!(net.forward_range(0..cut + 1, &x, Mode::Eval, None).unwrap().0, mid);
+        }
+    }
+
+    #[test]
+    fn forward_range_rejects_bad_ranges_without_panicking() {
+        let mut rng = Rng::new(9);
+        let mut net = three_block_net(&mut rng);
+        let x = Tensor::randn(&[2, 4], &mut rng);
+        let out_of_range = [0..4, 3..4, 5..9];
+        #[allow(clippy::reversed_empty_ranges)]
+        let empty = [0..0, 3..3, 2..1];
+        for r in out_of_range.into_iter().chain(empty) {
+            let err = net.forward_range(r.clone(), &x, Mode::Train, None);
+            assert!(matches!(err, Err(TensorError::AxisOutOfRange { .. })), "{r:?}");
+        }
+        // A capture index must lie inside the range that runs.
+        for (r, c) in [(0..3, 3), (1..3, 0), (0..2, 2), (0..0, 0)] {
+            let err = net.forward_range(r.clone(), &x, Mode::Train, Some(c));
+            assert!(matches!(err, Err(TensorError::AxisOutOfRange { .. })), "{r:?} capture {c}");
+        }
+        assert!(Network::new().forward_range(0..0, &x, Mode::Eval, None).is_err());
     }
 
     #[test]
@@ -414,7 +423,7 @@ mod tests {
         net.add_block("head", Box::new(Linear::new("h", 4, 2, true, &mut rng)));
         net.freeze_prefix(1).unwrap();
         let x = Tensor::randn(&[2, 4], &mut rng);
-        let _ = net.forward(&x, Mode::Train).unwrap();
-        assert_eq!(net.backward(&Tensor::ones(&[2, 2])).unwrap(), 1);
+        let _ = run(&mut net, &x, Mode::Train);
+        assert_eq!(net.backward(Tensor::ones(&[2, 2])).unwrap().1, 1);
     }
 }

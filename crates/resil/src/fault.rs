@@ -188,11 +188,6 @@ impl FaultInjector {
         );
     }
 
-    /// Disarms a site (pending fires are dropped; injection counts remain).
-    pub fn disarm(&self, site: FaultSite) {
-        self.plans.lock().remove(&site);
-    }
-
     /// Records one operation at `site` and returns the action to inject,
     /// if any. Components call this at each injection point.
     pub fn check(&self, site: FaultSite) -> Option<FaultAction> {

@@ -229,15 +229,6 @@ pub fn run_family(family: ModelFamily) -> Result<Vec<ScenarioResult>> {
     Ok(out)
 }
 
-/// Runs the full 5×5 matrix.
-pub fn run_matrix() -> Result<Vec<ScenarioResult>> {
-    let mut out = Vec::new();
-    for family in ModelFamily::all() {
-        out.extend(run_family(family)?);
-    }
-    Ok(out)
-}
-
 /// Stable label for a policy cell (`interval` carries its period).
 pub fn policy_label(policy: PolicyKind) -> String {
     match policy {

@@ -31,7 +31,7 @@
 
 use crate::chunk::ChunkBlock;
 use crate::codec::{ByteCodec, StoreCodec, Transform};
-use crate::manifest::{Manifest, ManifestEntry};
+use crate::manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
 use egeria_obs::Telemetry;
 use egeria_tensor::serialize::crc32;
 use egeria_tensor::{Result, Tensor, TensorError};
@@ -329,8 +329,8 @@ impl ChunkStore {
         self.sync_level_stats();
     }
 
-    /// Drops everything: dirty buffer, manifest, every file in the store
-    /// directory. The unfreeze-path invalidation lands here.
+    /// Drops everything: dirty buffer, manifest, every file the store wrote
+    /// into its directory. The unfreeze-path invalidation lands here.
     pub fn clear(&mut self) {
         self.dirty.clear();
         self.block_cache.clear();
@@ -653,11 +653,22 @@ fn read_extent(path: &Path, offset: u64, len: u32) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Deletes every regular file directly inside `dir` (shards, manifest).
+/// Deletes the store's own files directly inside `dir` — shards, the
+/// manifest and the temp files either is rewritten through — whichever
+/// process wrote them. A corrupt manifest cannot list its shards, so they
+/// are recognised by name; nothing else a caller-named directory holds is
+/// touched.
 fn wipe_dir(dir: &Path) {
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let _ = std::fs::remove_file(e.path());
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let stem = name.strip_suffix(".tmp").unwrap_or(name);
+        let shard = stem
+            .strip_prefix("shard_")
+            .and_then(|s| s.strip_suffix(".egs"))
+            .is_some_and(|n| n.parse::<u32>().is_ok());
+        if shard || stem == MANIFEST_FILE {
+            let _ = std::fs::remove_file(entry.path());
         }
     }
 }
@@ -665,7 +676,6 @@ fn wipe_dir(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::MANIFEST_FILE;
     use egeria_tensor::Rng;
 
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -138,11 +138,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     pub fn at(&self, index: &[usize]) -> Result<f32> {
         Ok(self.data[self.shape.offset(index)?])
@@ -547,15 +542,6 @@ impl Tensor {
         pool::for_each_chunk_mut(ThreadPool::global(), &mut self.data, |_, chunk| {
             for a in chunk {
                 *a *= s;
-            }
-        });
-    }
-
-    /// Fills the tensor with a constant.
-    pub fn fill_inplace(&mut self, v: f32) {
-        pool::for_each_chunk_mut(ThreadPool::global(), &mut self.data, |_, chunk| {
-            for a in chunk {
-                *a = v;
             }
         });
     }
