@@ -84,7 +84,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # entries (§5g).
 (cd "$trace_dir" && cargo run --release -p egeria-bench \
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_ops -- --smoke)
-for key in simd_isa qmatmul softmax adam_update; do
+for key in simd_isa qmatmul softmax adam_update pool1_ns_per_iter train_step_pool_jobs dispatch; do
     grep -q "\"$key\"" "$trace_dir/BENCH_ops.json"
 done
 

@@ -13,6 +13,18 @@
 //!   (reported in the top-level `simd_isa` field; equal to `parallel`
 //!   when the CPU has no vector unit).
 //!
+//! `matmul` and `conv2d` also carry `pool1_ns_per_iter`: the `parallel`
+//! variant on an explicit `ThreadPool::new(1)`, interleaved with the others;
+//! `parallel / pool1` is what the worker pool buys (or costs) an op.
+//! `train_step` only runs on the global pool, whose size is fixed per
+//! process, so instead of a timing the report carries
+//! `train_step_pool_jobs`: the worker dispatches the whole op made. At 0
+//! (what `tests/dispatch_budget.rs` gates on) the step executes the same
+//! code on any pool size. The `dispatch` table is the evidence behind `pool::GRAIN` (DESIGN §5b
+//! "Dispatch rule"): an empty job, four GEMM sizes and two `axpy` lengths on
+//! a 1-thread pool, on a zero-grain pool that hands every job to the
+//! workers, and on a production pool that decides by the grain.
+//!
 //! Variants are interleaved round-robin and each keeps its per-round
 //! minimum, so clock/thermal drift on a loaded box cancels instead of
 //! masquerading as speedup (same discipline as the telemetry section).
@@ -44,6 +56,9 @@ struct OpReport {
     serial_ns_per_iter: Option<u64>,
     /// Blocked backend, SIMD layer pinned to `Isa::Scalar`.
     parallel_ns_per_iter: u64,
+    /// `parallel` again on a 1-thread pool; `null` for the ops it is not
+    /// taken for.
+    pool1_ns_per_iter: Option<u64>,
     /// Blocked backend on the detected vector ISA.
     simd_ns_per_iter: u64,
     /// `serial / parallel` (the PR-2 blocked-backend win), when measured.
@@ -67,6 +82,23 @@ struct TelemetryOverheadReport {
     enabled_overhead_pct: f64,
 }
 
+/// One row of the dispatch break-even table: the same job (detected ISA)
+/// on three explicit pools.
+#[derive(Serialize)]
+struct DispatchRow {
+    job: String,
+    /// `tasks × cost` as the kernel states it to `ThreadPool::run`.
+    cost: u64,
+    /// 1-thread pool: the job's inline time.
+    pool1_ns: u64,
+    /// Zero-grain pool at the report's thread count: always handed off.
+    forced_ns: u64,
+    /// Production pool at the report's thread count: the grain decides.
+    default_ns: u64,
+    /// Whether the production pool handed the job to its workers.
+    default_dispatched: bool,
+}
+
 #[derive(Serialize)]
 struct Report {
     threads: usize,
@@ -75,6 +107,10 @@ struct Report {
     simd_isa: String,
     bit_identical_to_serial: bool,
     ops: Vec<OpReport>,
+    /// Jobs the global pool handed to its workers over the whole
+    /// `train_step` op (all rounds, both ISAs).
+    train_step_pool_jobs: usize,
+    dispatch: Vec<DispatchRow>,
     telemetry: TelemetryOverheadReport,
 }
 
@@ -86,25 +122,30 @@ fn once(f: &mut dyn FnMut()) -> u64 {
 
 /// Times one op under its variants, interleaved per round with round 0 as
 /// warmup, keeping each variant's minimum round. `serial_f` is the same op
-/// on the reference oracle, where one exists.
+/// on the reference oracle, where one exists; `pool1_ns` times one call of
+/// it on a 1-thread pool, for the ops that take that column.
 fn bench_op(
     op: &str,
     iters: u32,
     mut serial_f: Option<&mut dyn FnMut()>,
     mut f: impl FnMut(),
+    mut pool1_ns: Option<&mut dyn FnMut() -> u64>,
 ) -> OpReport {
     let vector = simd::detect();
     let with_serial = serial_f.is_some();
     let (mut serial, mut parallel, mut simd_t) = (u64::MAX, u64::MAX, u64::MAX);
+    let mut pool1 = pool1_ns.is_some().then_some(u64::MAX);
     for round in 0..=iters {
         simd::set_isa(Isa::Scalar);
         let s = serial_f.as_mut().map_or(0, |sf| once(sf));
         let p = once(&mut f);
+        let q = pool1_ns.as_mut().map(|t| t());
         simd::set_isa(vector);
         let v = once(&mut f);
         if round > 0 {
             serial = serial.min(s);
             parallel = parallel.min(p);
+            pool1 = pool1.min(q);
             simd_t = simd_t.min(v);
         }
     }
@@ -114,15 +155,18 @@ fn bench_op(
         iters,
         serial_ns_per_iter: with_serial.then_some(serial),
         parallel_ns_per_iter: parallel,
+        pool1_ns_per_iter: pool1,
         simd_ns_per_iter: simd_t,
         speedup: with_serial.then(|| serial as f64 / parallel.max(1) as f64),
         simd_speedup: parallel as f64 / simd_t.max(1) as f64,
     };
+    let or_dash = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
     println!(
-        "{:<12} serial {:>12} ns/iter   parallel {:>12} ns/iter   simd {:>12} ns/iter   blocked {}   simd {:.2}x",
+        "{:<12} serial {:>12} ns/iter   parallel {:>12} ns/iter   pool1 {:>12} ns/iter   simd {:>12} ns/iter   blocked {}   simd {:.2}x",
         r.op,
-        r.serial_ns_per_iter.map_or_else(|| "-".into(), |v| v.to_string()),
+        or_dash(r.serial_ns_per_iter),
         r.parallel_ns_per_iter,
+        or_dash(r.pool1_ns_per_iter),
         r.simd_ns_per_iter,
         r.speedup.map_or_else(|| "    -".into(), |v| format!("{v:.2}x")),
         r.simd_speedup
@@ -131,8 +175,10 @@ fn bench_op(
 }
 
 /// Blocked GEMM at the default thread count vs a 1-thread pool must agree
-/// bit-for-bit — the determinism contract the report certifies.
-fn check_bit_identical() -> bool {
+/// bit-for-bit — the determinism contract the report certifies. The shape
+/// is under the dispatch grain, so the multi-thread side is a zero-grain
+/// pool: its three row stripes really are shared with the workers.
+fn check_bit_identical(threads: usize) -> bool {
     let mut rng = Rng::new(9);
     let (m, n, k) = (130, 67, 129);
     let a = Tensor::randn(&[m, k], &mut rng);
@@ -151,8 +197,9 @@ fn check_bit_identical() -> bool {
         &mut c1,
     );
     let mut cd = vec![0.0f32; m * n];
+    let pd = ThreadPool::with_zero_grain(threads);
     gemm(
-        ThreadPool::global(),
+        &pd,
         a.data(),
         Layout::RowMajor,
         b.data(),
@@ -162,9 +209,192 @@ fn check_bit_identical() -> bool {
         k,
         &mut cd,
     );
+    assert_eq!(pd.stats().jobs, usize::from(threads > 1));
     c1.iter()
         .zip(cd.iter())
         .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Mean time of one call over `reps` back-to-back calls.
+fn per_call_ns(reps: u32, mut f: impl FnMut()) -> u64 {
+    once(&mut || {
+        for _ in 0..reps {
+            f();
+        }
+    }) / u64::from(reps)
+}
+
+/// The dispatch break-even table (see [`DispatchRow`]).
+fn bench_dispatch(smoke: bool, threads: usize) -> Vec<DispatchRow> {
+    let rounds = if smoke { 3 } else { 9 };
+    let p1 = ThreadPool::new(1);
+    let forced = ThreadPool::with_zero_grain(threads);
+    let default = ThreadPool::new(threads);
+    let mut rows = Vec::new();
+    let mut push = |job: String, cost: u64, reps: u32, f: &mut dyn FnMut(&ThreadPool)| {
+        let before = default.stats().jobs;
+        // Interleaved per round, like `bench_op`, so drift hits all three.
+        let (mut a, mut b, mut c) = (u64::MAX, u64::MAX, u64::MAX);
+        for _ in 0..rounds {
+            a = a.min(per_call_ns(reps, || f(&p1)));
+            b = b.min(per_call_ns(reps, || f(&forced)));
+            c = c.min(per_call_ns(reps, || f(&default)));
+        }
+        let row = DispatchRow {
+            job,
+            cost,
+            pool1_ns: a,
+            forced_ns: b,
+            default_ns: c,
+            default_dispatched: default.stats().jobs > before,
+        };
+        println!(
+            "dispatch {:<18} cost {:>11}   pool1 {:>9} ns   forced {:>9} ns   default {:>9} ns ({})",
+            row.job,
+            row.cost,
+            row.pool1_ns,
+            row.forced_ns,
+            row.default_ns,
+            if row.default_dispatched { "dispatched" } else { "inline" }
+        );
+        rows.push(row);
+    };
+    push("empty_2_tasks".into(), 0, 2000, &mut |p| {
+        p.run(2, 0, &|i| {
+            std::hint::black_box(i);
+        })
+    });
+    let mut rng = Rng::new(8);
+    for (m, n, k) in [(128, 64, 32), (128, 128, 128), (256, 256, 256), (512, 512, 512)] {
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let mut c = vec![0.0f32; m * n];
+        let cost = 2 * (m * n * k) as u64;
+        let reps = (100_000_000 / cost).clamp(2, 400) as u32;
+        push(format!("gemm_{m}x{n}x{k}"), cost, reps, &mut |p| {
+            c.fill(0.0);
+            let rm = Layout::RowMajor;
+            gemm(p, a.data(), rm, b.data(), rm, m, n, k, &mut c);
+            std::hint::black_box(c[0]);
+        });
+    }
+    // The streaming side of the rule: `axpy` through the chunk helper.
+    for len in [1usize << 18, 1 << 20] {
+        let mut x = vec![1.0f32; len];
+        let y = vec![0.5f32; len];
+        let reps = ((1 << 24) / len) as u32;
+        push(format!("axpy_{}k", len >> 10), 16 * len as u64, reps, &mut |p| {
+            pool::for_each_chunk_mut_zip(p, &mut x, &y, |d, s| simd::axpy(d, s, 1e-3));
+            std::hint::black_box(x[0]);
+        });
+    }
+    rows
+}
+
+/// 512³ matmul (the acceptance benchmark's canonical GEMM shape).
+fn matmul_op(smoke: bool, iters: u32, p1: &ThreadPool) -> OpReport {
+    let dim = if smoke { 192 } else { 512 };
+    let mut rng = Rng::new(1);
+    let a = Tensor::randn(&[dim, dim], &mut rng);
+    let b = Tensor::randn(&[dim, dim], &mut rng);
+    let mut serial = || {
+        let mut c = vec![0.0f32; dim * dim];
+        gemm_reference(
+            a.data(),
+            Layout::RowMajor,
+            b.data(),
+            Layout::RowMajor,
+            dim,
+            dim,
+            dim,
+            &mut c,
+        );
+        std::hint::black_box(c[0]);
+    };
+    let mut pool1 = || {
+        once(&mut || {
+            let mut c = vec![0.0f32; dim * dim];
+            let rm = Layout::RowMajor;
+            gemm(p1, a.data(), rm, b.data(), rm, dim, dim, dim, &mut c);
+            std::hint::black_box(c[0]);
+        })
+    };
+    bench_op(
+        &format!("matmul_{dim}"),
+        iters,
+        Some(&mut serial),
+        || {
+            let c = a.matmul(&b).unwrap();
+            std::hint::black_box(c.data()[0]);
+        },
+        Some(&mut pool1),
+    )
+}
+
+/// conv2d forward + both gradients (the CNN layer hot path).
+fn conv2d_op(smoke: bool, iters: u32, p1: &ThreadPool) -> OpReport {
+    use egeria_tensor::conv::{
+        conv2d, conv2d_grad_input, conv2d_grad_input_with_pool, conv2d_grad_weight,
+        conv2d_grad_weight_with_pool, conv2d_with_pool, reference, Conv2dSpec,
+    };
+    let (n, ci, co, hw) = if smoke {
+        (2, 8, 8, 12)
+    } else {
+        (4, 16, 32, 16)
+    };
+    let spec = Conv2dSpec::new(1, 1).unwrap();
+    let mut rng = Rng::new(2);
+    let x = Tensor::randn(&[n, ci, hw, hw], &mut rng);
+    let w = Tensor::randn(&[co, ci, 3, 3], &mut rng);
+    let g = Tensor::randn(&[n, co, hw, hw], &mut rng);
+    let mut serial = || {
+        let y = reference::conv2d(&x, &w, None, spec).unwrap();
+        let gx = reference::conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
+        let gw = reference::conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
+        std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
+    };
+    let mut pool1 = || {
+        once(&mut || {
+            let y = conv2d_with_pool(p1, &x, &w, None, spec).unwrap();
+            let gx = conv2d_grad_input_with_pool(p1, &g, &w, x.dims(), spec).unwrap();
+            let gw = conv2d_grad_weight_with_pool(p1, &g, &x, w.dims(), spec).unwrap();
+            std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
+        })
+    };
+    let blocked = || {
+        let y = conv2d(&x, &w, None, spec).unwrap();
+        let gx = conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
+        let gw = conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
+        std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
+    };
+    bench_op("conv2d", iters, Some(&mut serial), blocked, Some(&mut pool1))
+}
+
+/// Full ResNet train step (forward + backward through every layer; no
+/// serial variant — the oracle kernels are not a dispatch target).
+fn train_step_op(smoke: bool, iters: u32) -> OpReport {
+    let n = if smoke { 2 } else { 3 };
+    let mut model = resnet_cifar(
+        ResNetCifarConfig {
+            n,
+            width: 4,
+            classes: 8,
+            ..Default::default()
+        },
+        1,
+    );
+    let mut rng = Rng::new(3);
+    let batch = Batch {
+        input: Input::Image(Tensor::randn(&[16, 3, 10, 10], &mut rng)),
+        targets: Targets::Classes((0..16).map(|i| i % 8).collect()),
+        sample_ids: (0..16).collect(),
+    };
+    let step = || {
+        let r = model.train_step(&batch, None).unwrap();
+        model.zero_grad();
+        std::hint::black_box(r.loss);
+    };
+    bench_op("train_step", iters, None, step, None)
 }
 
 fn main() {
@@ -180,67 +410,8 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let mut ops = Vec::new();
-
-    // 512³ matmul (the acceptance benchmark's canonical GEMM shape).
-    {
-        let dim = if smoke { 192 } else { 512 };
-        let mut rng = Rng::new(1);
-        let a = Tensor::randn(&[dim, dim], &mut rng);
-        let b = Tensor::randn(&[dim, dim], &mut rng);
-        let mut serial = || {
-            let mut c = vec![0.0f32; dim * dim];
-            gemm_reference(
-                a.data(),
-                Layout::RowMajor,
-                b.data(),
-                Layout::RowMajor,
-                dim,
-                dim,
-                dim,
-                &mut c,
-            );
-            std::hint::black_box(c[0]);
-        };
-        ops.push(bench_op(
-            &format!("matmul_{dim}"),
-            iters,
-            Some(&mut serial),
-            || {
-                let c = a.matmul(&b).unwrap();
-                std::hint::black_box(c.data()[0]);
-            },
-        ));
-    }
-
-    // conv2d forward + both gradients (the CNN layer hot path).
-    {
-        use egeria_tensor::conv::{
-            conv2d, conv2d_grad_input, conv2d_grad_weight, reference, Conv2dSpec,
-        };
-        let (n, ci, co, hw) = if smoke {
-            (2, 8, 8, 12)
-        } else {
-            (4, 16, 32, 16)
-        };
-        let spec = Conv2dSpec::new(1, 1).unwrap();
-        let mut rng = Rng::new(2);
-        let x = Tensor::randn(&[n, ci, hw, hw], &mut rng);
-        let w = Tensor::randn(&[co, ci, 3, 3], &mut rng);
-        let g = Tensor::randn(&[n, co, hw, hw], &mut rng);
-        let mut serial = || {
-            let y = reference::conv2d(&x, &w, None, spec).unwrap();
-            let gx = reference::conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
-            let gw = reference::conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
-            std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
-        };
-        ops.push(bench_op("conv2d", iters, Some(&mut serial), || {
-            let y = conv2d(&x, &w, None, spec).unwrap();
-            let gx = conv2d_grad_input(&g, &w, x.dims(), spec).unwrap();
-            let gw = conv2d_grad_weight(&g, &x, w.dims(), spec).unwrap();
-            std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
-        }));
-    }
+    let p1 = ThreadPool::new(1);
+    let mut ops = vec![matmul_op(smoke, iters, &p1), conv2d_op(smoke, iters, &p1)];
 
     // Int8 qmatmul (the reference-model inference kernel; no serial
     // reference — the seed kernels have no int8 path).
@@ -254,7 +425,7 @@ fn main() {
         ops.push(bench_op("qmatmul", iters, None, || {
             let c = qmatmul(&qa, &qb).unwrap();
             std::hint::black_box(c.data()[0]);
-        }));
+        }, None));
     }
 
     // Batched softmax over the class axis (loss layer / attention shape).
@@ -265,7 +436,7 @@ fn main() {
         ops.push(bench_op("softmax", iters, None, || {
             let p = softmax_last(&x).unwrap();
             std::hint::black_box(p.data()[0]);
-        }));
+        }, None));
     }
 
     // Fused Adam parameter update (the optimizer hot loop).
@@ -281,42 +452,25 @@ fn main() {
             p.adam_update_inplace(1e-3, 1e-8, 0.9, 0.99, &m, &v)
                 .unwrap();
             std::hint::black_box(p.data()[0]);
-        }));
+        }, None));
     }
 
-    // Full ResNet train step (forward + backward through every layer; no
-    // serial variant — the oracle kernels are not a dispatch target).
-    {
-        let n = if smoke { 2 } else { 3 };
-        let mut model = resnet_cifar(
-            ResNetCifarConfig {
-                n,
-                width: 4,
-                classes: 8,
-                ..Default::default()
-            },
-            1,
-        );
-        let mut rng = Rng::new(3);
-        let batch = Batch {
-            input: Input::Image(Tensor::randn(&[16, 3, 10, 10], &mut rng)),
-            targets: Targets::Classes((0..16).map(|i| i % 8).collect()),
-            sample_ids: (0..16).collect(),
-        };
-        ops.push(bench_op("train_step", iters, None, || {
-            let r = model.train_step(&batch, None).unwrap();
-            model.zero_grad();
-            std::hint::black_box(r.loss);
-        }));
-    }
+    let jobs_before = ThreadPool::global().stats().jobs;
+    ops.push(train_step_op(smoke, iters));
+    let train_step_pool_jobs = ThreadPool::global().stats().jobs - jobs_before;
+    println!("train_step   pool jobs {train_step_pool_jobs}");
+    simd::set_isa(simd_isa);
+    let dispatch = bench_dispatch(smoke, threads);
 
     simd::set_isa(simd_isa);
     let telemetry = bench_telemetry_overhead(if smoke { 5 } else { 40 });
     let report = Report {
         threads,
         simd_isa: simd_isa.name().to_string(),
-        bit_identical_to_serial: check_bit_identical(),
+        bit_identical_to_serial: check_bit_identical(threads),
         ops,
+        train_step_pool_jobs,
+        dispatch,
         telemetry,
     };
     assert!(

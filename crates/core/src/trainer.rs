@@ -1069,6 +1069,7 @@ fn record_pool_occupancy(telemetry: &Telemetry, global_step: usize) {
     telemetry.gauge("pool.jobs").set(pool.jobs as f64);
     telemetry.gauge("pool.tasks").set(pool.tasks as f64);
     telemetry.gauge("pool.inline_jobs").set(pool.inline_jobs as f64);
+    telemetry.gauge("pool.small_jobs").set(pool.small_jobs as f64);
     telemetry.instant(
         "pool_occupancy",
         Some(global_step as u64),
@@ -1077,6 +1078,7 @@ fn record_pool_occupancy(telemetry: &Telemetry, global_step: usize) {
             ("jobs", ArgValue::U64(pool.jobs as u64)),
             ("tasks", ArgValue::U64(pool.tasks as u64)),
             ("inline_jobs", ArgValue::U64(pool.inline_jobs as u64)),
+            ("small_jobs", ArgValue::U64(pool.small_jobs as u64)),
         ],
     );
 }

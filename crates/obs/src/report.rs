@@ -224,6 +224,13 @@ pub struct TraceSummary {
     pub gauges: Vec<(String, f64)>,
 }
 
+impl TraceSummary {
+    /// The final value of gauge `name`, if the trace recorded one.
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+}
+
 fn arg_u64(obj: &Value, key: &str) -> Option<u64> {
     obj.get("args").and_then(|a| a.get(key)).and_then(Value::as_u64)
 }
@@ -365,14 +372,7 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
             transitions,
             ..resil
         };
-        let gauge = |name: &str| {
-            summary
-                .gauges
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0)
-        };
+        let gauge = |name: &str| summary.gauge(name).unwrap_or(0.0);
         summary.cache_v2 = CacheV2Stat {
             chunks_written: get("store.chunks_written"),
             bytes_raw: get("store.bytes_raw"),
@@ -581,6 +581,20 @@ pub fn render(summary: &TraceSummary) -> String {
             c.live_bytes, c.shard_files
         );
     }
+    let _ = writeln!(out, "\n== pool ==");
+    let pool = |name: &str| summary.gauge(name).unwrap_or(0.0) as u64;
+    if let Some(jobs) = summary.gauge("pool.jobs") {
+        let _ = writeln!(
+            out,
+            "{} jobs handed to the workers, {} run inline ({} of them kept inline by the grain rule), {} tasks",
+            jobs as u64,
+            pool("pool.inline_jobs"),
+            pool("pool.small_jobs"),
+            pool("pool.tasks")
+        );
+    } else {
+        let _ = writeln!(out, "(no pool occupancy recorded)");
+    }
     let _ = writeln!(out, "\n== counters ==");
     for (name, v) in &summary.counters {
         let _ = writeln!(out, "{name} = {v}");
@@ -635,6 +649,10 @@ mod tests {
         t.counter("store.corrupt_chunks").add(1);
         t.gauge("store.live_bytes").set(900.0);
         t.gauge("store.shard_files").set(2.0);
+        t.gauge("pool.jobs").set(1.0);
+        t.gauge("pool.inline_jobs").set(40.0);
+        t.gauge("pool.small_jobs").set(12.0);
+        t.gauge("pool.tasks").set(90.0);
         t.counter("resil.watchdog.respawns").add(2);
         t.counter("resil.health.degradations").add(1);
         t.counter("resil.health.recoveries").add(1);
@@ -726,6 +744,7 @@ mod tests {
             "== serve batches ==",
             "== resilience ==",
             "== cache v2 ==",
+            "== pool ==",
             "== counters ==",
         ] {
             assert!(text.contains(section), "missing {section}:\n{text}");
@@ -740,6 +759,9 @@ mod tests {
         assert!(text.contains("health recovered: cache-quarantine -> level 0"));
         assert!(text.contains("codec: 4000 raw -> 1000 encoded bytes (ratio 4.00x) over 10 chunks"));
         assert!(text.contains("footprint: 900 live bytes across 2 shard files"));
+        assert!(text.contains(
+            "1 jobs handed to the workers, 40 run inline (12 of them kept inline by the grain rule), 90 tasks"
+        ));
     }
 
     #[test]
@@ -750,6 +772,7 @@ mod tests {
         assert!(!s.resilience.any());
         let text = render(&s);
         assert!(text.contains("(no resilience events recorded)"));
+        assert!(text.contains("(no pool occupancy recorded)"));
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub fn qmatmul(a: &QTensor, b: &QTensor) -> Result<Tensor> {
     // widened loads, exact integer accumulation) before the single f32
     // rescale. Integer adds associate exactly, so results are bit-identical
     // for every thread count *and* every ISA.
-    pool::for_each_batch_mut(ThreadPool::global(), &mut out, n, |i, orow| {
+    pool::for_each_batch_mut(ThreadPool::global(), &mut out, n, (n * k) as u64, |i, orow| {
         let arow = &a.data[i * k..(i + 1) * k];
         let mut acc = vec![0i32; n];
         simd::qmatmul_row(arow, &b.data, n, &mut acc);

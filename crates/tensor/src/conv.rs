@@ -101,12 +101,19 @@ impl ColGeom {
     fn cols(&self) -> usize {
         self.oh * self.ow
     }
+    /// Flops of one image's lowered GEMM (`2·c_out·K·P`, the same for the
+    /// forward product and both gradients): the per-task cost the image
+    /// loops hand to the pool.
+    fn image_flops(&self, c_out: usize) -> u64 {
+        2 * c_out as u64 * self.rows() as u64 * self.cols() as u64
+    }
 }
 
-/// Unfolds one NCHW image into the `(c_in·kh·kw) × (oh·ow)` patch matrix.
-/// `col` is fully overwritten (padding positions become zeros).
-fn im2col(x_img: &[f32], g: ColGeom, col: &mut [f32]) {
-    col.fill(0.0);
+/// Unfolds one NCHW image into a fresh `(c_in·kh·kw) × (oh·ow)` patch
+/// matrix. The allocation's zero-fill is the only one: positions the copy
+/// loops below do not reach are the padding and stay zero.
+fn im2col(x_img: &[f32], g: ColGeom) -> Vec<f32> {
+    let mut col = vec![0.0f32; g.rows() * g.cols()];
     for ci in 0..g.c_in {
         let in_base = ci * g.h * g.w;
         for ki in 0..g.kh {
@@ -134,6 +141,7 @@ fn im2col(x_img: &[f32], g: ColGeom, col: &mut [f32]) {
             }
         }
     }
+    col
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a patch-matrix gradient back onto one
@@ -224,11 +232,11 @@ pub fn conv2d_with_pool(
     let x = input.data();
     let wd = weight.data();
     let (rows, cols) = (g.rows(), g.cols());
+    let image_flops = g.image_flops(c_out);
     let img_in = g.c_in * g.h * g.w;
     let mut out = vec![0.0f32; n * c_out * cols];
-    pool::for_each_batch_mut(pool_ref, &mut out, c_out * cols, |ni, o_img| {
-        let mut col = vec![0.0f32; rows * cols];
-        im2col(&x[ni * img_in..(ni + 1) * img_in], g, &mut col);
+    pool::for_each_batch_mut(pool_ref, &mut out, c_out * cols, image_flops, |ni, o_img| {
+        let col = im2col(&x[ni * img_in..(ni + 1) * img_in], g);
         // OUT_i = W (c_out × K) · COL_i (K × P).
         gemm(
             pool_ref,
@@ -302,10 +310,11 @@ pub fn conv2d_grad_input_with_pool(
     let go = grad_out.data();
     let wd = weight.data();
     let (rows, cols) = (g.rows(), g.cols());
+    let image_flops = g.image_flops(c_out);
     let img_in = c_in * g.h * g.w;
     let img_out = c_out * cols;
     let mut gx = vec![0.0f32; n * img_in];
-    pool::for_each_batch_mut(pool_ref, &mut gx, img_in, |ni, gx_img| {
+    pool::for_each_batch_mut(pool_ref, &mut gx, img_in, image_flops, |ni, gx_img| {
         // COLG_i = Wᵀ (K × c_out) · G_i (c_out × P); W's storage is the
         // transpose of the logical operand.
         let mut colg = vec![0.0f32; rows * cols];
@@ -375,15 +384,15 @@ pub fn conv2d_grad_weight_with_pool(
     let go = grad_out.data();
     let x = input.data();
     let (rows, cols) = (g.rows(), g.cols());
+    let image_flops = g.image_flops(c_out);
     let img_in = c_in * g.h * g.w;
     let img_out = c_out * cols;
     let w_numel = c_out * rows;
     // Per-image partials computed in parallel, then folded in ascending
     // image order so the reduction is bit-identical for any thread count.
     let mut partials = vec![0.0f32; n * w_numel];
-    pool::for_each_batch_mut(pool_ref, &mut partials, w_numel, |ni, part| {
-        let mut col = vec![0.0f32; rows * cols];
-        im2col(&x[ni * img_in..(ni + 1) * img_in], g, &mut col);
+    pool::for_each_batch_mut(pool_ref, &mut partials, w_numel, image_flops, |ni, part| {
+        let col = im2col(&x[ni * img_in..(ni + 1) * img_in], g);
         // GW_i = G_i (c_out × P) · COL_iᵀ (P × K); COL_i's storage is the
         // transpose of the logical right operand.
         gemm(
@@ -625,7 +634,8 @@ pub fn depthwise_conv2d(
     let wd = weight.data();
     let mut out = vec![0.0f32; n * c * oh * ow];
     let pad = spec.padding as isize;
-    pool::for_each_batch_mut(ThreadPool::global(), &mut out, oh * ow, |nc, o_plane| {
+    let plane_flops = 2 * (oh * ow * kh * kw) as u64;
+    pool::for_each_batch_mut(ThreadPool::global(), &mut out, oh * ow, plane_flops, |nc, o_plane| {
         let ci = nc % c;
         let in_base = nc * h * w;
         let w_base = ci * kh * kw;
@@ -669,7 +679,8 @@ pub fn depthwise_grad_input(
     let mut gx = vec![0.0f32; input_dims.iter().product()];
     let pad = spec.padding as isize;
     let _ = n;
-    pool::for_each_batch_mut(ThreadPool::global(), &mut gx, h * w, |nc, gx_plane| {
+    let plane_flops = 2 * (oh * ow * kh * kw) as u64;
+    pool::for_each_batch_mut(ThreadPool::global(), &mut gx, h * w, plane_flops, |nc, gx_plane| {
         let ci = nc % c;
         let g_base = nc * oh * ow;
         let w_base = ci * kh * kw;
@@ -712,7 +723,8 @@ pub fn depthwise_grad_weight(
     let x = input.data();
     let mut gw = vec![0.0f32; weight_dims.iter().product()];
     let pad = spec.padding as isize;
-    pool::for_each_batch_mut(ThreadPool::global(), &mut gw, kh * kw, |ci, gw_chan| {
+    let channel_flops = 2 * (n * oh * ow * kh * kw) as u64;
+    pool::for_each_batch_mut(ThreadPool::global(), &mut gw, kh * kw, channel_flops, |ci, gw_chan| {
         for ni in 0..n {
             let nc = ni * c + ci;
             let x_base = nc * h * w;

@@ -15,8 +15,9 @@
 //!   dispatched once per process to the detected ISA (bit-identical across
 //!   ISAs — DESIGN §5g).
 //!
-//! Parallelism: row blocks of A are dispatched as pool tasks; each task owns
-//! a disjoint stripe of C. Determinism: every C element accumulates its k
+//! Parallelism: row blocks of A are pool tasks, each owning a disjoint
+//! stripe of C; one `run` per call, which the pool keeps on the caller when
+//! `2·m·n·k` is under its dispatch grain. Determinism: every C element accumulates its k
 //! products in the same order (k blocks ascending, then k ascending within
 //! the microkernel) regardless of thread count or stripe assignment, so the
 //! output is bit-identical for any pool size.
@@ -28,8 +29,9 @@ use crate::simd;
 // 8-lane registers wide per row); re-exported here for the packing code and
 // the shape-aware callers/tests.
 pub use crate::simd::{MR, NR};
-/// Rows of A per cache block (multiple of [`MR`]).
-const MC: usize = 64;
+/// Rows of A per cache block (multiple of [`MR`]): the height of one
+/// row-stripe task, so a product dispatches only when `m > MC`.
+pub const MC: usize = 64;
 /// Depth of one k block: `KC × NR` floats of packed B plus `MC × KC` of
 /// packed A stay well inside L2.
 const KC: usize = 256;
@@ -157,42 +159,41 @@ pub fn gemm(
         return;
     }
 
-    // Phase 1: pack all of B once, panels in parallel (disjoint writes).
+    // Pack all of B once, on the caller: a panel is a `k × NR` copy, far
+    // below what a wake-up costs, and packing here leaves the row stripes
+    // as the call's single dispatch decision.
     let panels = n.div_ceil(NR);
     let mut packed_b = vec![0.0f32; panels * k * NR];
-    {
-        let pb = SendSlice(packed_b.as_mut_ptr());
-        pool.run(panels, &|j| {
-            // SAFETY: each task writes only its own disjoint, in-bounds
-            // `k * NR` panel of packed_b, which outlives the blocking run.
-            let dst = unsafe { std::slice::from_raw_parts_mut(pb.get().add(j * k * NR), k * NR) };
-            let mut kb = 0;
-            while kb < k {
-                let kc = KC.min(k - kb);
-                pack_b_block(
-                    &mut dst[kb * NR..(kb + kc) * NR],
-                    b,
-                    b_layout,
-                    k,
-                    n,
-                    kb,
-                    kc,
-                    j,
-                );
-                kb += kc;
-            }
-        });
+    for (j, dst) in packed_b.chunks_exact_mut(k * NR).enumerate() {
+        let mut kb = 0;
+        while kb < k {
+            let kc = KC.min(k - kb);
+            pack_b_block(
+                &mut dst[kb * NR..(kb + kc) * NR],
+                b,
+                b_layout,
+                k,
+                n,
+                kb,
+                kc,
+                j,
+            );
+            kb += kc;
+        }
     }
 
-    // Phase 2: row stripes of C in parallel; each task packs its own A
-    // block per k-block and runs the microkernel grid.
+    // Row stripes of C in parallel; each task packs its own A block per
+    // k-block and runs the microkernel grid.
     let row_blocks = m.div_ceil(MC);
+    // The call's real work spread over its stripes: a ragged last stripe
+    // is not costed as a full one.
+    let stripe_flops = 2 * (m as u64) * (n as u64) * (k as u64) / row_blocks as u64;
     let cp = SendSlice(c.as_mut_ptr());
-    pool.run(row_blocks, &|blk| {
+    pool.run(row_blocks, stripe_flops, &|blk| {
         let i0 = blk * MC;
         let rows = MC.min(m - i0);
         let strips = rows.div_ceil(MR);
-        let mut packed_a = vec![0.0f32; strips.max(1) * MR * KC];
+        let mut packed_a = vec![0.0f32; strips * MR * KC.min(k)];
         let mut kb = 0;
         while kb < k {
             let kc = KC.min(k - kb);
@@ -278,21 +279,23 @@ mod tests {
         (0..len).map(|_| rng.normal()).collect()
     }
 
+    /// Blocked result on `pool` and the reference result. Test shapes are
+    /// far under the dispatch grain, so multi-thread pools passed here are
+    /// zero-grain unless a test is pinning the inline side of the rule.
     fn run_both(
         m: usize,
         n: usize,
         k: usize,
         a_layout: Layout,
         b_layout: Layout,
-        threads: usize,
+        pool: &ThreadPool,
         seed: u64,
     ) -> (Vec<f32>, Vec<f32>) {
         let mut rng = Rng::new(seed);
         let a = random(m * k, &mut rng);
         let b = random(k * n, &mut rng);
-        let pool = ThreadPool::new(threads);
         let mut c = vec![0.0f32; m * n];
-        gemm(&pool, &a, a_layout, &b, b_layout, m, n, k, &mut c);
+        gemm(pool, &a, a_layout, &b, b_layout, m, n, k, &mut c);
         let mut c_ref = vec![0.0f32; m * n];
         gemm_reference(&a, a_layout, &b, b_layout, m, n, k, &mut c_ref);
         (c, c_ref)
@@ -300,6 +303,7 @@ mod tests {
 
     #[test]
     fn matches_reference_on_odd_shapes() {
+        let pool = ThreadPool::with_zero_grain(3);
         for &(m, n, k) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -313,7 +317,7 @@ mod tests {
                 (Layout::RowMajor, Layout::Transposed),
                 (Layout::Transposed, Layout::Transposed),
             ] {
-                let (c, c_ref) = run_both(m, n, k, la, lb, 3, 42);
+                let (c, c_ref) = run_both(m, n, k, la, lb, &pool, 42);
                 for (i, (&x, &y)) in c.iter().zip(c_ref.iter()).enumerate() {
                     assert!(
                         (x - y).abs() <= 1e-3 * (1.0 + y.abs()),
@@ -322,18 +326,48 @@ mod tests {
                 }
             }
         }
+        // The two shapes taller than one MC stripe, in all four layouts.
+        assert_eq!(pool.stats().jobs, 8);
     }
 
     #[test]
     fn bit_identical_across_thread_counts() {
-        let (m, n, k) = (77, 53, 129);
-        let base = run_both(m, n, k, Layout::RowMajor, Layout::RowMajor, 1, 7).0;
+        let (m, n, k) = (MC + 13, 53, 129);
+        let rm = Layout::RowMajor;
+        let base = run_both(m, n, k, rm, rm, &ThreadPool::new(1), 7).0;
         for threads in [2usize, 7, 8] {
-            let c = run_both(m, n, k, Layout::RowMajor, Layout::RowMajor, threads, 7).0;
-            for (a, b) in base.iter().zip(c.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
+            // Across threads (grain 0), and kept on the caller by the grain
+            // rule (production pool): same stripes, same bits.
+            let crossing = ThreadPool::with_zero_grain(threads);
+            let inline = ThreadPool::new(threads);
+            for pool in [&crossing, &inline] {
+                let c = run_both(m, n, k, rm, rm, pool, 7).0;
+                for (a, b) in base.iter().zip(c.iter()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
+                }
             }
+            assert_eq!(crossing.stats().jobs, 1, "one dispatch per gemm call");
+            assert_eq!(inline.stats().jobs, 0);
         }
+    }
+
+    #[test]
+    fn ragged_height_is_costed_by_real_work() {
+        use crate::pool::GRAIN;
+        // One row over a stripe: two tasks, but 65 rows of flops, not 128.
+        let m = MC + 1;
+        let rm = Layout::RowMajor;
+        let pool = ThreadPool::new(2);
+        let flops = |n: usize, k: usize| 2 * (m * n * k) as u64;
+        // Under the grain as it is, over it if both stripes counted as full.
+        assert!(flops(200, 200) < GRAIN && 2 * (2 * MC * 200 * 200) as u64 >= GRAIN);
+        run_both(m, 200, 200, rm, rm, &pool, 3);
+        let s = pool.stats();
+        assert_eq!((s.jobs, s.small_jobs), (0, 1));
+        assert!(flops(256, 256) >= GRAIN);
+        run_both(m, 256, 256, rm, rm, &pool, 3);
+        let s = pool.stats();
+        assert_eq!((s.jobs, s.small_jobs), (1, 1));
     }
 
     #[test]

@@ -783,7 +783,8 @@ impl Tensor {
         let b_sz = k * n;
         let o_sz = m * n;
         let pool_ref = ThreadPool::global();
-        pool::for_each_batch_mut(pool_ref, &mut out, o_sz, |bi, o_slice| {
+        let gemm_flops = 2 * (m * n * k) as u64;
+        pool::for_each_batch_mut(pool_ref, &mut out, o_sz, gemm_flops, |bi, o_slice| {
             let a_slice = &self.data[bi * a_sz..(bi + 1) * a_sz];
             let b_slice = &other.data[bi * b_sz..(bi + 1) * b_sz];
             gemm(

@@ -8,11 +8,16 @@
 //! one `KC = 256` k-block, because both kernels then fold the same
 //! products in the same order, and within float tolerance beyond that (the
 //! blocked kernel re-associates across k-blocks).
+//!
+//! The public ops run on the global pool, whose dispatch grain keeps every
+//! shape in this suite on the calling thread; `blocked_gemm_across_threads_*`
+//! holds the oracle against a zero-grain pool so the handed-off path is
+//! compared with the reference too.
 
 use egeria_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, reference, Conv2dSpec};
-use egeria_tensor::gemm::{gemm_reference, Layout};
+use egeria_tensor::gemm::{gemm, gemm_reference, Layout};
 use egeria_tensor::simd::{self, Isa};
-use egeria_tensor::{Rng, Tensor};
+use egeria_tensor::{Rng, Tensor, ThreadPool};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -109,6 +114,30 @@ fn matmul_bit_identical_to_reference_within_one_k_block() {
             "matmul ({m},{n},{k}) differs from the reference oracle"
         );
     }
+}
+
+#[test]
+fn blocked_gemm_across_threads_bit_identical_to_reference() {
+    let mut rng = Rng::new(105);
+    // Three row stripes, a ragged last panel, one k-block.
+    let (m, n, k) = (130, 67, 255);
+    let pool = ThreadPool::with_zero_grain(2);
+    let layouts = [Layout::RowMajor, Layout::Transposed];
+    for a_layout in layouts {
+        for b_layout in layouts {
+            let a = Tensor::randn(&[m * k], &mut rng);
+            let b = Tensor::randn(&[k * n], &mut rng);
+            let mut r = vec![0.0f32; m * n];
+            gemm_reference(a.data(), a_layout, b.data(), b_layout, m, n, k, &mut r);
+            let mut p = vec![0.0f32; m * n];
+            gemm(&pool, a.data(), a_layout, b.data(), b_layout, m, n, k, &mut p);
+            assert!(
+                r.iter().zip(&p).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "dispatched gemm {a_layout:?}/{b_layout:?} differs from the reference oracle"
+            );
+        }
+    }
+    assert_eq!(pool.stats().jobs, 4, "every product must have crossed threads");
 }
 
 #[test]
