@@ -21,6 +21,17 @@ cargo build --release
 [ "$(cargo tree --offline -p egeria-core -e normal | grep -c egeria-serve)" = 0 ] \
     || { echo "egeria-core depends on egeria-serve" >&2; exit 1; }
 
+# One wire layer under every on-disk format (DESIGN "On-disk formats"):
+# the `bytes` crate stays out of the workspace, and little-endian decoding
+# lives only in egeria_tensor::wire (plus the LZSS token kernel) — so a
+# sixth hand-rolled cursor cannot come back unnoticed.
+[ "$(cargo tree --offline --workspace -e normal | grep -cE '(^| )bytes v')" = 0 ] \
+    || { echo "the bytes crate is back in the workspace" >&2; exit 1; }
+stray_cursors="$(grep -rln "from_le_bytes" crates/{tensor,core,store}/src \
+    | grep -vxE 'crates/tensor/src/wire\.rs|crates/store/src/lz\.rs' || true)"
+[ -z "$stray_cursors" ] \
+    || { echo "from_le_bytes outside the wire module: $stray_cursors" >&2; exit 1; }
+
 # Workspace contract lint: the line-local rules (unsafe/SAFETY audit,
 # kernel panic ban, float exact-eq, determinism, vendored-deps) plus the
 # graph tier (panic/wallclock/entropy reachability from kernel and

@@ -23,15 +23,17 @@
 //! Sparse cells are first-class: a shuffled sampler fills slots out of
 //! order and eviction may drop a cell before it fills. The directory
 //! makes absent slots free (a miss, not an error). Every field is bounds
-//! checked on decode; violations surface as [`TensorError::Corrupt`] and
-//! the store maps that to quarantining this one chunk.
+//! checked on decode; violations surface as
+//! [`egeria_tensor::TensorError::Corrupt`] and the store maps that to
+//! quarantining this one chunk.
 
 use crate::codec::Transform;
-use egeria_tensor::{Result, TensorError};
+use egeria_tensor::wire::{put_u16, put_u32, put_u64, put_u8, Reader};
+use egeria_tensor::Result;
 use std::collections::BTreeMap;
 
 /// `"EGCB"` little-endian.
-pub const CHUNK_MAGIC: u32 = u32::from_le_bytes(*b"EGCB");
+pub const CHUNK_MAGIC: u32 = 0x4243_4745;
 /// Current block layout version.
 pub const CHUNK_VERSION: u8 = 1;
 
@@ -53,15 +55,15 @@ impl ChunkBlock {
     pub fn encode(&self) -> Vec<u8> {
         let payload: usize = self.records.values().map(|r| r.len() + 6).sum();
         let mut out = Vec::with_capacity(18 + payload);
-        out.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
-        out.push(CHUNK_VERSION);
-        out.push(self.transform.id());
-        out.extend_from_slice(&self.chunk_samples.to_le_bytes());
-        out.extend_from_slice(&self.base_id.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u16).to_le_bytes());
+        put_u32(&mut out, CHUNK_MAGIC);
+        put_u8(&mut out, CHUNK_VERSION);
+        put_u8(&mut out, self.transform.id());
+        put_u16(&mut out, self.chunk_samples);
+        put_u64(&mut out, self.base_id);
+        put_u16(&mut out, self.records.len() as u16);
         for (&slot, rec) in &self.records {
-            out.extend_from_slice(&slot.to_le_bytes());
-            out.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+            put_u16(&mut out, slot);
+            put_u32(&mut out, rec.len() as u32);
         }
         for rec in self.records.values() {
             out.extend_from_slice(rec);
@@ -71,44 +73,34 @@ impl ChunkBlock {
 
     /// Parses and validates a block.
     pub fn decode(bytes: &[u8]) -> Result<ChunkBlock> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        let magic = r.u32("magic")?;
-        if magic != CHUNK_MAGIC {
-            return Err(TensorError::Corrupt(format!(
-                "chunk: bad magic {magic:#010x}"
-            )));
-        }
-        let version = r.u8("version")?;
-        if version != CHUNK_VERSION {
-            return Err(TensorError::Corrupt(format!(
-                "chunk: unsupported version {version}"
-            )));
-        }
+        let mut r = Reader::new("chunk", bytes);
+        r.header(CHUNK_MAGIC, CHUNK_VERSION..=CHUNK_VERSION)?;
         let tid = r.u8("transform")?;
         let transform = Transform::from_id(tid)
-            .ok_or_else(|| TensorError::Corrupt(format!("chunk: unknown transform {tid}")))?;
+            .ok_or_else(|| r.corrupt(format_args!("unknown transform {tid}")))?;
         let chunk_samples = r.u16("chunk_samples")?;
         if chunk_samples == 0 {
-            return Err(TensorError::Corrupt("chunk: zero-width grid cell".into()));
+            return Err(r.corrupt("zero-width grid cell"));
         }
         let base_id = r.u64("base_id")?;
         let slot_count = r.u16("slot_count")?;
         if slot_count > chunk_samples {
-            return Err(TensorError::Corrupt(format!(
-                "chunk: {slot_count} slots in a {chunk_samples}-wide cell"
+            return Err(r.corrupt(format_args!(
+                "{slot_count} slots in a {chunk_samples}-wide cell"
             )));
         }
-        let mut dir = Vec::with_capacity(slot_count as usize);
+        let slot_count = r.count(slot_count.into(), 6, "slot")?;
+        let mut dir = Vec::with_capacity(slot_count);
         let mut prev: Option<u16> = None;
         for _ in 0..slot_count {
             let slot = r.u16("slot")?;
             if slot >= chunk_samples {
-                return Err(TensorError::Corrupt(format!(
-                    "chunk: slot {slot} outside {chunk_samples}-wide cell"
+                return Err(r.corrupt(format_args!(
+                    "slot {slot} outside {chunk_samples}-wide cell"
                 )));
             }
             if prev.is_some_and(|p| slot <= p) {
-                return Err(TensorError::Corrupt("chunk: slots not ascending".into()));
+                return Err(r.corrupt("slots not ascending"));
             }
             prev = Some(slot);
             let len = r.u32("rec_len")? as usize;
@@ -119,57 +111,13 @@ impl ChunkBlock {
             let rec = r.take(len, "record payload")?;
             records.insert(slot, rec.to_vec());
         }
-        if r.pos != bytes.len() {
-            return Err(TensorError::Corrupt(format!(
-                "chunk: {} trailing bytes",
-                bytes.len() - r.pos
-            )));
-        }
+        r.finish()?;
         Ok(ChunkBlock {
             transform,
             base_id,
             chunk_samples,
             records,
         })
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| TensorError::Corrupt(format!("chunk: truncated {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
     }
 }
 

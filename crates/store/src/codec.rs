@@ -27,7 +27,8 @@ use crate::lz;
 use crate::shuffle::{shuffle, unshuffle};
 use egeria_quant::qtensor::Granularity;
 use egeria_quant::QTensor;
-use egeria_tensor::{serialize, Result, Tensor, TensorError};
+use egeria_tensor::wire::{self, Reader};
+use egeria_tensor::{serialize, Result, Tensor};
 
 /// The user-facing codec selection. Picks a (transform, byte-codec) pair
 /// for the whole store.
@@ -119,7 +120,7 @@ impl ByteCodec {
     }
 
     /// Decodes a chunk block; corruption surfaces as
-    /// [`TensorError::Corrupt`].
+    /// [`egeria_tensor::TensorError::Corrupt`].
     pub fn decode(&self, bytes: &[u8]) -> Result<Vec<u8>> {
         match self {
             ByteCodec::Raw => Ok(bytes.to_vec()),
@@ -165,7 +166,7 @@ impl Transform {
     /// Encodes one sample tensor into a record.
     pub fn encode_sample(&self, t: &Tensor) -> Result<Vec<u8>> {
         match self {
-            Transform::Exact => Ok(serialize::to_bytes(t).to_vec()),
+            Transform::Exact => Ok(serialize::to_bytes(t)),
             Transform::F16 => Ok(encode_f16(t)),
             Transform::Int8 => encode_int8(t),
         }
@@ -178,72 +179,6 @@ impl Transform {
             Transform::F16 => decode_f16(bytes),
             Transform::Int8 => decode_int8(bytes),
         }
-    }
-}
-
-// ---- record helpers -------------------------------------------------------
-
-fn put_dims(out: &mut Vec<u8>, dims: &[usize]) {
-    out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-    for &d in dims {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-}
-
-struct RecordReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> RecordReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        RecordReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| TensorError::Corrupt(format!("record: truncated {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f32(&mut self, what: &str) -> Result<f32> {
-        let b = self.take(4, what)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn dims(&mut self) -> Result<Vec<usize>> {
-        let rank = self.u32("rank")? as usize;
-        if rank > 8 {
-            return Err(TensorError::Corrupt(format!("record: implausible rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            let b = self.take(8, "dims")?;
-            dims.push(u64::from_le_bytes([
-                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-            ]) as usize);
-        }
-        Ok(dims)
-    }
-
-    fn done(&self, what: &str) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(TensorError::Corrupt(format!(
-                "record: {} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -304,24 +239,23 @@ fn f32_of_f16_bits(h: u16) -> f32 {
 
 fn encode_f16(t: &Tensor) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + t.rank() * 8 + t.numel() * 2);
-    put_dims(&mut out, t.dims());
+    wire::put_dims(&mut out, t.dims());
     for &x in t.data() {
         let h = f16_bits_of_rounded(egeria_quant::fake::f16_round(x));
-        out.extend_from_slice(&h.to_le_bytes());
+        wire::put_u16(&mut out, h);
     }
     out
 }
 
 fn decode_f16(bytes: &[u8]) -> Result<Tensor> {
-    let mut r = RecordReader::new(bytes);
-    let dims = r.dims()?;
-    let numel: usize = dims.iter().product();
-    let mut data = Vec::with_capacity(numel);
-    for _ in 0..numel {
-        let b = r.take(2, "f16 payload")?;
-        data.push(f32_of_f16_bits(u16::from_le_bytes([b[0], b[1]])));
+    let mut r = Reader::new("f16 record", bytes);
+    let (dims, numel) = r.dims()?;
+    let n = r.count(numel as u64, 2, "payload")?;
+    let mut data = Vec::with_capacity(n);
+    for _ in 0..n {
+        data.push(f32_of_f16_bits(r.u16("payload")?));
     }
-    r.done("f16 record")?;
+    r.finish()?;
     Tensor::from_vec(data, &dims)
 }
 
@@ -331,19 +265,18 @@ fn encode_int8(t: &Tensor) -> Result<Vec<u8>> {
     let q = QTensor::quantize(t, Granularity::PerTensor)?;
     let scale = q.scales().first().copied().unwrap_or(1.0);
     let mut out = Vec::with_capacity(12 + t.rank() * 8 + q.data().len());
-    put_dims(&mut out, t.dims());
-    out.extend_from_slice(&scale.to_le_bytes());
+    wire::put_dims(&mut out, t.dims());
+    wire::put_f32(&mut out, scale);
     out.extend(q.data().iter().map(|&v| v as u8));
     Ok(out)
 }
 
 fn decode_int8(bytes: &[u8]) -> Result<Tensor> {
-    let mut r = RecordReader::new(bytes);
-    let dims = r.dims()?;
-    let scale = r.f32("int8 scale")?;
-    let numel: usize = dims.iter().product();
-    let payload = r.take(numel, "int8 payload")?;
-    r.done("int8 record")?;
+    let mut r = Reader::new("int8 record", bytes);
+    let (dims, numel) = r.dims()?;
+    let scale = r.f32("scale")?;
+    let payload = r.take(numel, "payload")?;
+    r.finish()?;
     let data: Vec<f32> = payload.iter().map(|&b| (b as i8) as f32 * scale).collect();
     Tensor::from_vec(data, &dims)
 }

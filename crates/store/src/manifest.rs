@@ -33,13 +33,13 @@
 //! counts one corrupt entry and recomputes), never an abort.
 
 use crate::codec::StoreCodec;
-use egeria_tensor::serialize::crc32;
-use egeria_tensor::{Result, TensorError};
+use egeria_tensor::wire::{crc32, put_u16, put_u32, put_u64, put_u8, Reader};
+use egeria_tensor::Result;
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// `"EGMF"` little-endian.
-pub const MANIFEST_MAGIC: u32 = u32::from_le_bytes(*b"EGMF");
+pub const MANIFEST_MAGIC: u32 = 0x464D_4745;
 /// Current manifest layout version.
 pub const MANIFEST_VERSION: u8 = 1;
 /// Manifest file name inside the store directory.
@@ -137,76 +137,55 @@ impl Manifest {
     /// Serializes the manifest, CRC trailer included.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.chunks.len() * 42 + self.shard_lens.len() * 12);
-        out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        out.push(MANIFEST_VERSION);
-        out.push(self.codec.id());
-        out.extend_from_slice(&self.chunk_samples.to_le_bytes());
-        out.extend_from_slice(&self.chunks_per_shard.to_le_bytes());
-        out.extend_from_slice(&self.clock.to_le_bytes());
-        match self.valid_prefix {
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.to_le_bytes());
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&0u64.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
+        put_u32(&mut out, MANIFEST_MAGIC);
+        put_u8(&mut out, MANIFEST_VERSION);
+        put_u8(&mut out, self.codec.id());
+        put_u16(&mut out, self.chunk_samples);
+        put_u16(&mut out, self.chunks_per_shard);
+        put_u64(&mut out, self.clock);
+        put_u8(&mut out, self.valid_prefix.is_some() as u8);
+        put_u64(&mut out, self.valid_prefix.unwrap_or(0));
+        put_u32(&mut out, self.chunks.len() as u32);
         for (&id, e) in &self.chunks {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&e.shard.to_le_bytes());
-            out.extend_from_slice(&e.offset.to_le_bytes());
-            out.extend_from_slice(&e.len.to_le_bytes());
-            out.extend_from_slice(&e.raw_len.to_le_bytes());
-            out.extend_from_slice(&e.crc.to_le_bytes());
-            out.extend_from_slice(&e.samples.to_le_bytes());
-            out.extend_from_slice(&e.last_access.to_le_bytes());
+            put_u64(&mut out, id);
+            put_u32(&mut out, e.shard);
+            put_u64(&mut out, e.offset);
+            put_u32(&mut out, e.len);
+            put_u32(&mut out, e.raw_len);
+            put_u32(&mut out, e.crc);
+            put_u16(&mut out, e.samples);
+            put_u64(&mut out, e.last_access);
         }
-        out.extend_from_slice(&(self.shard_lens.len() as u32).to_le_bytes());
+        put_u32(&mut out, self.shard_lens.len() as u32);
         for (&shard, &len) in &self.shard_lens {
-            out.extend_from_slice(&shard.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
+            put_u32(&mut out, shard);
+            put_u64(&mut out, len);
         }
         let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        put_u32(&mut out, crc);
         out
     }
 
     /// Parses and validates a serialized manifest.
     pub fn decode(bytes: &[u8]) -> Result<Manifest> {
-        if bytes.len() < 4 {
-            return Err(TensorError::Corrupt("manifest: too short".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+        let mut whole = Reader::new("manifest", bytes);
+        let body = whole.take(bytes.len().saturating_sub(4), "body")?;
+        let stored = whole.u32("crc")?;
         let actual = crc32(body);
         if stored != actual {
-            return Err(TensorError::Corrupt(format!(
-                "manifest: crc mismatch (stored {stored:#010x}, computed {actual:#010x})"
+            return Err(whole.corrupt(format_args!(
+                "crc mismatch (stored {stored:#010x}, computed {actual:#010x})"
             )));
         }
-        let mut r = Reader { buf: body, pos: 0 };
-        let magic = r.u32("magic")?;
-        if magic != MANIFEST_MAGIC {
-            return Err(TensorError::Corrupt(format!(
-                "manifest: bad magic {magic:#010x}"
-            )));
-        }
-        let version = r.u8("version")?;
-        if version != MANIFEST_VERSION {
-            return Err(TensorError::Corrupt(format!(
-                "manifest: unsupported version {version}"
-            )));
-        }
+        let mut r = Reader::new("manifest", body);
+        r.header(MANIFEST_MAGIC, MANIFEST_VERSION..=MANIFEST_VERSION)?;
         let cid = r.u8("codec")?;
         let codec = StoreCodec::from_id(cid)
-            .ok_or_else(|| TensorError::Corrupt(format!("manifest: unknown codec {cid}")))?;
+            .ok_or_else(|| r.corrupt(format_args!("unknown codec {cid}")))?;
         let chunk_samples = r.u16("chunk_samples")?;
         let chunks_per_shard = r.u16("chunks_per_shard")?;
         if chunk_samples == 0 || chunks_per_shard == 0 {
-            return Err(TensorError::Corrupt("manifest: zero-sized grid".into()));
+            return Err(r.corrupt("zero-sized grid"));
         }
         let clock = r.u64("clock")?;
         let has_prefix = r.u8("prefix flag")?;
@@ -214,11 +193,7 @@ impl Manifest {
         let valid_prefix = match has_prefix {
             0 => None,
             1 => Some(prefix_val),
-            f => {
-                return Err(TensorError::Corrupt(format!(
-                    "manifest: bad prefix flag {f}"
-                )))
-            }
+            f => return Err(r.corrupt(format_args!("bad prefix flag {f}"))),
         };
         let chunk_count = r.u32("chunk count")?;
         let mut chunks = BTreeMap::new();
@@ -234,9 +209,7 @@ impl Manifest {
                 last_access: r.u64("last_access")?,
             };
             if chunks.insert(id, e).is_some() {
-                return Err(TensorError::Corrupt(format!(
-                    "manifest: duplicate chunk {id}"
-                )));
+                return Err(r.corrupt(format_args!("duplicate chunk {id}")));
             }
         }
         let shard_count = r.u32("shard count")?;
@@ -245,30 +218,24 @@ impl Manifest {
             let shard = r.u32("shard id")?;
             let len = r.u64("shard len")?;
             if shard_lens.insert(shard, len).is_some() {
-                return Err(TensorError::Corrupt(format!(
-                    "manifest: duplicate shard {shard}"
-                )));
+                return Err(r.corrupt(format_args!("duplicate shard {shard}")));
             }
-        }
-        if r.pos != body.len() {
-            return Err(TensorError::Corrupt(format!(
-                "manifest: {} trailing bytes",
-                body.len() - r.pos
-            )));
         }
         // Cross-check extents against the shard table so a manifest that
         // passed its CRC but disagrees with itself is still rejected.
         for (&id, e) in &chunks {
             let shard_len = shard_lens.get(&e.shard).copied().ok_or_else(|| {
-                TensorError::Corrupt(format!("manifest: chunk {id} in unknown shard {}", e.shard))
+                r.corrupt(format_args!("chunk {id} in unknown shard {}", e.shard))
             })?;
-            if e.offset + e.len as u64 > shard_len {
-                return Err(TensorError::Corrupt(format!(
-                    "manifest: chunk {id} extent past end of shard {}",
+            let end = e.offset.checked_add(e.len.into());
+            if end.is_none_or(|end| end > shard_len) {
+                return Err(r.corrupt(format_args!(
+                    "chunk {id} extent past end of shard {}",
                     e.shard
                 )));
             }
         }
+        r.finish()?;
         Ok(Manifest {
             codec,
             chunk_samples,
@@ -299,45 +266,6 @@ impl Manifest {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&[u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| TensorError::Corrupt(format!("manifest: truncated {what}")))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
     }
 }
 

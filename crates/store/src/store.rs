@@ -33,7 +33,7 @@ use crate::chunk::ChunkBlock;
 use crate::codec::{ByteCodec, StoreCodec, Transform};
 use crate::manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
 use egeria_obs::Telemetry;
-use egeria_tensor::serialize::crc32;
+use egeria_tensor::wire::crc32;
 use egeria_tensor::{Result, Tensor, TensorError};
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};

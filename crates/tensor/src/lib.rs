@@ -34,6 +34,7 @@ pub mod serialize;
 pub mod shape;
 pub mod simd;
 pub mod tensor;
+pub mod wire;
 
 pub use error::{Result, TensorError};
 pub use pool::{PoolStatsSnapshot, ThreadPool};

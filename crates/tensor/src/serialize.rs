@@ -14,16 +14,17 @@
 //!   data   f32 × numel
 //! ```
 //!
-//! The header makes three classes of disk corruption detectable before any
-//! payload byte is interpreted: truncation (`payload_len` disagrees with the
-//! buffer), bit flips (`crc32` mismatch), and format drift (`version`
-//! mismatch). All three surface as [`TensorError::Corrupt`], never as a
+//! The header (the shared [`wire::frame`]) makes three classes of disk
+//! corruption detectable before any payload byte is interpreted: truncation
+//! (`payload_len` disagrees with the buffer), bit flips (`crc32` mismatch),
+//! and format drift (`version` mismatch). All three surface as
+//! [`TensorError::Corrupt`](crate::TensorError::Corrupt), never as a
 //! panic or a silently misread tensor; callers such as the activation cache
 //! degrade to recomputation on that error.
 
-use crate::error::{Result, TensorError};
+use crate::error::Result;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire;
 
 /// Magic number prefixed to every serialized tensor.
 pub const MAGIC: u32 = 0x4547_4552;
@@ -31,110 +32,32 @@ pub const MAGIC: u32 = 0x4547_4552;
 /// Current wire-format version.
 pub const FORMAT_VERSION: u8 = 2;
 
-/// Fixed header size: magic + version + payload_len + crc32.
-const HEADER_LEN: usize = 4 + 1 + 8 + 4;
-
-/// IEEE CRC-32 (the zlib/PNG polynomial), used by both the tensor format
-/// and the checkpoint container.
-pub fn crc32(data: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
-    }
-    !crc
-}
-
 /// Serializes a tensor to a byte buffer.
-pub fn to_bytes(t: &Tensor) -> Bytes {
+pub fn to_bytes(t: &Tensor) -> Vec<u8> {
     let payload_len = 4 + t.rank() * 8 + t.numel() * 4;
-    let mut payload = BytesMut::with_capacity(payload_len);
-    payload.put_u32_le(t.rank() as u32);
-    for &d in t.dims() {
-        payload.put_u64_le(d as u64);
-    }
-    for &v in t.data() {
-        payload.put_f32_le(v);
-    }
-    let payload = payload.freeze();
-
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-    buf.put_u32_le(MAGIC);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_u32_le(crc32(&payload));
-    buf.put_slice(&payload);
-    buf.freeze()
+    wire::frame(MAGIC, FORMAT_VERSION, payload_len, |out| {
+        wire::put_dims(out, t.dims());
+        for &v in t.data() {
+            wire::put_f32(out, v);
+        }
+    })
 }
 
 /// Deserializes a tensor from a byte buffer produced by [`to_bytes`].
-pub fn from_bytes(mut buf: &[u8]) -> Result<Tensor> {
-    if buf.remaining() < HEADER_LEN {
-        return Err(TensorError::Corrupt("buffer shorter than header".into()));
-    }
-    let magic = buf.get_u32_le();
-    if magic != MAGIC {
-        return Err(TensorError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    let version = buf.get_u8();
-    if version != FORMAT_VERSION {
-        return Err(TensorError::Corrupt(format!(
-            "unsupported format version {version} (expected {FORMAT_VERSION})"
-        )));
-    }
-    let payload_len = buf.get_u64_le();
-    let expected_crc = buf.get_u32_le();
-    if buf.remaining() as u64 != payload_len {
-        return Err(TensorError::Corrupt(format!(
-            "payload is {} bytes, header declares {}",
-            buf.remaining(),
-            payload_len
-        )));
-    }
-    let actual_crc = crc32(buf);
-    if actual_crc != expected_crc {
-        return Err(TensorError::Corrupt(format!(
-            "checksum mismatch: stored {expected_crc:#010x}, computed {actual_crc:#010x}"
-        )));
-    }
-
-    if buf.remaining() < 4 {
-        return Err(TensorError::Corrupt("payload shorter than rank field".into()));
-    }
-    let rank = buf.get_u32_le() as usize;
-    if rank > 8 {
-        return Err(TensorError::Corrupt(format!("implausible rank {rank}")));
-    }
-    if buf.remaining() < rank * 8 {
-        return Err(TensorError::Corrupt("truncated dims".into()));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(buf.get_u64_le() as usize);
-    }
-    let numel: usize = dims.iter().product();
-    if buf.remaining() != numel * 4 {
-        return Err(TensorError::Corrupt(format!(
-            "tensor data is {} bytes, expected {}",
-            buf.remaining(),
-            numel * 4
-        )));
-    }
-    let mut data = Vec::with_capacity(numel);
-    for _ in 0..numel {
-        data.push(buf.get_f32_le());
-    }
+pub fn from_bytes(buf: &[u8]) -> Result<Tensor> {
+    let (_, mut r) = wire::unframe("tensor", buf, MAGIC, FORMAT_VERSION..=FORMAT_VERSION)?;
+    let (dims, numel) = r.dims()?;
+    let data = r.f32s(numel as u64, "data")?;
+    r.finish()?;
     Tensor::from_vec(data, &dims)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TensorError;
     use crate::rng::Rng;
+    use crate::wire::{crc32, FRAME_HEADER_LEN as HEADER_LEN};
 
     #[test]
     fn round_trip_preserves_tensor_exactly() {
@@ -211,12 +134,5 @@ mod tests {
         buf.extend_from_slice(&payload);
         let err = from_bytes(&buf).unwrap_err();
         assert!(err.to_string().contains("rank"), "{err}");
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }
