@@ -21,12 +21,18 @@ cargo build --release
 [ "$(cargo tree --offline -p egeria-core -e normal | grep -c egeria-serve)" = 0 ] \
     || { echo "egeria-core depends on egeria-serve" >&2; exit 1; }
 
+# A std-only runtime (DESIGN §2 "Dependency justification"): every package
+# in the normal dependency graph is a workspace member — the root package or
+# one under crates/. Vendored stand-ins (proptest, criterion) may appear on
+# dev edges only.
+outside="$(cargo tree --offline --workspace -e normal --prefix none \
+    | grep -v '^$' | grep -vF -e "($PWD)" -e "($PWD/crates/" || true)"
+[ -z "$outside" ] \
+    || { echo "non-workspace packages in the runtime graph:" >&2; echo "$outside" >&2; exit 1; }
+
 # One wire layer under every on-disk format (DESIGN "On-disk formats"):
-# the `bytes` crate stays out of the workspace, and little-endian decoding
-# lives only in egeria_tensor::wire (plus the LZSS token kernel) — so a
-# sixth hand-rolled cursor cannot come back unnoticed.
-[ "$(cargo tree --offline --workspace -e normal | grep -cE '(^| )bytes v')" = 0 ] \
-    || { echo "the bytes crate is back in the workspace" >&2; exit 1; }
+# little-endian decoding lives only in egeria_tensor::wire (plus the LZSS
+# token kernel) — so a sixth hand-rolled cursor cannot come back unnoticed.
 stray_cursors="$(grep -rln "from_le_bytes" crates/{tensor,core,store}/src \
     | grep -vxE 'crates/tensor/src/wire\.rs|crates/store/src/lz\.rs' || true)"
 [ -z "$stray_cursors" ] \

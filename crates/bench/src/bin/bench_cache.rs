@@ -19,13 +19,12 @@
 
 use egeria_bench::write_json;
 use egeria_core::cache::ActivationCache;
+use egeria_obs::jsonl::Object;
 use egeria_store::{StoreCodec, StoreConfig};
 use egeria_tensor::{Rng, Tensor};
-use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-#[derive(Serialize)]
 struct ScenarioReport {
     name: String,
     samples: usize,
@@ -41,19 +40,22 @@ struct ScenarioReport {
     codec_ratio: f64,
 }
 
-#[derive(Serialize)]
-struct Report {
-    smoke: bool,
-    samples: usize,
-    batch: usize,
-    sample_floats: usize,
-    scenarios: Vec<ScenarioReport>,
-    /// flat disk bytes / chunked (lossless) disk bytes — acceptance ≥ 2.
-    footprint_ratio: f64,
-    /// flat file count / chunked (lossless) file count — acceptance ≥ 10.
-    file_ratio: f64,
-    /// chunked hit rate − flat hit rate (must not be negative).
-    hit_rate_delta: f64,
+impl ScenarioReport {
+    fn json(&self) -> Object {
+        Object::new()
+            .field("name", &self.name)
+            .field("samples", self.samples)
+            .field("put_samples_per_s", self.put_samples_per_s)
+            .field("get_samples_per_s", self.get_samples_per_s)
+            .field("disk_bytes", self.disk_bytes)
+            .field("file_count", self.file_count)
+            .field("hits", self.hits)
+            .field("misses", self.misses)
+            .field("hit_rate", self.hit_rate)
+            .field("corrupt_entries", self.corrupt_entries)
+            .field("write_errors", self.write_errors)
+            .field("codec_ratio", self.codec_ratio)
+    }
 }
 
 /// A batch of post-ReLU-like conv activations, with the two kinds of
@@ -227,17 +229,12 @@ fn main() {
 
     let flat = &scenarios[0];
     let chunked = &scenarios[1];
-    let report = Report {
-        smoke,
-        samples,
-        batch,
-        sample_floats: feat,
-        footprint_ratio: flat.disk_bytes as f64 / chunked.disk_bytes.max(1) as f64,
-        file_ratio: flat.file_count as f64 / chunked.file_count.max(1) as f64,
-        hit_rate_delta: chunked.hit_rate - flat.hit_rate,
-        scenarios,
-    };
-    for s in &report.scenarios {
+    // flat vs chunked (lossless): disk bytes (acceptance ≥ 2), file count
+    // (acceptance ≥ 10), and the hit-rate change (must not be negative).
+    let footprint_ratio = flat.disk_bytes as f64 / chunked.disk_bytes.max(1) as f64;
+    let file_ratio = flat.file_count as f64 / chunked.file_count.max(1) as f64;
+    let hit_rate_delta = chunked.hit_rate - flat.hit_rate;
+    for s in &scenarios {
         eprintln!(
             "{:<14} put {:>10.0}/s  get {:>10.0}/s  {:>12} bytes in {:>6} files  hit_rate {:.3}  codec {:.2}x",
             s.name, s.put_samples_per_s, s.get_samples_per_s, s.disk_bytes, s.file_count, s.hit_rate, s.codec_ratio
@@ -245,8 +242,18 @@ fn main() {
     }
     eprintln!(
         "footprint_ratio {:.2}x (>=2 expected), file_ratio {:.1}x (>=10 expected), hit_rate_delta {:+.4}",
-        report.footprint_ratio, report.file_ratio, report.hit_rate_delta
+        footprint_ratio, file_ratio, hit_rate_delta
     );
+    let rows: Vec<Object> = scenarios.iter().map(ScenarioReport::json).collect();
+    let report = Object::new()
+        .field("smoke", smoke)
+        .field("samples", samples)
+        .field("batch", batch)
+        .field("sample_floats", feat)
+        .field("scenarios", rows)
+        .field("footprint_ratio", footprint_ratio)
+        .field("file_ratio", file_ratio)
+        .field("hit_rate_delta", hit_rate_delta);
     write_json(Path::new("BENCH_cache.json"), &report).expect("write BENCH_cache.json");
     eprintln!("wrote BENCH_cache.json");
 }

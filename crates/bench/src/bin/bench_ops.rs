@@ -38,39 +38,17 @@ use egeria_bench::write_json;
 use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
 use egeria_models::{Batch, Input, Model, Targets};
 use egeria_nn::activation::softmax_last;
+use egeria_obs::jsonl::Object;
 use egeria_obs::Telemetry;
 use egeria_quant::qtensor::{qmatmul, Granularity, QTensor};
 use egeria_tensor::gemm::{gemm, gemm_reference, Layout};
 use egeria_tensor::simd::{self, Isa};
 use egeria_tensor::{pool, Rng, Tensor, ThreadPool};
-use serde::Serialize;
 use std::time::Instant;
-
-#[derive(Serialize)]
-struct OpReport {
-    op: String,
-    iters: u32,
-    /// Reference-oracle time; `null` for the ops the seed's serial
-    /// kernels do not implement (qmatmul/softmax/adam_update) or cannot
-    /// be routed through (a whole train step).
-    serial_ns_per_iter: Option<u64>,
-    /// Blocked backend, SIMD layer pinned to `Isa::Scalar`.
-    parallel_ns_per_iter: u64,
-    /// `parallel` again on a 1-thread pool; `null` for the ops it is not
-    /// taken for.
-    pool1_ns_per_iter: Option<u64>,
-    /// Blocked backend on the detected vector ISA.
-    simd_ns_per_iter: u64,
-    /// `serial / parallel` (the PR-2 blocked-backend win), when measured.
-    speedup: Option<f64>,
-    /// `parallel / simd`: the additional win from the vector microkernels.
-    simd_speedup: f64,
-}
 
 /// Telemetry cost on the train-step hot path: the same step loop run
 /// bare (no instrumentation), with a disabled `Telemetry` handle driving
 /// the trainer's per-iteration probe sequence, and with an enabled one.
-#[derive(Serialize)]
 struct TelemetryOverheadReport {
     bare_ns_per_iter: u64,
     disabled_ns_per_iter: u64,
@@ -82,36 +60,15 @@ struct TelemetryOverheadReport {
     enabled_overhead_pct: f64,
 }
 
-/// One row of the dispatch break-even table: the same job (detected ISA)
-/// on three explicit pools.
-#[derive(Serialize)]
-struct DispatchRow {
-    job: String,
-    /// `tasks × cost` as the kernel states it to `ThreadPool::run`.
-    cost: u64,
-    /// 1-thread pool: the job's inline time.
-    pool1_ns: u64,
-    /// Zero-grain pool at the report's thread count: always handed off.
-    forced_ns: u64,
-    /// Production pool at the report's thread count: the grain decides.
-    default_ns: u64,
-    /// Whether the production pool handed the job to its workers.
-    default_dispatched: bool,
-}
-
-#[derive(Serialize)]
-struct Report {
-    threads: usize,
-    /// The vector ISA the `simd` variant ran on (`"scalar"` when the CPU
-    /// has no supported vector unit).
-    simd_isa: String,
-    bit_identical_to_serial: bool,
-    ops: Vec<OpReport>,
-    /// Jobs the global pool handed to its workers over the whole
-    /// `train_step` op (all rounds, both ISAs).
-    train_step_pool_jobs: usize,
-    dispatch: Vec<DispatchRow>,
-    telemetry: TelemetryOverheadReport,
+impl TelemetryOverheadReport {
+    fn json(&self) -> Object {
+        Object::new()
+            .field("bare_ns_per_iter", self.bare_ns_per_iter)
+            .field("disabled_ns_per_iter", self.disabled_ns_per_iter)
+            .field("enabled_ns_per_iter", self.enabled_ns_per_iter)
+            .field("disabled_overhead_pct", self.disabled_overhead_pct)
+            .field("enabled_overhead_pct", self.enabled_overhead_pct)
+    }
 }
 
 fn once(f: &mut dyn FnMut()) -> u64 {
@@ -124,13 +81,21 @@ fn once(f: &mut dyn FnMut()) -> u64 {
 /// warmup, keeping each variant's minimum round. `serial_f` is the same op
 /// on the reference oracle, where one exists; `pool1_ns` times one call of
 /// it on a 1-thread pool, for the ops that take that column.
+///
+/// The report row's `serial_ns_per_iter` is `null` for the ops the seed's
+/// serial kernels do not implement (qmatmul/softmax/adam_update) or cannot
+/// be routed through (a whole train step), and `pool1_ns_per_iter` for the
+/// ops that column is not taken for. `parallel` is the blocked backend
+/// with the SIMD layer pinned to `Isa::Scalar`, `simd` the same backend on
+/// the detected vector ISA; `speedup` is `serial / parallel` (the PR-2
+/// blocked-backend win) and `simd_speedup` is `parallel / simd`.
 fn bench_op(
     op: &str,
     iters: u32,
     mut serial_f: Option<&mut dyn FnMut()>,
     mut f: impl FnMut(),
     mut pool1_ns: Option<&mut dyn FnMut() -> u64>,
-) -> OpReport {
+) -> Object {
     let vector = simd::detect();
     let with_serial = serial_f.is_some();
     let (mut serial, mut parallel, mut simd_t) = (u64::MAX, u64::MAX, u64::MAX);
@@ -150,28 +115,29 @@ fn bench_op(
         }
     }
     simd::set_isa(vector);
-    let r = OpReport {
-        op: op.into(),
-        iters,
-        serial_ns_per_iter: with_serial.then_some(serial),
-        parallel_ns_per_iter: parallel,
-        pool1_ns_per_iter: pool1,
-        simd_ns_per_iter: simd_t,
-        speedup: with_serial.then(|| serial as f64 / parallel.max(1) as f64),
-        simd_speedup: parallel as f64 / simd_t.max(1) as f64,
-    };
+    let serial = with_serial.then_some(serial);
+    let speedup = serial.map(|s| s as f64 / parallel.max(1) as f64);
+    let simd_speedup = parallel as f64 / simd_t.max(1) as f64;
     let or_dash = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
     println!(
         "{:<12} serial {:>12} ns/iter   parallel {:>12} ns/iter   pool1 {:>12} ns/iter   simd {:>12} ns/iter   blocked {}   simd {:.2}x",
-        r.op,
-        or_dash(r.serial_ns_per_iter),
-        r.parallel_ns_per_iter,
-        or_dash(r.pool1_ns_per_iter),
-        r.simd_ns_per_iter,
-        r.speedup.map_or_else(|| "    -".into(), |v| format!("{v:.2}x")),
-        r.simd_speedup
+        op,
+        or_dash(serial),
+        parallel,
+        or_dash(pool1),
+        simd_t,
+        speedup.map_or_else(|| "    -".into(), |v| format!("{v:.2}x")),
+        simd_speedup
     );
-    r
+    Object::new()
+        .field("op", op)
+        .field("iters", iters)
+        .field("serial_ns_per_iter", serial)
+        .field("parallel_ns_per_iter", parallel)
+        .field("pool1_ns_per_iter", pool1)
+        .field("simd_ns_per_iter", simd_t)
+        .field("speedup", speedup)
+        .field("simd_speedup", simd_speedup)
 }
 
 /// Blocked GEMM at the default thread count vs a 1-thread pool must agree
@@ -224,8 +190,13 @@ fn per_call_ns(reps: u32, mut f: impl FnMut()) -> u64 {
     }) / u64::from(reps)
 }
 
-/// The dispatch break-even table (see [`DispatchRow`]).
-fn bench_dispatch(smoke: bool, threads: usize) -> Vec<DispatchRow> {
+/// The dispatch break-even table: the same job (detected ISA) on three
+/// explicit pools. A row's `cost` is `tasks × cost` as the kernel states it
+/// to `ThreadPool::run`; `pool1_ns` is the job's inline time on a 1-thread
+/// pool, `forced_ns` a zero-grain pool at the report's thread count (always
+/// handed off), `default_ns` a production pool there (the grain decides),
+/// and `default_dispatched` whether that pool handed the job to its workers.
+fn bench_dispatch(smoke: bool, threads: usize) -> Vec<Object> {
     let rounds = if smoke { 3 } else { 9 };
     let p1 = ThreadPool::new(1);
     let forced = ThreadPool::with_zero_grain(threads);
@@ -240,24 +211,25 @@ fn bench_dispatch(smoke: bool, threads: usize) -> Vec<DispatchRow> {
             b = b.min(per_call_ns(reps, || f(&forced)));
             c = c.min(per_call_ns(reps, || f(&default)));
         }
-        let row = DispatchRow {
-            job,
-            cost,
-            pool1_ns: a,
-            forced_ns: b,
-            default_ns: c,
-            default_dispatched: default.stats().jobs > before,
-        };
+        let dispatched = default.stats().jobs > before;
         println!(
             "dispatch {:<18} cost {:>11}   pool1 {:>9} ns   forced {:>9} ns   default {:>9} ns ({})",
-            row.job,
-            row.cost,
-            row.pool1_ns,
-            row.forced_ns,
-            row.default_ns,
-            if row.default_dispatched { "dispatched" } else { "inline" }
+            job,
+            cost,
+            a,
+            b,
+            c,
+            if dispatched { "dispatched" } else { "inline" }
         );
-        rows.push(row);
+        rows.push(
+            Object::new()
+                .field("job", job)
+                .field("cost", cost)
+                .field("pool1_ns", a)
+                .field("forced_ns", b)
+                .field("default_ns", c)
+                .field("default_dispatched", dispatched),
+        );
     };
     push("empty_2_tasks".into(), 0, 2000, &mut |p| {
         p.run(2, 0, &|i| {
@@ -292,7 +264,7 @@ fn bench_dispatch(smoke: bool, threads: usize) -> Vec<DispatchRow> {
 }
 
 /// 512³ matmul (the acceptance benchmark's canonical GEMM shape).
-fn matmul_op(smoke: bool, iters: u32, p1: &ThreadPool) -> OpReport {
+fn matmul_op(smoke: bool, iters: u32, p1: &ThreadPool) -> Object {
     let dim = if smoke { 192 } else { 512 };
     let mut rng = Rng::new(1);
     let a = Tensor::randn(&[dim, dim], &mut rng);
@@ -332,7 +304,7 @@ fn matmul_op(smoke: bool, iters: u32, p1: &ThreadPool) -> OpReport {
 }
 
 /// conv2d forward + both gradients (the CNN layer hot path).
-fn conv2d_op(smoke: bool, iters: u32, p1: &ThreadPool) -> OpReport {
+fn conv2d_op(smoke: bool, iters: u32, p1: &ThreadPool) -> Object {
     use egeria_tensor::conv::{
         conv2d, conv2d_grad_input, conv2d_grad_input_with_pool, conv2d_grad_weight,
         conv2d_grad_weight_with_pool, conv2d_with_pool, reference, Conv2dSpec,
@@ -372,7 +344,7 @@ fn conv2d_op(smoke: bool, iters: u32, p1: &ThreadPool) -> OpReport {
 
 /// Full ResNet train step (forward + backward through every layer; no
 /// serial variant — the oracle kernels are not a dispatch target).
-fn train_step_op(smoke: bool, iters: u32) -> OpReport {
+fn train_step_op(smoke: bool, iters: u32) -> Object {
     let n = if smoke { 2 } else { 3 };
     let mut model = resnet_cifar(
         ResNetCifarConfig {
@@ -464,26 +436,28 @@ fn main() {
 
     simd::set_isa(simd_isa);
     let telemetry = bench_telemetry_overhead(if smoke { 5 } else { 40 });
-    let report = Report {
-        threads,
-        simd_isa: simd_isa.name().to_string(),
-        bit_identical_to_serial: check_bit_identical(threads),
-        ops,
-        train_step_pool_jobs,
-        dispatch,
-        telemetry,
-    };
+    let bit_identical = check_bit_identical(threads);
     assert!(
-        report.bit_identical_to_serial,
+        bit_identical,
         "determinism contract violated: blocked GEMM differs across thread counts"
     );
     // Five smoke rounds of a ~3 ms step cannot resolve 2 % on a busy host:
     // the smoke run reports the figure, only the full run gates on it.
     assert!(
-        smoke || report.telemetry.disabled_overhead_pct < 2.0,
+        smoke || telemetry.disabled_overhead_pct < 2.0,
         "disabled telemetry costs {:.3}% on the train step (contract: < 2%)",
-        report.telemetry.disabled_overhead_pct
+        telemetry.disabled_overhead_pct
     );
+    // `simd_isa` is `"scalar"` when the CPU has no supported vector unit;
+    // `train_step_pool_jobs` counts the whole op (all rounds, both ISAs).
+    let report = Object::new()
+        .field("threads", threads)
+        .field("simd_isa", simd_isa.name())
+        .field("bit_identical_to_serial", bit_identical)
+        .field("ops", ops)
+        .field("train_step_pool_jobs", train_step_pool_jobs)
+        .field("dispatch", dispatch)
+        .field("telemetry", telemetry.json());
     write_json(std::path::Path::new("BENCH_ops.json"), &report).expect("write BENCH_ops.json");
 }
 

@@ -15,15 +15,14 @@
 use egeria_bench::write_json;
 use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
 use egeria_models::{Batch, Input, Targets};
+use egeria_obs::jsonl::Object;
 use egeria_quant::Precision;
 use egeria_serve::{ProbeRequest, RealClock, ServeConfig, ServeEngine};
 use egeria_tensor::{Rng, Tensor};
-use serde::Serialize;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[derive(Serialize)]
 struct LoadReport {
     submitted: u64,
     completed: u64,
@@ -35,15 +34,18 @@ struct LoadReport {
     mean_batch_size: f64,
 }
 
-#[derive(Serialize)]
-struct Report {
-    workers: usize,
-    max_batch: usize,
-    max_wait_us: u64,
-    queue_depth: usize,
-    precision: String,
-    open_loop: LoadReport,
-    closed_loop: LoadReport,
+impl LoadReport {
+    fn json(&self) -> Object {
+        Object::new()
+            .field("submitted", self.submitted)
+            .field("completed", self.completed)
+            .field("shed", self.shed)
+            .field("p50_us", self.p50_us)
+            .field("p95_us", self.p95_us)
+            .field("p99_us", self.p99_us)
+            .field("throughput_rps", self.throughput_rps)
+            .field("mean_batch_size", self.mean_batch_size)
+    }
 }
 
 fn probe_batch(rng: &mut Rng, rows: usize) -> Batch {
@@ -240,14 +242,13 @@ fn main() {
         closed.throughput_rps, closed.mean_batch_size
     );
 
-    let report = Report {
-        workers: cfg.workers,
-        max_batch: cfg.max_batch,
-        max_wait_us: cfg.max_wait.as_micros() as u64,
-        queue_depth: cfg.queue_depth,
-        precision: "int8".into(),
-        open_loop: open,
-        closed_loop: closed,
-    };
+    let report = Object::new()
+        .field("workers", cfg.workers)
+        .field("max_batch", cfg.max_batch)
+        .field("max_wait_us", cfg.max_wait.as_micros() as u64)
+        .field("queue_depth", cfg.queue_depth)
+        .field("precision", "int8")
+        .field("open_loop", open.json())
+        .field("closed_loop", closed.json());
     write_json(std::path::Path::new("BENCH_serve.json"), &report).expect("write BENCH_serve.json");
 }

@@ -9,6 +9,8 @@
 use egeria_bench::experiments::{default_egeria, run_workload};
 use egeria_bench::runner::{write_csv, write_json, ResultsDir};
 use egeria_bench::workloads::Kind;
+use egeria_core::trainer::EventRecord;
+use egeria_obs::jsonl::Object;
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
@@ -31,7 +33,14 @@ fn main() {
         &rows,
     )
     .expect("write fig 12");
-    write_json(&results.path("fig12_events.json"), &out.report.events).expect("write events");
+    let event = |e: &EventRecord| {
+        Object::new()
+            .field("iteration", e.iteration)
+            .field("kind", &e.kind)
+            .field("prefix", e.prefix)
+    };
+    let events: Vec<Object> = out.report.events.iter().map(event).collect();
+    write_json(&results.path("fig12_events.json"), &events).expect("write events");
 
     // Refreeze-speed check: evaluations between an unfreeze and the next
     // freeze should be fewer than before the first freeze.

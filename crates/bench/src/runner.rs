@@ -1,6 +1,6 @@
 //! Result emission helpers shared by every experiment binary.
 
-use serde::Serialize;
+use egeria_obs::jsonl::{to_string_pretty, ToJson};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,11 +39,10 @@ pub fn write_csv(path: &Path, header: &str, rows: &[String]) -> std::io::Result<
     Ok(())
 }
 
-/// Writes a serializable value as pretty JSON.
-pub fn write_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    fs::write(path, json)?;
+/// Writes a value as pretty JSON (two-space indent, the `egeria_obs::jsonl`
+/// writer's layout).
+pub fn write_json(path: &Path, value: &impl ToJson) -> std::io::Result<()> {
+    fs::write(path, to_string_pretty(value))?;
     println!("-> wrote {}", path.display());
     Ok(())
 }
@@ -68,7 +67,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("egeria_runner_j_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.json");
-        write_json(&p, &vec![1, 2, 3]).unwrap();
-        assert!(fs::read_to_string(&p).unwrap().contains('2'));
+        write_json(&p, &vec![1u32, 2, 3]).unwrap();
+        assert_eq!(fs::read_to_string(&p).unwrap(), "[\n  1,\n  2,\n  3\n]");
     }
 }

@@ -492,8 +492,10 @@ pub fn to_bytes(ckpt: &TrainerCheckpoint) -> Vec<u8> {
 
 /// Serializes with an explicit container version (old versions drop the
 /// fields they predate). Only the current version is written in production;
-/// this exists so backward-compat decoding stays testable.
-fn to_bytes_versioned(ckpt: &TrainerCheckpoint, version: u8) -> Vec<u8> {
+/// this exists so backward-compat decoding stays testable, here and in the
+/// workspace's hostile-bytes tests.
+#[doc(hidden)]
+pub fn to_bytes_versioned(ckpt: &TrainerCheckpoint, version: u8) -> Vec<u8> {
     wire::frame(MAGIC, version, 0, |out| encode_payload(ckpt, version, out))
 }
 

@@ -15,7 +15,7 @@ use egeria_models::{Batch, Model};
 use egeria_obs::Telemetry;
 use egeria_resil::fault::{FaultInjector, FaultSite};
 use egeria_tensor::Tensor;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,8 +70,8 @@ pub fn system_load_probe() -> LoadProbe {
 /// once both are dropped, every `recv` on the controller thread errors out
 /// and the loop exits even if the command queue was full.
 pub struct AsyncController {
-    cmd_tx: Option<Sender<Command>>,
-    toq_tx: Option<Sender<(u64, Tensor)>>,
+    cmd_tx: Option<SyncSender<Command>>,
+    toq_tx: Option<SyncSender<(u64, Tensor)>>,
     result_rx: Receiver<PlasticityResult>,
     handle: Option<JoinHandle<()>>,
     next_eval: u64,
@@ -99,12 +99,12 @@ impl AsyncController {
         let c_errors = telemetry.counter("controller.errors");
         let c_updates = telemetry.counter("controller.ref_updates");
         reference.set_telemetry(telemetry);
-        let (cmd_tx, cmd_rx) = bounded::<Command>(32);
-        let (toq_tx, toq_rx) = bounded::<(u64, Tensor)>(32);
+        let (cmd_tx, cmd_rx) = sync_channel::<Command>(32);
+        let (toq_tx, toq_rx) = sync_channel::<(u64, Tensor)>(32);
         // ROQ lives entirely on the controller thread but is a real queue
         // to keep the dataflow of Figure 6 explicit.
-        let (roq_tx, roq_rx) = bounded::<(u64, usize, Tensor)>(32);
-        let (result_tx, result_rx) = bounded::<PlasticityResult>(64);
+        let (roq_tx, roq_rx) = sync_channel::<(u64, usize, Tensor)>(32);
+        let (result_tx, result_rx) = sync_channel::<PlasticityResult>(64);
         let handle = std::thread::spawn(move || {
             while let Ok(cmd) = cmd_rx.recv() {
                 match cmd {

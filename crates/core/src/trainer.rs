@@ -27,7 +27,6 @@ use egeria_resil::fault::{FaultInjector, FaultSite};
 use egeria_resil::health::HealthMonitor;
 use egeria_resil::supervise::Watchdog;
 use egeria_tensor::{Result, Tensor, TensorError};
-use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -129,7 +128,7 @@ impl Default for TrainerOptions {
 }
 
 /// One epoch's summary.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EpochRecord {
     /// Epoch index.
     pub epoch: usize,
@@ -148,7 +147,7 @@ pub struct EpochRecord {
 }
 
 /// One training iteration's cost-relevant facts (the simulator input).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IterationRecord {
     /// Epoch index.
     pub epoch: u32,
@@ -159,7 +158,7 @@ pub struct IterationRecord {
 }
 
 /// One plasticity evaluation, for trace figures.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlasticityPoint {
     /// Global iteration index the evaluation ran at.
     pub iteration: usize,
@@ -172,7 +171,7 @@ pub struct PlasticityPoint {
 }
 
 /// A freeze/unfreeze event for the decision-timeline figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EventRecord {
     /// Global iteration index.
     pub iteration: usize,
@@ -183,7 +182,7 @@ pub struct EventRecord {
 }
 
 /// The full output of a training run.
-#[derive(Debug, Clone, Serialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainReport {
     /// Model name.
     pub model: String,
@@ -198,10 +197,8 @@ pub struct TrainReport {
     /// Freeze/unfreeze events.
     pub events: Vec<EventRecord>,
     /// Cache counters (zeroed when caching is off).
-    #[serde(skip)]
     pub cache_stats: CacheStats,
     /// Reference counters.
-    #[serde(skip)]
     pub reference_stats: ReferenceStats,
     /// Wall-clock seconds of the whole run (this machine, not the
     /// simulated testbed).
@@ -1440,13 +1437,5 @@ mod tests {
             left.is_empty(),
             "runs left their cache directories: {left:?}"
         );
-    }
-
-    #[test]
-    fn report_serializes_to_json() {
-        let (mut t, data, loader) = tiny_setup(None, 2);
-        let report = t.train(&data, &loader, None).unwrap();
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("\"epochs\""));
     }
 }

@@ -24,12 +24,12 @@
 //! violation appears (or an existing one multiplies). `--bless-baseline`
 //! rewrites the file from the current findings.
 //!
-//! Documents are read back with the workspace's one JSON reader,
-//! `egeria_obs::jsonl::parse` (egeria-obs is itself dependency-free, so
+//! Strings are escaped and documents read back by the workspace's one JSON
+//! module, `egeria_obs::jsonl` (egeria-obs is itself dependency-free, so
 //! the lint still builds from nothing but this workspace).
 
 use crate::rules::{Finding, Tier};
-use egeria_obs::jsonl::{parse, Value};
+use egeria_obs::jsonl::{parse, write_string, Value};
 use std::collections::BTreeMap;
 
 /// Stable sort used for JSON output and the baseline: rule, file, line.
@@ -40,48 +40,35 @@ pub fn stable_sort(findings: &mut [Finding]) {
     });
 }
 
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders the findings document. `findings` is sorted in place first.
-pub fn render(findings: &mut [Finding], files_scanned: usize) -> String {
-    stable_sort(findings);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
+/// Appends the `"findings"` array and closes the document: one finding
+/// per line, so a diff of two documents reads finding by finding.
+fn push_findings(out: &mut String, findings: &[Finding]) {
     out.push_str("  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n    {\"rule\": \"");
-        escape(f.rule, &mut out);
-        out.push_str("\", \"tier\": \"");
-        out.push_str(f.tier.as_str());
-        out.push_str("\", \"path\": \"");
-        escape(&f.path, &mut out);
-        out.push_str(&format!("\", \"line\": {}, \"col\": {}, \"message\": \"", f.line, f.col));
-        escape(&f.message, &mut out);
-        out.push_str("\"}");
+        out.push_str("\n    {\"rule\": ");
+        write_string(out, f.rule);
+        out.push_str(", \"tier\": ");
+        write_string(out, f.tier.as_str());
+        out.push_str(", \"path\": ");
+        write_string(out, &f.path);
+        out.push_str(&format!(", \"line\": {}, \"col\": {}, \"message\": ", f.line, f.col));
+        write_string(out, &f.message);
+        out.push('}');
     }
     if !findings.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
+}
+
+/// Renders the findings document. `findings` is sorted in place first.
+pub fn render(findings: &mut [Finding], files_scanned: usize) -> String {
+    stable_sort(findings);
+    let mut out = format!("{{\n  \"schema\": 1,\n  \"files_scanned\": {files_scanned},\n");
+    push_findings(&mut out, findings);
     out
 }
 
@@ -95,24 +82,8 @@ pub fn render_baseline(findings: &[Finding]) -> String {
         .cloned()
         .collect();
     stable_sort(&mut warn);
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": 1,\n  \"findings\": [");
-    for (i, f) in warn.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"rule\": \"");
-        escape(f.rule, &mut out);
-        out.push_str("\", \"tier\": \"warn\", \"path\": \"");
-        escape(&f.path, &mut out);
-        out.push_str(&format!("\", \"line\": {}, \"col\": {}, \"message\": \"", f.line, f.col));
-        escape(&f.message, &mut out);
-        out.push_str("\"}");
-    }
-    if !warn.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
+    let mut out = String::from("{\n  \"schema\": 1,\n");
+    push_findings(&mut out, &warn);
     out
 }
 

@@ -15,7 +15,8 @@
 //!   modules, no hash collections in serialization modules, and
 //!   `thread::spawn`/`thread::Builder` only in the sanctioned modules.
 //! - `vendored-deps-only` — every external `[workspace.dependencies]` crate
-//!   must have a `[patch.crates-io]` vendor entry (checked against the root
+//!   must have a `[patch.crates-io]` vendor entry, and every patch entry
+//!   must be named by a workspace dependency (checked against the root
 //!   manifest, not per source file).
 //! - `no-wallclock-sleep-retry` — retry/backoff and supervision code must
 //!   take time through the injected `Clock` trait; `thread::sleep`,
@@ -440,11 +441,13 @@ fn arch_intrinsics_confined(rel: &str, scan: &Scan, findings: &mut Vec<Finding>)
 /// `vendored-deps-only`: parses the root manifest's
 /// `[workspace.dependencies]` and `[patch.crates-io]` tables and reports
 /// every external dependency (no `path =` in its value) that lacks a vendor
-/// patch entry.
+/// patch entry, and every patch entry no workspace dependency names — a
+/// stale stand-in that still sits in the tree after its last user left.
 pub fn check_manifest(manifest_rel: &str, manifest_src: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut section = String::new();
-    let mut patched: BTreeSet<String> = BTreeSet::new();
+    let mut deps: BTreeSet<String> = BTreeSet::new();
+    let mut patched: Vec<(String, u32)> = Vec::new();
     let mut externals: Vec<(String, u32)> = Vec::new();
 
     for (idx, raw) in manifest_src.lines().enumerate() {
@@ -461,18 +464,19 @@ pub fn check_manifest(manifest_rel: &str, manifest_src: &str) -> Vec<Finding> {
         };
         let key = key.trim().trim_matches('"').to_string();
         match section.as_str() {
-            "workspace.dependencies" if !value.contains("path") => {
-                externals.push((key, idx as u32 + 1));
+            "workspace.dependencies" => {
+                if !value.contains("path") {
+                    externals.push((key.clone(), idx as u32 + 1));
+                }
+                deps.insert(key);
             }
-            "patch.crates-io" => {
-                patched.insert(key);
-            }
+            "patch.crates-io" => patched.push((key, idx as u32 + 1)),
             _ => {}
         }
     }
 
     for (dep, line) in externals {
-        if !patched.contains(&dep) {
+        if !patched.iter().any(|(p, _)| *p == dep) {
             findings.push(Finding {
                 tier: Tier::Deny,
                 rule: VENDORED_DEPS_ONLY,
@@ -483,6 +487,21 @@ pub fn check_manifest(manifest_rel: &str, manifest_src: &str) -> Vec<Finding> {
                     "workspace dependency `{dep}` has no `[patch.crates-io]` vendor entry; \
                      the build environment is offline and every external crate must resolve \
                      to vendor/"
+                ),
+            });
+        }
+    }
+    for (patch, line) in patched {
+        if !deps.contains(&patch) {
+            findings.push(Finding {
+                tier: Tier::Deny,
+                rule: VENDORED_DEPS_ONLY,
+                path: manifest_rel.to_string(),
+                line,
+                col: 1,
+                message: format!(
+                    "`[patch.crates-io]` entry `{patch}` is stale: no workspace dependency \
+                     names it; delete the entry and its vendor/ stand-in"
                 ),
             });
         }

@@ -157,6 +157,27 @@ rand = { path = "vendor/rand" }
     assert!(rules::check_manifest("Cargo.toml", good).is_empty());
 }
 
+/// vendored-deps-only: a `[patch.crates-io]` entry that no workspace
+/// dependency names is stale and flagged at its own line.
+#[test]
+fn manifest_stale_patch_rule() {
+    let stale = r#"
+[workspace.dependencies]
+proptest = "1"
+egeria-tensor = { path = "crates/tensor" }
+
+[patch.crates-io]
+proptest = { path = "vendor/proptest" }
+bytes = { path = "vendor/bytes" }
+"#;
+    let findings = rules::check_manifest("Cargo.toml", stale);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, rules::VENDORED_DEPS_ONLY);
+    assert_eq!(findings[0].line, 8);
+    let message = &findings[0].message;
+    assert!(message.contains("`bytes` is stale"), "{message}");
+}
+
 /// The repo's real manifest satisfies the vendor-patch invariant.
 #[test]
 fn repo_manifest_is_fully_vendored() {

@@ -16,6 +16,7 @@
 
 use std::fmt::Write as _;
 
+use crate::jsonl::write_string;
 use crate::metrics::MetricsSnapshot;
 use crate::telemetry::Telemetry;
 use crate::trace::{ArgValue, TraceEvent};
@@ -23,24 +24,6 @@ use crate::trace::{ArgValue, TraceEvent};
 /// Schema version stamped into the `meta` line; bump when the line shape
 /// changes so `trace_report` can reject traces it does not understand.
 pub const SCHEMA_VERSION: u64 = 1;
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
@@ -66,7 +49,7 @@ fn push_arg_value(out: &mut String, v: &ArgValue) {
             let _ = write!(out, "{i}");
         }
         ArgValue::F64(f) => push_f64(out, *f),
-        ArgValue::Str(s) => push_json_str(out, s),
+        ArgValue::Str(s) => write_string(out, s),
         ArgValue::Bool(b) => {
             let _ = write!(out, "{b}");
         }
@@ -79,7 +62,7 @@ fn push_args_object(out: &mut String, args: &[(&'static str, ArgValue)]) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, k);
+        write_string(out, k);
         out.push(':');
         push_arg_value(out, v);
     }
@@ -89,7 +72,7 @@ fn push_args_object(out: &mut String, args: &[(&'static str, ArgValue)]) {
 fn push_event_line(out: &mut String, ev: &TraceEvent) {
     let ty = if ev.dur_us.is_some() { "span" } else { "instant" };
     let _ = write!(out, "{{\"type\":\"{ty}\",\"kind\":");
-    push_json_str(out, ev.kind);
+    write_string(out, ev.kind);
     let _ = write!(out, ",\"ts_us\":{}", ev.ts_us);
     if let Some(d) = ev.dur_us {
         let _ = write!(out, ",\"dur_us\":{d}");
@@ -113,7 +96,7 @@ fn push_metrics_line(out: &mut String, snap: &MetricsSnapshot) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, name);
+        write_string(out, name);
         let _ = write!(out, ":{v}");
     }
     out.push_str("},\"gauges\":{");
@@ -121,7 +104,7 @@ fn push_metrics_line(out: &mut String, snap: &MetricsSnapshot) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, name);
+        write_string(out, name);
         out.push(':');
         push_f64(out, *v);
     }
@@ -131,7 +114,7 @@ fn push_metrics_line(out: &mut String, snap: &MetricsSnapshot) {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        push_json_str(out, &h.name);
+        write_string(out, &h.name);
         let _ = write!(out, ",\"count\":{},\"sum\":{},\"buckets\":[", h.count, h.sum);
         for (j, (bucket, n)) in h.buckets.iter().enumerate() {
             if j > 0 {
@@ -178,7 +161,7 @@ pub fn export_chrome_trace(telemetry: &Telemetry) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        push_json_str(&mut out, ev.kind);
+        write_string(&mut out, ev.kind);
         let tid = ev.module.unwrap_or(0);
         match ev.dur_us {
             Some(d) => {
@@ -264,12 +247,5 @@ mod tests {
         assert!(doc.contains("\"ph\":\"X\""));
         assert!(doc.contains("\"tid\":3"));
         assert!(doc.contains("\"ph\":\"i\""));
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

@@ -1,10 +1,14 @@
-//! Minimal JSON parser and the JSONL trace-schema validator.
+//! The workspace's one JSON module: a minimal reader and writer, and the
+//! JSONL trace-schema validator. Both halves preserve order (no hash maps —
+//! the determinism rule applies to this crate end to end).
 //!
-//! The vendored `serde_json` stub only serializes, so the summarizer and
-//! the CI smoke step need a reader of their own. This one is deliberately
-//! small: objects are ordered `(key, value)` vectors (no hash maps — the
-//! determinism rule applies to this crate end to end), numbers are `f64`,
-//! and errors carry a byte offset for readable failures.
+//! The reader ([`parse`]) keeps objects as ordered `(key, value)` vectors,
+//! numbers as `f64`, and reports errors with a byte offset. Every JSON file
+//! the workspace writes goes through the writer ([`ToJson`], [`Object`],
+//! [`to_string_pretty`]); the trace export keeps its own line layout but
+//! escapes strings with [`write_string`].
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,6 +287,197 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// A value the writer can print as JSON.
+pub trait ToJson {
+    /// Appends this value's compact JSON encoding to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! display {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+display!(bool, u32, u64, usize);
+
+macro_rules! display_float {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            /// Shortest round-trip `Display` of this width, so an `f32`
+            /// never prints widened `f64` digits; JSON has no NaN or
+            /// infinity, so those print `null`.
+            fn write_json(&self, out: &mut String) {
+                if self.is_finite() {
+                    let _ = write!(out, "{self}");
+                } else {
+                    out.push_str("null");
+                }
+            }
+        }
+    )*};
+}
+
+display_float!(f32, f64);
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// A JSON object under construction; fields print in insertion order.
+/// Arrays are `Vec`s of any [`ToJson`] value, objects included.
+#[derive(Debug, Clone, Default)]
+pub struct Object {
+    /// The compact `"key":value` pairs so far, comma-separated.
+    fields: String,
+}
+
+impl Object {
+    /// An object with no fields.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `"key": value`.
+    pub fn field(mut self, key: &str, value: impl ToJson) -> Self {
+        if !self.fields.is_empty() {
+            self.fields.push(',');
+        }
+        write_string(&mut self.fields, key);
+        self.fields.push(':');
+        value.write_json(&mut self.fields);
+        self
+    }
+}
+
+impl ToJson for Object {
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        out.push_str(&self.fields);
+        out.push('}');
+    }
+}
+
+/// Appends `s` as a JSON string literal: quotes, backslash and the control
+/// characters are escaped, everything else is written as is.
+pub fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// `value` as compact JSON.
+fn to_string(value: &(impl ToJson + ?Sized)) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
+}
+
+/// `value` as JSON indented by two spaces, the form of every report file.
+pub fn to_string_pretty(value: &(impl ToJson + ?Sized)) -> String {
+    pretty(&to_string(value))
+}
+
+/// Re-indents compact JSON: one member per line, two spaces per level,
+/// `": "` after keys, empty containers kept on one line, strings untouched.
+fn pretty(compact: &str) -> String {
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut indent = 0usize;
+    let mut in_string = false;
+    let mut escaped = false;
+    let mut chars = compact.chars().peekable();
+    let newline =
+        |out: &mut String, indent: usize| out.push_str(&format!("\n{}", "  ".repeat(indent)));
+    while let Some(c) = chars.next() {
+        if in_string {
+            out.push(c);
+            in_string = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+            continue;
+        }
+        match c {
+            '"' => {
+                in_string = true;
+                out.push(c);
+            }
+            '{' | '[' => {
+                out.push(c);
+                let closer = if c == '{' { '}' } else { ']' };
+                if let Some(close) = chars.next_if_eq(&closer) {
+                    out.push(close);
+                } else {
+                    indent += 1;
+                    newline(&mut out, indent);
+                }
+            }
+            '}' | ']' => {
+                indent = indent.saturating_sub(1);
+                newline(&mut out, indent);
+                out.push(c);
+            }
+            ',' => {
+                out.push(c);
+                newline(&mut out, indent);
+            }
+            ':' => out.push_str(": "),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// What the validator learned about a trace file.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceFileStats {
@@ -422,6 +617,73 @@ mod tests {
         assert_eq!(a[4], Value::Null);
         assert_eq!(a[5].as_str(), Some("s\n"));
         assert!(v.get("b").unwrap().get("c").unwrap().as_obj().unwrap().is_empty());
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        let mut s = String::new();
+        write_string(&mut s, "a\"b\\c\nd\re\tf\u{1}\u{1f} é");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001\\u001f é\"");
+        assert_eq!(
+            parse(&s).unwrap().as_str(),
+            Some("a\"b\\c\nd\re\tf\u{1}\u{1f} é")
+        );
+    }
+
+    #[test]
+    fn numbers_print_with_their_own_width() {
+        assert_eq!(to_string(&0.1f32), "0.1");
+        assert_eq!(to_string(&f64::from(0.1f32)), "0.10000000149011612");
+        assert_eq!(to_string(&0.317_972_72f32), "0.31797272");
+        assert_eq!(to_string(&2.0f64), "2");
+        assert_eq!(to_string(&1e-7f64), "0.0000001");
+        assert_eq!(to_string(&u64::MAX), "18446744073709551615");
+    }
+
+    #[test]
+    fn non_finite_numbers_and_none_print_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(to_string(&v), "null");
+        }
+        assert_eq!(to_string(&f32::NAN), "null");
+        assert_eq!(to_string(&Option::<u32>::None), "null");
+        assert_eq!(to_string(&Some(true)), "true");
+    }
+
+    #[test]
+    fn objects_keep_insertion_order_and_nest() {
+        let inner = Object::new().field("z", 1u32).field("a", "x");
+        let obj = Object::new()
+            .field("b", vec![inner.clone(), Object::new()])
+            .field("a", Vec::<u32>::new())
+            .field("c", Object::new());
+        let compact = to_string(&obj);
+        assert_eq!(compact, r#"{"b":[{"z":1,"a":"x"},{}],"a":[],"c":{}}"#);
+        assert_eq!(
+            to_string_pretty(&obj),
+            "{\n  \"b\": [\n    {\n      \"z\": 1,\n      \"a\": \"x\"\n    },\n    {}\n  ],\n  \"a\": [],\n  \"c\": {}\n}"
+        );
+        let parsed = parse(&compact).unwrap();
+        let keys: Vec<&str> = parsed
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["b", "a", "c"]);
+    }
+
+    #[test]
+    fn pretty_indents_and_preserves_strings() {
+        assert_eq!(
+            pretty(r#"{"a":[1,2],"b":"x{,}y","c":{}}"#),
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": \"x{,}y\",\n  \"c\": {}\n}"
+        );
+        // Escaped quotes and a trailing escaped backslash stay inside the string.
+        assert_eq!(
+            pretty(r#"["q\":[,]\\",{}]"#),
+            "[\n  \"q\\\":[,]\\\\\",\n  {}\n]"
+        );
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! - [`export`]: deterministic JSONL export plus a Chrome
 //!   `trace_event`-compatible dump (load it in `about://tracing` /
 //!   Perfetto).
-//! - [`jsonl`]: a minimal JSON parser and the line-schema validator CI
-//!   runs against exported traces.
+//! - [`jsonl`]: the workspace's one JSON module — a minimal parser, the
+//!   writer every JSON report goes through, and the line-schema validator
+//!   CI runs against exported traces.
 //! - [`report`]: the trace summarizer behind `trace_report` — turns a
 //!   JSONL trace into the paper's per-layer frozen-time breakdown and the
 //!   observed iteration timeline `simsys` calibrates against.

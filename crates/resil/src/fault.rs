@@ -21,9 +21,9 @@
 //!   derived from an **explicit seed, never entropy**, so a chaos run is a
 //!   pure function of `(seed, operation sequence)` and replays bit-for-bit.
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Where a fault can be injected.
 ///
@@ -148,7 +148,7 @@ impl FaultInjector {
     /// `fire` operations inject `action`, everything after passes again.
     /// Re-arming a site replaces its previous plan and counters.
     pub fn arm(&self, site: FaultSite, skip: usize, fire: usize, action: FaultAction) {
-        self.plans.lock().insert(
+        lock(&self.plans).insert(
             site,
             Plan::Counter {
                 skip,
@@ -174,7 +174,7 @@ impl FaultInjector {
         action: FaultAction,
     ) {
         let state = splitmix64(seed ^ splitmix64(site.stream_index()));
-        self.plans.lock().insert(
+        lock(&self.plans).insert(
             site,
             Plan::Seeded {
                 // splitmix64 output is zero only for one input; re-mix so
@@ -191,7 +191,7 @@ impl FaultInjector {
     /// Records one operation at `site` and returns the action to inject,
     /// if any. Components call this at each injection point.
     pub fn check(&self, site: FaultSite) -> Option<FaultAction> {
-        let mut plans = self.plans.lock();
+        let mut plans = lock(&self.plans);
         let plan = plans.get_mut(&site)?;
         let injected = match plan {
             Plan::Counter {
@@ -230,7 +230,7 @@ impl FaultInjector {
         };
         drop(plans);
         if let Some(action) = injected {
-            *self.injected.lock().entry(site).or_insert(0) += 1;
+            *lock(&self.injected).entry(site).or_insert(0) += 1;
             return Some(action);
         }
         None
@@ -243,12 +243,12 @@ impl FaultInjector {
 
     /// How many faults have been injected at `site` so far.
     pub fn injected(&self, site: FaultSite) -> usize {
-        self.injected.lock().get(&site).copied().unwrap_or(0)
+        lock(&self.injected).get(&site).copied().unwrap_or(0)
     }
 
     /// Total faults injected across all sites.
     pub fn injected_total(&self) -> usize {
-        self.injected.lock().values().sum()
+        lock(&self.injected).values().sum()
     }
 
     /// Flips one bit in the middle of `bytes` (the canonical

@@ -19,10 +19,10 @@
 //! `resil.health.level` gauge (0/1/2), and `health_transition` instants
 //! the `trace_report` resilience section renders.
 
+use crate::lock;
 use egeria_obs::{ArgValue, Telemetry};
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The aggregate health of the workspace control plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +76,7 @@ impl HealthMonitor {
 
     /// Marks a recoverable degradation active. Idempotent per tag.
     pub fn degrade(&self, reason: &'static str) {
-        let newly = self.inner.lock().degraded.insert(reason);
+        let newly = lock(&self.inner).degraded.insert(reason);
         if newly {
             self.telemetry.counter("resil.health.degradations").inc();
             self.emit_transition("degraded", reason);
@@ -85,7 +85,7 @@ impl HealthMonitor {
 
     /// Clears a recoverable degradation. Idempotent per tag.
     pub fn resolve(&self, reason: &'static str) {
-        let removed = self.inner.lock().degraded.remove(reason);
+        let removed = lock(&self.inner).degraded.remove(reason);
         if removed {
             self.telemetry.counter("resil.health.recoveries").inc();
             self.emit_transition("recovered", reason);
@@ -94,7 +94,7 @@ impl HealthMonitor {
 
     /// Marks a non-recoverable condition. Critical tags never clear.
     pub fn critical(&self, reason: &'static str) {
-        let newly = self.inner.lock().critical.insert(reason);
+        let newly = lock(&self.inner).critical.insert(reason);
         if newly {
             self.telemetry.counter("resil.health.criticals").inc();
             self.emit_transition("critical", reason);
@@ -103,7 +103,7 @@ impl HealthMonitor {
 
     /// The current aggregate state.
     pub fn state(&self) -> HealthState {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         if !inner.critical.is_empty() {
             let mut reasons: Vec<&'static str> = inner.critical.iter().copied().collect();
             reasons.extend(inner.degraded.iter().copied());

@@ -23,7 +23,8 @@
 //!
 //! The crate sits *below* egeria-serve and egeria-core (its only
 //! dependency is egeria-obs), so both can share one fault plane without a
-//! dependency cycle.
+//! dependency cycle. Its shared state sits behind `std::sync::Mutex`,
+//! always taken through [`lock`].
 
 // No unsafe outside egeria-tensor: enforced here and audited by egeria-lint.
 #![forbid(unsafe_code)]
@@ -39,3 +40,15 @@ pub use clock::{Clock, RealClock, VirtualClock};
 pub use fault::{FaultAction, FaultInjector, FaultSite};
 pub use health::{HealthMonitor, HealthState};
 pub use supervise::Watchdog;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, ignoring poison. The fault plane exists to make threads die
+/// mid-operation, and a holder that panics poisons a std mutex; every state
+/// guarded with this helper (counters, plan tables, reason sets, handle
+/// lists, a dispatch gate) stays consistent across such a panic, so
+/// recovering the guard is correct where propagating would turn one
+/// injected fault into a cascade.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -10,9 +10,9 @@
 //! paths must absorb rather than a blip worth respawn-looping on.
 
 use crate::health::HealthMonitor;
+use crate::lock;
 use egeria_obs::{ArgValue, Telemetry};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -54,7 +54,7 @@ impl Watchdog {
     /// returns `false` forever after, flipping health to Critical on the
     /// first exhausted request.
     pub fn request_respawn(&self) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.respawns < self.max_respawns {
             inner.respawns += 1;
             let count = inner.respawns;
@@ -86,12 +86,12 @@ impl Watchdog {
 
     /// Respawns granted so far.
     pub fn respawns(&self) -> u32 {
-        self.inner.lock().respawns
+        lock(&self.inner).respawns
     }
 
     /// Whether the budget has been exhausted (a request was denied).
     pub fn exhausted(&self) -> bool {
-        self.inner.lock().exhausted
+        lock(&self.inner).exhausted
     }
 
     /// The supervised component's name.

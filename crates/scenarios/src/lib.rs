@@ -32,8 +32,8 @@ use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
 use egeria_models::transformer::{Seq2SeqTransformer, TransformerConfig};
 use egeria_nn::optim::{Adam, Sgd};
 use egeria_nn::sched::{InverseSqrt, LinearDecay, LrSchedule, MultiStepDecay};
+use egeria_obs::jsonl::{to_string_pretty, Object};
 use egeria_tensor::Result;
-use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -97,14 +97,14 @@ pub fn policy_matrix() -> [PolicyKind; 5] {
 }
 
 /// One (policy, model) cell of the A/B matrix.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Model family name.
     pub model: String,
     /// Policy name (plus period for interval).
     pub policy: String,
-    /// Bit-exact fingerprint of the run (losses, timeline, counters).
-    #[serde(skip)]
+    /// Bit-exact fingerprint of the run (losses, timeline, counters; not
+    /// in the report).
     pub fingerprint: String,
     /// Final-epoch training loss.
     pub final_loss: f32,
@@ -129,8 +129,7 @@ pub struct ScenarioResult {
     pub freezes: usize,
     /// Unfreeze events over the run.
     pub unfreezes: usize,
-    /// Per-epoch loss curve (kept for TTA evaluation, not serialized).
-    #[serde(skip)]
+    /// Per-epoch loss curve (kept for TTA evaluation, not in the report).
     pub curve: Vec<f32>,
 }
 
@@ -245,8 +244,23 @@ pub fn golden_file_name(family: ModelFamily, policy: PolicyKind) -> String {
 /// Writes the A/B report as JSON and CSV into `dir` (created if missing).
 pub fn write_report(results: &[ScenarioResult], dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let json = serde_json::to_string_pretty(&results).expect("report serializes");
-    std::fs::write(dir.join("scenario_ab_report.json"), json)?;
+    let rows: Vec<Object> = results
+        .iter()
+        .map(|r| {
+            Object::new()
+                .field("model", &r.model)
+                .field("policy", &r.policy)
+                .field("final_loss", r.final_loss)
+                .field("tta_epochs", r.tta_epochs)
+                .field("compute_saved", r.compute_saved)
+                .field("comm_skipped", r.comm_skipped)
+                .field("cache_hit_rate", r.cache_hit_rate)
+                .field("frozen_final", r.frozen_final)
+                .field("freezes", r.freezes)
+                .field("unfreezes", r.unfreezes)
+        })
+        .collect();
+    std::fs::write(dir.join("scenario_ab_report.json"), to_string_pretty(&rows))?;
     let mut csv = String::from(
         "model,policy,final_loss,tta_epochs,compute_saved,comm_skipped,\
          cache_hit_rate,frozen_final,freezes,unfreezes\n",
@@ -464,6 +478,61 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len(), "labels collide: {labels:?}");
+    }
+
+    /// The JSON report's bytes, recorded at bc01006 for a fixed two-row
+    /// input that covers a `None` TTA, a `None` hit rate and a NaN loss.
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let row = |model: &str, final_loss, tta_epochs, cache_hit_rate| ScenarioResult {
+            model: model.to_string(),
+            policy: "interval3".to_string(),
+            fingerprint: "not serialized".to_string(),
+            final_loss,
+            tta_epochs,
+            compute_saved: 0.1,
+            comm_skipped: 1.0 / 3.0,
+            cache_hit_rate,
+            frozen_final: 2,
+            freezes: 3,
+            unfreezes: 0,
+            curve: vec![1.0, 0.5],
+        };
+        let rows = [
+            row("resnet", 0.317_972_72, Some(4), None),
+            row("bert_\"tiny\"", f32::NAN, None, Some(0.25)),
+        ];
+        let dir = std::env::temp_dir().join(format!("egeria-report-pin-{}", std::process::id()));
+        write_report(&rows, &dir).unwrap();
+        let json = std::fs::read_to_string(dir.join("scenario_ab_report.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let expected = r#"[
+  {
+    "model": "resnet",
+    "policy": "interval3",
+    "final_loss": 0.31797272,
+    "tta_epochs": 4,
+    "compute_saved": 0.1,
+    "comm_skipped": 0.3333333333333333,
+    "cache_hit_rate": null,
+    "frozen_final": 2,
+    "freezes": 3,
+    "unfreezes": 0
+  },
+  {
+    "model": "bert_\"tiny\"",
+    "policy": "interval3",
+    "final_loss": null,
+    "tta_epochs": null,
+    "compute_saved": 0.1,
+    "comm_skipped": 0.3333333333333333,
+    "cache_hit_rate": 0.25,
+    "frozen_final": 2,
+    "freezes": 3,
+    "unfreezes": 0
+  }
+]"#;
+        assert_eq!(json, expected);
     }
 
     #[test]

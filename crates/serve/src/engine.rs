@@ -34,7 +34,6 @@ use crate::error::{ServeError, ServeResult};
 use crate::exec;
 use crate::snapshot::{ModelSnapshot, SnapshotRegistry};
 use crate::ServeConfig;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use egeria_models::model::Model;
 use egeria_models::{Batch, Input};
 use egeria_obs::telemetry::Telemetry;
@@ -42,11 +41,13 @@ use egeria_quant::model::Precision;
 use egeria_resil::clock::Clock;
 use egeria_resil::fault::{FaultInjector, FaultSite};
 use egeria_resil::health::HealthMonitor;
+use egeria_resil::lock;
 use egeria_resil::supervise::Watchdog;
 use egeria_tensor::{Tensor, TensorError};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -117,7 +118,7 @@ struct PendingProbe {
     snapshot: Arc<ModelSnapshot>,
     submitted_us: u64,
     deadline_us: Option<u64>,
-    reply: Sender<ServeResult<ProbeResponse>>,
+    reply: SyncSender<ServeResult<ProbeResponse>>,
 }
 
 enum Msg {
@@ -131,7 +132,9 @@ enum Msg {
 /// behind an `Arc` so the panic guard running on the dying thread can
 /// respawn (or declare exhaustion) without a reference to the engine.
 struct WorkerCtx {
-    work_rx: Receiver<ReadyBatch<GroupKey, PendingProbe>>,
+    /// The work queue's one receiver, shared by every worker: an idle
+    /// worker parks in `recv` holding the lock, and the rest queue on it.
+    work_rx: Mutex<Receiver<ReadyBatch<GroupKey, PendingProbe>>>,
     clock: Arc<dyn Clock>,
     telemetry: Telemetry,
     faults: Option<Arc<FaultInjector>>,
@@ -157,13 +160,6 @@ struct WorkerCtx {
     seq: AtomicUsize,
 }
 
-/// The panic guard locks these mutexes while its thread is unwinding,
-/// which poisons a std mutex; the guarded state stays consistent (a
-/// flag flip + channel drain, or a handle push), so poison is ignored.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Spawns one worker thread wired to `ctx` and registers its handle.
 /// Increments `live` up front; the worker's guard decrements it on exit.
 fn spawn_worker(ctx: &Arc<WorkerCtx>) -> std::io::Result<()> {
@@ -177,7 +173,7 @@ fn spawn_worker(ctx: &Arc<WorkerCtx>) -> std::io::Result<()> {
             worker_loop(&guard.ctx);
         }) {
         Ok(h) => {
-            lock_unpoisoned(&ctx.handles).push(h);
+            lock(&ctx.handles).push(h);
             Ok(())
         }
         Err(e) => {
@@ -220,9 +216,12 @@ impl Drop for WorkerGuard {
         }
         let live = ctx.live.fetch_sub(1, Ordering::SeqCst) - 1;
         if live == 0 {
-            let _g = lock_unpoisoned(&ctx.dispatch_gate);
+            // No worker is left, so none is parked in `recv` holding the
+            // receiver: this lock cannot wait on one.
+            let _g = lock(&ctx.dispatch_gate);
             ctx.exhausted.store(true, Ordering::SeqCst);
-            while let Ok(rb) = ctx.work_rx.try_recv() {
+            let work_rx = lock(&ctx.work_rx);
+            while let Ok(rb) = work_rx.try_recv() {
                 for p in rb.requests {
                     let _ = p.reply.send(Err(ServeError::Shutdown));
                 }
@@ -237,7 +236,7 @@ pub struct ServeEngine {
     clock: Arc<dyn Clock>,
     telemetry: Telemetry,
     default_deadline: Option<Duration>,
-    submit_tx: Option<Sender<Msg>>,
+    submit_tx: Option<SyncSender<Msg>>,
     queued: Arc<AtomicUsize>,
     singleton_seq: AtomicU64,
     dispatcher: Option<JoinHandle<()>>,
@@ -265,9 +264,9 @@ impl ServeEngine {
         health: Option<Arc<HealthMonitor>>,
     ) -> Self {
         let registry = Arc::new(SnapshotRegistry::new());
-        let (submit_tx, submit_rx) = bounded::<Msg>(cfg.queue_depth.max(1));
+        let (submit_tx, submit_rx) = sync_channel::<Msg>(cfg.queue_depth.max(1));
         let workers_n = cfg.workers.max(1);
-        let (work_tx, work_rx) = bounded::<ReadyBatch<GroupKey, PendingProbe>>(workers_n * 2);
+        let (work_tx, work_rx) = sync_channel::<ReadyBatch<GroupKey, PendingProbe>>(workers_n * 2);
         let queued = Arc::new(AtomicUsize::new(0));
 
         let mut worker_watchdog =
@@ -277,7 +276,7 @@ impl ServeEngine {
                 worker_watchdog.with_health(h, "serve-worker-respawn-budget-exhausted");
         }
         let worker_ctx = Arc::new(WorkerCtx {
-            work_rx,
+            work_rx: Mutex::new(work_rx),
             clock: Arc::clone(&clock),
             telemetry: telemetry.clone(),
             faults: faults.clone(),
@@ -371,7 +370,7 @@ impl ServeEngine {
         let deadline = req.deadline.or(self.default_deadline);
         let deadline_us = deadline.map(|d| now + d.as_micros() as u64);
         let key = self.group_key(&req, snapshot.version());
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         let probe = PendingProbe {
             batch: req.batch,
             module: req.module,
@@ -446,7 +445,7 @@ impl ServeEngine {
     /// This is bookkeeping the reference manager runs on its fallback
     /// path to keep the handle list tight.
     pub fn supervise(&self) -> usize {
-        let mut handles = lock_unpoisoned(&self.worker_ctx.handles);
+        let mut handles = lock(&self.worker_ctx.handles);
         let mut reaped = 0;
         let mut live = Vec::with_capacity(handles.len());
         for h in handles.drain(..) {
@@ -465,7 +464,7 @@ impl ServeEngine {
     /// count until the next [`supervise`](Self::supervise); a freshly
     /// respawned replacement counts alongside the corpse it replaced).
     pub fn worker_count(&self) -> usize {
-        lock_unpoisoned(&self.worker_ctx.handles).len()
+        lock(&self.worker_ctx.handles).len()
     }
 
     fn group_key(&self, req: &ProbeRequest, version: u64) -> GroupKey {
@@ -490,7 +489,7 @@ impl Drop for ServeEngine {
         // still-pending probes with Shutdown, and closes the work queue.
         self.submit_tx = None;
         let mut handles: Vec<JoinHandle<()>> = self.dispatcher.take().into_iter().collect();
-        handles.append(&mut lock_unpoisoned(&self.worker_ctx.handles));
+        handles.append(&mut lock(&self.worker_ctx.handles));
         for h in handles {
             // ~1.5 s bound per thread without reading the wall clock.
             let mut spins = 0u32;
@@ -519,7 +518,7 @@ fn target_kind(batch: &Batch) -> u8 {
 #[allow(clippy::too_many_arguments)]
 fn dispatcher_loop(
     submit_rx: Receiver<Msg>,
-    work_tx: Sender<ReadyBatch<GroupKey, PendingProbe>>,
+    work_tx: SyncSender<ReadyBatch<GroupKey, PendingProbe>>,
     ctx: Arc<WorkerCtx>,
     clock: Arc<dyn Clock>,
     telemetry: Telemetry,
@@ -542,7 +541,7 @@ fn dispatcher_loop(
         let mut rb = rb;
         loop {
             {
-                let _g = lock_unpoisoned(&ctx.dispatch_gate);
+                let _g = lock(&ctx.dispatch_gate);
                 if ctx.exhausted.load(Ordering::SeqCst) {
                     for p in rb.requests {
                         let _ = p.reply.send(Err(ServeError::Shutdown));
@@ -640,7 +639,11 @@ fn worker_loop(ctx: &WorkerCtx) {
     let queue_wait_h = telemetry.histogram("serve.queue_wait_us");
     let exec_h = telemetry.histogram("serve.exec_us");
 
-    while let Ok(rb) = work_rx.recv() {
+    loop {
+        // A statement of its own, so the receiver lock is released before
+        // the batch executes and a sibling can take the next one.
+        let next = lock(work_rx).recv();
+        let Ok(rb) = next else { break };
         // Injected worker death: the panic is deliberately *outside* the
         // execution catch region, so the thread dies, this batch's reply
         // senders drop (tickets resolve Shutdown → callers fall back

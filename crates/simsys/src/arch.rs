@@ -7,10 +7,8 @@
 //! [`PaperScale`] fixes the totals (computed from the published
 //! architectures' dimensions).
 
-use serde::Serialize;
-
 /// Per-module cost profile (per training sample where applicable).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModuleCost {
     /// Module name.
     pub name: String,
@@ -23,7 +21,7 @@ pub struct ModuleCost {
 }
 
 /// A whole-model cost profile.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArchSpec {
     /// Model name.
     pub name: String,

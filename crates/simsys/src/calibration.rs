@@ -13,11 +13,10 @@
 use crate::arch::ArchSpec;
 use crate::device::ClusterSpec;
 use crate::iteration::{iteration_time, CommPolicy, IterationSetting};
-use serde::Serialize;
 
 /// One observed iteration-split bucket, extracted from a recorded trace
 /// (mean duration of `train_step` spans sharing a freezing state).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ObservedSplit {
     /// Frozen-prefix length during these steps.
     pub frozen_prefix: usize,
@@ -30,7 +29,7 @@ pub struct ObservedSplit {
 }
 
 /// Predicted-vs-observed comparison for one freezing state.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CalibrationRow {
     /// Frozen-prefix length.
     pub frozen_prefix: usize,
@@ -47,7 +46,7 @@ pub struct CalibrationRow {
 }
 
 /// The full calibration comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CalibrationReport {
     /// The baseline state ratios are taken against (least-frozen split).
     pub baseline_prefix: usize,

@@ -5,7 +5,6 @@ use crate::arch::ArchSpec;
 use crate::device::ClusterSpec;
 use crate::schedule::{simulate_iteration, CommOutcome};
 pub use crate::schedule::CommPolicy;
-use serde::Serialize;
 
 /// The state of one training iteration.
 #[derive(Debug, Clone, Copy)]
@@ -19,7 +18,7 @@ pub struct IterationSetting {
 }
 
 /// Where the iteration's time went.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimeBreakdown {
     /// Forward compute (seconds).
     pub fwd: f64,

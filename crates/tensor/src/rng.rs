@@ -2,18 +2,70 @@
 //!
 //! Training reproducibility is load-bearing in this system: the activation
 //! cache (§4.3 of the paper) is only correct if random data augmentation is
-//! *stateless*, i.e. re-derivable from `(seed, epoch, sample id)`. We wrap a
-//! seeded [`rand::rngs::StdRng`] and expose exactly the distributions the
-//! stack needs, plus a [`Rng::derive`] combinator that builds the
-//! per-(epoch, sample) streams used by stateless augmentation.
+//! *stateless*, i.e. re-derivable from `(seed, epoch, sample id)`. The
+//! generator is xoshiro256++ seeded through SplitMix64, owned here so no
+//! third-party crate sits under any golden fingerprint; [`Rng`] exposes
+//! exactly the distributions the stack needs, plus a [`Rng::derive`]
+//! combinator that builds the per-(epoch, sample) streams used by stateless
+//! augmentation. `stream_is_pinned` holds the output bits.
 
-use rand::rngs::StdRng;
-use rand::{Rng as _, SeedableRng};
+/// xoshiro256++ (Blackman & Vigna): 256 bits of state, 64-bit outputs.
+#[derive(Debug, Clone)]
+struct Xoshiro256pp {
+    s: [u64; 4],
+}
+
+impl Xoshiro256pp {
+    /// Expands a 64-bit seed into the full state with SplitMix64, per the
+    /// xoshiro authors' recommendation.
+    fn seed_from_u64(seed: u64) -> Self {
+        let mut x = seed;
+        let mut next = || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        Xoshiro256pp {
+            s: [next(), next(), next(), next()],
+        }
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// 24 mantissa bits → uniform in `[0, 1)`.
+    fn next_f32(&mut self) -> f32 {
+        (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+    }
+
+    /// 53 mantissa bits → uniform in `[0, 1)`.
+    fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform integer in `[0, span)` by modulo mapping; the bias is
+    /// negligible at the spans the workspace draws from (≤ dataset length).
+    fn below(&mut self, span: u64) -> usize {
+        (self.next_u64() % span) as usize
+    }
+}
 
 /// A seeded random number generator with explicit derivation.
 #[derive(Debug, Clone)]
 pub struct Rng {
-    inner: StdRng,
+    inner: Xoshiro256pp,
     seed: u64,
 }
 
@@ -21,7 +73,7 @@ impl Rng {
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
         Rng {
-            inner: StdRng::seed_from_u64(seed),
+            inner: Xoshiro256pp::seed_from_u64(seed),
             seed,
         }
     }
@@ -46,14 +98,14 @@ impl Rng {
 
     /// A uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f32 {
-        self.inner.gen::<f32>()
+        self.inner.next_f32()
     }
 
     /// A standard normal sample (Box–Muller).
     pub fn normal(&mut self) -> f32 {
         // Box–Muller on two uniforms; clamp u1 away from 0 to avoid ln(0).
-        let u1 = self.inner.gen::<f64>().max(1e-12);
-        let u2 = self.inner.gen::<f64>();
+        let u1 = self.inner.next_f64().max(1e-12);
+        let u2 = self.inner.next_f64();
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
     }
 
@@ -65,13 +117,13 @@ impl Rng {
         if n == 0 {
             0
         } else {
-            self.inner.gen_range(0..n)
+            self.inner.below(n as u64)
         }
     }
 
     /// A fair coin flip.
     pub fn flip(&mut self) -> bool {
-        self.inner.gen::<bool>()
+        self.inner.next_u64() & 1 == 1
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -80,7 +132,7 @@ impl Rng {
             return;
         }
         for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
+            let j = self.inner.below(i as u64 + 1);
             slice.swap(i, j);
         }
     }
@@ -154,6 +206,46 @@ mod tests {
         let mut sorted = p.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    /// Every golden fingerprint rests on this stream, so its bits are
+    /// pinned: an FNV-1a digest over 1,000 draws of each distribution for
+    /// three seeds, recorded at bc01006 (before the generator moved into
+    /// this file from a vendored stand-in crate) and unchanged since.
+    #[test]
+    fn stream_is_pinned() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for seed in [0, 1, 0x9E37_79B9_7F4A_7C15] {
+            let mut r = Rng::new(seed);
+            for _ in 0..1000 {
+                eat(&r.uniform().to_bits().to_le_bytes());
+            }
+            for _ in 0..1000 {
+                eat(&r.normal().to_bits().to_le_bytes());
+            }
+            for _ in 0..1000 {
+                eat(&(r.below(17) as u64).to_le_bytes());
+            }
+            for _ in 0..1000 {
+                eat(&[u8::from(r.flip())]);
+            }
+            for _ in 0..1000 {
+                for i in r.permutation(50) {
+                    eat(&(i as u64).to_le_bytes());
+                }
+            }
+            for k in 0..1000 {
+                let mut d = r.derive(k);
+                eat(&d.seed().to_le_bytes());
+                eat(&d.uniform().to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(h, 0x5b3e_da25_6fdd_3b11, "rng stream digest {h:#018x}");
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! nobody bounded. A CRC only catches accidents: each case here re-forges
 //! the checksum so the mutation reaches the field decoder behind it.
 //!
+//! The table covers every format a reader opens: tensor files, checkpoints
+//! at all three container versions, the store manifest, chunk blocks raw
+//! and LZSS-coded, and the f16/int8 sample records. Each is walked
+//! exhaustively (every truncation, every single-byte flip) and then fuzzed
+//! with random multi-byte mutations.
+//!
 //! This is the test to run (debug *and* `--release`) after touching
 //! `egeria_tensor::wire` or any format built on it.
 
@@ -16,10 +22,11 @@ use egeria_core::trainer::{EpochRecord, EventRecord, IterationRecord, Plasticity
 use egeria_core::PolicyState;
 use egeria_nn::optim::OptimizerState;
 use egeria_store::chunk::ChunkBlock;
-use egeria_store::codec::{StoreCodec, Transform};
+use egeria_store::codec::{ByteCodec, StoreCodec, Transform};
 use egeria_store::manifest::{Manifest, ManifestEntry};
 use egeria_tensor::wire::{self, crc32, FRAME_HEADER_LEN};
 use egeria_tensor::{serialize, Tensor, TensorError};
+use proptest::prelude::*;
 
 /// `rank · dims` as every tensor-shaped record starts.
 fn dims_prefix(dims: &[usize]) -> Vec<u8> {
@@ -190,6 +197,20 @@ fn sample_checkpoint() -> TrainerCheckpoint {
     }
 }
 
+/// A chunk block of real sample records, LZSS-coded the way the lossless
+/// store writes it to a shard.
+fn sample_lz_chunk() -> Vec<u8> {
+    let t = sample_tensor();
+    let records = [0u16, 1, 9].map(|i| (i, Transform::Exact.encode_sample(&t).unwrap()));
+    let block = ChunkBlock {
+        transform: Transform::Exact,
+        base_id: 0,
+        chunk_samples: 16,
+        records: records.into_iter().collect(),
+    };
+    StoreCodec::Lossless.stages().1.encode(&block.encode())
+}
+
 /// How a format's integrity check is re-forged after a mutation.
 #[derive(Clone, Copy)]
 enum Integrity {
@@ -236,6 +257,13 @@ fn consistent(t: Tensor) {
     );
 }
 
+fn decode_checkpoint(b: &[u8]) -> Result<(), TensorError> {
+    checkpoint::from_bytes(b).map(|c| {
+        c.params.into_iter().for_each(|(_, t)| consistent(t));
+        c.state_buffers.into_iter().for_each(consistent);
+    })
+}
+
 fn formats() -> Vec<(&'static str, Vec<u8>, Integrity, Decode)> {
     let t = sample_tensor();
     vec![
@@ -246,12 +274,19 @@ fn formats() -> Vec<(&'static str, Vec<u8>, Integrity, Decode)> {
             "checkpoint v3",
             checkpoint::to_bytes(&sample_checkpoint()),
             Integrity::Frame,
-            |b| {
-                checkpoint::from_bytes(b).map(|c| {
-                    c.params.into_iter().for_each(|(_, t)| consistent(t));
-                    c.state_buffers.into_iter().for_each(consistent);
-                })
-            },
+            decode_checkpoint,
+        ),
+        (
+            "checkpoint v2",
+            checkpoint::to_bytes_versioned(&sample_checkpoint(), 2),
+            Integrity::Frame,
+            decode_checkpoint,
+        ),
+        (
+            "checkpoint v1",
+            checkpoint::to_bytes_versioned(&sample_checkpoint(), 1),
+            Integrity::Frame,
+            decode_checkpoint,
         ),
         (
             "manifest",
@@ -265,6 +300,13 @@ fn formats() -> Vec<(&'static str, Vec<u8>, Integrity, Decode)> {
             Integrity::None,
             |b| ChunkBlock::decode(b).map(|_| ()),
         ),
+        ("lzss chunk", sample_lz_chunk(), Integrity::None, |b| {
+            let block = ChunkBlock::decode(&ByteCodec::ShuffleLz { width: 4 }.decode(b)?)?;
+            for record in block.records.values() {
+                block.transform.decode_sample(record).map(consistent)?;
+            }
+            Ok(())
+        }),
         (
             "f16 record",
             Transform::F16.encode_sample(&t).unwrap(),
@@ -311,5 +353,28 @@ fn every_truncation_and_byte_flip_decodes_to_ok_or_err() {
             reached_decoder > 0,
             "{name}: no mutation reached the field decoder"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random multi-byte damage, checksum re-forged: any 1–8 byte
+    /// overwrites of any format decode to `Ok` or `Err`, never a panic, and
+    /// an `Ok` never carries a tensor whose dims disagree with its data.
+    #[test]
+    fn random_multi_byte_mutations_decode_to_ok_or_err(
+        edits in prop::collection::vec((any::<usize>(), 1u8..255), 1..9)
+    ) {
+        for (name, valid, integrity, decode) in formats() {
+            let mut bad = valid.clone();
+            for &(at, mask) in &edits {
+                let at = at % bad.len();
+                bad[at] ^= mask;
+            }
+            integrity.reforge(&mut bad, false);
+            let outcome = std::panic::catch_unwind(|| decode(&bad));
+            prop_assert!(outcome.is_ok(), "{}: panicked on edits {:?}", name, edits);
+        }
     }
 }
