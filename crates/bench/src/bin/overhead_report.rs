@@ -2,18 +2,19 @@
 //!
 //! Measures, on real components: reference generation/update latency (the
 //! paper: 0.5–1.5 s at paper scale — ours is smaller, same plumbing),
-//! the training-thread cost of submitting an async plasticity evaluation
-//! (must be far under an iteration), and the activation cache's
-//! storage-to-input ratio (the paper: 1.5×–5.3× for ResNet-50).
+//! the cost of one inline plasticity probe on the training thread (a
+//! reference capture plus the SP loss) amortised over the evaluation
+//! interval `n`, and the activation cache's storage-to-input ratio (the
+//! paper: 1.5×–5.3× for ResNet-50).
+
+use egeria_analysis::sp_loss;
 
 use egeria_bench::experiments::{default_egeria, run_workload};
 use egeria_bench::runner::{write_csv, ResultsDir};
 use egeria_bench::workloads::{Kind, Workload};
-use egeria_core::controller::AsyncController;
 use egeria_core::reference::ReferenceManager;
 use egeria_core::EgeriaConfig;
 use egeria_quant::{quantize_reference, Precision};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -33,7 +34,8 @@ fn main() {
         rows.push(format!("reference_generation_s,{},{per:.4}", w.name));
     }
 
-    // 2. Async submission overhead on the training thread.
+    // 2. Inline probe cost on the training thread: what the trainer adds
+    //    at every `n`-th step (ResNet's front module, 16 samples).
     {
         let w = Workload::make(Kind::ResNet56, 42);
         let mut model = w.model;
@@ -43,33 +45,24 @@ fn main() {
             .expect("probe");
         let mut refmgr = ReferenceManager::new(&EgeriaConfig::default());
         refmgr.generate(model.as_ref()).expect("generate");
-        let mut ctrl = AsyncController::spawn(
-            refmgr,
-            10.0,
-            Arc::new(|| 0.0),
-            None,
-            egeria_obs::Telemetry::disabled(),
-        );
         let act = model.capture_activation(&probe, 0).expect("capture");
         let t0 = Instant::now();
         let reps = 50;
-        let mut last = 0;
         for _ in 0..reps {
-            if let Some(id) = ctrl.submit(probe.clone(), 0, act.clone()) {
-                last = id;
-            }
+            let a_ref = refmgr.capture(&probe, 0).expect("reference capture");
+            std::hint::black_box(sp_loss(&act, &a_ref).expect("sp loss"));
         }
-        let submit_per = t0.elapsed().as_secs_f64() / reps as f64;
-        let _ = ctrl.wait_for(last);
+        let probe_s = t0.elapsed().as_secs_f64() / reps as f64;
         // One full training iteration for comparison.
         let t1 = Instant::now();
         let _ = model.train_step(&probe, None).expect("step");
         let iter_s = t1.elapsed().as_secs_f64();
-        rows.push(format!("async_submit_s,resnet56,{submit_per:.6}"));
+        let n = default_egeria(Kind::ResNet56).n;
+        rows.push(format!("probe_s,resnet56,{probe_s:.6}"));
         rows.push(format!("train_iteration_s,resnet56,{iter_s:.4}"));
         rows.push(format!(
-            "submit_overhead_pct,resnet56,{:.3}",
-            submit_per / iter_s * 100.0
+            "probe_overhead_pct,resnet56,{:.3}",
+            probe_s / (n as f64 * iter_s) * 100.0
         ));
     }
 

@@ -300,8 +300,9 @@ impl ActivationCache {
         Ok(cache)
     }
 
-    /// Builds the cache a config asks for (backend, codec, disk cap). The
-    /// trainer's entry point.
+    /// Builds the cache a config asks for: its backend (the chunked one
+    /// with the default store geometry and lossless codec) and memory
+    /// window. The trainer's entry point.
     pub fn for_config(
         dir: impl Into<PathBuf>,
         cfg: &crate::config::EgeriaConfig,
@@ -309,12 +310,7 @@ impl ActivationCache {
         match cfg.cache_store {
             CacheStoreKind::Flat => ActivationCache::new(dir, cfg.cache_mem_batches),
             CacheStoreKind::Chunked => {
-                let store_cfg = StoreConfig {
-                    codec: cfg.cache_codec,
-                    disk_cap_bytes: cfg.cache_disk_mb.map(|mb| mb * 1024 * 1024),
-                    ..StoreConfig::default()
-                };
-                ActivationCache::with_store(dir, cfg.cache_mem_batches, store_cfg)
+                ActivationCache::with_store(dir, cfg.cache_mem_batches, StoreConfig::default())
             }
         }
     }

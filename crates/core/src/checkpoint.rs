@@ -104,9 +104,10 @@ pub struct TrainerCheckpoint {
     pub freezer: Option<FreezerSnapshot>,
     /// Bootstrap-monitor state (`None` when Egeria is off).
     pub bootstrap: Option<BootstrapSnapshot>,
-    /// The active reference model (`None` before bootstrap completes, and
-    /// in async mode, where the controller thread owns the reference — the
-    /// resumed run regenerates it from the restored weights).
+    /// The active reference model (`None` before bootstrap completes).
+    /// Checkpoints written by the async-controller runs of earlier versions
+    /// carry none after it either; resume then regenerates the reference
+    /// from the restored weights.
     pub reference: Option<ReferenceSnapshot>,
     /// Per-epoch report records accumulated so far.
     pub epochs: Vec<EpochRecord>,

@@ -3,17 +3,6 @@
 
 use egeria_quant::Precision;
 
-/// How plasticity evaluation is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControllerMode {
-    /// Reference forward + plasticity computed inline on the training
-    /// thread. Deterministic; used by the experiment harness.
-    Sync,
-    /// Reference forward on a controller thread behind the IQ/ROQ/TOQ
-    /// queues (§4.1.2); decisions apply when they arrive.
-    Async,
-}
-
 /// Which freeze/unfreeze decision policy drives the [`crate::freezer::FreezingEngine`]
 /// (DESIGN §5i). The engine owns the per-module plasticity trackers and the
 /// event log; the policy owns only the *decision rule*, so every variant
@@ -161,23 +150,12 @@ pub struct EgeriaConfig {
     pub cache_fp: bool,
     /// In-memory cache window, in batches (the paper keeps 5).
     pub cache_mem_batches: usize,
-    /// Controller execution mode.
-    pub controller: ControllerMode,
-    /// CPU-load gate: skip reference execution when the 1-minute load
-    /// average divided by core count exceeds this fraction (§4.1.2 uses
-    /// 50%). Only consulted in async mode.
-    pub cpu_load_gate: f32,
     /// Freeze/unfreeze decision policy (DESIGN §5i). Overridable at run
     /// time via `EGERIA_FREEZE_POLICY` ([`EgeriaConfig::with_env_overrides`]).
     pub policy: PolicyKind,
     /// Activation-cache backend (DESIGN §5j). Overridable at run time via
     /// `EGERIA_CACHE_STORE` ([`EgeriaConfig::with_env_overrides`]).
     pub cache_store: CacheStoreKind,
-    /// Codec chain for the chunked backend (ignored by flat).
-    pub cache_codec: egeria_store::StoreCodec,
-    /// Live on-disk byte cap for the chunked backend, in megabytes
-    /// (`None` = unbounded).
-    pub cache_disk_mb: Option<u64>,
 }
 
 impl Default for EgeriaConfig {
@@ -193,12 +171,8 @@ impl Default for EgeriaConfig {
             unfreeze: UnfreezePolicy::LrAnnealing,
             cache_fp: true,
             cache_mem_batches: 5,
-            controller: ControllerMode::Sync,
-            cpu_load_gate: 0.5,
             policy: PolicyKind::Paper,
             cache_store: CacheStoreKind::Flat,
-            cache_codec: egeria_store::StoreCodec::Lossless,
-            cache_disk_mb: None,
         }
     }
 }
@@ -302,8 +276,6 @@ mod tests {
         assert_eq!(CacheStoreKind::parse("zarr"), None);
         let c = EgeriaConfig::default();
         assert_eq!(c.cache_store, CacheStoreKind::Flat);
-        assert_eq!(c.cache_codec, egeria_store::StoreCodec::Lossless);
-        assert_eq!(c.cache_disk_mb, None);
         assert_eq!(CacheStoreKind::Flat.name(), "flat");
         assert_eq!(CacheStoreKind::Chunked.name(), "chunked");
     }

@@ -150,8 +150,8 @@ impl FreezingEngine {
         self.observe_value(p, lr)
     }
 
-    /// Folds a precomputed plasticity value (the async-controller path,
-    /// where the SP loss was computed on the controller thread).
+    /// Folds a precomputed plasticity value (the trainer's path: it
+    /// computes the SP loss itself, right after the reference capture).
     ///
     /// Decision order is part of the determinism contract (pinned by the
     /// golden run): bump the evaluation counter, ask the policy's

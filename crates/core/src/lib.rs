@@ -19,12 +19,14 @@
 //!    them, and spliced into the forward pass so frozen modules skip
 //!    computation entirely.
 //!
-//! The controller/worker split of §4.1 is in [`controller`]: the reference
-//! model runs on a separate thread behind the paper's three
-//! single-producer/single-consumer queues (IQ, ROQ, TOQ) with a CPU-load
-//! gate. [`trainer::EgeriaTrainer`] ties everything together, and
-//! [`api`] provides the `EgeriaModule`/`EgeriaController` facade matching
-//! the paper's minimal-code-change interface.
+//! The paper's controller (§4.1) runs the reference on a CPU thread so
+//! probing stays off the GPU's critical path. Here every thread is a CPU
+//! thread, so the reference is probed inline on the training thread, at the
+//! step that hooks the training activation, and the value is folded before
+//! the optimizer step — deterministic, with no thread of its own.
+//! [`trainer::EgeriaTrainer`] ties everything together, and [`api`]
+//! provides the `EgeriaModule`/`EgeriaController` facade matching the
+//! paper's minimal-code-change interface.
 
 // No unsafe outside egeria-tensor: enforced here and audited by egeria-lint.
 #![forbid(unsafe_code)]
@@ -35,7 +37,6 @@ pub mod bootstrap;
 pub mod cache;
 pub mod checkpoint;
 pub mod config;
-pub mod controller;
 pub mod distributed;
 pub mod freezer;
 pub mod plasticity;

@@ -27,8 +27,7 @@ pub struct ReferenceStats {
 }
 
 /// Owns and refreshes the reference model: one quantized copy, probed by
-/// a direct forward on the calling thread (the training thread in
-/// `ControllerMode::Sync`, the controller thread in `Async`).
+/// a direct forward on the training thread.
 pub struct ReferenceManager {
     precision: Precision,
     reference: Option<Box<dyn Model>>,

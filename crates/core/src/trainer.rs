@@ -13,8 +13,7 @@
 use crate::bootstrap::BootstrapMonitor;
 use crate::cache::{ActivationCache, CacheStats};
 use crate::checkpoint::{CheckpointOptions, CheckpointStore, TrainerCheckpoint};
-use crate::config::{ControllerMode, EgeriaConfig};
-use crate::controller::{system_load_probe, AsyncController};
+use crate::config::EgeriaConfig;
 use crate::freezer::{FreezeEvent, FreezingEngine};
 use crate::plasticity::PlasticityObservation;
 use crate::reference::{load_weights, ReferenceManager, ReferenceStats};
@@ -25,18 +24,11 @@ use egeria_nn::sched::LrSchedule;
 use egeria_obs::{ArgValue, Telemetry};
 use egeria_resil::fault::{FaultInjector, FaultSite};
 use egeria_resil::health::HealthMonitor;
-use egeria_resil::supervise::Watchdog;
 use egeria_tensor::{Result, Tensor, TensorError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How many dead async-controller threads the trainer may respawn over
-/// one run before the watchdog budget is exhausted (exhaustion drops the
-/// controller permanently and flips health to Critical; training itself
-/// continues without plasticity evaluations).
-const CONTROLLER_RESPAWN_BUDGET: u32 = 3;
 
 /// The optimizer driving parameter updates.
 pub enum Optimizer {
@@ -101,13 +93,13 @@ pub struct TrainerOptions {
     pub checkpoint: Option<CheckpointOptions>,
     /// Fault injector for robustness tests; `None` in production.
     pub faults: Option<Arc<FaultInjector>>,
-    /// Health monitor aggregating degradation signals from the controller
-    /// watchdog and cache quarantine. One is created internally when
-    /// omitted, so the report always carries a final health state.
+    /// Health monitor aggregating degradation signals from the cache
+    /// quarantine. One is created internally when omitted, so the report
+    /// always carries a final health state.
     pub health: Option<Arc<HealthMonitor>>,
-    /// Telemetry handle wired through the freezer, cache, reference
-    /// manager, and controller. The default disabled handle records
-    /// nothing and costs one branch per instrumentation point.
+    /// Telemetry handle wired through the freezer, cache, and reference
+    /// manager. The default disabled handle records nothing and costs one
+    /// branch per instrumentation point.
     pub telemetry: Telemetry,
 }
 
@@ -206,7 +198,9 @@ pub struct TrainReport {
     /// Total bytes of input data materialized (for the cache-storage-ratio
     /// report).
     pub input_bytes: u64,
-    /// Times a dead async-controller thread was detected and respawned.
+    /// Always 0: every run probes its reference inline on the training
+    /// thread, so there is no controller thread to restart. The field stays
+    /// because the `benchmark/` package reads it.
     pub controller_restarts: usize,
     /// Checkpoint saves that failed (training continued without them).
     pub checkpoint_save_errors: usize,
@@ -237,7 +231,7 @@ struct Step {
     lr: f32,
 }
 
-/// How one step runs its forward/backward pass (phase 2's verdict).
+/// How one step runs its forward/backward pass (phase 1's verdict).
 #[derive(Clone, Copy)]
 enum StepPath {
     /// Plasticity evaluation: full pass with module `front`'s activation
@@ -250,49 +244,19 @@ enum StepPath {
     Full,
 }
 
-/// Where a run's reference model lives — one value, so "is a reference
-/// available" and "who refreshes it" cannot disagree.
-enum Probe {
-    /// On the training thread: captured inline, folded before the
-    /// optimizer step. Not ready until the bootstrap stage ends.
-    Inline(ReferenceManager),
-    /// On the controller thread behind IQ/TOQ: results drain at the top of
-    /// a later step.
-    Async(AsyncController),
-    /// The controller kept dying and its respawn budget ran out: no more
-    /// plasticity evaluations this run.
-    Lost,
-}
-
-impl Probe {
-    /// Takes the inline manager out (leaving `Lost` until the caller
-    /// installs its successor); `None` and untouched otherwise.
-    fn take_inline(&mut self) -> Option<ReferenceManager> {
-        match std::mem::replace(self, Probe::Lost) {
-            Probe::Inline(rm) => Some(rm),
-            other => {
-                *self = other;
-                None
-            }
-        }
-    }
-}
-
 /// Everything one Egeria-enabled run owns beyond the model and optimizer.
 /// `train` holds it as `Option<EgeriaRun>`: the vanilla baseline has none
 /// and its step stays a bare `train_step(&batch, None)`.
 ///
-/// The loop body is seven phases; what each may touch (DESIGN §5k):
-/// 1. [`supervise_and_drain`](Self::supervise_and_drain) — probe, watchdog;
-///    via the fold: freezer, cache, model prefix, report.
-/// 2. [`select_path`](Self::select_path) — reads only.
-/// 3. `EgeriaTrainer::forward_backward` — model, cache.
-/// 4. [`probe_plasticity`](Self::probe_plasticity) — probe; via the fold as
-///    in phase 1.
-/// 5. [`bootstrap_and_refresh`](Self::bootstrap_and_refresh) — bootstrap,
-///    probe, `evals_since_ref_update`.
-/// 6. `EgeriaTrainer::optimizer_step` — model parameters, optimizer.
-/// 7. `EgeriaTrainer::save_checkpoint` — cache flush, checkpoint store.
+/// The loop body is six phases; what each may touch (DESIGN §5k):
+/// 1. [`select_path`](Self::select_path) — reads only.
+/// 2. `EgeriaTrainer::forward_backward` — model, cache.
+/// 3. [`probe_plasticity`](Self::probe_plasticity) — reference; via the
+///    fold: freezer, cache, model prefix, report.
+/// 4. [`bootstrap_and_refresh`](Self::bootstrap_and_refresh) — bootstrap,
+///    reference, `evals_since_ref_update`.
+/// 5. `EgeriaTrainer::optimizer_step` — model parameters, optimizer.
+/// 6. `EgeriaTrainer::save_checkpoint` — cache flush, checkpoint store.
 struct EgeriaRun {
     /// This run's copy of the config, env overrides applied.
     cfg: EgeriaConfig,
@@ -301,11 +265,11 @@ struct EgeriaRun {
     cache: Option<ActivationCache>,
     /// Declared after `cache`, so the store closes before its files go.
     _own_cache_dir: Option<OwnCacheDir>,
-    probe: Probe,
-    watchdog: Watchdog,
+    /// Probed inline on the training thread; not ready until the
+    /// bootstrap stage ends.
+    reference: ReferenceManager,
     evals_since_ref_update: usize,
     telemetry: Telemetry,
-    faults: Option<Arc<FaultInjector>>,
 }
 
 impl EgeriaRun {
@@ -333,96 +297,28 @@ impl EgeriaRun {
         } else {
             None
         };
-        let watchdog = Watchdog::new(
-            "async-controller",
-            CONTROLLER_RESPAWN_BUDGET,
-            telemetry.clone(),
-        )
-        .with_health(Arc::clone(&health), "controller-respawn-budget-exhausted");
+        let mut reference = ReferenceManager::new(&cfg);
+        reference.set_telemetry(telemetry.clone());
+        if let Some(f) = faults {
+            reference.set_faults(f);
+        }
         Ok(EgeriaRun {
             cfg,
             bootstrap: BootstrapMonitor::new(cfg.w.max(4), cfg.bootstrap_rate),
             freezer,
             cache,
             _own_cache_dir: own_cache_dir,
-            probe: Probe::Inline(wired_reference(&cfg, &telemetry, &faults)),
-            watchdog,
+            reference,
             evals_since_ref_update: 0,
             telemetry,
-            faults,
         })
     }
 
-    /// Generates `rm`'s reference from `model`'s current weights and puts
-    /// it where the controller mode says it lives: in place, or on a new
-    /// controller thread.
-    fn install_reference(&mut self, mut rm: ReferenceManager, model: &dyn Model) -> Result<()> {
-        rm.generate(model)?;
-        self.probe = match self.cfg.controller {
-            ControllerMode::Sync => Probe::Inline(rm),
-            ControllerMode::Async => Probe::Async(AsyncController::spawn(
-                rm,
-                self.cfg.cpu_load_gate,
-                system_load_probe(),
-                self.faults.clone(),
-                self.telemetry.clone(),
-            )),
-        };
-        Ok(())
-    }
-
-    /// Phase 1. Watchdog: a dead controller thread (panic or injected
-    /// fault) is respawned with a fresh reference generated from the
-    /// current weights; in-flight evaluations are lost — a skipped eval,
-    /// not an error. Respawns are capped: a controller that keeps dying is
-    /// dropped permanently (health Critical) and training continues
-    /// without plasticity evaluations. Then the controller's finished
-    /// evaluations are drained and folded, so decisions apply promptly.
-    fn supervise_and_drain(
-        &mut self,
-        model: &mut dyn Model,
-        report: &mut TrainReport,
-        step: Step,
-    ) -> Result<()> {
-        if matches!(&self.probe, Probe::Async(ctrl) if !ctrl.is_alive()) {
-            if self.watchdog.request_respawn() {
-                eprintln!("egeria: controller thread died; respawning with a fresh reference");
-                let rm = wired_reference(&self.cfg, &self.telemetry, &self.faults);
-                self.install_reference(rm, model)?;
-                report.controller_restarts += 1;
-                self.telemetry.counter("controller.restarts").inc();
-                self.evals_since_ref_update = 0;
-            } else {
-                eprintln!(
-                    "egeria: controller respawn budget exhausted; \
-                     continuing without plasticity evaluations"
-                );
-                self.probe = Probe::Lost;
-            }
-        }
-        let Probe::Async(ctrl) = &self.probe else {
-            return Ok(());
-        };
-        for r in ctrl.poll_results() {
-            if r.module != self.freezer.front() {
-                continue; // Stale: the front advanced meanwhile.
-            }
-            if let Some(p) = r.value {
-                self.fold_plasticity(model, report, step, p, r.module)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Phase 2. `prefix` is the frozen prefix the step started with: an
-    /// event phase 1 just applied changes the path from the next step on.
+    /// Phase 1. `prefix` is the frozen prefix the step started with.
     fn select_path(&self, model: &dyn Model, prefix: usize, step: Step) -> StepPath {
-        let reference_available = match &self.probe {
-            Probe::Inline(rm) => rm.is_ready(),
-            Probe::Async(_) => true,
-            Probe::Lost => false,
-        };
-        if self.bootstrap.is_done() && step.index.is_multiple_of(self.cfg.n) && reference_available
+        if self.bootstrap.is_done()
+            && step.index.is_multiple_of(self.cfg.n)
+            && self.reference.is_ready()
         {
             StepPath::Probe {
                 front: self.freezer.front(),
@@ -434,10 +330,9 @@ impl EgeriaRun {
         }
     }
 
-    /// Phase 4. Hands the hooked training activation to the probe. Inline:
-    /// capture the reference activation, compute the SP loss and fold it
-    /// now, before the optimizer step. Async: enqueue for the controller;
-    /// the value is folded by a later step's phase 1.
+    /// Phase 3. Captures the reference activation for the hooked training
+    /// activation's batch, computes the SP loss and folds it now, before
+    /// the optimizer step.
     fn probe_plasticity(
         &mut self,
         model: &mut dyn Model,
@@ -447,36 +342,28 @@ impl EgeriaRun {
         report: &mut TrainReport,
         step: Step,
     ) -> Result<()> {
-        match &mut self.probe {
-            Probe::Async(ctrl) => {
-                let _ = ctrl.submit(batch.clone(), front, a_train);
+        match self.reference.capture(batch, front) {
+            Ok(a_ref) => {
+                let p = egeria_analysis::sp_loss(&a_train, &a_ref)?;
+                self.fold_plasticity(model, report, step, p, front)?;
             }
-            Probe::Inline(rm) => match rm.capture(batch, front) {
-                Ok(a_ref) => {
-                    let p = egeria_analysis::sp_loss(&a_train, &a_ref)?;
-                    self.fold_plasticity(model, report, step, p, front)?;
-                }
-                // A failed reference capture degrades to "don't decide
-                // yet": the evaluation is skipped (freezing on missing
-                // knowledge is the mistimed-freeze risk §4.2 warns about),
-                // training itself never aborts.
-                Err(e) => {
-                    eprintln!("egeria: reference capture failed; skipping evaluation: {e}");
-                    report.eval_skips += 1;
-                    self.telemetry.counter("trainer.eval_skips").inc();
-                }
-            },
-            Probe::Lost => {}
+            // A failed reference capture degrades to "don't decide yet":
+            // the evaluation is skipped (freezing on missing knowledge is
+            // the mistimed-freeze risk §4.2 warns about), training itself
+            // never aborts.
+            Err(e) => {
+                eprintln!("egeria: reference capture failed; skipping evaluation: {e}");
+                report.eval_skips += 1;
+                self.telemetry.counter("trainer.eval_skips").inc();
+            }
         }
         Ok(())
     }
 
-    /// The one plasticity-fold entry point shared by the sync and
-    /// async-controller paths: fold the value into the freezer (which bumps
-    /// the evaluation telemetry and runs the policy's LR-reboot guard
-    /// exactly once), record the observation, apply the decision to the
-    /// model/cache, and record the event — so policies observe identical
-    /// state regardless of controller mode.
+    /// Folds one plasticity value into the freezer (which bumps the
+    /// evaluation telemetry and runs the policy's LR-reboot guard exactly
+    /// once), records the observation, applies the decision to the
+    /// model/cache, and records the event.
     fn fold_plasticity(
         &mut self,
         model: &mut dyn Model,
@@ -513,7 +400,7 @@ impl EgeriaRun {
         Ok(())
     }
 
-    /// Phase 5. Bootstrap monitoring runs at the same `n`-interval as
+    /// Phase 4. Bootstrap monitoring runs at the same `n`-interval as
     /// evaluation; the step that ends the critical period generates the
     /// first reference. Afterwards the reference is refreshed from the
     /// current weights every `reference_update_every` folded evaluations.
@@ -522,17 +409,11 @@ impl EgeriaRun {
             && step.index.is_multiple_of(self.cfg.n)
             && self.bootstrap.observe(loss)
         {
-            if let Some(rm) = self.probe.take_inline() {
-                self.install_reference(rm, model)?;
-            }
+            self.reference.generate(model)?;
         }
         let every = self.cfg.reference_update_every;
         if every > 0 && self.evals_since_ref_update >= every {
-            match &mut self.probe {
-                Probe::Inline(rm) => rm.generate(model)?,
-                Probe::Async(ctrl) => ctrl.update_reference(model.clone_boxed()),
-                Probe::Lost => return Ok(()),
-            }
+            self.reference.generate(model)?;
             self.evals_since_ref_update = 0;
         }
         Ok(())
@@ -548,23 +429,15 @@ impl EgeriaRun {
             self.bootstrap.restore(s);
         }
         // The bootstrap-completion transition that normally generates the
-        // reference (and, in async mode, spawns the controller) is latched
-        // and will never re-fire after restore, so both are reconstructed
-        // here. Sync mode restores the exact checkpointed reference for
-        // exact replay; async regenerates it from the restored weights
-        // (its decisions are load-dependent and nondeterministic anyway).
+        // reference is latched and will never re-fire after restore, so the
+        // reference is reconstructed here: the exact checkpointed one for
+        // exact replay, or — for a checkpoint that carries none, as the
+        // async-controller runs of earlier versions wrote — one regenerated
+        // from the restored weights.
         if self.bootstrap.is_done() {
-            let exact = match self.cfg.controller {
-                ControllerMode::Sync => ckpt.reference.as_ref(),
-                ControllerMode::Async => None,
-            };
-            match (&mut self.probe, exact) {
-                (Probe::Inline(rm), Some(snap)) => rm.restore_reference(model, snap)?,
-                _ => {
-                    if let Some(rm) = self.probe.take_inline() {
-                        self.install_reference(rm, model)?;
-                    }
-                }
+            match &ckpt.reference {
+                Some(snap) => self.reference.restore_reference(model, snap)?,
+                None => self.reference.generate(model)?,
             }
         }
         // Cache backend continuity: if the run that wrote this checkpoint
@@ -605,9 +478,7 @@ impl EgeriaRun {
         if let Some(c) = &self.cache {
             report.cache_stats = c.stats();
         }
-        if let Probe::Inline(rm) = &self.probe {
-            report.reference_stats = rm.stats();
-        }
+        report.reference_stats = self.reference.stats();
     }
 }
 
@@ -705,17 +576,15 @@ impl EgeriaTrainer {
                 report.input_bytes += batch_input_bytes(&batch);
                 let prefix = self.model.frozen_prefix();
 
-                // Phases 1–2: supervise/drain the controller, pick the path.
-                let mut path = StepPath::Full;
-                if let Some(run) = run.as_mut() {
-                    run.supervise_and_drain(self.model.as_mut(), &mut report, step)?;
-                    path = run.select_path(self.model.as_ref(), prefix, step);
-                }
+                // Phase 1: pick the path.
+                let path = run.as_ref().map_or(StepPath::Full, |run| {
+                    run.select_path(self.model.as_ref(), prefix, step)
+                });
                 let step_span = telemetry.span("train_step");
-                // Phase 3: forward/backward.
+                // Phase 2: forward/backward.
                 let (mut result, fp_cached) =
                     self.forward_backward(run.as_mut(), path, &batch, step)?;
-                // Phases 4–5: fold plasticity, bootstrap/reference upkeep.
+                // Phases 3–4: fold plasticity, bootstrap/reference upkeep.
                 if let Some(run) = run.as_mut() {
                     if let StepPath::Probe { front } = path {
                         let a_train = result.captured.take().ok_or_else(|| {
@@ -726,7 +595,7 @@ impl EgeriaTrainer {
                     }
                     run.bootstrap_and_refresh(self.model.as_ref(), result.loss, step)?;
                 }
-                // Phase 6: optimizer step.
+                // Phase 5: optimizer step.
                 self.optimizer_step(step)?;
                 drop(
                     step_span
@@ -761,7 +630,7 @@ impl EgeriaTrainer {
                 active_param_fraction: self.model.active_param_fraction(),
             });
             record_pool_occupancy(&telemetry, global_step);
-            // Phase 7: epoch-boundary checkpoint.
+            // Phase 6: epoch-boundary checkpoint.
             if let Some(s) = store.as_mut() {
                 self.save_checkpoint(s, run.as_mut(), &mut report, epoch, global_step);
             }
@@ -792,7 +661,7 @@ impl EgeriaTrainer {
         })
     }
 
-    /// Phase 3: the step's forward + loss + backward along `path`; returns
+    /// Phase 2: the step's forward + loss + backward along `path`; returns
     /// the result and whether the frozen prefix's forward came from the
     /// cache.
     fn forward_backward(
@@ -841,7 +710,7 @@ impl EgeriaTrainer {
         }
     }
 
-    /// Phase 6: one optimizer update, then clear the gradients.
+    /// Phase 5: one optimizer update, then clear the gradients.
     fn optimizer_step(&mut self, step: Step) -> Result<()> {
         let _opt_span = self
             .options
@@ -855,7 +724,7 @@ impl EgeriaTrainer {
         Ok(())
     }
 
-    /// Phase 7: the epoch-boundary checkpoint, when one is due. A failed
+    /// Phase 6: the epoch-boundary checkpoint, when one is due. A failed
     /// save is a logged degradation, never a training failure.
     fn save_checkpoint(
         &self,
@@ -896,10 +765,6 @@ impl EgeriaTrainer {
     }
 
     /// Assembles the complete persistent state at an epoch boundary.
-    ///
-    /// In async mode the reference lives on the controller thread, so
-    /// `reference` is `None` and resume regenerates it from the restored
-    /// weights.
     fn build_checkpoint(
         &self,
         run: Option<&EgeriaRun>,
@@ -928,10 +793,7 @@ impl EgeriaTrainer {
             optimizer,
             freezer: run.map(|r| r.freezer.snapshot()),
             bootstrap: run.map(|r| r.bootstrap.snapshot()),
-            reference: run.and_then(|r| match &r.probe {
-                Probe::Inline(rm) => rm.export_reference(),
-                _ => None,
-            }),
+            reference: run.and_then(|r| r.reference.export_reference()),
             epochs: report.epochs.clone(),
             iterations: report.iterations.clone(),
             plasticity: report.plasticity.clone(),
@@ -1017,21 +879,6 @@ fn batch_input_bytes(batch: &egeria_models::Batch) -> u64 {
                 * 8
         }
     }
-}
-
-/// A reference manager reporting through a run's telemetry and fault
-/// handles.
-fn wired_reference(
-    cfg: &EgeriaConfig,
-    telemetry: &Telemetry,
-    faults: &Option<Arc<FaultInjector>>,
-) -> ReferenceManager {
-    let mut rm = ReferenceManager::new(cfg);
-    rm.set_telemetry(telemetry.clone());
-    if let Some(f) = faults {
-        rm.set_faults(Arc::clone(f));
-    }
-    rm
 }
 
 /// The cache directory a run made for itself (`cache_dir: None`), removed
@@ -1325,26 +1172,6 @@ mod tests {
             "events: {:?}",
             report.events
         );
-    }
-
-    #[test]
-    fn async_controller_mode_runs_to_completion() {
-        let cfg = EgeriaConfig {
-            n: 2,
-            w: 3,
-            s: 2,
-            t: 5.0,
-            bootstrap_rate: 0.9,
-            controller: ControllerMode::Async,
-            cpu_load_gate: 10.0, // Never gate in tests.
-            ..Default::default()
-        };
-        let (mut t, data, loader) = tiny_setup(Some(cfg), 8);
-        let report = t.train(&data, &loader, None).unwrap();
-        assert_eq!(report.epochs.len(), 8);
-        // Async decisions should still land and freeze something.
-        let max_prefix = report.iterations.iter().map(|i| i.frozen_prefix).max().unwrap();
-        assert!(max_prefix >= 1, "async mode froze nothing");
     }
 
     /// Everything a cross-read cache file would disturb: per-epoch loss

@@ -3,8 +3,8 @@
 //! `Telemetry::disabled()` is a `None` inside; every call on it reduces to
 //! one branch and no allocation, which is what the bench guard in
 //! `bench_ops` measures (< 2% disabled-path overhead on `train_step`).
-//! Enabled handles share an `Arc`, so cloning into worker threads and the
-//! async controller is cheap and all clones feed one registry and ring.
+//! Enabled handles share an `Arc`, so cloning into worker threads is cheap
+//! and all clones feed one registry and ring.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

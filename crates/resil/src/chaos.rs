@@ -10,8 +10,8 @@
 //!   fault-free loss curve bit-for-bit.
 //! - [`full`](ChaosPlan::full): adds sites whose degradation changes the
 //!   control-plane timeline (corrupted cache reads, failed reference
-//!   captures, controller deaths). The contract drops to "never aborts,
-//!   degradation counters move monotonically".
+//!   captures). The contract drops to "never aborts, degradation counters
+//!   move monotonically".
 //!
 //! [`FaultSite::TrainStep`] is in neither profile: it models a process
 //! crash and aborts training by design (the crash/resume tests own it).
@@ -27,8 +27,8 @@ pub type ChaosEntry = (FaultSite, u32, usize, FaultAction);
 /// A named, seeded set of per-site fault schedules.
 ///
 /// A trainer run consults every site a plan arms: `CheckpointWrite` and
-/// `CacheWrite` (both profiles), `CacheRead`, `ReferenceCapture` and —
-/// async controller only — `ControllerEval` ([`full`](Self::full)).
+/// `CacheWrite` (both profiles), `CacheRead` and `ReferenceCapture`
+/// ([`full`](Self::full)).
 /// (Outside the plans a run also consults `TrainStep`, and
 /// `CheckpointRead` when it resumes.)
 #[derive(Debug, Clone)]
@@ -57,7 +57,6 @@ impl ChaosPlan {
         plan.entries.extend([
             (FaultSite::CacheRead, 100, 4, FaultAction::CorruptBytes),
             (FaultSite::ReferenceCapture, 200, 4, FaultAction::Fail),
-            (FaultSite::ControllerEval, 200, 2, FaultAction::Fail),
         ]);
         plan
     }

@@ -2,12 +2,12 @@
 //!
 //! A [`FaultInjector`] is armed with per-site plans and shared via `Arc`
 //! with the components under test: the activation cache, the checkpoint
-//! writer, the async controller, the trainer's step loop, the reference
-//! manager's capture path, and (standalone, off the training path) the
-//! serve engine's admission and execution paths. Each component consults
-//! the injector at well-defined points and reacts the way a real disk
-//! error, bit flip, controller stall, shed, or worker panic would — which
-//! is what the crash/resume, degradation, and chaos-soak tests drive.
+//! writer, the trainer's step loop, the reference manager's capture path,
+//! and (standalone, off the training path) the serve engine's admission and
+//! execution paths. Each component consults the injector at well-defined
+//! points and reacts the way a real disk error, bit flip, shed, or worker
+//! panic would — which is what the crash/resume, degradation, and
+//! chaos-soak tests drive.
 //!
 //! Two plan kinds, both fully deterministic:
 //!
@@ -28,9 +28,10 @@ use std::sync::{Arc, Mutex};
 /// Where a fault can be injected.
 ///
 /// The discriminant is the site's stable stream index for seeded
-/// schedules: new sites take new numbers and a retired site's number (8,
-/// the serve-registry publish; 10, the prefetcher read) is never reused,
-/// so existing `(seed, site)` streams stay unchanged.
+/// schedules: new sites take new numbers and a retired site's number (4,
+/// the async-controller evaluation; 8, the serve-registry publish; 10, the
+/// prefetcher read) is never reused, so existing `(seed, site)` streams
+/// stay unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// A cache entry write (simulates ENOSPC / write failure).
@@ -41,9 +42,6 @@ pub enum FaultSite {
     CheckpointWrite = 2,
     /// A checkpoint file read (the bytes read back are corrupted).
     CheckpointRead = 3,
-    /// One controller-side plasticity evaluation (the controller thread
-    /// dies mid-eval).
-    ControllerEval = 4,
     /// One training step (the process "crashes" mid-epoch).
     TrainStep = 5,
     /// Serve admission: a probe submit is rejected at the queue boundary
@@ -61,12 +59,11 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in declaration order.
-    pub const ALL: [FaultSite; 10] = [
+    pub const ALL: [FaultSite; 9] = [
         FaultSite::CacheWrite,
         FaultSite::CacheRead,
         FaultSite::CheckpointWrite,
         FaultSite::CheckpointRead,
-        FaultSite::ControllerEval,
         FaultSite::TrainStep,
         FaultSite::ServeAdmission,
         FaultSite::ServeExecute,
@@ -381,11 +378,20 @@ mod tests {
     #[test]
     fn stream_index_survives_a_retired_site() {
         assert_eq!(FaultSite::CacheWrite.stream_index(), 0);
+        // 4 was the async-controller evaluation, 8 the serve-registry
+        // publish site and 10 the prefetcher read; their numbers stay
+        // retired.
+        assert_eq!(FaultSite::CheckpointRead.stream_index(), 3);
         assert_eq!(FaultSite::TrainStep.stream_index(), 5);
         assert_eq!(FaultSite::ServeExecute.stream_index(), 7);
-        // 8 was the serve-registry publish site and 10 the prefetcher
-        // read; their numbers stay retired.
         assert_eq!(FaultSite::ReferenceCapture.stream_index(), 9);
         assert_eq!(FaultSite::PoolTaskPanic.stream_index(), 11);
+        assert_eq!(FaultSite::ALL.len(), 9);
+        for retired in [4, 8, 10] {
+            assert!(
+                FaultSite::ALL.iter().all(|s| s.stream_index() != retired),
+                "retired stream index {retired} was reused"
+            );
+        }
     }
 }

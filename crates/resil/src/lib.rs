@@ -13,8 +13,8 @@
 //!   counter plans (PR 1 semantics, unchanged) plus xorshift-seeded
 //!   randomized schedules — an explicit seed, never entropy, so every
 //!   chaos run replays bit-for-bit.
-//! - [`supervise`]: [`Watchdog`], capped-respawn budgets for the async
-//!   controller and serve workers.
+//! - [`supervise`]: [`Watchdog`], capped-respawn budgets for the serve
+//!   engine's workers (a trainer run owns no thread to supervise).
 //! - [`health`]: the workspace [`HealthState`] machine
 //!   (Healthy / Degraded{reasons} / Critical) fed by watchdog and
 //!   cache-quarantine events, exported through egeria-obs counters.

@@ -1,8 +1,8 @@
 //! Capped-respawn supervision budgets.
 //!
-//! A [`Watchdog`] does not own threads — the async controller and the
-//! serve engine keep spawning their own workers — it owns the *budget*:
-//! each time a supervised component is found dead, the supervisor asks
+//! A [`Watchdog`] does not own threads — the serve engine keeps spawning
+//! its own workers — it owns the *budget*: each time a supervised
+//! component is found dead, the supervisor asks
 //! [`request_respawn`](Watchdog::request_respawn). Under the cap the
 //! answer is yes (counted, exported); once the budget is exhausted the
 //! answer is permanently no and the wired [`HealthMonitor`] goes

@@ -11,12 +11,13 @@
 //! Every scenario is a pure function of its hard-coded `(seed, config)`
 //! pair: synthetic data, shuffling, and weight init all derive from fixed
 //! seeds; the scalar ISA is forced (vector ISAs are toleranced, not
-//! bit-identical, per DESIGN §5g); and only the sync controller is used, so
-//! no decision depends on thread scheduling. Fingerprints are therefore
-//! bit-stable across machines and `EGERIA_THREADS` settings — any drift is
-//! a behavioral change, and CI treats it as such. Scenario runs must not
-//! have `EGERIA_FREEZE_POLICY` set (it would override the matrix); the
-//! `scenario_ab` binary clears it defensively.
+//! bit-identical, per DESIGN §5g); and the reference is probed inline on
+//! the training thread, so no decision depends on thread scheduling.
+//! Fingerprints are therefore bit-stable across machines and
+//! `EGERIA_THREADS` settings — any drift is a behavioral change, and CI
+//! treats it as such. Scenario runs must not have `EGERIA_FREEZE_POLICY`
+//! set (it would override the matrix); the `scenario_ab` binary clears it
+//! defensively.
 
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::{EgeriaConfig, PolicyKind};

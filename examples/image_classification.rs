@@ -1,17 +1,17 @@
 //! ResNet-56 image classification with the full Egeria pipeline, including
-//! the asynchronous controller and activation caching.
+//! activation caching.
 //!
 //! ```text
 //! cargo run --release --example image_classification
 //! ```
 //!
-//! This is the paper's headline CV scenario: the controller evaluates
-//! plasticity against an int8 reference on a separate thread (IQ/ROQ/TOQ
-//! queues), converged front modules freeze, their activations get cached to
-//! disk, and later epochs skip the frozen forward pass by looking them up.
+//! This is the paper's headline CV scenario: the trainer evaluates
+//! plasticity against an int8 reference inline on the training thread,
+//! converged front modules freeze, their activations get cached to disk,
+//! and later epochs skip the frozen forward pass by looking them up.
 
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
-use egeria_core::{config::ControllerMode, EgeriaConfig};
+use egeria_core::EgeriaConfig;
 use egeria_data::images::{ImageDataConfig, SyntheticImages};
 use egeria_data::DataLoader;
 use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
@@ -66,8 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 w: 12,
                 s: 12,
                 t: 1e-4,
-                controller: ControllerMode::Async,
-                cpu_load_gate: 4.0, // Single-core demo box: don't gate.
                 ..Default::default()
             }),
             ..Default::default()

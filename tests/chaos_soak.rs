@@ -13,7 +13,7 @@
 //!   injected fault is accounted for by a degradation counter — never
 //!   silently swallowed.
 //! - Either way, teardown is clean: drops are bounded and no threads
-//!   leak — and a sync-controller run spawns none to begin with.
+//!   leak — and a training run spawns none to begin with.
 //!
 //! The master seed defaults to a fixed constant and can be overridden
 //! with `EGERIA_CHAOS_SEED` (decimal or 0x-hex); every assertion also
@@ -22,7 +22,7 @@
 //! thread-leak accounting sees only its own run.
 
 use egeria_core::checkpoint::CheckpointOptions;
-use egeria_core::config::{CacheStoreKind, ControllerMode};
+use egeria_core::config::CacheStoreKind;
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::{EgeriaConfig, Telemetry, TrainReport};
 use egeria_data::images::{ImageDataConfig, SyntheticImages};
@@ -147,16 +147,11 @@ impl SoakRun {
 /// One fixed-seed training run at golden-run scale (8 epochs, n=2 ResNet,
 /// 64 synthetic samples) with checkpointing on, under an optional chaos
 /// plan, on the flat cache store. Asserts the drop itself is bounded.
-fn soak(plan: Option<&ChaosPlan>, controller: ControllerMode, tag: &str) -> SoakRun {
-    soak_on(CacheStoreKind::Flat, plan, controller, tag)
+fn soak(plan: Option<&ChaosPlan>, tag: &str) -> SoakRun {
+    soak_on(CacheStoreKind::Flat, plan, tag)
 }
 
-fn soak_on(
-    cache_store: CacheStoreKind,
-    plan: Option<&ChaosPlan>,
-    controller: ControllerMode,
-    tag: &str,
-) -> SoakRun {
+fn soak_on(cache_store: CacheStoreKind, plan: Option<&ChaosPlan>, tag: &str) -> SoakRun {
     let telemetry = Telemetry::enabled();
     let health = HealthMonitor::new(telemetry.clone());
     let faults = plan.map(|p| {
@@ -190,7 +185,6 @@ fn soak_on(
                 t: 5.0,
                 bootstrap_rate: 0.9,
                 reference_update_every: 4,
-                controller,
                 cache_store,
                 ..Default::default()
             }),
@@ -265,7 +259,7 @@ fn fingerprint(r: &TrainReport) -> String {
 #[test]
 fn fallback_covered_faults_preserve_loss_bit_identity() {
     let _guard = soak_turn();
-    let clean = soak(None, ControllerMode::Sync, "clean");
+    let clean = soak(None, "clean");
     let golden = fingerprint(&clean.report);
     assert!(
         golden.contains("event iter"),
@@ -279,7 +273,7 @@ fn fallback_covered_faults_preserve_loss_bit_identity() {
         ("sibling", ChaosPlan::sibling_seed(chaos_seed())),
     ] {
         let plan = ChaosPlan::fallback_only(seed);
-        let run = soak(Some(&plan), ControllerMode::Sync, &format!("fb_{label}"));
+        let run = soak(Some(&plan), &format!("fb_{label}"));
         let total = run.faults.as_ref().unwrap().injected_total();
         assert!(
             total > 0,
@@ -303,16 +297,16 @@ fn fallback_covered_faults_preserve_loss_bit_identity() {
 }
 
 /// The reference probe is a direct call and a cache lookup a synchronous
-/// read: a sync-controller run — started once the process-lifetime tensor
-/// pool is up — has no thread of its own at any step on either cache
-/// store, and so none to leave behind.
+/// read: an Egeria run — started once the process-lifetime tensor pool is
+/// up — has no thread of its own at any step on either cache store, and so
+/// none to leave behind.
 #[test]
-fn sync_run_spawns_no_threads() {
+fn egeria_run_spawns_no_threads() {
     let _guard = soak_turn();
     let baseline = baseline_thread_count();
     for store in [CacheStoreKind::Flat, CacheStoreKind::Chunked] {
         let name = store.name();
-        let run = soak_on(store, None, ControllerMode::Sync, &format!("threads_{name}"));
+        let run = soak_on(store, None, &format!("threads_{name}"));
         let cache = run.report.cache_stats;
         assert!(
             run.report.reference_stats.forwards > 0 && cache.hits + cache.misses > 0,
@@ -344,7 +338,7 @@ fn full_chaos_degrades_gracefully_and_never_aborts() {
         ("sibling", ChaosPlan::sibling_seed(chaos_seed())),
     ] {
         let plan = ChaosPlan::full(seed);
-        let run = soak(Some(&plan), ControllerMode::Sync, &format!("full_{label}"));
+        let run = soak(Some(&plan), &format!("full_{label}"));
         if baseline == 0 {
             // Taken after the first run so lazily-spawned process-lifetime
             // threads (if any) are excluded from the leak accounting.
@@ -395,13 +389,13 @@ fn full_chaos_degrades_gracefully_and_never_aborts() {
 
 /// Degraded timelines are still deterministic: the same full-profile seed
 /// replays to the identical loss curve, freeze timeline, and injected
-/// fault counts (sync controller — async is load-dependent by design).
+/// fault counts.
 #[test]
 fn full_chaos_run_is_reproducible_at_a_fixed_seed() {
     let _guard = soak_turn();
     let plan = ChaosPlan::full(chaos_seed());
-    let a = soak(Some(&plan), ControllerMode::Sync, "repro_a");
-    let b = soak(Some(&plan), ControllerMode::Sync, "repro_b");
+    let a = soak(Some(&plan), "repro_a");
+    let b = soak(Some(&plan), "repro_b");
     assert_eq!(
         fingerprint(&a.report),
         fingerprint(&b.report),
@@ -414,32 +408,4 @@ fn full_chaos_run_is_reproducible_at_a_fixed_seed() {
             "site {site:?} fired differently across identical replays"
         );
     }
-}
-
-/// The async controller under the full profile: controller-thread deaths
-/// are respawned by the watchdog (capped), training completes, and
-/// teardown stays clean. Timing-dependent by design, so only graceful
-/// degradation — not bit-identity — is asserted.
-#[test]
-fn async_controller_survives_full_chaos() {
-    let _guard = soak_turn();
-    let plan = ChaosPlan::full(chaos_seed());
-    let baseline = baseline_thread_count();
-    let run = soak(Some(&plan), ControllerMode::Async, "async_full");
-    for e in &run.report.epochs {
-        assert!(e.train_loss.is_finite());
-    }
-    let deaths = run.injected(FaultSite::ControllerEval);
-    assert!(
-        run.report.controller_restarts <= 3,
-        "controller respawns exceeded the watchdog budget"
-    );
-    if deaths > 0 {
-        assert!(
-            run.report.controller_restarts > 0 || run.counter("resil.watchdog.exhausted") > 0,
-            "{deaths} controller deaths but no respawn and no exhaustion recorded"
-        );
-    }
-    drop(run);
-    assert_no_leaked_threads(baseline, "after async-controller soak");
 }

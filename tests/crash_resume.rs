@@ -4,8 +4,7 @@
 //! paths (disk-full cache, corrupted cache entries, failed checkpoint
 //! saves) through a full training run.
 
-use egeria_core::checkpoint::CheckpointOptions;
-use egeria_core::config::ControllerMode;
+use egeria_core::checkpoint::{CheckpointOptions, CheckpointStore};
 use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions, TrainReport};
 use egeria_core::EgeriaConfig;
@@ -234,56 +233,54 @@ fn disk_faults_degrade_without_stopping_training() {
 }
 
 #[test]
-fn async_resume_completes_with_fresh_reference() {
-    // Async mode cannot replay the controller's reference exactly (it
-    // lives on the dead thread), but resume must still work: regenerate
-    // the reference from the restored weights and respawn the controller.
+fn resume_without_checkpointed_reference_regenerates_it() {
+    // Checkpoints written by the async-controller runs of earlier versions
+    // carry no reference model. The bootstrap transition that generates
+    // one is latched in the restored monitor and never fires again, so
+    // resume must regenerate the reference from the restored weights —
+    // otherwise no plasticity evaluation could run for the rest of the run.
     let (data, loader) = data_and_loader();
-    let cfg = EgeriaConfig {
-        controller: ControllerMode::Async,
-        cpu_load_gate: 10.0, // never gate in tests
-        ..sync_config()
-    };
-    let ckpt_dir = scratch("ckpt_async");
+    let ckpt_dir = scratch("ckpt_noref");
     let faults = FaultInjector::new();
     faults.arm(FaultSite::TrainStep, 25, 1, FaultAction::Fail);
     let mut crashed = make_trainer(
-        cfg,
-        scratch("async_cache_a"),
+        sync_config(),
+        scratch("noref_cache_a"),
         Some(CheckpointOptions::new(&ckpt_dir)),
         Some(faults),
     );
     crashed.train(&data, &loader, None).unwrap_err();
+    drop(crashed);
+
+    // Rewrite the newest checkpoint the way such a run left it.
+    let opts = CheckpointOptions::new(&ckpt_dir);
+    let mut store = CheckpointStore::open(&opts.dir, opts.keep).unwrap();
+    let mut ckpt = store
+        .load_latest()
+        .expect("the crashed run left a checkpoint");
+    assert!(
+        ckpt.reference.is_some(),
+        "the newest checkpoint predates bootstrap; there is no reference to drop"
+    );
+    ckpt.reference = None;
+    store.save(&ckpt).unwrap();
+    let resume_step = ckpt.global_step as usize;
 
     let mut resumed = make_trainer(
-        cfg,
-        scratch("async_cache_b"),
+        sync_config(),
+        scratch("noref_cache_b"),
         Some(CheckpointOptions::new(&ckpt_dir)),
         None,
     );
     let report = resumed.train(&data, &loader, None).unwrap();
-    assert!(report.resumed_from_epoch.is_some());
+    assert_eq!(report.resumed_from_epoch, Some(ckpt.next_epoch as usize));
     assert_eq!(report.epochs.len(), EPOCHS);
-}
-
-#[test]
-fn controller_watchdog_restarts_dead_thread() {
-    let (data, loader) = data_and_loader();
-    let cfg = EgeriaConfig {
-        controller: ControllerMode::Async,
-        cpu_load_gate: 10.0,
-        ..sync_config()
-    };
-    let faults = FaultInjector::new();
-    // The controller thread dies on its first evaluation; the trainer's
-    // watchdog must respawn it and training must still freeze modules.
-    faults.arm(FaultSite::ControllerEval, 0, 1, FaultAction::Fail);
-    let mut t = make_trainer(cfg, scratch("watchdog_cache"), None, Some(faults.clone()));
-    let report = t.train(&data, &loader, None).unwrap();
-    assert_eq!(report.epochs.len(), EPOCHS);
-    assert_eq!(faults.injected(FaultSite::ControllerEval), 1);
     assert!(
-        report.controller_restarts >= 1,
-        "watchdog never respawned the controller"
+        report.reference_stats.generations >= 1,
+        "resume never regenerated the missing reference"
+    );
+    assert!(
+        report.plasticity.iter().any(|p| p.iteration >= resume_step),
+        "no plasticity evaluation ran after the resume"
     );
 }

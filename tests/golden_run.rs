@@ -28,9 +28,9 @@ use egeria_nn::sched::MultiStepDecay;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// Counter prefixes that are deterministic under the sync controller.
-/// Pool statistics and async-controller counters are scheduling-dependent
-/// and deliberately excluded.
+/// Counter prefixes the golden pins. Every probe runs inline on the
+/// training thread, so these repeat exactly; pool statistics are
+/// scheduling-dependent and deliberately excluded.
 const PINNED_COUNTER_PREFIXES: &[&str] = &[
     "cache.hits",
     "cache.misses",
