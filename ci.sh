@@ -92,6 +92,11 @@ EGERIA_THREADS=8 cargo_test -q --test golden_run
 
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve, unambiguously and to a
+# public item — so a doc that names a deleted item fails here instead of
+# rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Kernel perf smoke: times the hot paths against the reference oracle and
 # under the SIMD microkernel layer, emitting a machine-readable report
 # (BENCH_ops.json, written into the scratch dir — the checked-in one holds

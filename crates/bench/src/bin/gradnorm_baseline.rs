@@ -9,10 +9,85 @@
 use egeria_bench::experiments::{converged_metric, default_egeria, run_workload};
 use egeria_bench::runner::{write_csv, ResultsDir};
 use egeria_bench::workloads::{Kind, Workload};
-use egeria_core::baselines::GradNormFreezer;
+use egeria_core::config::EgeriaConfig;
 use egeria_core::freezer::FreezeEvent;
+use egeria_core::plasticity::PlasticityTracker;
 use egeria_core::trainer::evaluate;
+use egeria_models::Model;
 use egeria_tensor::Result;
+
+/// Gradient-norm-guided freezing (the paper's accuracy-losing baseline):
+/// Egeria's windowed-stationarity machinery fed the frontmost active
+/// module's gradient norm instead of its reference-guided plasticity.
+struct GradNormFreezer {
+    trackers: Vec<PlasticityTracker>,
+    front: usize,
+    num_modules: usize,
+}
+
+impl GradNormFreezer {
+    /// Creates the baseline freezer with Egeria's window configuration.
+    fn new(num_modules: usize, cfg: &EgeriaConfig) -> Self {
+        GradNormFreezer {
+            trackers: (0..num_modules)
+                .map(|_| PlasticityTracker::new(cfg.w, cfg.s, cfg.t))
+                .collect(),
+            front: 0,
+            num_modules,
+        }
+    }
+
+    /// Current frozen-prefix length.
+    fn front(&self) -> usize {
+        self.front
+    }
+
+    /// The L2 norm of the gradients currently accumulated on module
+    /// `module`'s parameters, normalized by the parameter count.
+    ///
+    /// Must be called after a backward pass and before `zero_grad`.
+    fn module_grad_norm(model: &dyn Model, module: usize) -> f32 {
+        // Parameters are not directly indexable per module, so walk the
+        // module sizes to find the parameter span. Module param counts are
+        // exact because `ModuleMeta::param_count` sums the same tensors.
+        let metas = model.modules();
+        let params = model.params();
+        let mut acc = 0.0f64;
+        let mut count = 0usize;
+        let mut seen = 0usize;
+        let start: usize = metas[..module].iter().map(|m| m.param_count).sum();
+        let end = start + metas[module].param_count;
+        for p in params {
+            let span = p.numel();
+            if seen + span > start && seen < end {
+                if let Some(g) = &p.grad {
+                    acc += g.sq_norm() as f64;
+                }
+                count += span;
+            }
+            seen += span;
+        }
+        if count == 0 {
+            0.0
+        } else {
+            (acc.sqrt() / count as f64) as f32
+        }
+    }
+
+    /// Folds one gradient-norm observation of the frontmost active module;
+    /// returns a freeze event when its trend flattens.
+    fn observe(&mut self, grad_norm: f32) -> Result<FreezeEvent> {
+        if self.front + 1 >= self.num_modules {
+            return Ok(FreezeEvent::None);
+        }
+        let obs = self.trackers[self.front].observe_value(grad_norm)?;
+        if obs.converged {
+            self.front += 1;
+            return Ok(FreezeEvent::Froze(self.front));
+        }
+        Ok(FreezeEvent::None)
+    }
+}
 
 struct GradNormOutcome {
     final_acc: f32,
@@ -114,4 +189,83 @@ fn main() {
         &rows,
     )
     .expect("write gradnorm baseline");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
+    use egeria_models::{Batch, Input, Targets};
+    use egeria_tensor::{Rng, Tensor};
+
+    fn model() -> impl Model {
+        resnet_cifar(
+            ResNetCifarConfig {
+                n: 2,
+                width: 4,
+                classes: 4,
+                ..Default::default()
+            },
+            3,
+        )
+    }
+
+    #[test]
+    fn module_grad_norm_is_zero_before_backward_and_positive_after() {
+        let mut m = model();
+        assert_eq!(GradNormFreezer::module_grad_norm(&m, 0), 0.0);
+        let mut rng = Rng::new(1);
+        let batch = Batch {
+            input: Input::Image(Tensor::randn(&[2, 3, 8, 8], &mut rng)),
+            targets: Targets::Classes(vec![0, 1]),
+            sample_ids: vec![0, 1],
+        };
+        let _ = m.train_step(&batch, None).unwrap();
+        for module in 0..m.modules().len() {
+            assert!(
+                GradNormFreezer::module_grad_norm(&m, module) > 0.0,
+                "module {module} has zero grad norm after backward"
+            );
+        }
+    }
+
+    #[test]
+    fn frozen_module_grad_norm_is_zero() {
+        let mut m = model();
+        m.freeze_prefix(1).unwrap();
+        let mut rng = Rng::new(2);
+        let batch = Batch {
+            input: Input::Image(Tensor::randn(&[2, 3, 8, 8], &mut rng)),
+            targets: Targets::Classes(vec![0, 1]),
+            sample_ids: vec![0, 1],
+        };
+        let _ = m.train_step(&batch, None).unwrap();
+        assert_eq!(GradNormFreezer::module_grad_norm(&m, 0), 0.0);
+        assert!(GradNormFreezer::module_grad_norm(&m, 1) > 0.0);
+    }
+
+    #[test]
+    fn gradnorm_freezer_advances_on_flat_norms() {
+        let cfg = EgeriaConfig {
+            w: 4,
+            s: 3,
+            t: 5.0,
+            ..Default::default()
+        };
+        let mut f = GradNormFreezer::new(3, &cfg);
+        let mut froze = false;
+        for _ in 0..12 {
+            if let FreezeEvent::Froze(k) = f.observe(0.5).unwrap() {
+                assert_eq!(k, 1);
+                froze = true;
+                break;
+            }
+        }
+        assert!(froze);
+        // The tail module never freezes.
+        let mut f2 = GradNormFreezer::new(1, &cfg);
+        for _ in 0..12 {
+            assert_eq!(f2.observe(0.5).unwrap(), FreezeEvent::None);
+        }
+    }
 }

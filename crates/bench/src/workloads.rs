@@ -26,7 +26,8 @@ use egeria_simsys::arch::{FlopsModel, PaperScale};
 /// Which Table 1 workload to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// ResNet-50-style on synthetic ImageNet (classification).
+    /// Table 1's "ResNet-50" row on synthetic ImageNet (classification):
+    /// a 26-layer basic-block ResNet (`resnet_cifar` at `n = 4`).
     ResNet50,
     /// MobileNetV2-style on synthetic CIFAR (classification).
     MobileNetV2,

@@ -7,7 +7,7 @@
 //!    changing rate; while the DNN is in its critical period nothing is
 //!    eligible for freezing.
 //! 2. **Knowledge-guided stage**: generate a *reference model* by int8
-//!    post-training quantization of a training snapshot ([`reference`]),
+//!    post-training quantization of a training snapshot ([`reference`](mod@reference)),
 //!    evaluate the *plasticity* of the frontmost active layer module — the
 //!    SP loss between training and reference activations on the same batch
 //!    ([`plasticity`]) — and freeze the module when its smoothed plasticity
@@ -32,12 +32,10 @@
 #![forbid(unsafe_code)]
 
 pub mod api;
-pub mod baselines;
 pub mod bootstrap;
 pub mod cache;
 pub mod checkpoint;
 pub mod config;
-pub mod distributed;
 pub mod freezer;
 pub mod plasticity;
 pub mod policy;

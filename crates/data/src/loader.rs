@@ -93,17 +93,6 @@ impl DataLoader {
         }
         plans
     }
-
-    /// The plans for a worker shard in data-parallel training: worker `w`
-    /// of `n` takes every `n`-th batch.
-    pub fn shard_plan(&self, epoch: usize, worker: usize, workers: usize) -> Vec<BatchPlan> {
-        self.epoch_plan(epoch)
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| i % workers.max(1) == worker)
-            .map(|(_, p)| p)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,18 +122,6 @@ mod tests {
         assert!(l.epoch_plan(0).iter().all(|p| p.indices.len() == 8));
         let l2 = DataLoader::new(50, 8, 1, false);
         assert_eq!(l2.batches_per_epoch(), 7);
-    }
-
-    #[test]
-    fn shards_partition_the_epoch() {
-        let l = DataLoader::new(64, 8, 2, true);
-        let a = l.shard_plan(0, 0, 2);
-        let b = l.shard_plan(0, 1, 2);
-        assert_eq!(a.len() + b.len(), l.batches_per_epoch());
-        let steps_a: Vec<usize> = a.iter().map(|p| p.step).collect();
-        assert!(steps_a.iter().all(|s| s % 2 == 0));
-        let steps_b: Vec<usize> = b.iter().map(|p| p.step).collect();
-        assert!(steps_b.iter().all(|s| s % 2 == 1));
     }
 
     #[test]

@@ -24,21 +24,6 @@ proptest! {
     }
 
     #[test]
-    fn shards_are_disjoint_and_complete(len in 16usize..100, workers in 1usize..5, seed in any::<u64>()) {
-        let l = DataLoader::new(len, 8, seed, true);
-        let total = l.epoch_plan(0).len();
-        let mut count = 0;
-        let mut steps = std::collections::HashSet::new();
-        for w in 0..workers {
-            for p in l.shard_plan(0, w, workers) {
-                prop_assert!(steps.insert(p.step), "step {} assigned twice", p.step);
-                count += 1;
-            }
-        }
-        prop_assert_eq!(count, total);
-    }
-
-    #[test]
     fn image_samples_are_pure_in_seed_and_index(seed in any::<u64>(), idx in 0usize..64) {
         let cfg = ImageDataConfig {
             samples: 64,

@@ -4,8 +4,8 @@
 //! here that preserves the *layer-module structure* the paper freezes over:
 //!
 //! - [`resnet`]: CIFAR-style ResNet (3 stages of basic blocks; ResNet-56 at
-//!   depth parameter 9) and an ImageNet-style bottleneck ResNet (4 stages;
-//!   ResNet-50 at `[3, 4, 6, 3]`),
+//!   depth parameter 9, and the "ResNet-50" workload at 4) plus the
+//!   bottleneck block the DeepLab backbone is built from,
 //! - [`mobilenet`]: MobileNetV2-style inverted residual blocks,
 //! - [`deeplab`]: a DeepLabv3-style segmentation model (ResNet backbone +
 //!   dilated-context classifier head),

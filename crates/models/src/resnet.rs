@@ -1,11 +1,12 @@
-//! CIFAR-style and ImageNet-style residual networks.
+//! Residual networks and their blocks.
 //!
 //! `resnet_cifar(n, …)` builds the 3-stage basic-block ResNet family of the
 //! paper's CIFAR experiments (`n = 9` → ResNet-56: 6n+2 layers, 3 stages of
-//! 9 blocks). `resnet_bottleneck(…)` builds the 4-stage bottleneck family
-//! (ResNet-50 at `[3, 4, 6, 3]`). Both are width-reduced but structurally
-//! faithful: stage boundaries, stride-2 downsampling, and projection
-//! shortcuts land in the same places.
+//! 9 blocks). It is width-reduced but structurally faithful: stage
+//! boundaries, stride-2 downsampling, and projection shortcuts land in the
+//! same places. Table 1's ImageNet "ResNet-50" workload is a member of this
+//! basic-block family too (`n = 4`, 26 layers), not a bottleneck network.
+//! The [`Bottleneck`] block serves the DeepLab backbone (`deeplab.rs`).
 
 use crate::module_parser::{plan_groups, ParserConfig, UnitSpec};
 use crate::vision::{VisionModel, VisionTask};
@@ -409,70 +410,6 @@ pub fn resnet_cifar(cfg: ResNetCifarConfig, seed: u64) -> VisionModel {
         cfg.classes,
         builder,
     )
-}
-
-/// Configuration for the bottleneck (ImageNet-style) ResNet family.
-#[derive(Debug, Clone)]
-pub struct ResNetBottleneckConfig {
-    /// Blocks per stage (`[3, 4, 6, 3]` → ResNet-50).
-    pub stages: Vec<usize>,
-    /// Base inner width (the paper-scale model uses 64).
-    pub width: usize,
-    /// Output classes.
-    pub classes: usize,
-    /// Module-parser configuration.
-    pub parser: ParserConfig,
-}
-
-impl Default for ResNetBottleneckConfig {
-    fn default() -> Self {
-        ResNetBottleneckConfig {
-            stages: vec![3, 4, 6, 3],
-            width: 4,
-            classes: 10,
-            parser: ParserConfig::default(),
-        }
-    }
-}
-
-/// Builds an ImageNet-style bottleneck ResNet as a freezable vision model.
-pub fn resnet_bottleneck(cfg: ResNetBottleneckConfig, seed: u64) -> VisionModel {
-    let classes = cfg.classes;
-    let builder = Arc::new(move || {
-        let mut rng = Rng::new(seed);
-        let w = cfg.width;
-        let stem: Vec<Box<dyn Layer>> = vec![
-            Box::new(Conv2d::new("stem.conv", 3, w, 3, 1, 1, false, &mut rng)),
-            Box::new(BatchNorm2d::new("stem.bn", w)),
-            Box::new(Activation::new(Act::Relu)),
-        ];
-        let mut units: Vec<(UnitSpec, Box<dyn Layer>)> = Vec::new();
-        let mut c_in = w;
-        for (stage, &reps) in cfg.stages.iter().enumerate() {
-            let planes = w << stage;
-            for b in 0..reps {
-                let stride = if stage > 0 && b == 0 { 2 } else { 1 };
-                let name = format!("layer{}.{}", stage + 1, b);
-                let block = Bottleneck::new(&name, c_in, planes, stride, &mut rng);
-                let params = block.param_count();
-                units.push((
-                    UnitSpec {
-                        stage,
-                        label: name,
-                        params,
-                    },
-                    Box::new(block),
-                ));
-                c_in = planes * BOTTLENECK_EXPANSION;
-            }
-        }
-        let head: Vec<Box<dyn Layer>> = vec![
-            Box::new(GlobalAvgPool::new()),
-            Box::new(Linear::new("fc", c_in, cfg.classes, true, &mut rng)),
-        ];
-        assemble_network(stem, units, head, &cfg.parser)
-    });
-    VisionModel::new("resnet50", VisionTask::Classification, classes, builder)
 }
 
 #[cfg(test)]

@@ -4,9 +4,9 @@ use crate::init;
 use crate::layer::{Layer, Mode};
 use crate::param::Parameter;
 use egeria_tensor::conv::{
-    avg_pool2d, avg_pool2d_grad, conv2d, conv2d_grad_input, conv2d_grad_weight,
-    depthwise_conv2d, depthwise_grad_input, depthwise_grad_weight, global_avg_pool,
-    global_avg_pool_grad, upsample_nearest, upsample_nearest_grad, Conv2dSpec,
+    conv2d, conv2d_grad_input, conv2d_grad_weight, depthwise_conv2d, depthwise_grad_input,
+    depthwise_grad_weight, global_avg_pool, global_avg_pool_grad, upsample_nearest,
+    upsample_nearest_grad, Conv2dSpec,
 };
 use egeria_tensor::{Result, Rng, Tensor, TensorError};
 
@@ -181,45 +181,6 @@ impl Layer for DepthwiseConv2d {
     }
 }
 
-/// Non-overlapping average pooling.
-pub struct AvgPool2d {
-    k: usize,
-    cached_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates a pool over `k×k` windows with stride `k`.
-    pub fn new(k: usize) -> Self {
-        AvgPool2d { k, cached_dims: None }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
-        self.cached_dims = Some(x.dims().to_vec());
-        avg_pool2d(x, self.k)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let dims = self.cached_dims.as_ref().ok_or_else(|| {
-            TensorError::Numerical("AvgPool2d::backward before forward".into())
-        })?;
-        avg_pool2d_grad(grad_out, self.k, dims)
-    }
-
-    fn params(&self) -> Vec<&Parameter> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Parameter> {
-        Vec::new()
-    }
-
-    fn kind(&self) -> &'static str {
-        "AvgPool2d"
-    }
-}
-
 /// Global average pooling `(n, c, h, w) → (n, c)`.
 pub struct GlobalAvgPool {
     cached_dims: Option<Vec<usize>>,
@@ -348,8 +309,6 @@ mod tests {
     fn pool_layers_gradcheck() {
         let mut rng = Rng::new(5);
         let x = Tensor::randn(&[1, 2, 4, 4], &mut rng);
-        let mut p = AvgPool2d::new(2);
-        assert!(gradcheck_input(&mut p, &x, &[0, 7, 15], 1e-2).unwrap() < 1e-2);
         let mut g = GlobalAvgPool::new();
         assert!(gradcheck_input(&mut g, &x, &[0, 9, 21], 1e-2).unwrap() < 1e-2);
         let mut u = UpsampleNearest::new(2);

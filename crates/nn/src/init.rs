@@ -8,12 +8,6 @@ pub fn kaiming_normal(dims: &[usize], fan_in: usize, rng: &mut Rng) -> Tensor {
     Tensor::randn(dims, rng).mul_scalar(std)
 }
 
-/// Xavier/Glorot uniform initialization: `U(−a, a)`, `a = sqrt(6/(fan_in+fan_out))`.
-pub fn xavier_uniform(dims: &[usize], fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Tensor::rand_uniform(dims, -a, a, rng)
-}
-
 /// Fan-in for a conv weight `(c_out, c_in, kh, kw)` or linear `(out, in)`.
 pub fn fan_in_of(dims: &[usize]) -> usize {
     match dims.len() {
@@ -34,14 +28,6 @@ mod tests {
         let var = w.sq_norm() / w.numel() as f32;
         let expected = 2.0 / 128.0;
         assert!((var - expected).abs() < expected * 0.3, "var {var}");
-    }
-
-    #[test]
-    fn xavier_bounds_hold() {
-        let mut rng = Rng::new(2);
-        let w = xavier_uniform(&[32, 32], 32, 32, &mut rng);
-        let a = (6.0f32 / 64.0).sqrt();
-        assert!(w.max() <= a && w.min() >= -a);
     }
 
     #[test]

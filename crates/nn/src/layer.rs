@@ -5,13 +5,14 @@ use egeria_tensor::{Result, Tensor};
 
 /// Forward-pass mode.
 ///
-/// `Eval` disables dropout and makes BatchNorm use running statistics — the
-/// same switch Egeria flips on frozen BatchNorm layers (§4.3 of the paper).
+/// `Eval` makes BatchNorm normalize with its running statistics — the mode
+/// [`Network::forward_range`](crate::net::Network::forward_range) gives every
+/// frozen block, even inside a training step (§4.3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: batch statistics, active dropout.
+    /// Training: batch statistics.
     Train,
-    /// Inference: running statistics, identity dropout.
+    /// Inference: running statistics.
     Eval,
 }
 

@@ -16,8 +16,8 @@
 //! - [`layer::Layer`]: the forward/backward object trait plus
 //!   [`layer::Sequential`],
 //! - concrete layers: linear, conv, norms, activations, embedding,
-//!   multi-head attention, dropout,
-//! - [`loss`]: cross-entropy (with label smoothing) and MSE,
+//!   multi-head attention,
+//! - [`loss`]: cross-entropy (with label smoothing),
 //! - [`optim`]: SGD with momentum/weight-decay and Adam,
 //! - [`sched`]: the LR schedules used by the paper's workloads (step decay,
 //!   inverse-sqrt, linear, cosine annealing, lambda),
@@ -30,7 +30,6 @@
 pub mod activation;
 pub mod attention;
 pub mod conv_layers;
-pub mod dropout;
 pub mod embedding;
 pub mod init;
 pub mod layer;

@@ -54,22 +54,6 @@ pub fn cross_entropy(logits: &Tensor, targets: &[usize], smoothing: f32) -> Resu
     Ok(((loss / rows as f64) as f32, grad))
 }
 
-/// Mean squared error between `pred` and `target` (same shapes).
-pub fn mse(pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor)> {
-    if pred.dims() != target.dims() {
-        return Err(TensorError::ShapeMismatch {
-            op: "mse",
-            lhs: pred.dims().to_vec(),
-            rhs: target.dims().to_vec(),
-        });
-    }
-    let n = pred.numel().max(1) as f32;
-    let diff = pred.sub(target)?;
-    let loss = diff.sq_norm() / n;
-    let grad = diff.mul_scalar(2.0 / n);
-    Ok((loss, grad))
-}
-
 /// Perplexity corresponding to a mean cross-entropy in nats.
 pub fn perplexity(mean_ce: f32) -> f32 {
     mean_ce.exp()
@@ -154,15 +138,6 @@ mod tests {
         assert!(cross_entropy(&logits, &[0], 0.0).is_err());
         assert!(cross_entropy(&logits, &[0, 3], 0.0).is_err());
         assert!(cross_entropy(&logits, &[0, 1], 1.0).is_err());
-    }
-
-    #[test]
-    fn mse_loss_and_grad() {
-        let p = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        let t = Tensor::from_vec(vec![0.0, 4.0], &[2]).unwrap();
-        let (loss, grad) = mse(&p, &t).unwrap();
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.data(), &[1.0, -2.0]);
     }
 
     #[test]

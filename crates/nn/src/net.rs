@@ -7,10 +7,11 @@
 //! "frozen" means, and it states the rule once, in one walk:
 //!
 //! - [`Network::forward_range`] is the only forward loop. A frozen block
-//!   runs in `Mode::Eval` whatever mode the caller asked for — BatchNorm
-//!   normalizes with dataset statistics and dropout is the identity (§4.3),
-//!   which is what makes a frozen prefix's output cacheable; an active
-//!   block runs in the caller's mode.
+//!   runs in `Mode::Eval` whatever mode the caller asked for, so BatchNorm
+//!   normalizes with its running statistics and leaves them untouched
+//!   (§4.3). That is the whole mechanism — no layer carries a freezing
+//!   switch of its own — and it is what makes a frozen prefix's output
+//!   cacheable. An active block runs in the caller's mode.
 //! - Capture happens inside that walk: the output of block `capture` is
 //!   copied as the walk passes it (the forward hook of plasticity
 //!   evaluation), so a training step and a probe are the same pass.

@@ -8,9 +8,11 @@ use egeria_tensor::{Result, Tensor, TensorError};
 ///
 /// In `Mode::Train` the layer normalizes with mini-batch statistics and
 /// updates exponential running statistics; in `Mode::Eval` it uses the
-/// running statistics. Egeria additionally forces frozen BatchNorm layers to
-/// eval-mode normalization even inside a training forward (§4.3 of the
-/// paper, following transfer-learning practice) — [`BatchNorm2d::set_frozen_stats`].
+/// running statistics and leaves them untouched. A frozen BatchNorm layer
+/// normalizes with running statistics even inside a training step (§4.3 of
+/// the paper, following transfer-learning practice) because
+/// [`Network::forward_range`](crate::net::Network::forward_range) runs every
+/// frozen block in `Mode::Eval`; the layer itself has no freezing switch.
 pub struct BatchNorm2d {
     gamma: Parameter,
     beta: Parameter,
@@ -18,8 +20,6 @@ pub struct BatchNorm2d {
     running_var: Tensor,
     momentum: f32,
     eps: f32,
-    /// When set, normalize with running stats even in training mode.
-    frozen_stats: bool,
     cache: Option<BnCache>,
 }
 
@@ -39,32 +39,8 @@ impl BatchNorm2d {
             running_var: Tensor::ones(&[c]),
             momentum: 0.1,
             eps: 1e-5,
-            frozen_stats: false,
             cache: None,
         }
-    }
-
-    /// Forces (or releases) inference-mode statistics during training.
-    ///
-    /// This is the switch Egeria flips when the enclosing module is frozen so
-    /// that cached activations stay valid across epochs.
-    pub fn set_frozen_stats(&mut self, frozen: bool) {
-        self.frozen_stats = frozen;
-    }
-
-    /// Whether the layer currently normalizes with running statistics.
-    pub fn uses_running_stats(&self, mode: Mode) -> bool {
-        self.frozen_stats || mode == Mode::Eval
-    }
-
-    /// Read access to the running mean (for tests and quantization).
-    pub fn running_mean(&self) -> &Tensor {
-        &self.running_mean
-    }
-
-    /// Read access to the running variance.
-    pub fn running_var(&self) -> &Tensor {
-        &self.running_var
     }
 }
 
@@ -82,10 +58,9 @@ impl Layer for BatchNorm2d {
             (d[0], d[1], d[2], d[3])
         };
         let count = (n * h * w) as f32;
-        let use_running = self.uses_running_stats(mode);
         let mut mean = vec![0.0f32; c];
         let mut var = vec![0.0f32; c];
-        if use_running {
+        if mode == Mode::Eval {
             mean.copy_from_slice(self.running_mean.data());
             var.copy_from_slice(self.running_var.data());
         } else {
@@ -171,32 +146,22 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        // Input gradient. With batch statistics the mean/var depend on x:
+        // Input gradient through the batch statistics, which depend on x:
         // dx = (gamma * inv_std / m) * (m*dy − sum(dy) − x_hat * sum(dy*x_hat)).
-        // With running (frozen) statistics the map is affine per channel:
-        // dx = gamma * inv_std * dy.
+        // Backward assumes a `Mode::Train` forward: frozen blocks normalize
+        // with running statistics but are never backpropagated
+        // (`Network::backward` stops at the first active block).
         let mut gx = grad_out.clone();
-        let affine = self.frozen_stats;
-        // Note: we detect the stats mode used at forward time via the cache:
-        // frozen/eval forwards stored inv_std computed from running stats and
-        // must take the affine path. We conservatively treat `frozen_stats`
-        // as the flag; Eval-mode backward is not used by the trainer.
         for ni in 0..n {
             for ci in 0..c {
                 let base = (ni * c + ci) * h * w;
                 let gamma = self.gamma.value.data()[ci];
                 let is = cache.inv_std[ci];
-                if affine {
-                    for i in 0..h * w {
-                        gx.data_mut()[base + i] = grad_out.data()[base + i] * gamma * is;
-                    }
-                } else {
-                    for i in 0..h * w {
-                        let dy = grad_out.data()[base + i];
-                        let xh = cache.x_hat.data()[base + i];
-                        gx.data_mut()[base + i] = gamma * is / count
-                            * (count * dy - g_beta[ci] - xh * g_gamma[ci]);
-                    }
+                for i in 0..h * w {
+                    let dy = grad_out.data()[base + i];
+                    let xh = cache.x_hat.data()[base + i];
+                    gx.data_mut()[base + i] =
+                        gamma * is / count * (count * dy - g_beta[ci] - xh * g_gamma[ci]);
                 }
             }
         }
@@ -385,21 +350,6 @@ mod tests {
         let y_eval = bn.forward(&x, Mode::Eval).unwrap();
         // With running mean ≈ 5, output ≈ 0.
         assert!(y_eval.data().iter().all(|&v| v.abs() < 1.0), "{:?}", y_eval.data());
-    }
-
-    #[test]
-    fn frozen_stats_match_eval_inside_train_mode() {
-        let mut rng = Rng::new(3);
-        let mut bn = BatchNorm2d::new("bn", 2);
-        for _ in 0..5 {
-            let x = Tensor::randn(&[8, 2, 4, 4], &mut rng);
-            let _ = bn.forward(&x, Mode::Train).unwrap();
-        }
-        let x = Tensor::randn(&[4, 2, 4, 4], &mut rng);
-        let y_eval = bn.forward(&x, Mode::Eval).unwrap();
-        bn.set_frozen_stats(true);
-        let y_frozen_train = bn.forward(&x, Mode::Train).unwrap();
-        assert!(y_eval.allclose(&y_frozen_train, 1e-6));
     }
 
     #[test]

@@ -138,13 +138,6 @@ impl Sgd {
         Ok(())
     }
 
-    /// Drops momentum state for parameters no longer present (housekeeping
-    /// after model surgery).
-    pub fn retain_state(&mut self, live_ids: &[u64]) {
-        let live: std::collections::HashSet<u64> = live_ids.iter().copied().collect();
-        self.velocity.retain(|id, _| live.contains(id));
-    }
-
     /// Snapshots the momentum state, keyed by parameter name.
     pub fn export_state(&self, params: &[&Parameter]) -> OptimizerState {
         OptimizerState {
@@ -427,17 +420,6 @@ mod tests {
         let mut opt = Sgd::new(0.1, 0.9, 0.0);
         opt.load_state(&state, &[&p]).unwrap();
         assert_eq!(opt.lr(), 0.2);
-        assert!(opt.velocity.is_empty());
-    }
-
-    #[test]
-    fn retain_state_drops_dead_ids() {
-        let mut p = Parameter::new("x", Tensor::ones(&[1]));
-        let mut opt = Sgd::new(0.1, 0.9, 0.0);
-        p.accumulate_grad(&Tensor::ones(&[1])).unwrap();
-        opt.step(&mut [&mut p]).unwrap();
-        assert_eq!(opt.velocity.len(), 1);
-        opt.retain_state(&[]);
         assert!(opt.velocity.is_empty());
     }
 }

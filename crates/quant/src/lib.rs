@@ -12,16 +12,14 @@
 //!   accuracy; execution speed is benchmarked separately on the real int8
 //!   kernels and modeled in `egeria-simsys` (substitution documented in
 //!   DESIGN.md),
-//! - [`calibrate`]: min/max observers for static quantization (CNNs) and
-//!   per-call dynamic scaling (attention/linear models), mirroring the
-//!   paper's static-for-CV / dynamic-for-NLP split,
 //! - [`model`]: whole-model reference generation at int8 / f16 / f32
-//!   precision (Table 2's sweep).
+//!   precision (Table 2's sweep). Only weights are quantized, with abs-max
+//!   scales taken from the snapshot itself: there is no calibration pass
+//!   and activations stay f32.
 
 // No unsafe outside egeria-tensor: enforced here and audited by egeria-lint.
 #![forbid(unsafe_code)]
 
-pub mod calibrate;
 pub mod fake;
 pub mod model;
 pub mod qtensor;

@@ -98,12 +98,6 @@ impl QTensor {
     pub fn dims(&self) -> &[usize] {
         &self.dims
     }
-
-    /// Memory footprint in bytes (payload + scales), for the paper's
-    /// 3–4× footprint-reduction claim.
-    pub fn byte_size(&self) -> usize {
-        self.data.len() + self.scales.len() * 4
-    }
 }
 
 fn scale_for(xs: &[f32]) -> f32 {
@@ -199,14 +193,6 @@ mod tests {
         let t = Tensor::zeros(&[8]);
         let q = QTensor::quantize(&t, Granularity::PerTensor).unwrap();
         assert_eq!(q.dequantize().unwrap(), t);
-    }
-
-    #[test]
-    fn byte_size_is_quarter_of_f32() {
-        let t = Tensor::zeros(&[1000]);
-        let q = QTensor::quantize(&t, Granularity::PerTensor).unwrap();
-        // f32 payload would be 4000 bytes.
-        assert!(q.byte_size() < 1100);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Named chaos profiles: bundles of seeded per-site schedules.
 //!
-//! A [`ChaosPlan`] turns one master seed into an [`arm_seeded`]
-//! (see [`FaultInjector::arm_seeded`]) schedule per covered site. Two
+//! A [`ChaosPlan`] turns one master seed into a seeded schedule (see
+//! [`FaultInjector::arm_seeded`]) per covered site. Two
 //! profiles, matching the semantics the chaos-soak harness asserts:
 //!
 //! - [`fallback_only`](ChaosPlan::fallback_only): sites whose failure is

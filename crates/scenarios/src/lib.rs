@@ -109,7 +109,7 @@ pub struct ScenarioResult {
     pub fingerprint: String,
     /// Final-epoch training loss.
     pub final_loss: f32,
-    /// First epoch (0-based) whose loss is within [`TTA_TOLERANCE`] of the
+    /// First epoch (0-based) whose loss is within 2 % (`TTA_TOLERANCE`) of the
     /// never-freeze baseline's final loss; `None` if never reached.
     pub tta_epochs: Option<usize>,
     /// Mean fraction of training compute skipped across iterations

@@ -440,7 +440,7 @@ impl ServeEngine {
     /// Reaps finished worker threads, absorbing their panic payloads.
     /// Returns how many were reaped. Respawning is not supervision's
     /// job: a panicking worker heals itself through its panic guard
-    /// (see [`WorkerGuard`]) before the caller can even observe the
+    /// (see `WorkerGuard`) before the caller can even observe the
     /// failure, so queued batches behind the fatal one still execute.
     /// This is bookkeeping the reference manager runs on its fallback
     /// path to keep the handle list tight.

@@ -188,16 +188,6 @@ impl ArchSpec {
         }
     }
 
-    /// Total forward FLOPs per sample.
-    pub fn total_flops_fwd(&self) -> f64 {
-        self.modules.iter().map(|m| m.flops_fwd).sum()
-    }
-
-    /// Total parameter bytes.
-    pub fn total_param_bytes(&self) -> f64 {
-        self.modules.iter().map(|m| m.param_bytes).sum()
-    }
-
     /// Number of modules.
     pub fn num_modules(&self) -> usize {
         self.modules.len()
@@ -218,8 +208,10 @@ mod tests {
             PaperScale::resnet56_cifar(),
         );
         let p = PaperScale::resnet56_cifar();
-        assert!((spec.total_flops_fwd() - p.total_flops_fwd).abs() / p.total_flops_fwd < 1e-9);
-        assert!((spec.total_param_bytes() - p.total_param_bytes).abs() / p.total_param_bytes < 1e-9);
+        let flops: f64 = spec.modules.iter().map(|m| m.flops_fwd).sum();
+        let param_bytes: f64 = spec.modules.iter().map(|m| m.param_bytes).sum();
+        assert!((flops - p.total_flops_fwd).abs() / p.total_flops_fwd < 1e-9);
+        assert!((param_bytes - p.total_param_bytes).abs() / p.total_param_bytes < 1e-9);
     }
 
     #[test]

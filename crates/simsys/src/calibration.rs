@@ -7,7 +7,7 @@
 //! when the frozen prefix's forward pass is served from the cache. The
 //! telemetry layer records observed per-`(frozen_prefix, fp_cached)` mean
 //! step durations; this module costs the same settings through
-//! [`iteration_time`](crate::iteration::iteration_time) and reports the
+//! [`iteration_time`] and reports the
 //! relative disagreement.
 
 use crate::arch::ArchSpec;

@@ -61,11 +61,6 @@ impl StoreCodec {
         }
     }
 
-    /// Whether decode reproduces the stored tensor bit-for-bit.
-    pub fn is_lossless(&self) -> bool {
-        matches!(self, StoreCodec::Lossless | StoreCodec::Raw)
-    }
-
     /// The (transform, byte codec) pair this selection runs.
     pub fn stages(&self) -> (Transform, ByteCodec) {
         match self {
@@ -356,13 +351,5 @@ mod tests {
             assert!(tf.decode_sample(&[]).is_err());
             assert_eq!(Transform::from_id(tf.id()), Some(tf));
         }
-    }
-
-    #[test]
-    fn only_exact_transforms_are_lossless() {
-        assert!(StoreCodec::Lossless.is_lossless());
-        assert!(StoreCodec::Raw.is_lossless());
-        assert!(!StoreCodec::F16.is_lossless());
-        assert!(!StoreCodec::Int8.is_lossless());
     }
 }

@@ -7,7 +7,7 @@
 //! The three GEMM-bound kernels are lowered to im2col plus the parallel
 //! blocked GEMM in [`crate::gemm`], dispatched one pool task per image so a
 //! batch saturates the worker pool. The seed repo's direct loops survive in
-//! [`reference`] as the numerical oracle the tests and benches compare
+//! [`reference`](mod@reference) as the numerical oracle the tests and benches compare
 //! against.
 //!
 //! Determinism: each task writes a disjoint image slice, im2col/col2im walk
@@ -754,77 +754,6 @@ pub fn depthwise_grad_weight(
     Tensor::from_vec(gw, weight_dims)
 }
 
-/// Average pooling over `k×k` windows with stride `k` (non-overlapping).
-pub fn avg_pool2d(input: &Tensor, k: usize) -> Result<Tensor> {
-    if input.rank() != 4 || k == 0 {
-        return Err(TensorError::ShapeMismatch {
-            op: "avg_pool2d",
-            lhs: input.dims().to_vec(),
-            rhs: vec![k],
-        });
-    }
-    let (n, c, h, w) = dims4(input);
-    if h % k != 0 || w % k != 0 {
-        return Err(TensorError::Numerical(format!(
-            "avg_pool2d: {h}x{w} not divisible by window {k}"
-        )));
-    }
-    let (oh, ow) = (h / k, w / k);
-    let x = input.data();
-    let inv = 1.0 / (k * k) as f32;
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    for nc in 0..n * c {
-        let ib = nc * h * w;
-        let ob = nc * oh * ow;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let mut acc = 0.0f32;
-                for di in 0..k {
-                    let row = ib + (oi * k + di) * w + oj * k;
-                    for dj in 0..k {
-                        acc += x[row + dj];
-                    }
-                }
-                out[ob + oi * ow + oj] = acc * inv;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[n, c, oh, ow])
-}
-
-/// Gradient of [`avg_pool2d`]: spreads each output gradient uniformly over
-/// its window.
-pub fn avg_pool2d_grad(grad_out: &Tensor, k: usize, input_dims: &[usize]) -> Result<Tensor> {
-    if grad_out.rank() != 4 || input_dims.len() != 4 {
-        return Err(TensorError::ShapeMismatch {
-            op: "avg_pool2d_grad",
-            lhs: grad_out.dims().to_vec(),
-            rhs: input_dims.to_vec(),
-        });
-    }
-    let (n, c, oh, ow) = dims4(grad_out);
-    let (h, w) = (input_dims[2], input_dims[3]);
-    let g = grad_out.data();
-    let inv = 1.0 / (k * k) as f32;
-    let mut gx = vec![0.0f32; n * c * h * w];
-    for nc in 0..n * c {
-        let gb = nc * oh * ow;
-        let xb = nc * h * w;
-        for oi in 0..oh {
-            for oj in 0..ow {
-                let gv = g[gb + oi * ow + oj] * inv;
-                for di in 0..k {
-                    let row = xb + (oi * k + di) * w + oj * k;
-                    for dj in 0..k {
-                        gx[row + dj] += gv;
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(gx, input_dims)
-}
-
 /// Global average pooling `(n, c, h, w) → (n, c)`.
 pub fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
     if input.rank() != 4 {
@@ -1137,23 +1066,6 @@ mod tests {
         let x = Tensor::zeros(&[1, 2, 4, 4]);
         let w = Tensor::zeros(&[2, 2, 3, 3]);
         assert!(depthwise_conv2d(&x, &w, None, Conv2dSpec::new(1, 1).unwrap()).is_err());
-    }
-
-    #[test]
-    fn avg_pool_and_grad_round_trip() {
-        let x = Tensor::arange(16).reshape(&[1, 1, 4, 4]).unwrap();
-        let y = avg_pool2d(&x, 2).unwrap();
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[2.5, 4.5, 10.5, 12.5]);
-        let g = Tensor::ones(&[1, 1, 2, 2]);
-        let gx = avg_pool2d_grad(&g, 2, x.dims()).unwrap();
-        assert_eq!(gx.data(), &[0.25; 16]);
-    }
-
-    #[test]
-    fn avg_pool_rejects_indivisible() {
-        let x = Tensor::zeros(&[1, 1, 5, 4]);
-        assert!(avg_pool2d(&x, 2).is_err());
     }
 
     #[test]

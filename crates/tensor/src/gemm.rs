@@ -7,7 +7,7 @@
 //! - **B packing**: the right-hand matrix is repacked once per call into
 //!   column panels of [`NR`] interleaved columns so the microkernel streams
 //!   it contiguously.
-//! - **Cache blocking**: the k dimension is processed in [`KC`]-sized blocks
+//! - **Cache blocking**: the k dimension is processed in `KC`-sized blocks
 //!   and the rows of A in [`MC`]-sized blocks, keeping the packed A block
 //!   and the active B panel resident in cache.
 //! - **Register tiling**: the [`MR`]`×`[`NR`] microkernel in

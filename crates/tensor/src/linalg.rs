@@ -1,4 +1,4 @@
-//! Dense linear algebra: QR, SVD, least squares, and scalar line fits.
+//! Dense linear algebra: QR, SVD, and scalar line fits.
 //!
 //! These routines back two parts of the reproduction:
 //!
@@ -179,53 +179,6 @@ pub fn svd(a: &Tensor) -> Result<(Tensor, Vec<f32>, Tensor)> {
     Ok((u_sorted, s_sorted, v_sorted))
 }
 
-/// Solves the linear least-squares problem `min ‖A·x − b‖` via QR.
-///
-/// `a` is `m×n` (`m ≥ n`, full column rank assumed), `b` is `m×k`; returns
-/// the `n×k` solution.
-pub fn lstsq(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if a.rank() != 2 || b.rank() != 2 || a.dims()[0] != b.dims()[0] {
-        return Err(TensorError::ShapeMismatch {
-            op: "lstsq",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let (q, r) = qr(a)?;
-    let qtb = q.transpose2d()?.matmul(b)?;
-    solve_upper_triangular(&r, &qtb)
-}
-
-/// Back-substitution for an upper-triangular system `R·x = b`.
-pub fn solve_upper_triangular(r: &Tensor, b: &Tensor) -> Result<Tensor> {
-    if r.rank() != 2 || r.dims()[0] != r.dims()[1] || b.dims()[0] != r.dims()[0] {
-        return Err(TensorError::ShapeMismatch {
-            op: "solve_upper_triangular",
-            lhs: r.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let n = r.dims()[0];
-    let k = b.dims()[1];
-    let mut x = b.clone();
-    for col in 0..k {
-        for i in (0..n).rev() {
-            let mut acc = x.data()[i * k + col];
-            for j in (i + 1)..n {
-                acc -= r.data()[i * n + j] * x.data()[j * k + col];
-            }
-            let diag = r.data()[i * n + i];
-            if diag.abs() < 1e-12 {
-                return Err(TensorError::Numerical(format!(
-                    "singular triangular system at row {i}"
-                )));
-            }
-            x.data_mut()[i * k + col] = acc / diag;
-        }
-    }
-    Ok(x)
-}
-
 /// Ordinary least-squares line fit `y ≈ slope·x + intercept`.
 ///
 /// This is the exact closed form used by the paper's Algorithm 1 to decide
@@ -358,24 +311,6 @@ mod tests {
         }
         let recon = us.matmul(&v.transpose2d().unwrap()).unwrap();
         assert!(recon.allclose(&a, 1e-3));
-    }
-
-    #[test]
-    fn lstsq_recovers_exact_solution() {
-        // Overdetermined consistent system: A x = b exactly.
-        let mut rng = Rng::new(6);
-        let a = Tensor::randn(&[10, 3], &mut rng);
-        let x_true = Tensor::randn(&[3, 2], &mut rng);
-        let b = a.matmul(&x_true).unwrap();
-        let x = lstsq(&a, &b).unwrap();
-        assert!(x.allclose(&x_true, 1e-3));
-    }
-
-    #[test]
-    fn solve_upper_triangular_rejects_singular() {
-        let r = Tensor::from_vec(vec![1.0, 2.0, 0.0, 0.0], &[2, 2]).unwrap();
-        let b = Tensor::ones(&[2, 1]);
-        assert!(solve_upper_triangular(&r, &b).is_err());
     }
 
     #[test]

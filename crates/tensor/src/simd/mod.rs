@@ -4,7 +4,7 @@
 //! with `EGERIA_SIMD=avx2|neon|scalar` — and every hot inner loop (GEMM
 //! microkernel, int8 dot product, fused optimizer kernels, transcendental
 //! sweeps) routes through it. The kernels are written once, generically,
-//! over the [`F32x8`]/[`I32x8`] traits in [`vec`]; `x86.rs`/`neon.rs`
+//! over the [`F32x8`]/[`I32x8`] traits in [`vec`](mod@vec); `x86.rs`/`neon.rs`
 //! monomorphize them into `#[target_feature]` entry points.
 //!
 //! Determinism contract:

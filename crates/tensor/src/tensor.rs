@@ -78,15 +78,6 @@ impl Tensor {
         Tensor { data, shape }
     }
 
-    /// Creates a tensor of uniform samples in `[lo, hi)` using the given RNG.
-    pub fn rand_uniform(dims: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let shape = Shape::new(dims);
-        let data = (0..shape.numel())
-            .map(|_| lo + (hi - lo) * rng.uniform())
-            .collect();
-        Tensor { data, shape }
-    }
-
     /// Creates a 1-D tensor `[0, 1, ..., n-1]`.
     pub fn arange(n: usize) -> Self {
         Tensor {
@@ -319,28 +310,6 @@ impl Tensor {
         }
         let mut dims = self.dims().to_vec();
         dims[axis] = len;
-        Tensor::from_vec(out, &dims)
-    }
-
-    /// Gathers rows along axis 0 by index (used to assemble mini-batches).
-    pub fn index_select0(&self, indices: &[usize]) -> Result<Tensor> {
-        if self.rank() == 0 {
-            return Err(TensorError::AxisOutOfRange { axis: 0, rank: 0 });
-        }
-        let rows = self.dims()[0];
-        let inner: usize = self.dims()[1..].iter().product();
-        let mut out = Vec::with_capacity(indices.len() * inner);
-        for &i in indices {
-            if i >= rows {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: vec![i],
-                    shape: self.dims().to_vec(),
-                });
-            }
-            out.extend_from_slice(&self.data[i * inner..(i + 1) * inner]);
-        }
-        let mut dims = self.dims().to_vec();
-        dims[0] = indices.len();
         Tensor::from_vec(out, &dims)
     }
 
@@ -997,15 +966,6 @@ mod tests {
         let x = Tensor::zeros(&[4, 3]);
         assert!(x.narrow(0, 3, 2).is_err());
         assert!(x.narrow(2, 0, 1).is_err());
-    }
-
-    #[test]
-    fn index_select0_gathers_rows() {
-        let x = Tensor::arange(6).reshape(&[3, 2]).unwrap();
-        let y = x.index_select0(&[2, 0, 2]).unwrap();
-        assert_eq!(y.dims(), &[3, 2]);
-        assert_eq!(y.data(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
-        assert!(x.index_select0(&[3]).is_err());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! forward bit-for-bit, making gradients (and thus the whole training
 //! trajectory) identical. Every model family reaches its modules through
 //! the one block walk (`nn::Network::forward_range`), so the invariant is
-//! checked as one table over all five.
+//! checked as one table over all five. The walk runs every frozen block in
+//! `Mode::Eval`, which is what keeps a frozen BatchNorm's running statistics
+//! still; the families that have BatchNorm pin that too.
 
 use egeria_models::bert::{BertConfig, BertQa};
 use egeria_models::deeplab::{deeplab_v3, DeepLabConfig};
@@ -194,6 +196,55 @@ fn cached_forward_matches_full_forward_exactly() {
         }
         assert!(supported > 0, "{}: no cacheable prefix was exercised", family.name);
     }
+}
+
+#[test]
+fn frozen_batchnorm_statistics_hold_through_full_and_cached_steps() {
+    // A frozen block runs in `Mode::Eval` inside every training walk, so its
+    // BatchNorm normalizes with running statistics and never updates them.
+    // That is what keeps a cached activation valid: if a full step moved a
+    // frozen module's statistics, the stored output would go stale. A cached
+    // step never runs the frozen blocks at all, so it is the oracle.
+    let mut checked = Vec::new();
+    for family in families() {
+        if (family.model)().state_buffers().is_empty() {
+            continue; // no BatchNorm in this family
+        }
+        let n = (family.model)().modules().len();
+        for prefix in 1..n {
+            let at = format!("{} prefix {prefix}", family.name);
+            let mut full = (family.model)();
+            let mut cached = (family.model)();
+            if !full.supports_cached_fp(prefix) {
+                continue;
+            }
+            full.freeze_prefix(prefix).unwrap();
+            cached.freeze_prefix(prefix).unwrap();
+            let stats = |m: &dyn Model| -> Vec<Vec<u32>> {
+                m.state_buffers().into_iter().map(bits).collect()
+            };
+            let before = stats(full.as_ref());
+            let b = (family.batch)(0);
+            full.train_step(&b, None).unwrap();
+            let boundary = cached.capture_activation(&b, prefix - 1).unwrap();
+            cached.train_step_from(&b, prefix, &boundary, None).unwrap();
+            let (after_full, after_cached) = (stats(full.as_ref()), stats(cached.as_ref()));
+            // Buffers come in block order: the leading ones the cached step
+            // left alone belong to the frozen prefix.
+            let frozen = before.iter().zip(&after_cached).take_while(|(a, b)| a == b).count();
+            assert!(frozen > 0, "{at}: the frozen prefix holds no BatchNorm");
+            assert!(frozen < before.len(), "{at}: no active BatchNorm updated");
+            assert_eq!(
+                after_full[..frozen],
+                before[..frozen],
+                "{at}: a full step moved a frozen module's running statistics"
+            );
+            assert_eq!(after_full, after_cached, "{at}: full and cached steps disagree");
+            checked.push(family.name);
+        }
+    }
+    checked.dedup();
+    assert_eq!(checked, ["resnet_cifar", "mobilenet_v2", "deeplab_v3"]);
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Edge-case integration tests across crates: degenerate configurations
 //! that the main suites never hit but a downstream user will.
 
-use egeria_core::baselines::CyclicalUnfreezer;
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::EgeriaConfig;
 use egeria_data::images::{ImageDataConfig, SyntheticImages};
@@ -82,6 +81,44 @@ fn eval_every_skips_epochs() {
     let report = t.train(&data, &loader, Some((&data, &val_loader))).unwrap();
     let evaluated: Vec<bool> = report.epochs.iter().map(|e| e.val_metric.is_some()).collect();
     assert_eq!(evaluated, vec![true, false, true, false]);
+}
+
+/// Unfreeze hook for periodic LR schedules (§4.2.2's `customizedUnfreeze`):
+/// fires at each cycle restart, and refreezing proceeds with relaxed
+/// criteria inside the new cycle.
+struct CyclicalUnfreezer {
+    period: usize,
+    last_cycle: usize,
+}
+
+impl CyclicalUnfreezer {
+    /// An unfreezer for a schedule with the given restart period (in the
+    /// same step units the schedule is indexed by).
+    fn new(period: usize) -> Self {
+        CyclicalUnfreezer {
+            period: period.max(1),
+            last_cycle: 0,
+        }
+    }
+
+    /// `true` exactly once per cycle restart; the caller unfreezes
+    /// (Algorithm 1 line 24).
+    fn should_unfreeze(&mut self, step: usize) -> bool {
+        let cycle = step / self.period;
+        if cycle > self.last_cycle {
+            self.last_cycle = cycle;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+#[test]
+fn cyclical_unfreezer_fires_once_per_cycle() {
+    let mut u = CyclicalUnfreezer::new(10);
+    let fires: Vec<usize> = (0..35).filter(|&s| u.should_unfreeze(s)).collect();
+    assert_eq!(fires, vec![10, 20, 30]);
 }
 
 #[test]
