@@ -1,8 +1,9 @@
 //! Machine-readable kernel perf report: `BENCH_ops.json`.
 //!
 //! Times the tensor hot paths — a 512³ matmul, a conv2d forward+backward,
-//! an int8 qmatmul, a batched softmax, a fused Adam update, and a full
-//! ResNet train step — under up to three variants:
+//! an int8 qmatmul, a batched softmax, attention's head split (a
+//! `permute`), a `Linear` bias add (a broadcast `add`), a fused Adam update,
+//! and a full ResNet train step — under up to three variants:
 //!
 //! - `serial`: the seed repo's naive serial kernels, called directly
 //!   (`gemm::gemm_reference`, `conv::reference::*`) — only for the ops
@@ -83,8 +84,9 @@ fn once(f: &mut dyn FnMut()) -> u64 {
 /// it on a 1-thread pool, for the ops that take that column.
 ///
 /// The report row's `serial_ns_per_iter` is `null` for the ops the seed's
-/// serial kernels do not implement (qmatmul/softmax/adam_update) or cannot
-/// be routed through (a whole train step), and `pool1_ns_per_iter` for the
+/// serial kernels do not implement (qmatmul/softmax/permute_heads/bias_add/
+/// adam_update) or cannot be routed through (a whole train step), and
+/// `pool1_ns_per_iter` for the
 /// ops that column is not taken for. `parallel` is the blocked backend
 /// with the SIMD layer pinned to `Isa::Scalar`, `simd` the same backend on
 /// the detected vector ISA; `speedup` is `serial / parallel` (the PR-2
@@ -408,6 +410,28 @@ fn main() {
         ops.push(bench_op("softmax", iters, None, || {
             let p = softmax_last(&x).unwrap();
             std::hint::black_box(p.data()[0]);
+        }, None));
+    }
+
+    // Attention's head split: `(batch, seq, heads, head_dim)` to
+    // `(batch, heads, seq, head_dim)`, one row-walker copy per row.
+    {
+        let mut rng = Rng::new(8);
+        let x = Tensor::randn(&[16, 8, 4, 8], &mut rng);
+        ops.push(bench_op("permute_heads", iters, None, || {
+            let y = x.permute(&[0, 2, 1, 3]).unwrap();
+            std::hint::black_box(y.data()[0]);
+        }, None));
+    }
+
+    // A `Linear` bias add: `(rows, out) + (out)` through broadcasting.
+    {
+        let mut rng = Rng::new(9);
+        let x = Tensor::randn(&[128, 64], &mut rng);
+        let bias = Tensor::randn(&[64], &mut rng);
+        ops.push(bench_op("bias_add", iters, None, || {
+            let y = x.add(&bias).unwrap();
+            std::hint::black_box(y.data()[0]);
         }, None));
     }
 

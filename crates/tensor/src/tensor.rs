@@ -213,34 +213,35 @@ impl Tensor {
         }
         let mut seen = vec![false; rank];
         for &p in perm {
-            if p >= rank || seen[p] {
+            if p >= rank {
                 return Err(TensorError::AxisOutOfRange { axis: p, rank });
+            }
+            if seen[p] {
+                return Err(TensorError::ShapeMismatch {
+                    op: "permute",
+                    lhs: self.dims().to_vec(),
+                    rhs: perm.to_vec(),
+                });
             }
             seen[p] = true;
         }
-        let src_strides = self.shape.strides();
+        let own = self.shape.strides();
+        let strides: Vec<usize> = perm.iter().map(|&p| own[p]).collect();
         let out_dims: Vec<usize> = perm.iter().map(|&p| self.dims()[p]).collect();
-        let out_shape = Shape::new(&out_dims);
+        let step = strides.last().copied().unwrap_or(1);
         let mut out = vec![0.0f32; self.numel()];
-        let mut index = vec![0usize; rank];
-        for slot in out.iter_mut() {
-            let mut src_off = 0usize;
-            for (k, &i) in index.iter().enumerate() {
-                src_off += i * src_strides[perm[k]];
-            }
-            *slot = self.data[src_off];
-            // Advance the row-major index over the output shape.
-            for k in (0..rank).rev() {
-                index[k] += 1;
-                if index[k] < out_dims[k] {
-                    break;
+        for_each_row(&mut out, &out_dims, [&strides], |dst, [src]| {
+            if step == 1 {
+                dst.copy_from_slice(&self.data[src..src + dst.len()]);
+            } else {
+                for (k, slot) in dst.iter_mut().enumerate() {
+                    *slot = self.data[src + k * step];
                 }
-                index[k] = 0;
             }
-        }
+        });
         Ok(Tensor {
             data: out,
-            shape: out_shape,
+            shape: Shape::new(&out_dims),
         })
     }
 
@@ -364,26 +365,24 @@ impl Tensor {
                 })?;
         let ls = self.shape.broadcast_strides(&target)?;
         let rs = other.shape.broadcast_strides(&target)?;
-        let rank = target.rank();
-        let dims = target.dims().to_vec();
+        let (lstep, rstep) = (
+            ls.last().copied().unwrap_or(1),
+            rs.last().copied().unwrap_or(1),
+        );
         let mut out = vec![0.0f32; target.numel()];
-        let mut index = vec![0usize; rank];
-        for slot in out.iter_mut() {
-            let mut lo = 0usize;
-            let mut ro = 0usize;
-            for k in 0..rank {
-                lo += index[k] * ls[k];
-                ro += index[k] * rs[k];
-            }
-            *slot = f(self.data[lo], other.data[ro]);
-            for k in (0..rank).rev() {
-                index[k] += 1;
-                if index[k] < dims[k] {
-                    break;
+        for_each_row(&mut out, target.dims(), [&ls, &rs], |dst, [lo, ro]| {
+            let n = dst.len();
+            if lstep == 1 && rstep == 1 {
+                let (a, b) = (&self.data[lo..lo + n], &other.data[ro..ro + n]);
+                for ((slot, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *slot = f(x, y);
                 }
-                index[k] = 0;
+            } else {
+                for (k, slot) in dst.iter_mut().enumerate() {
+                    *slot = f(self.data[lo + k * lstep], other.data[ro + k * rstep]);
+                }
             }
-        }
+        });
         Ok(Tensor {
             data: out,
             shape: target,
@@ -792,6 +791,46 @@ impl Tensor {
     }
 }
 
+/// Walks a row-major output of extents `dims` one innermost row at a time:
+/// `row(dst, offsets)` gets the row's slice of `out` and, per operand, the
+/// offset of the row's first element under that operand's `strides` (one
+/// stride per output axis; 0 on a broadcast axis). Offsets advance by
+/// stride once per row, so no multi-dimensional index is re-derived per
+/// element. A rank-0 output is one row of one element; an empty one has no
+/// rows.
+fn for_each_row<const N: usize>(
+    out: &mut [f32],
+    dims: &[usize],
+    strides: [&[usize]; N],
+    mut row: impl FnMut(&mut [f32], [usize; N]),
+) {
+    let Some((&inner, outer)) = dims.split_last() else {
+        row(out, [0; N]);
+        return;
+    };
+    if out.is_empty() {
+        return;
+    }
+    let mut index = vec![0usize; outer.len()];
+    let mut offsets = [0usize; N];
+    for dst in out.chunks_exact_mut(inner) {
+        row(dst, offsets);
+        for k in (0..outer.len()).rev() {
+            index[k] += 1;
+            for (off, s) in offsets.iter_mut().zip(&strides) {
+                *off += s[k];
+            }
+            if index[k] < outer[k] {
+                break;
+            }
+            index[k] = 0;
+            for (off, s) in offsets.iter_mut().zip(&strides) {
+                *off -= outer[k] * s[k];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,6 +937,28 @@ mod tests {
         let y = x.permute(&[0, 2, 3, 1]).unwrap();
         assert_eq!(y.dims(), &[2, 4, 5, 3]);
         assert_eq!(y.at(&[1, 2, 3, 1]).unwrap(), x.at(&[1, 1, 2, 3]).unwrap());
+    }
+
+    #[test]
+    fn permute_rejects_a_repeated_axis_as_a_shape_mismatch() {
+        let x = Tensor::zeros(&[2, 3]);
+        assert_eq!(
+            x.permute(&[0, 0]),
+            Err(TensorError::ShapeMismatch {
+                op: "permute",
+                lhs: vec![2, 3],
+                rhs: vec![0, 0],
+            })
+        );
+    }
+
+    #[test]
+    fn permute_rejects_an_axis_past_the_rank_as_out_of_range() {
+        let x = Tensor::zeros(&[2, 3]);
+        assert_eq!(
+            x.permute(&[0, 2]),
+            Err(TensorError::AxisOutOfRange { axis: 2, rank: 2 })
+        );
     }
 
     #[test]
