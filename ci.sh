@@ -106,7 +106,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # entries (§5g).
 (cd "$trace_dir" && cargo run --release -p egeria-bench \
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_ops -- --smoke)
-for key in simd_isa qmatmul softmax permute_heads bias_add adam_update pool1_ns_per_iter train_step_pool_jobs dispatch; do
+for key in simd_isa conv2d_resnet56 qmatmul softmax permute_heads bias_add adam_update pool1_ns_per_iter train_step_pool_jobs dispatch; do
     grep -q "\"$key\"" "$trace_dir/BENCH_ops.json"
 done
 

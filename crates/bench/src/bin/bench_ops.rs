@@ -1,20 +1,21 @@
 //! Machine-readable kernel perf report: `BENCH_ops.json`.
 //!
-//! Times the tensor hot paths — a 512³ matmul, a conv2d forward+backward,
-//! an int8 qmatmul, a batched softmax, attention's head split (a
+//! Times the tensor hot paths — a 512³ matmul, a conv2d forward+backward
+//! (one mid-sized layer, and the benchmark's ResNet-56 layers), an int8
+//! qmatmul, a batched softmax, attention's head split (a
 //! `permute`), a `Linear` bias add (a broadcast `add`), a fused Adam update,
 //! and a full ResNet train step — under up to three variants:
 //!
 //! - `serial`: the seed repo's naive serial kernels, called directly
 //!   (`gemm::gemm_reference`, `conv::reference::*`) — only for the ops
-//!   the reference oracle implements (matmul/conv2d),
+//!   the reference oracle implements (matmul and the two conv rows),
 //! - `parallel`: the blocked, register-tiled backend on the worker pool
 //!   with the SIMD layer pinned to `Isa::Scalar`, and
 //! - `simd`: the same blocked backend on this machine's best vector ISA
 //!   (reported in the top-level `simd_isa` field; equal to `parallel`
 //!   when the CPU has no vector unit).
 //!
-//! `matmul` and `conv2d` also carry `pool1_ns_per_iter`: the `parallel`
+//! `matmul` and the two conv rows also carry `pool1_ns_per_iter`: the `parallel`
 //! variant on an explicit `ThreadPool::new(1)`, interleaved with the others;
 //! `parallel / pool1` is what the worker pool buys (or costs) an op.
 //! `train_step` only runs on the global pool, whose size is fixed per
@@ -344,6 +345,70 @@ fn conv2d_op(smoke: bool, iters: u32, p1: &ThreadPool) -> Object {
     bench_op("conv2d", iters, Some(&mut serial), blocked, Some(&mut pool1))
 }
 
+/// conv2d forward + both gradients over the benchmark's ResNet-56 layers
+/// (width 4, batch 16, 10×10 input): the three stages at 4 ch 10×10, 8 ch
+/// 5×5 and 16 ch 3×3, plus both stride-2 transitions with their 1×1
+/// projections. One iteration is one pass over the seven layers. The shape
+/// is the same in smoke and full mode: it is already small.
+fn conv2d_resnet56_op(iters: u32, p1: &ThreadPool) -> Object {
+    use egeria_tensor::conv::{
+        conv2d, conv2d_grad_input, conv2d_grad_input_with_pool, conv2d_grad_weight,
+        conv2d_grad_weight_with_pool, conv2d_with_pool, reference, Conv2dSpec,
+    };
+    const N: usize = 16;
+    // (c_in, c_out, extent, kernel, stride, padding)
+    const LAYERS: [(usize, usize, usize, usize, usize, usize); 7] = [
+        (4, 4, 10, 3, 1, 1),
+        (4, 8, 10, 3, 2, 1),
+        (4, 8, 10, 1, 2, 0),
+        (8, 8, 5, 3, 1, 1),
+        (8, 16, 5, 3, 2, 1),
+        (8, 16, 5, 1, 2, 0),
+        (16, 16, 3, 3, 1, 1),
+    ];
+    let mut rng = Rng::new(10);
+    let layers: Vec<_> = LAYERS
+        .iter()
+        .map(|&(ci, co, hw, k, stride, pad)| {
+            let spec = Conv2dSpec::new(stride, pad).unwrap();
+            let out = spec.out_extent(hw, k).unwrap();
+            (
+                Tensor::randn(&[N, ci, hw, hw], &mut rng),
+                Tensor::randn(&[co, ci, k, k], &mut rng),
+                Tensor::randn(&[N, co, out, out], &mut rng),
+                spec,
+            )
+        })
+        .collect();
+    let mut serial = || {
+        for (x, w, g, spec) in &layers {
+            let y = reference::conv2d(x, w, None, *spec).unwrap();
+            let gx = reference::conv2d_grad_input(g, w, x.dims(), *spec).unwrap();
+            let gw = reference::conv2d_grad_weight(g, x, w.dims(), *spec).unwrap();
+            std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
+        }
+    };
+    let mut pool1 = || {
+        once(&mut || {
+            for (x, w, g, spec) in &layers {
+                let y = conv2d_with_pool(p1, x, w, None, *spec).unwrap();
+                let gx = conv2d_grad_input_with_pool(p1, g, w, x.dims(), *spec).unwrap();
+                let gw = conv2d_grad_weight_with_pool(p1, g, x, w.dims(), *spec).unwrap();
+                std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
+            }
+        })
+    };
+    let blocked = || {
+        for (x, w, g, spec) in &layers {
+            let y = conv2d(x, w, None, *spec).unwrap();
+            let gx = conv2d_grad_input(g, w, x.dims(), *spec).unwrap();
+            let gw = conv2d_grad_weight(g, x, w.dims(), *spec).unwrap();
+            std::hint::black_box((y.data()[0], gx.data()[0], gw.data()[0]));
+        }
+    };
+    bench_op("conv2d_resnet56", iters, Some(&mut serial), blocked, Some(&mut pool1))
+}
+
 /// Full ResNet train step (forward + backward through every layer; no
 /// serial variant — the oracle kernels are not a dispatch target).
 fn train_step_op(smoke: bool, iters: u32) -> Object {
@@ -385,7 +450,11 @@ fn main() {
     );
 
     let p1 = ThreadPool::new(1);
-    let mut ops = vec![matmul_op(smoke, iters, &p1), conv2d_op(smoke, iters, &p1)];
+    let mut ops = vec![
+        matmul_op(smoke, iters, &p1),
+        conv2d_op(smoke, iters, &p1),
+        conv2d_resnet56_op(iters, &p1),
+    ];
 
     // Int8 qmatmul (the reference-model inference kernel; no serial
     // reference — the seed kernels have no int8 path).
@@ -526,7 +595,9 @@ fn bench_telemetry_overhead(iters: u32) -> TelemetryOverheadReport {
     // minimum round: sequential blocks let clock/thermal drift between
     // sections masquerade as overhead (the disabled path measured
     // *slower* than the enabled one on a loaded single-core box), while
-    // per-round minima of interleaved samples cancel shared drift.
+    // per-round minima of interleaved samples cancel shared drift. The
+    // order rotates each round, so no variant always runs in the same
+    // slot.
     let off = Telemetry::disabled();
     let on = Telemetry::enabled();
     let run_bare = |m: &mut dyn Model| {
@@ -536,23 +607,23 @@ fn bench_telemetry_overhead(iters: u32) -> TelemetryOverheadReport {
             std::hint::black_box((i, r.loss));
         }
     };
-    let (mut bare, mut disabled, mut enabled) = (u64::MAX, u64::MAX, u64::MAX);
+    // Per variant: bare, disabled, enabled.
+    let mut best = [u64::MAX; 3];
     for round in 0..=iters {
-        let b = once(&mut || run_bare(&mut model));
-        let d = once(&mut || probed_steps(&mut model, &batch, &off, STEPS_PER_SAMPLE));
-        let e = once(&mut || probed_steps(&mut model, &batch, &on, STEPS_PER_SAMPLE));
-        if round > 0 {
+        for slot in 0..3 {
+            let variant = (round as usize + slot) % 3;
+            let t = match variant {
+                0 => once(&mut || run_bare(&mut model)),
+                1 => once(&mut || probed_steps(&mut model, &batch, &off, STEPS_PER_SAMPLE)),
+                _ => once(&mut || probed_steps(&mut model, &batch, &on, STEPS_PER_SAMPLE)),
+            };
             // Round 0 is warmup.
-            bare = bare.min(b);
-            disabled = disabled.min(d);
-            enabled = enabled.min(e);
+            if round > 0 {
+                best[variant] = best[variant].min(t);
+            }
         }
     }
-    let (bare, disabled, enabled) = (
-        bare / STEPS_PER_SAMPLE,
-        disabled / STEPS_PER_SAMPLE,
-        enabled / STEPS_PER_SAMPLE,
-    );
+    let [bare, disabled, enabled] = best.map(|t| t / STEPS_PER_SAMPLE);
     let pct = |t: u64| ((t as f64 - bare as f64) / bare.max(1) as f64 * 100.0).max(0.0);
     let r = TelemetryOverheadReport {
         bare_ns_per_iter: bare,

@@ -6,17 +6,27 @@
 //!
 //! The three GEMM-bound kernels are lowered to im2col plus the parallel
 //! blocked GEMM in [`crate::gemm`], dispatched one pool task per image so a
-//! batch saturates the worker pool. The seed repo's direct loops survive in
+//! batch saturates the worker pool. The forward's `W` and grad-input's `Wᵀ`
+//! are packed once per call, on the caller, and shared read-only by every
+//! per-image task; each task packs only its own image's operand. The
+//! patch matrices and packed operands live in the GEMM's per-thread
+//! scratch, so a call allocates the same number of times at any batch
+//! size. The seed repo's direct loops survive in
 //! [`reference`](mod@reference) as the numerical oracle the tests and benches compare
 //! against.
 //!
 //! Determinism: each task writes a disjoint image slice, im2col/col2im walk
-//! fixed index orders, and the cross-image reduction in
+//! fixed index orders, every lowered product accumulates in the GEMM's fixed
+//! k-block order into a zeroed output, and the cross-image reduction in
 //! [`conv2d_grad_weight`] folds per-image partials in ascending image order
-//! — so outputs are bit-identical for every thread count.
+//! — so outputs are bit-identical for every thread count. The packed weight
+//! does not depend on the image, so sharing it across images leaves every
+//! product and its order as a per-image `gemm` would have them.
 
 use crate::error::{Result, TensorError};
-use crate::gemm::{gemm, Layout};
+use crate::gemm::{
+    gemm, gemm_packed, pack_a, pack_b, packed_a_len, packed_b_len, with_scratch, Layout, Scratch,
+};
 use crate::pool::{self, ThreadPool};
 use crate::tensor::Tensor;
 
@@ -109,11 +119,11 @@ impl ColGeom {
     }
 }
 
-/// Unfolds one NCHW image into a fresh `(c_in·kh·kw) × (oh·ow)` patch
-/// matrix. The allocation's zero-fill is the only one: positions the copy
-/// loops below do not reach are the padding and stay zero.
-fn im2col(x_img: &[f32], g: ColGeom) -> Vec<f32> {
-    let mut col = vec![0.0f32; g.rows() * g.cols()];
+/// Unfolds one NCHW image into its `(c_in·kh·kw) × (oh·ow)` patch matrix
+/// `col`. The buffer is zeroed first: positions the copy loops below do not
+/// reach are the padding.
+fn im2col(x_img: &[f32], g: ColGeom, col: &mut [f32]) {
+    col.fill(0.0);
     for ci in 0..g.c_in {
         let in_base = ci * g.h * g.w;
         for ki in 0..g.kh {
@@ -129,19 +139,19 @@ fn im2col(x_img: &[f32], g: ColGeom) -> Vec<f32> {
                     let ii = oi * g.stride + ki - g.pad;
                     // Non-negative by construction of `oj_lo`.
                     let start = in_base + ii * g.w + oj_lo * g.stride + kj - g.pad;
-                    let dst = row + oi * g.ow + oj_lo;
+                    let dst = &mut col[row + oi * g.ow + oj_lo..][..len];
                     if g.stride == 1 {
-                        col[dst..dst + len].copy_from_slice(&x_img[start..start + len]);
+                        dst.copy_from_slice(&x_img[start..start + len]);
                     } else {
-                        for d in 0..len {
-                            col[dst + d] = x_img[start + d * g.stride];
+                        let src = x_img[start..].iter().step_by(g.stride);
+                        for (d, &v) in dst.iter_mut().zip(src) {
+                            *d = v;
                         }
                     }
                 }
             }
         }
     }
-    col
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a patch-matrix gradient back onto one
@@ -161,14 +171,15 @@ fn col2im_add(colg: &[f32], g: ColGeom, gx_img: &mut [f32]) {
                 for oi in oi_lo..oi_hi {
                     let ii = oi * g.stride + ki - g.pad;
                     let start = in_base + ii * g.w + oj_lo * g.stride + kj - g.pad;
-                    let src = row + oi * g.ow + oj_lo;
+                    let src = &colg[row + oi * g.ow + oj_lo..][..len];
                     if g.stride == 1 {
-                        for d in 0..len {
-                            gx_img[start + d] += colg[src + d];
+                        for (d, &v) in gx_img[start..start + len].iter_mut().zip(src) {
+                            *d += v;
                         }
                     } else {
-                        for d in 0..len {
-                            gx_img[start + d * g.stride] += colg[src + d];
+                        let dst = gx_img[start..].iter_mut().step_by(g.stride);
+                        for (d, &v) in dst.zip(src) {
+                            *d += v;
                         }
                     }
                 }
@@ -235,27 +246,27 @@ pub fn conv2d_with_pool(
     let image_flops = g.image_flops(c_out);
     let img_in = g.c_in * g.h * g.w;
     let mut out = vec![0.0f32; n * c_out * cols];
-    pool::for_each_batch_mut(pool_ref, &mut out, c_out * cols, image_flops, |ni, o_img| {
-        let col = im2col(&x[ni * img_in..(ni + 1) * img_in], g);
-        // OUT_i = W (c_out × K) · COL_i (K × P).
-        gemm(
-            pool_ref,
-            wd,
-            Layout::RowMajor,
-            &col,
-            Layout::RowMajor,
-            c_out,
-            cols,
-            rows,
-            o_img,
-        );
-        if let Some(b) = bias {
-            for (co, &bv) in b.data().iter().enumerate() {
-                for v in &mut o_img[co * cols..(co + 1) * cols] {
-                    *v += bv;
+    // OUT_i = W (c_out × K) · COL_i (K × P), with W packed once for every
+    // image.
+    with_scratch(Scratch::PackedA, packed_a_len(c_out, rows), |packed_w| {
+        pack_a(packed_w, wd, Layout::RowMajor, c_out, rows);
+        let packed_w = &*packed_w;
+        pool::for_each_batch_mut(pool_ref, &mut out, c_out * cols, image_flops, |ni, o_img| {
+            with_scratch(Scratch::Lowered, rows * cols, |col| {
+                im2col(&x[ni * img_in..(ni + 1) * img_in], g, col);
+                with_scratch(Scratch::PackedB, packed_b_len(rows, cols), |packed_col| {
+                    pack_b(packed_col, col, Layout::RowMajor, rows, cols);
+                    gemm_packed(pool_ref, packed_w, packed_col, c_out, cols, rows, o_img);
+                });
+            });
+            if let Some(b) = bias {
+                for (co, &bv) in b.data().iter().enumerate() {
+                    for v in &mut o_img[co * cols..(co + 1) * cols] {
+                        *v += bv;
+                    }
                 }
             }
-        }
+        });
     });
     Tensor::from_vec(out, &[n, c_out, g.oh, g.ow])
 }
@@ -314,22 +325,22 @@ pub fn conv2d_grad_input_with_pool(
     let img_in = c_in * g.h * g.w;
     let img_out = c_out * cols;
     let mut gx = vec![0.0f32; n * img_in];
-    pool::for_each_batch_mut(pool_ref, &mut gx, img_in, image_flops, |ni, gx_img| {
-        // COLG_i = Wᵀ (K × c_out) · G_i (c_out × P); W's storage is the
-        // transpose of the logical operand.
-        let mut colg = vec![0.0f32; rows * cols];
-        gemm(
-            pool_ref,
-            wd,
-            Layout::Transposed,
-            &go[ni * img_out..(ni + 1) * img_out],
-            Layout::RowMajor,
-            rows,
-            cols,
-            c_out,
-            &mut colg,
-        );
-        col2im_add(&colg, g, gx_img);
+    // COLG_i = Wᵀ (K × c_out) · G_i (c_out × P); W's storage is the
+    // transpose of the logical operand, packed once for every image.
+    with_scratch(Scratch::PackedA, packed_a_len(rows, c_out), |packed_wt| {
+        pack_a(packed_wt, wd, Layout::Transposed, rows, c_out);
+        let packed_wt = &*packed_wt;
+        pool::for_each_batch_mut(pool_ref, &mut gx, img_in, image_flops, |ni, gx_img| {
+            with_scratch(Scratch::Lowered, rows * cols, |colg| {
+                colg.fill(0.0);
+                with_scratch(Scratch::PackedB, packed_b_len(c_out, cols), |packed_g| {
+                    let g_img = &go[ni * img_out..(ni + 1) * img_out];
+                    pack_b(packed_g, g_img, Layout::RowMajor, c_out, cols);
+                    gemm_packed(pool_ref, packed_wt, packed_g, rows, cols, c_out, colg);
+                });
+                col2im_add(colg, g, gx_img);
+            });
+        });
     });
     Tensor::from_vec(gx, input_dims)
 }
@@ -392,20 +403,22 @@ pub fn conv2d_grad_weight_with_pool(
     // image order so the reduction is bit-identical for any thread count.
     let mut partials = vec![0.0f32; n * w_numel];
     pool::for_each_batch_mut(pool_ref, &mut partials, w_numel, image_flops, |ni, part| {
-        let col = im2col(&x[ni * img_in..(ni + 1) * img_in], g);
-        // GW_i = G_i (c_out × P) · COL_iᵀ (P × K); COL_i's storage is the
-        // transpose of the logical right operand.
-        gemm(
-            pool_ref,
-            &go[ni * img_out..(ni + 1) * img_out],
-            Layout::RowMajor,
-            &col,
-            Layout::Transposed,
-            c_out,
-            rows,
-            cols,
-            part,
-        );
+        with_scratch(Scratch::Lowered, rows * cols, |col| {
+            im2col(&x[ni * img_in..(ni + 1) * img_in], g, col);
+            // GW_i = G_i (c_out × P) · COL_iᵀ (P × K); COL_i's storage is
+            // the transpose of the logical right operand.
+            gemm(
+                pool_ref,
+                &go[ni * img_out..(ni + 1) * img_out],
+                Layout::RowMajor,
+                col,
+                Layout::Transposed,
+                c_out,
+                rows,
+                cols,
+                part,
+            );
+        });
     });
     let mut gw = vec![0.0f32; w_numel];
     for ni in 0..n {
@@ -950,6 +963,26 @@ mod tests {
             let gw = conv2d_grad_weight(&g, &x, wt.dims(), spec).unwrap();
             let gw_ref = reference::conv2d_grad_weight(&g, &x, wt.dims(), spec).unwrap();
             assert!(gw.allclose(&gw_ref, 1e-3), "grad_weight mismatch");
+        }
+    }
+
+    /// A layer with no input or no output channels is a valid (if empty)
+    /// product: every kernel returns what the reference loops return.
+    #[test]
+    fn empty_channel_counts_match_reference() {
+        let mut rng = Rng::new(41);
+        let spec = Conv2dSpec::new(1, 1).unwrap();
+        for (c_in, c_out) in [(0usize, 3usize), (2, 0), (0, 0)] {
+            let x = Tensor::randn(&[2, c_in, 4, 4], &mut rng);
+            let wt = Tensor::randn(&[c_out, c_in, 3, 3], &mut rng);
+            let b = Tensor::randn(&[c_out], &mut rng);
+            let g = Tensor::randn(&[2, c_out, 4, 4], &mut rng);
+            let y = conv2d(&x, &wt, Some(&b), spec).unwrap();
+            assert_eq!(y, reference::conv2d(&x, &wt, Some(&b), spec).unwrap());
+            let gx = conv2d_grad_input(&g, &wt, x.dims(), spec).unwrap();
+            assert_eq!(gx, reference::conv2d_grad_input(&g, &wt, x.dims(), spec).unwrap());
+            let gw = conv2d_grad_weight(&g, &x, wt.dims(), spec).unwrap();
+            assert_eq!(gw, reference::conv2d_grad_weight(&g, &x, wt.dims(), spec).unwrap());
         }
     }
 

@@ -4,10 +4,13 @@
 //! and attention layers, and (via im2col) all convolution kernels. The
 //! layering follows the classic Goto/BLIS scheme:
 //!
-//! - **B packing**: the right-hand matrix is repacked once per call into
-//!   column panels of [`NR`] interleaved columns so the microkernel streams
-//!   it contiguously.
-//! - **Cache blocking**: the k dimension is processed in `KC`-sized blocks
+//! - **Packing**: both operands are repacked once per call — B into
+//!   column panels of [`NR`] interleaved columns, A into [`MR`]-row strips
+//!   per `KC` block — so the microkernel streams both contiguously. The
+//!   packers match on [`Layout`] once per block and move contiguous runs
+//!   (a row of a row-major operand, a column of a transposed one),
+//!   zero-filling ragged tails.
+//! - **Cache blocking**: the k dimension is processed in [`KC`]-sized blocks
 //!   and the rows of A in [`MC`]-sized blocks, keeping the packed A block
 //!   and the active B panel resident in cache.
 //! - **Register tiling**: the [`MR`]`×`[`NR`] microkernel in
@@ -15,15 +18,24 @@
 //!   dispatched once per process to the detected ISA (bit-identical across
 //!   ISAs — DESIGN §5g).
 //!
+//! [`gemm`] is "pack A, pack B, run the packed product". The convolution
+//! kernels call the packed product directly, so a weight is packed once
+//! per call and shared by every per-image task. Packing buffers and the
+//! convolution's lowered matrices come from a per-thread scratch that
+//! grows to the largest request and is reused, so a call allocates
+//! nothing per image.
+//!
 //! Parallelism: row blocks of A are pool tasks, each owning a disjoint
 //! stripe of C; one `run` per call, which the pool keeps on the caller when
 //! `2·m·n·k` is under its dispatch grain. Determinism: every C element accumulates its k
 //! products in the same order (k blocks ascending, then k ascending within
-//! the microkernel) regardless of thread count or stripe assignment, so the
-//! output is bit-identical for any pool size.
+//! the microkernel, into a zeroed tile that is then added to C) regardless
+//! of thread count or stripe assignment, so the output is bit-identical for
+//! any pool size.
 
 use crate::pool::ThreadPool;
 use crate::simd;
+use std::cell::Cell;
 
 // Microkernel tile geometry is owned by the SIMD layer (the tile is two
 // 8-lane registers wide per row); re-exported here for the packing code and
@@ -33,8 +45,10 @@ pub use crate::simd::{MR, NR};
 /// row-stripe task, so a product dispatches only when `m > MC`.
 pub const MC: usize = 64;
 /// Depth of one k block: `KC × NR` floats of packed B plus `MC × KC` of
-/// packed A stay well inside L2.
-const KC: usize = 256;
+/// packed A stay well inside L2. Each C element sums one k block's
+/// products into a fresh accumulator and then adds it to C, so this is
+/// part of the summation order the bit-exact oracle tests replay.
+pub const KC: usize = 256;
 
 /// How one operand matrix is laid out relative to the logical GEMM operand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,39 +71,95 @@ fn read(m: &[f32], layout: Layout, rows_ld: usize, cols_ld: usize, r: usize, c: 
     }
 }
 
-/// Packs columns `[0, n)` of logical B (`k × n`) into NR-wide panels for the
-/// k range `[kb, kb+kc)`. Output layout: panel-major, then k-major, then the
-/// NR interleaved columns; short trailing panels are zero-padded.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_block(
-    packed: &mut [f32],
-    b: &[f32],
-    layout: Layout,
-    k_total: usize,
-    n: usize,
-    kb: usize,
-    kc: usize,
-    panel: usize,
-) {
-    let j0 = panel * NR;
-    let width = NR.min(n - j0);
-    let dst = &mut packed[..kc * NR];
-    match layout {
-        Layout::RowMajor if width == NR => {
-            // Hot case: copy NR contiguous values per k row.
-            for p in 0..kc {
-                let src = &b[(kb + p) * n + j0..(kb + p) * n + j0 + NR];
-                dst[p * NR..(p + 1) * NR].copy_from_slice(src);
+/// The per-thread buffers a GEMM or convolution call reuses.
+#[derive(Clone, Copy)]
+pub(crate) enum Scratch {
+    /// A convolution's patch matrix (`col`) or its gradient (`colg`).
+    Lowered,
+    /// A packed left operand: [`gemm`]'s A, or a convolution's weight.
+    PackedA,
+    /// A packed right operand.
+    PackedB,
+}
+
+thread_local! {
+    static SCRATCH: [Cell<Vec<f32>>; 3] = const { [const { Cell::new(Vec::new()) }; 3] };
+}
+
+/// Runs `f` on this thread's `slot` buffer cut to `len` floats, growing
+/// the buffer first if it is shorter. The contents are whatever the last
+/// user left: every caller overwrites or zeroes what it reads.
+///
+/// The buffer is taken out of its cell and put back afterwards, so a
+/// nested request for a slot already in use gets a fresh buffer instead of
+/// a borrow panic; only one of the two is kept.
+pub(crate) fn with_scratch<R>(slot: Scratch, len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    let mut buf = SCRATCH.with(|s| s[slot as usize].take());
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let out = f(&mut buf[..len]);
+    SCRATCH.with(|s| s[slot as usize].set(buf));
+    out
+}
+
+/// Floats [`pack_a`] writes for an `m × k` operand: every MR-row strip,
+/// the last one zero-padded.
+pub(crate) fn packed_a_len(m: usize, k: usize) -> usize {
+    m.div_ceil(MR) * MR * k
+}
+
+/// Floats [`pack_b`] writes for a `k × n` operand: every NR-wide panel,
+/// the last one zero-padded.
+pub(crate) fn packed_b_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * k * NR
+}
+
+/// Where the k block starting at `kb` of the MC stripe starting at row
+/// `i0` (`rows` tall) begins in packed A. Every stripe before it is a full
+/// `MC` rows, so it starts at `i0 · k`.
+fn a_block_offset(i0: usize, rows: usize, k: usize, kb: usize) -> usize {
+    i0 * k + rows.div_ceil(MR) * MR * kb
+}
+
+/// Packs all of logical B (`k × n`) into NR-wide panels: panel-major, then
+/// k-major, then the NR interleaved columns. Columns past `n` in the last
+/// panel are zero.
+pub(crate) fn pack_b(packed: &mut [f32], b: &[f32], layout: Layout, k: usize, n: usize) {
+    // A `k = 0` operand has nothing to pack, and `chunks_exact_mut` takes
+    // no zero size.
+    if k == 0 {
+        return;
+    }
+    let panels = n.div_ceil(NR);
+    for (j, dst) in packed.chunks_exact_mut(k * NR).take(panels).enumerate() {
+        let j0 = j * NR;
+        let width = NR.min(n - j0);
+        let (dst, _) = dst.as_chunks_mut::<NR>();
+        match layout {
+            // A k row of the panel is a contiguous run of B's row.
+            Layout::RowMajor if width == NR => {
+                for (p, row) in dst.iter_mut().enumerate() {
+                    row.copy_from_slice(&b[p * n + j0..][..NR]);
+                }
             }
-        }
-        _ => {
-            for p in 0..kc {
-                for c in 0..NR {
-                    dst[p * NR + c] = if c < width {
-                        read(b, layout, k_total, n, kb + p, j0 + c)
-                    } else {
-                        0.0
-                    };
+            Layout::RowMajor => {
+                for (p, row) in dst.iter_mut().enumerate() {
+                    row[..width].copy_from_slice(&b[p * n + j0..][..width]);
+                    row[width..].fill(0.0);
+                }
+            }
+            // A column of the panel is a contiguous run of the storage.
+            Layout::Transposed => {
+                for c in 0..width {
+                    for (row, &v) in dst.iter_mut().zip(&b[(j0 + c) * k..][..k]) {
+                        row[c] = v;
+                    }
+                }
+                if width < NR {
+                    for row in dst.iter_mut() {
+                        row[width..].fill(0.0);
+                    }
                 }
             }
         }
@@ -97,32 +167,63 @@ fn pack_b_block(
 }
 
 /// Packs rows `[i0, i0+rows)` of logical A (`m × k`) for the k range
-/// `[kb, kb+kc)` into MR-row strips; short trailing strips are zero-padded.
+/// `[kb, kb+kc)` into MR-row strips (`kc × MR` interleaved); rows past the
+/// last live one in the final strip are zero.
 #[allow(clippy::too_many_arguments)]
 fn pack_a_block(
     packed: &mut [f32],
     a: &[f32],
     layout: Layout,
     m: usize,
-    k_total: usize,
+    k: usize,
     i0: usize,
     rows: usize,
     kb: usize,
     kc: usize,
 ) {
     let strips = rows.div_ceil(MR);
-    for s in 0..strips {
+    for (s, dst) in packed.chunks_exact_mut(MR * kc).take(strips).enumerate() {
         let r0 = i0 + s * MR;
         let live = MR.min(i0 + rows - r0);
-        let dst = &mut packed[s * MR * kc..(s + 1) * MR * kc];
-        for p in 0..kc {
-            for r in 0..MR {
-                dst[p * MR + r] = if r < live {
-                    read(a, layout, m, k_total, r0 + r, kb + p)
-                } else {
-                    0.0
-                };
+        let (dst, _) = dst.as_chunks_mut::<MR>();
+        match layout {
+            // A row of the strip is a contiguous run of A's row.
+            Layout::RowMajor => {
+                for r in 0..live {
+                    for (col, &v) in dst.iter_mut().zip(&a[(r0 + r) * k + kb..][..kc]) {
+                        col[r] = v;
+                    }
+                }
+                if live < MR {
+                    for col in dst.iter_mut() {
+                        col[live..].fill(0.0);
+                    }
+                }
             }
+            // A k step of the strip is a contiguous run of the storage.
+            Layout::Transposed => {
+                for (p, col) in dst.iter_mut().enumerate() {
+                    col[..live].copy_from_slice(&a[(kb + p) * m + r0..][..live]);
+                    col[live..].fill(0.0);
+                }
+            }
+        }
+    }
+}
+
+/// Packs all of logical A (`m × k`) for [`gemm_packed`]: MC-row stripes in
+/// order, each holding its KC blocks in order, each block its MR-row
+/// strips.
+pub(crate) fn pack_a(packed: &mut [f32], a: &[f32], layout: Layout, m: usize, k: usize) {
+    for i0 in (0..m).step_by(MC) {
+        let rows = MC.min(m - i0);
+        let mut kb = 0;
+        while kb < k {
+            let kc = KC.min(k - kb);
+            let block =
+                &mut packed[a_block_offset(i0, rows, k, kb)..][..rows.div_ceil(MR) * MR * kc];
+            pack_a_block(block, a, layout, m, k, i0, rows, kb, kc);
+            kb += kc;
         }
     }
 }
@@ -152,38 +253,42 @@ pub fn gemm(
     assert_eq!(a.len(), m * k, "gemm: A length");
     assert_eq!(b.len(), k * n, "gemm: B length"); // egeria-lint: allow(panic-reachable-from-kernel): shape precondition, as above
     assert_eq!(c.len(), m * n, "gemm: C length"); // egeria-lint: allow(panic-reachable-from-kernel): shape precondition, as above
-    if m == 0 || n == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if k == 0 {
-        return;
-    }
+    // Both operands are packed on the caller: a copy is far below what a
+    // wake-up costs, and packing here leaves the row stripes as the call's
+    // single dispatch decision.
+    with_scratch(Scratch::PackedA, packed_a_len(m, k), |pa| {
+        pack_a(pa, a, a_layout, m, k);
+        with_scratch(Scratch::PackedB, packed_b_len(k, n), |pb| {
+            pack_b(pb, b, b_layout, k, n);
+            gemm_packed(pool, pa, pb, m, n, k, c);
+        })
+    })
+}
 
-    // Pack all of B once, on the caller: a panel is a `k × NR` copy, far
-    // below what a wake-up costs, and packing here leaves the row stripes
-    // as the call's single dispatch decision.
+/// `c += a · b` from operands already packed by [`pack_a`] and [`pack_b`]:
+/// the one compute path under [`gemm`] and the convolution kernels.
+pub(crate) fn gemm_packed(
+    pool: &ThreadPool,
+    packed_a: &[f32],
+    packed_b: &[f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    c: &mut [f32],
+) {
+    // The unsafe stripe writes below rely on C's length: a mismatch must
+    // never reach them.
+    // egeria-lint: allow(panic-reachable-from-kernel): soundness precondition, as above
+    assert_eq!(c.len(), m * n, "gemm_packed: C length");
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
     let panels = n.div_ceil(NR);
-    let mut packed_b = vec![0.0f32; panels * k * NR];
-    for (j, dst) in packed_b.chunks_exact_mut(k * NR).enumerate() {
-        let mut kb = 0;
-        while kb < k {
-            let kc = KC.min(k - kb);
-            pack_b_block(
-                &mut dst[kb * NR..(kb + kc) * NR],
-                b,
-                b_layout,
-                k,
-                n,
-                kb,
-                kc,
-                j,
-            );
-            kb += kc;
-        }
-    }
-
-    // Row stripes of C in parallel; each task packs its own A block per
-    // k-block and runs the microkernel grid.
+    // Row stripes of C in parallel; each task sweeps the microkernel grid
+    // over its stripe's packed A blocks.
     let row_blocks = m.div_ceil(MC);
     // The call's real work spread over its stripes: a ragged last stripe
     // is not costed as a full one.
@@ -193,17 +298,16 @@ pub fn gemm(
         let i0 = blk * MC;
         let rows = MC.min(m - i0);
         let strips = rows.div_ceil(MR);
-        let mut packed_a = vec![0.0f32; strips * MR * KC.min(k)];
         let mut kb = 0;
         while kb < k {
             let kc = KC.min(k - kb);
-            pack_a_block(&mut packed_a, a, a_layout, m, k, i0, rows, kb, kc);
+            let a_block = &packed_a[a_block_offset(i0, rows, k, kb)..][..strips * MR * kc];
             for j in 0..panels {
                 let b_panel = &packed_b[j * k * NR + kb * NR..j * k * NR + (kb + kc) * NR];
                 let j0 = j * NR;
                 let width = NR.min(n - j0);
                 for s in 0..strips {
-                    let a_strip = &packed_a[s * MR * kc..(s + 1) * MR * kc];
+                    let a_strip = &a_block[s * MR * kc..(s + 1) * MR * kc];
                     let mut acc = [0.0f32; MR * NR];
                     simd::microkernel(kc, a_strip, b_panel, &mut acc);
                     let r0 = i0 + s * MR;

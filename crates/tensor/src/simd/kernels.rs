@@ -26,7 +26,7 @@ pub const NR: usize = 16;
 /// Register-tiled GEMM inner kernel: `acc += a_strip · b_panel` over `kc`
 /// rank-1 updates. `a_strip` is `kc × MR` interleaved, `b_panel` is
 /// `kc × NR` interleaved; both are at least that long (packed by
-/// `gemm::pack_a_block`/`pack_b_block`).
+/// `gemm::pack_a`/`pack_b`).
 #[inline(always)]
 pub fn microkernel<V: F32x8>(
     kc: usize,

@@ -1,8 +1,9 @@
 //! Property-based tests for the tensor substrate.
 
-use egeria_tensor::conv::{conv2d, conv2d_grad_input, Conv2dSpec};
+use egeria_tensor::conv::{conv2d, conv2d_grad_input, conv2d_grad_weight, Conv2dSpec};
+use egeria_tensor::gemm::{gemm, Layout, KC, MC, MR, NR};
 use egeria_tensor::linalg::{linear_fit, qr, svd};
-use egeria_tensor::{serialize, Rng, Tensor};
+use egeria_tensor::{serialize, Rng, Tensor, ThreadPool};
 use proptest::prelude::*;
 
 /// Row-major strides of `dims`, the last axis innermost.
@@ -261,5 +262,272 @@ proptest! {
                 prop_assert_eq!(bits(got.data()), bits(&want), "{} {:?} {:?}", name, l.dims(), r.dims());
             }
         }
+    }
+}
+
+/// Element `(r, c)` of a logical `rows × cols` matrix stored in `layout`.
+fn at(m: &[f32], layout: Layout, rows: usize, cols: usize, r: usize, c: usize) -> f32 {
+    match layout {
+        Layout::RowMajor => m[r * cols + c],
+        Layout::Transposed => m[c * rows + r],
+    }
+}
+
+/// `c += a · b` in the blocked GEMM's summation order, one C element at a
+/// time: the products of each `KC`-deep block summed in k order from
+/// `0.0`, then that block's sum added to the element. This is the order the
+/// register tile keeps, so the blocked kernel must match it bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn gemm_oracle(
+    a: &[f32],
+    a_layout: Layout,
+    b: &[f32],
+    b_layout: Layout,
+    m: usize,
+    n: usize,
+    k: usize,
+    c: &mut [f32],
+) {
+    for i in 0..m {
+        for j in 0..n {
+            for kb in (0..k).step_by(KC) {
+                let mut t = 0.0f32;
+                for p in kb..k.min(kb + KC) {
+                    t += at(a, a_layout, m, k, i, p) * at(b, b_layout, k, n, p, j);
+                }
+                c[i * n + j] += t;
+            }
+        }
+    }
+}
+
+/// One image's convolution geometry, for the test's own lowering.
+#[derive(Clone, Copy, Debug)]
+struct Geom {
+    c_in: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Geom {
+    fn new(c_in: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Self {
+        let out = |e: usize| (e + 2 * pad - k) / stride + 1;
+        Geom {
+            c_in,
+            h,
+            w,
+            k,
+            stride,
+            pad,
+            oh: out(h),
+            ow: out(w),
+        }
+    }
+
+    /// Rows of the patch matrix: `c_in · k · k`.
+    fn rows(&self) -> usize {
+        self.c_in * self.k * self.k
+    }
+
+    /// Columns of the patch matrix: `oh · ow`.
+    fn cols(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Visits every patch-matrix entry that reads the image, in row-major
+    /// patch order, as `(patch index, image index)`.
+    fn for_each_tap(&self, mut visit: impl FnMut(usize, usize)) {
+        for ci in 0..self.c_in {
+            for ki in 0..self.k {
+                for kj in 0..self.k {
+                    let row = (ci * self.k + ki) * self.k + kj;
+                    for oi in 0..self.oh {
+                        for oj in 0..self.ow {
+                            let ii = (oi * self.stride + ki) as isize - self.pad as isize;
+                            let jj = (oj * self.stride + kj) as isize - self.pad as isize;
+                            if (0..self.h as isize).contains(&ii)
+                                && (0..self.w as isize).contains(&jj)
+                            {
+                                let pix = (ci * self.h + ii as usize) * self.w + jj as usize;
+                                visit(row * self.cols() + oi * self.ow + oj, pix);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn im2col(&self, x_img: &[f32]) -> Vec<f32> {
+        let mut col = vec![0.0f32; self.rows() * self.cols()];
+        self.for_each_tap(|at, pix| col[at] = x_img[pix]);
+        col
+    }
+
+    fn col2im_add(&self, colg: &[f32], gx_img: &mut [f32]) {
+        self.for_each_tap(|at, pix| gx_img[pix] += colg[at]);
+    }
+}
+
+/// `conv2d` and both gradients against the GEMM oracle over the test's own
+/// im2col / col2im, bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn check_conv_bits(
+    n: usize,
+    c_in: usize,
+    c_out: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    seed: u64,
+) {
+    let g = Geom::new(c_in, h, w, k, stride, pad);
+    let case = format!("n{n} {c_in}->{c_out} {h}x{w} k{k} s{stride} p{pad}");
+    let spec = Conv2dSpec::new(stride, pad).unwrap();
+    let mut rng = Rng::new(seed);
+    let x = Tensor::randn(&[n, c_in, h, w], &mut rng);
+    let wt = Tensor::randn(&[c_out, c_in, k, k], &mut rng);
+    let bias = Tensor::randn(&[c_out], &mut rng);
+    let go = Tensor::randn(&[n, c_out, g.oh, g.ow], &mut rng);
+    let (rows, cols) = (g.rows(), g.cols());
+    let (img_in, img_out) = (c_in * h * w, c_out * cols);
+
+    let mut y = vec![0.0f32; n * img_out];
+    let mut gx = vec![0.0f32; n * img_in];
+    let mut gw = vec![0.0f32; c_out * rows];
+    for ni in 0..n {
+        let col = g.im2col(&x.data()[ni * img_in..(ni + 1) * img_in]);
+        let g_img = &go.data()[ni * img_out..(ni + 1) * img_out];
+        let y_img = &mut y[ni * img_out..(ni + 1) * img_out];
+        gemm_oracle(
+            wt.data(),
+            Layout::RowMajor,
+            &col,
+            Layout::RowMajor,
+            c_out,
+            cols,
+            rows,
+            y_img,
+        );
+        for (co, &b) in bias.data().iter().enumerate() {
+            for v in &mut y_img[co * cols..(co + 1) * cols] {
+                *v += b;
+            }
+        }
+        let mut colg = vec![0.0f32; rows * cols];
+        gemm_oracle(
+            wt.data(),
+            Layout::Transposed,
+            g_img,
+            Layout::RowMajor,
+            rows,
+            cols,
+            c_out,
+            &mut colg,
+        );
+        g.col2im_add(&colg, &mut gx[ni * img_in..(ni + 1) * img_in]);
+        let mut part = vec![0.0f32; c_out * rows];
+        gemm_oracle(
+            g_img,
+            Layout::RowMajor,
+            &col,
+            Layout::Transposed,
+            c_out,
+            rows,
+            cols,
+            &mut part,
+        );
+        for (d, &p) in gw.iter_mut().zip(&part) {
+            *d += p;
+        }
+    }
+
+    let got = conv2d(&x, &wt, Some(&bias), spec).unwrap();
+    assert_eq!(bits(got.data()), bits(&y), "conv2d {case}");
+    let got = conv2d_grad_input(&go, &wt, x.dims(), spec).unwrap();
+    assert_eq!(bits(got.data()), bits(&gx), "conv2d_grad_input {case}");
+    let got = conv2d_grad_weight(&go, &x, wt.dims(), spec).unwrap();
+    assert_eq!(bits(got.data()), bits(&gw), "conv2d_grad_weight {case}");
+}
+
+/// The geometries the blocking treats differently: the benchmark's ResNet
+/// stages (patch width `P` = 100 / 25 / 9 against `NR`), 1×1 stride-2
+/// projections, `K > KC` (a k block boundary inside the forward's and
+/// grad-weight's rows), `P > KC` (one inside grad-weight's k) and
+/// `c_out % MR ≠ 0` (a ragged strip).
+#[test]
+fn conv_kernels_match_the_blocked_order_oracle() {
+    const { assert!(9 < NR && 16 * 3 * 3 < KC && 32 * 3 * 3 > KC && 17 * 17 > KC && 6 % MR != 0) };
+    for (i, &(n, c_in, c_out, h, w, k, stride, pad)) in [
+        (
+            2usize, 4usize, 4usize, 10usize, 10usize, 3usize, 1usize, 1usize,
+        ),
+        (2, 4, 8, 10, 10, 3, 2, 1),
+        (2, 4, 8, 10, 10, 1, 2, 0),
+        (2, 8, 16, 5, 5, 3, 2, 1),
+        (1, 16, 16, 3, 3, 3, 1, 1),
+        (2, 32, 6, 5, 5, 3, 1, 0),
+        (2, 30, 7, 7, 6, 3, 2, 1),
+        (1, 3, 5, 17, 17, 3, 1, 1),
+        (1, 2, 3, 19, 18, 3, 1, 0),
+    ]
+    .iter()
+    .enumerate()
+    {
+        check_conv_bits(n, c_in, c_out, h, w, k, stride, pad, 100 + i as u64);
+    }
+}
+
+// The blocked kernels against the scalar oracle in their own summation
+// order, bit for bit.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn gemm_matches_the_blocked_order_oracle(
+        seed in any::<u64>(),
+        m in 1usize..MC + 10,
+        n in 1usize..2 * NR + 5,
+        k in 1usize..2 * KC + 20,
+    ) {
+        let mut rng = Rng::new(seed);
+        let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+        // One inline pool, and one that hands every stripe to its workers.
+        let pools = [ThreadPool::new(1), ThreadPool::with_zero_grain(2)];
+        for la in [Layout::RowMajor, Layout::Transposed] {
+            for lb in [Layout::RowMajor, Layout::Transposed] {
+                let mut want = vec![0.0f32; m * n];
+                gemm_oracle(&a, la, &b, lb, m, n, k, &mut want);
+                for pool in &pools {
+                    let mut got = vec![0.0f32; m * n];
+                    gemm(pool, &a, la, &b, lb, m, n, k, &mut got);
+                    prop_assert_eq!(bits(&got), bits(&want), "{}x{}x{} {:?}/{:?}", m, n, k, la, lb);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_kernels_match_the_oracle_on_random_geometry(
+        seed in any::<u64>(),
+        n in 1usize..3,
+        c_in in 1usize..10,
+        c_out in 1usize..10,
+        h in 1usize..12,
+        w in 1usize..12,
+        k in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..2,
+    ) {
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        check_conv_bits(n, c_in, c_out, h, w, k, stride, pad, seed);
     }
 }
