@@ -70,8 +70,11 @@ cmp "$trace_dir/lint-baseline.json" lint-baseline.json \
 # SIMD layer forced to the scalar fallback, and again at the machine
 # default (auto-detected vector ISA, default pool). The two axes cross:
 # scalar+1-thread is the reference corner, auto+default the fastest one.
+# The second pass also runs every crate's own unit and integration tests
+# (`--workspace`): the layer contracts, the allocation oracles and the
+# kernel proptests live there, not under the root package's tests/.
 EGERIA_THREADS=1 EGERIA_SIMD=scalar cargo_test -q
-cargo_test -q
+cargo_test -q --workspace
 
 # Freezing-policy A/B matrix (DESIGN §5i): the release-built harness runs
 # every policy over every model family on fixed seeds, verifies each cell

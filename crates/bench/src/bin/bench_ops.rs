@@ -29,7 +29,9 @@
 //!
 //! Variants are interleaved round-robin and each keeps its per-round
 //! minimum, so clock/thermal drift on a loaded box cancels instead of
-//! masquerading as speedup (same discipline as the telemetry section).
+//! masquerading as speedup. The telemetry section interleaves the same way
+//! but gates on the median of per-round paired ratios (see
+//! `bench_telemetry_overhead`).
 //! Also asserts the determinism contract (blocked output at the default
 //! thread count is bit-identical to a 1-thread pool) and records the
 //! verdict in the report. Pass `--smoke` for a fast low-iteration run with
@@ -52,13 +54,14 @@ use std::time::Instant;
 /// bare (no instrumentation), with a disabled `Telemetry` handle driving
 /// the trainer's per-iteration probe sequence, and with an enabled one.
 struct TelemetryOverheadReport {
+    /// Median per-round step times of the three variants.
     bare_ns_per_iter: u64,
     disabled_ns_per_iter: u64,
     enabled_ns_per_iter: u64,
-    /// `(disabled - bare) / bare`, clamped at 0 — the zero-cost-when-off
-    /// contract (DESIGN §5d caps this at 2%).
+    /// Median over rounds of `disabled / bare − 1`, clamped at 0 — the
+    /// zero-cost-when-off contract (DESIGN §5d caps this at 2%).
     disabled_overhead_pct: f64,
-    /// `(enabled - bare) / bare`, clamped at 0.
+    /// Median over rounds of `enabled / bare − 1`, clamped at 0.
     enabled_overhead_pct: f64,
 }
 
@@ -77,6 +80,18 @@ fn once(f: &mut dyn FnMut()) -> u64 {
     let t0 = Instant::now();
     f();
     t0.elapsed().as_nanos() as u64
+}
+
+/// The median of a non-empty `v` (the mean of the middle two for an even
+/// count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
 }
 
 /// Times one op under its variants, interleaved per round with round 0 as
@@ -591,13 +606,13 @@ fn bench_telemetry_overhead(iters: u32) -> TelemetryOverheadReport {
             std::hint::black_box(r.loss);
         }
     }
-    // Interleave the three variants round-robin and keep each one's
-    // minimum round: sequential blocks let clock/thermal drift between
-    // sections masquerade as overhead (the disabled path measured
-    // *slower* than the enabled one on a loaded single-core box), while
-    // per-round minima of interleaved samples cancel shared drift. The
-    // order rotates each round, so no variant always runs in the same
-    // slot.
+    // Interleave the three variants round-robin, rotating the order each
+    // round so no variant always runs in the same slot, and judge each
+    // instrumented variant by the median over rounds of its time divided
+    // by the same round's bare time. Pairing within a round cancels drift
+    // shared by the round (clock, thermal, a neighbour's load); the median
+    // ignores the rounds a preemption hit, which a per-variant minimum
+    // does not — one lucky bare round there reads as overhead.
     let off = Telemetry::disabled();
     let on = Telemetry::enabled();
     let run_bare = |m: &mut dyn Model| {
@@ -607,30 +622,36 @@ fn bench_telemetry_overhead(iters: u32) -> TelemetryOverheadReport {
             std::hint::black_box((i, r.loss));
         }
     };
-    // Per variant: bare, disabled, enabled.
-    let mut best = [u64::MAX; 3];
+    // Per round, per variant: bare, disabled, enabled.
+    let mut rounds: Vec<[u64; 3]> = Vec::with_capacity(iters as usize);
     for round in 0..=iters {
+        let mut times = [0u64; 3];
         for slot in 0..3 {
             let variant = (round as usize + slot) % 3;
-            let t = match variant {
+            times[variant] = match variant {
                 0 => once(&mut || run_bare(&mut model)),
                 1 => once(&mut || probed_steps(&mut model, &batch, &off, STEPS_PER_SAMPLE)),
                 _ => once(&mut || probed_steps(&mut model, &batch, &on, STEPS_PER_SAMPLE)),
             };
-            // Round 0 is warmup.
-            if round > 0 {
-                best[variant] = best[variant].min(t);
-            }
+        }
+        // Round 0 is warmup.
+        if round > 0 {
+            rounds.push(times);
         }
     }
-    let [bare, disabled, enabled] = best.map(|t| t / STEPS_PER_SAMPLE);
-    let pct = |t: u64| ((t as f64 - bare as f64) / bare.max(1) as f64 * 100.0).max(0.0);
+    let per_step =
+        |v: usize| median(rounds.iter().map(|t| t[v] as f64).collect()) as u64 / STEPS_PER_SAMPLE;
+    let (bare, disabled, enabled) = (per_step(0), per_step(1), per_step(2));
+    let pct = |v: usize| {
+        let ratio = median(rounds.iter().map(|t| t[v] as f64 / t[0].max(1) as f64).collect());
+        ((ratio - 1.0) * 100.0).max(0.0)
+    };
     let r = TelemetryOverheadReport {
         bare_ns_per_iter: bare,
         disabled_ns_per_iter: disabled,
         enabled_ns_per_iter: enabled,
-        disabled_overhead_pct: pct(disabled),
-        enabled_overhead_pct: pct(enabled),
+        disabled_overhead_pct: pct(1),
+        enabled_overhead_pct: pct(2),
     };
     println!(
         "telemetry     bare {:>12} ns/step   disabled {:>12} ns/step ({:+.3}%)   enabled {:>12} ns/step ({:+.3}%)",

@@ -52,15 +52,17 @@ impl InvertedResidual {
 
 impl Layer for InvertedResidual {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut h = match &mut self.expand {
+        let expanded;
+        let h = match &mut self.expand {
             Some((conv, bn, act)) => {
                 let t = conv.forward(x, mode)?;
                 let t = bn.forward(&t, mode)?;
-                act.forward(&t, mode)?
+                expanded = act.forward(&t, mode)?;
+                &expanded
             }
-            None => x.clone(),
+            None => x,
         };
-        h = self.dw.forward(&h, mode)?;
+        let mut h = self.dw.forward(h, mode)?;
         h = self.dw_bn.forward(&h, mode)?;
         h = self.dw_act.forward(&h, mode)?;
         h = self.project.forward(&h, mode)?;
@@ -310,5 +312,17 @@ mod tests {
         let r = m.train_step(&batch, None).unwrap();
         assert!(r.loss.is_finite());
         assert!(m.modules().len() >= 3);
+    }
+
+    #[test]
+    fn inverted_residual_keeps_nothing_for_backward_in_eval() {
+        use egeria_nn::layer::check_eval_contract;
+        let mut rng = Rng::new(9);
+        let x = Tensor::randn(&[2, 4, 5, 5], &mut rng);
+        // Residual without expansion, expanded residual, strided projection.
+        for (c_out, stride, t) in [(4, 1, 1), (4, 1, 6), (6, 2, 6)] {
+            let mut block = InvertedResidual::new("ir", 4, c_out, stride, t, &mut rng);
+            check_eval_contract(&mut block, &x).unwrap();
+        }
     }
 }

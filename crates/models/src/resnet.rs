@@ -59,16 +59,16 @@ impl Layer for BasicBlock {
         h = self.relu1.forward(&h, mode)?;
         h = self.conv2.forward(&h, mode)?;
         h = self.bn2.forward(&h, mode)?;
-        let s = match &mut self.shortcut {
+        let sum = match &mut self.shortcut {
             Some((conv, bn)) => {
                 let t = conv.forward(x, mode)?;
-                bn.forward(&t, mode)?
+                h.add(&bn.forward(&t, mode)?)?
             }
-            None => x.clone(),
+            None => h.add(x)?,
         };
-        let sum = h.add(&s)?;
-        self.cached_sum = Some(sum.clone());
-        Ok(sum.map(|v| v.max(0.0)))
+        let out = sum.map(|v| v.max(0.0));
+        self.cached_sum = (mode == Mode::Train).then_some(sum);
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -199,16 +199,16 @@ impl Layer for Bottleneck {
         h = self.relu2.forward(&h, mode)?;
         h = self.conv3.forward(&h, mode)?;
         h = self.bn3.forward(&h, mode)?;
-        let s = match &mut self.shortcut {
+        let sum = match &mut self.shortcut {
             Some((conv, bn)) => {
                 let t = conv.forward(x, mode)?;
-                bn.forward(&t, mode)?
+                h.add(&bn.forward(&t, mode)?)?
             }
-            None => x.clone(),
+            None => h.add(x)?,
         };
-        let sum = h.add(&s)?;
-        self.cached_sum = Some(sum.clone());
-        Ok(sum.map(|v| v.max(0.0)))
+        let out = sum.map(|v| v.max(0.0));
+        self.cached_sum = (mode == Mode::Train).then_some(sum);
+        Ok(out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -540,5 +540,21 @@ mod tests {
         let r = m.train_step(&batch, None).unwrap();
         assert_eq!(r.modules_backpropped, nmods - 1);
         assert!(m.active_param_fraction() < 1.0);
+    }
+
+    #[test]
+    fn residual_blocks_keep_nothing_for_backward_in_eval() {
+        use egeria_nn::layer::check_eval_contract;
+        let mut rng = Rng::new(9);
+        let x = Tensor::randn(&[2, 4, 5, 5], &mut rng);
+        let blocks: Vec<Box<dyn Layer>> = vec![
+            Box::new(BasicBlock::new("id", 4, 4, 1, &mut rng)),
+            Box::new(BasicBlock::new("proj", 4, 8, 2, &mut rng)),
+            Box::new(Bottleneck::new("bid", 4, 1, 1, &mut rng)),
+            Box::new(Bottleneck::new("bproj", 4, 2, 2, &mut rng)),
+        ];
+        for mut block in blocks {
+            check_eval_contract(block.as_mut(), &x).unwrap();
+        }
     }
 }

@@ -28,8 +28,6 @@ pub struct EncoderBlock {
     act: Activation,
     ff2: Linear,
     ln2: LayerNorm,
-    cache_x: Option<Tensor>,
-    cache_mid: Option<Tensor>,
 }
 
 impl EncoderBlock {
@@ -42,8 +40,6 @@ impl EncoderBlock {
             act: Activation::new(Act::Gelu),
             ff2: Linear::new(&format!("{name}.ff2"), d_ff, d, true, rng),
             ln2: LayerNorm::new(&format!("{name}.ln2"), d),
-            cache_x: None,
-            cache_mid: None,
         })
     }
 }
@@ -55,18 +51,13 @@ impl Layer for EncoderBlock {
         let f = self.ff1.forward(&mid, mode)?;
         let f = self.act.forward(&f, mode)?;
         let f = self.ff2.forward(&f, mode)?;
-        let out = self.ln2.forward(&mid.add(&f)?, mode)?;
-        self.cache_x = Some(x.clone());
-        self.cache_mid = Some(mid);
-        Ok(out)
+        self.ln2.forward(&mid.add(&f)?, mode)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if self.cache_x.is_none() {
-            return Err(TensorError::Numerical(
-                "EncoderBlock::backward before forward".into(),
-            ));
-        }
+        // The block keeps no context of its own: its sublayers hold what
+        // backward needs, and `ln2` reports a backward with no `Train`
+        // forward before it.
         let g = self.ln2.backward(grad_out)?;
         // Residual: out = mid + ff(mid).
         let gf = self.ff2.backward(&g)?;
@@ -638,5 +629,38 @@ mod tests {
         assert!(m.freeze_prefix(3).is_ok());
         m.unfreeze_all();
         assert_eq!(m.frozen_prefix(), 0);
+    }
+
+    #[test]
+    fn blocks_keep_nothing_for_backward_in_eval() {
+        let mut rng = Rng::new(9);
+        let x = Tensor::randn(&[2, 3, 8], &mut rng);
+        let mut enc = EncoderBlock::new("e", 8, 2, 16, &mut rng).unwrap();
+        egeria_nn::layer::check_eval_contract(&mut enc, &x).unwrap();
+
+        // The decoder block is not a `Layer` (two inputs), so the same
+        // checks by hand: backward after Eval fails, and an Eval forward
+        // leaves the next Train step's gradients bit-identical.
+        let mut dec = DecoderBlock::new("d", 8, 2, 16, &mut rng).unwrap();
+        let memory = Tensor::randn(&[2, 4, 8], &mut rng);
+        let g = Tensor::randn(&[2, 3, 8], &mut rng);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let train = |dec: &mut DecoderBlock| {
+            for p in dec.params_mut() {
+                p.zero_grad();
+            }
+            let y = dec.forward_dec(&x, &memory, Mode::Train).unwrap();
+            let (gx, gm) = dec.backward_dec(&g).unwrap();
+            let mut out = vec![bits(&y), bits(&gx), bits(&gm)];
+            out.extend(dec.params().iter().map(|p| bits(p.grad.as_ref().unwrap())));
+            out
+        };
+        dec.forward_dec(&x, &memory, Mode::Eval).unwrap();
+        assert!(dec.backward_dec(&g).is_err());
+        let plain = train(&mut dec);
+        dec.forward_dec(&x, &memory, Mode::Train).unwrap();
+        dec.forward_dec(&x, &memory, Mode::Eval).unwrap();
+        assert!(dec.backward_dec(&g).is_err());
+        assert_eq!(train(&mut dec), plain);
     }
 }

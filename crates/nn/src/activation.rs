@@ -119,8 +119,8 @@ fn sigmoid_tensor(x: &Tensor) -> Tensor {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
-        self.cached_input = Some(x.clone());
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.cached_input = (mode == Mode::Train).then(|| x.clone());
         let act = self.act;
         Ok(match act {
             Act::Relu | Act::Relu6 => x.map(|v| Self::apply(act, v)),
@@ -326,5 +326,14 @@ mod tests {
     fn backward_requires_forward() {
         let mut a = Activation::new(Act::Relu);
         assert!(a.backward(&Tensor::ones(&[2])).is_err());
+    }
+
+    #[test]
+    fn eval_forwards_keep_nothing_for_backward() {
+        let mut rng = Rng::new(4);
+        let x = Tensor::randn(&[3, 5], &mut rng).mul_scalar(4.0);
+        for act in [Act::Relu, Act::Relu6, Act::Gelu, Act::Tanh, Act::Sigmoid] {
+            crate::layer::check_eval_contract(&mut Activation::new(act), &x).unwrap();
+        }
     }
 }

@@ -8,11 +8,13 @@ use egeria_tensor::{Result, Rng, Tensor, TensorError};
 
 /// Multi-head attention with optional causal masking.
 ///
-/// Covers both self-attention (`ctx == x`) and encoder–decoder
-/// cross-attention (`ctx` = encoder memory). The [`Layer`] impl is the
-/// self-attention specialization; cross-attention callers use
+/// Covers both self-attention (keys and values from the query input) and
+/// encoder–decoder cross-attention (keys and values from a separate
+/// context, the encoder memory). Which one runs is decided by the call, not
+/// by comparing values: the [`Layer`] impl is self-attention, while
 /// [`MultiHeadAttention::forward_attn`] / [`MultiHeadAttention::backward_attn`]
-/// which also return the gradient flowing into the context.
+/// are always cross-attention and also return the gradient flowing into
+/// the context — even when the context equals the query by value.
 pub struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,
@@ -30,7 +32,6 @@ struct AttnCache {
     v: Tensor,
     probs: Tensor,
     b: usize,
-    t: usize,
     s: usize,
     self_attention: bool,
 }
@@ -86,8 +87,17 @@ impl MultiHeadAttention {
         })
     }
 
-    /// Attention forward with separate query input and key/value context.
+    /// Cross-attention forward: queries from `x`, keys and values from the
+    /// context `ctx`.
     pub fn forward_attn(&mut self, x: &Tensor, ctx: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.attend(x, Some(ctx), mode)
+    }
+
+    /// The one forward: self-attention when `ctx` is `None`. A `Mode::Eval`
+    /// call keeps nothing for backward.
+    fn attend(&mut self, x: &Tensor, ctx: Option<&Tensor>, mode: Mode) -> Result<Tensor> {
+        let self_attention = ctx.is_none();
+        let ctx = ctx.unwrap_or(x);
         let (b, t, d) = dims3(x)?;
         let (cb, s, cd) = dims3(ctx)?;
         if d != self.d_model || cd != self.d_model || cb != b {
@@ -97,7 +107,6 @@ impl MultiHeadAttention {
                 rhs: ctx.dims().to_vec(),
             });
         }
-        let self_attention = std::ptr::eq(x, ctx) || x == ctx;
         let q = split_heads(&self.wq.forward(x, mode)?, self.heads)?;
         let k = split_heads(&self.wk.forward(ctx, mode)?, self.heads)?;
         let v = split_heads(&self.wv.forward(ctx, mode)?, self.heads)?;
@@ -119,13 +128,12 @@ impl MultiHeadAttention {
         let ctx_out = probs.bmm(&v)?;
         let merged = merge_heads(&ctx_out, self.heads, b)?;
         let out = self.wo.forward(&merged, mode)?;
-        self.cache = Some(AttnCache {
+        self.cache = (mode == Mode::Train).then_some(AttnCache {
             q,
             k,
             v,
             probs,
             b,
-            t,
             s,
             self_attention,
         });
@@ -162,7 +170,6 @@ impl MultiHeadAttention {
         if cache.self_attention {
             Ok((gx_q.add(&gctx)?, Tensor::zeros(&[cache.b, cache.s, self.d_model])))
         } else {
-            let _ = cache.t;
             Ok((gx_q, gctx))
         }
     }
@@ -170,8 +177,7 @@ impl MultiHeadAttention {
 
 impl Layer for MultiHeadAttention {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let ctx = x.clone();
-        self.forward_attn(x, &ctx, mode)
+        self.attend(x, None, mode)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -285,5 +291,43 @@ mod tests {
         assert_eq!(s.dims(), &[8, 3, 2]);
         let m = merge_heads(&s, 4, 2).unwrap();
         assert_eq!(m, x);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn eval_forwards_keep_nothing_for_backward() {
+        let mut rng = Rng::new(7);
+        let x = Tensor::randn(&[2, 3, 8], &mut rng);
+        for causal in [false, true] {
+            let mut a = MultiHeadAttention::new("a", 8, 2, causal, &mut rng).unwrap();
+            crate::layer::check_eval_contract(&mut a, &x).unwrap();
+        }
+        // The cross-attention entry point drops its context the same way.
+        let mut a = MultiHeadAttention::new("c", 8, 2, false, &mut rng).unwrap();
+        let ctx = Tensor::randn(&[2, 4, 8], &mut rng);
+        let y = a.forward_attn(&x, &ctx, Mode::Train).unwrap();
+        a.forward_attn(&x, &ctx, Mode::Eval).unwrap();
+        assert!(a.backward_attn(&y).is_err());
+    }
+
+    #[test]
+    fn cross_attention_over_an_equal_copy_keeps_its_context_gradient() {
+        // Self- vs cross-attention is the caller's choice: a context equal to
+        // the query by value is still a separate input with its own gradient.
+        let mut rng = Rng::new(8);
+        let mut a = MultiHeadAttention::new("a", 8, 2, true, &mut rng).unwrap();
+        let x = Tensor::randn(&[2, 3, 8], &mut rng);
+        let c = Tensor::randn(&[2, 3, 8], &mut rng);
+        let y_self = a.forward(&x, Mode::Train).unwrap();
+        let g_self = a.backward(&c).unwrap();
+        let ctx = x.clone();
+        let y_cross = a.forward_attn(&x, &ctx, Mode::Train).unwrap();
+        let (gx_q, gctx) = a.backward_attn(&c).unwrap();
+        assert_eq!(bits(&y_cross), bits(&y_self));
+        assert!(gctx.data().iter().any(|&v| v != 0.0), "context gradient dropped");
+        assert_eq!(bits(&gx_q.add(&gctx).unwrap()), bits(&g_self));
     }
 }

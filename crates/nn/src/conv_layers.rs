@@ -65,9 +65,9 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         let y = conv2d(x, &self.weight.value, self.bias.as_ref().map(|b| &b.value), self.spec)?;
-        self.cached_input = Some(x.clone());
+        self.cached_input = (mode == Mode::Train).then(|| x.clone());
         Ok(y)
     }
 
@@ -151,9 +151,9 @@ impl DepthwiseConv2d {
 }
 
 impl Layer for DepthwiseConv2d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         let y = depthwise_conv2d(x, &self.weight.value, None, self.spec)?;
-        self.cached_input = Some(x.clone());
+        self.cached_input = (mode == Mode::Train).then(|| x.clone());
         Ok(y)
     }
 
@@ -200,8 +200,8 @@ impl Default for GlobalAvgPool {
 }
 
 impl Layer for GlobalAvgPool {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
-        self.cached_dims = Some(x.dims().to_vec());
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.cached_dims = (mode == Mode::Train).then(|| x.dims().to_vec());
         global_avg_pool(x)
     }
 
@@ -313,5 +313,21 @@ mod tests {
         assert!(gradcheck_input(&mut g, &x, &[0, 9, 21], 1e-2).unwrap() < 1e-2);
         let mut u = UpsampleNearest::new(2);
         assert!(gradcheck_input(&mut u, &x, &[0, 9, 21], 1e-2).unwrap() < 1e-2);
+    }
+
+    #[test]
+    fn eval_forwards_keep_nothing_for_backward() {
+        use crate::layer::check_eval_contract;
+        let mut rng = Rng::new(6);
+        let x = Tensor::randn(&[2, 2, 4, 4], &mut rng);
+        let layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Conv2d::new("c", 2, 3, 3, 1, 1, true, &mut rng)),
+            Box::new(Conv2d::new("s", 2, 3, 3, 2, 1, false, &mut rng)),
+            Box::new(DepthwiseConv2d::new("d", 2, 3, 1, 1, &mut rng)),
+            Box::new(GlobalAvgPool::new()),
+        ];
+        for mut layer in layers {
+            check_eval_contract(layer.as_mut(), &x).unwrap();
+        }
     }
 }

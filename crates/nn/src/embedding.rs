@@ -56,7 +56,10 @@ impl Embedding {
     }
 
     /// Embeds a batch of token id sequences into `(batch, time, d_model)`.
-    pub fn forward_ids(&mut self, ids: &[Vec<usize>], _mode: Mode) -> Result<Tensor> {
+    ///
+    /// A `Mode::Train` call keeps the ids for [`Embedding::backward_ids`];
+    /// a `Mode::Eval` call keeps nothing (the [`crate::Layer`] contract).
+    pub fn forward_ids(&mut self, ids: &[Vec<usize>], mode: Mode) -> Result<Tensor> {
         let b = ids.len();
         let t = ids.first().map(|s| s.len()).unwrap_or(0);
         if b == 0 || t == 0 {
@@ -90,7 +93,7 @@ impl Embedding {
                 }
             }
         }
-        self.cached_ids = Some(ids.to_vec());
+        self.cached_ids = (mode == Mode::Train).then(|| ids.to_vec());
         Tensor::from_vec(out, &[b, t, d])
     }
 
@@ -175,5 +178,25 @@ mod tests {
         let _ = e.forward_ids(&[vec![0]], Mode::Train).unwrap();
         e.backward_ids(&Tensor::ones(&[1, 1, 2])).unwrap();
         assert!(e.table.grad.is_none());
+    }
+
+    #[test]
+    fn eval_forward_keeps_nothing_for_backward() {
+        let mut rng = Rng::new(6);
+        let mut e = Embedding::new("e", 5, 3, true, &mut rng);
+        let ids = vec![vec![1, 4, 1], vec![0, 2, 3]];
+        let g = Tensor::randn(&[2, 3, 3], &mut rng);
+        let _ = e.forward_ids(&ids, Mode::Eval).unwrap();
+        assert!(e.backward_ids(&g).is_err());
+        let _ = e.forward_ids(&ids, Mode::Train).unwrap();
+        e.backward_ids(&g).unwrap();
+        let plain = e.table.grad.take().unwrap();
+        let _ = e.forward_ids(&ids, Mode::Train).unwrap();
+        let _ = e.forward_ids(&[vec![2]], Mode::Eval).unwrap();
+        assert!(e.backward_ids(&g).is_err(), "Eval dropped the Train forward's ids");
+        let _ = e.forward_ids(&ids, Mode::Train).unwrap();
+        e.backward_ids(&g).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(e.table.grad.as_ref().unwrap()), bits(&plain));
     }
 }

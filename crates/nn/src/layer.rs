@@ -1,18 +1,20 @@
 //! The layer trait and sequential composition.
 
 use crate::param::Parameter;
-use egeria_tensor::{Result, Tensor};
+use egeria_tensor::{Result, Tensor, TensorError};
 
 /// Forward-pass mode.
 ///
 /// `Eval` makes BatchNorm normalize with its running statistics — the mode
 /// [`Network::forward_range`](crate::net::Network::forward_range) gives every
-/// frozen block, even inside a training step (§4.3 of the paper).
+/// frozen block, even inside a training step (§4.3 of the paper) — and
+/// makes every forward an inference forward that keeps nothing for
+/// backward (see [`Layer`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Training: batch statistics.
+    /// Training: batch statistics; the forward keeps its backward context.
     Train,
-    /// Inference: running statistics.
+    /// Inference: running statistics; the forward keeps nothing.
     Eval,
 }
 
@@ -21,6 +23,19 @@ pub enum Mode {
 ///
 /// Contract:
 ///
+/// - only a `Mode::Train` forward is backpropagated. A `Mode::Eval`
+///   forward stores nothing for backward and drops whatever an earlier
+///   `Train` forward left, so a `backward` after it returns the same
+///   "backward before forward" error as one with no forward at all.
+///   Layers whose backward needs no forward context ([`Identity`],
+///   [`UpsampleNearest`](crate::conv_layers::UpsampleNearest)) hold nothing
+///   to drop and are exempt: their backward works after any forward. No
+///   `Eval` forward in the workspace is followed by a backward: frozen
+///   blocks ([`Network::backward`](crate::net::Network::backward) stops at
+///   the frozen boundary), validation and reference-model captures;
+/// - `Eval` changes what is kept, never what is computed: its output is
+///   bit-identical to a `Train` forward's wherever the two agree on the
+///   arithmetic (everywhere but BatchNorm's statistics);
 /// - `backward` must be called at most once per `forward`, with a gradient
 ///   whose shape matches the forward output;
 /// - parameter gradients are *accumulated* into [`Parameter::grad`];
@@ -119,11 +134,11 @@ impl Default for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut cur = x.clone();
+        let mut cur: Option<Tensor> = None;
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode)?;
+            cur = Some(layer.forward(cur.as_ref().unwrap_or(x), mode)?);
         }
-        Ok(cur)
+        Ok(cur.unwrap_or_else(|| x.clone()))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -215,6 +230,49 @@ pub fn gradcheck_input(
     Ok(worst)
 }
 
+/// Checks the `Mode::Eval` half of the [`Layer`] contract on `layer` at
+/// input `x`; intended for tests. `Err` names the first breach of:
+///
+/// - a backward after an `Eval` forward fails — on a fresh layer and after
+///   a `Train` forward — instead of backpropagating stale context;
+/// - a `Train` forward → backward gives the same output, input gradient and
+///   parameter gradients, compared `to_bits`, with an `Eval` forward (and
+///   its failed backward) before it as without.
+///
+/// Parameter gradients are cleared on the way in and on the way out.
+pub fn check_eval_contract(layer: &mut dyn Layer, x: &Tensor) -> Result<()> {
+    use egeria_tensor::Rng;
+    let kind = layer.kind();
+    let breach =
+        |what: &str| -> Result<()> { Err(TensorError::Numerical(format!("{kind}: {what}"))) };
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let y = layer.forward(x, Mode::Eval)?;
+    if layer.backward(&y).is_ok() {
+        return breach("backward after a first Eval forward succeeded");
+    }
+    let c = Tensor::randn(y.dims(), &mut Rng::new(0xE7A1));
+    let train_step = |layer: &mut dyn Layer| -> Result<Vec<Vec<u32>>> {
+        layer.zero_grad();
+        let y = layer.forward(x, Mode::Train)?;
+        let gx = layer.backward(&c)?;
+        let mut out = vec![bits(&y), bits(&gx)];
+        out.extend(layer.params().iter().map(|p| p.grad.as_ref().map_or(Vec::new(), bits)));
+        Ok(out)
+    };
+    let plain = train_step(layer)?;
+    layer.forward(x, Mode::Train)?;
+    layer.forward(x, Mode::Eval)?;
+    if layer.backward(&c).is_ok() {
+        return breach("backward after a Train then an Eval forward succeeded");
+    }
+    let after_eval = train_step(layer)?;
+    layer.zero_grad();
+    if plain != after_eval {
+        return breach("an Eval forward changed the next Train step's output or gradients");
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,6 +315,19 @@ mod tests {
         let _ = seq.forward(&x, Mode::Train).unwrap();
         let _ = seq.backward(&Tensor::ones(&[2, 3])).unwrap();
         assert!(seq.params().iter().all(|p| p.grad.is_none()));
+    }
+
+    #[test]
+    fn sequential_keeps_the_eval_contract() {
+        let mut rng = Rng::new(4);
+        let mut seq = Sequential::new()
+            .push(Box::new(Linear::new("l1", 4, 8, true, &mut rng)))
+            .push(Box::new(Linear::new("l2", 8, 2, true, &mut rng)));
+        let x = Tensor::randn(&[3, 4], &mut rng);
+        check_eval_contract(&mut seq, &x).unwrap();
+        // An empty chain is the identity, which has no context to drop.
+        let y = Sequential::new().forward(&x, Mode::Eval).unwrap();
+        assert_eq!(y, x);
     }
 
     #[test]

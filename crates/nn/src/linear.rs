@@ -75,14 +75,14 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         let (x2, dims) = self.flatten_batch(x)?;
         // x·Wᵀ reading W through its transpose — no materialized copy.
         let mut y = x2.matmul_tb(&self.weight.value)?;
         if let Some(b) = &self.bias {
             y = y.add(&b.value)?;
         }
-        self.cached_input = Some(x2);
+        self.cached_input = (mode == Mode::Train).then_some(x2);
         let mut out_dims = dims;
         *out_dims.last_mut().expect("checked non-empty") = self.out_features;
         y.reshape(&out_dims)
@@ -203,5 +203,13 @@ mod tests {
         let mut rng = Rng::new(6);
         let mut l = Linear::new("l", 3, 2, true, &mut rng);
         assert!(l.backward(&Tensor::zeros(&[2, 2])).is_err());
+    }
+
+    #[test]
+    fn eval_forward_keeps_nothing_for_backward() {
+        let mut rng = Rng::new(7);
+        let mut l = Linear::new("l", 4, 3, true, &mut rng);
+        let x = Tensor::randn(&[2, 5, 4], &mut rng);
+        crate::layer::check_eval_contract(&mut l, &x).unwrap();
     }
 }

@@ -9,9 +9,12 @@
 //! - [`Network::forward_range`] is the only forward loop. A frozen block
 //!   runs in `Mode::Eval` whatever mode the caller asked for, so BatchNorm
 //!   normalizes with its running statistics and leaves them untouched
-//!   (§4.3). That is the whole mechanism — no layer carries a freezing
-//!   switch of its own — and it is what makes a frozen prefix's output
-//!   cacheable. An active block runs in the caller's mode.
+//!   (§4.3), and — the [`Layer`] contract — the block keeps no activations
+//!   for a backward that will never reach it. That is the whole mechanism
+//!   — no layer carries a freezing switch of its own — and it is what
+//!   makes a frozen prefix's output cacheable. An active block runs in the
+//!   caller's mode; a walk in `Mode::Eval` (validation, a reference
+//!   capture) keeps nothing anywhere.
 //! - Capture happens inside that walk: the output of block `capture` is
 //!   copied as the walk passes it (the forward hook of plasticity
 //!   evaluation), so a training step and a probe are the same pass.

@@ -8,9 +8,10 @@ use egeria_tensor::{Result, Tensor, TensorError};
 ///
 /// In `Mode::Train` the layer normalizes with mini-batch statistics and
 /// updates exponential running statistics; in `Mode::Eval` it uses the
-/// running statistics and leaves them untouched. A frozen BatchNorm layer
-/// normalizes with running statistics even inside a training step (§4.3 of
-/// the paper, following transfer-learning practice) because
+/// running statistics, leaves them untouched and keeps no backward
+/// context. A frozen BatchNorm layer normalizes with running statistics
+/// even inside a training step (§4.3 of the paper, following
+/// transfer-learning practice) because
 /// [`Network::forward_range`](crate::net::Network::forward_range) runs every
 /// frozen block in `Mode::Eval`; the layer itself has no freezing switch.
 pub struct BatchNorm2d {
@@ -103,7 +104,12 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        let mut y = x_hat.clone();
+        // `Train` keeps `x_hat` for backward and writes `y` into a copy;
+        // `Eval` writes `y` over `x_hat` itself.
+        let (mut y, kept) = match mode {
+            Mode::Train => (x_hat.clone(), Some(x_hat)),
+            Mode::Eval => (x_hat, None),
+        };
         for ni in 0..n {
             for ci in 0..c {
                 let base = (ni * c + ci) * h * w;
@@ -113,7 +119,7 @@ impl Layer for BatchNorm2d {
                 }
             }
         }
-        self.cache = Some(BnCache {
+        self.cache = kept.map(|x_hat| BnCache {
             x_hat,
             inv_std,
             dims: x.dims().to_vec(),
@@ -148,9 +154,10 @@ impl Layer for BatchNorm2d {
         }
         // Input gradient through the batch statistics, which depend on x:
         // dx = (gamma * inv_std / m) * (m*dy − sum(dy) − x_hat * sum(dy*x_hat)).
-        // Backward assumes a `Mode::Train` forward: frozen blocks normalize
-        // with running statistics but are never backpropagated
-        // (`Network::backward` stops at the first active block).
+        // Only a `Mode::Train` forward leaves a cache, so these are always
+        // batch statistics: frozen blocks normalize with running statistics
+        // in `Mode::Eval` and are never backpropagated (`Network::backward`
+        // stops at the first active block).
         let mut gx = grad_out.clone();
         for ni in 0..n {
             for ci in 0..c {
@@ -221,7 +228,7 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Result<Tensor> {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
         let d = self.gamma.numel();
         if x.dims().last() != Some(&d) {
             return Err(TensorError::ShapeMismatch {
@@ -243,14 +250,18 @@ impl Layer for LayerNorm {
                 *v = (*v - mean) * is;
             }
         }
-        let mut y = x_hat.clone();
+        // As in BatchNorm: `Eval` writes `y` over `x_hat`.
+        let (mut y, kept) = match mode {
+            Mode::Train => (x_hat.clone(), Some(x_hat)),
+            Mode::Eval => (x_hat, None),
+        };
         for r in 0..rows {
             let row = &mut y.data_mut()[r * d..(r + 1) * d];
             for (j, v) in row.iter_mut().enumerate() {
                 *v = *v * self.gamma.value.data()[j] + self.beta.value.data()[j];
             }
         }
-        self.cache = Some(LnCache { x_hat, inv_std });
+        self.cache = kept.map(|x_hat| LnCache { x_hat, inv_std });
         Ok(y)
     }
 
@@ -387,5 +398,14 @@ mod tests {
     fn batchnorm_rejects_wrong_channel_count() {
         let mut bn = BatchNorm2d::new("bn", 3);
         assert!(bn.forward(&Tensor::zeros(&[1, 2, 4, 4]), Mode::Train).is_err());
+    }
+
+    #[test]
+    fn eval_forwards_keep_nothing_for_backward() {
+        let mut rng = Rng::new(7);
+        let x = Tensor::randn(&[3, 2, 3, 3], &mut rng).add_scalar(1.5);
+        crate::layer::check_eval_contract(&mut BatchNorm2d::new("bn", 2), &x).unwrap();
+        let x = Tensor::randn(&[2, 3, 8], &mut rng).mul_scalar(2.0);
+        crate::layer::check_eval_contract(&mut LayerNorm::new("ln", 8), &x).unwrap();
     }
 }
