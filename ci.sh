@@ -145,13 +145,13 @@ grep -q '"closed_loop"' "$trace_dir/BENCH_serve.json"
 # reproduces exactly with the same command.)
 EGERIA_CHAOS_SEED=1337 cargo_test -q --test chaos_soak
 
-# Cache v2 store gate (DESIGN §5j): the chunked backend must hold the
-# same golden-run fingerprint as flat (lossless is bit-exact), survive a
-# full traced quickstart, and the cache benchmark must emit a well-formed
-# BENCH_cache.json carrying the acceptance ratios (flat-vs-chunked
-# footprint and file count).
-EGERIA_CACHE_STORE=chunked cargo_test -q --test golden_run
-EGERIA_CACHE_STORE=chunked cargo run --release --example quickstart >/dev/null
+# Cache store gate (DESIGN §5j): the flat backend, no longer the default,
+# must hold the same golden-run fingerprint as chunked (lossless is
+# bit-exact) and survive a full quickstart, and the cache benchmark must
+# emit a well-formed BENCH_cache.json carrying the acceptance ratios
+# (flat-vs-chunked footprint and file count).
+EGERIA_CACHE_STORE=flat cargo_test -q --test golden_run
+EGERIA_CACHE_STORE=flat cargo run --release --example quickstart >/dev/null
 (cd "$trace_dir" && cargo run --release -p egeria-bench \
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_cache -- --smoke >/dev/null)
 grep -q '"footprint_ratio"' "$trace_dir/BENCH_cache.json"

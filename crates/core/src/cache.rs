@@ -7,13 +7,26 @@
 //! here is ~0.15 ms per batch against 4–18 ms cached steps (DESIGN §5j),
 //! so there is nothing for a second thread to hide.
 //!
+//! Every entry records the **boundary** it was computed at: the frozen
+//! prefix whose output it is. Frozen weights do not move until an
+//! unfreeze, so an entry stays valid when the prefix advances past its
+//! boundary: [`ActivationCache::lookup`] hands it back with its boundary
+//! and the trainer carries it forward over the newly frozen modules (a
+//! promotion) instead of recomputing the whole prefix. Only
+//! [`ActivationCache::invalidate`] empties the cache — on an unfreeze, and
+//! on a resume that changed backend. What an earlier process left on disk
+//! is read only by a resume that adopts it
+//! ([`ActivationCache::resume_at`]); a fresh run clears it at its first
+//! put.
+//!
 //! The cache is that memory window over **one disk layer** with two
-//! layouts (DESIGN §5j): **flat** writes one serialized tensor file per
-//! sample (the original layout), **chunked** delegates to
+//! layouts (DESIGN §5j): **chunked** (the default) delegates to
 //! [`egeria_store::ChunkStore`] — chunk grid, codec chain, sharded files,
-//! capacity-bounded eviction. A lossless chunked cache is bit-exact with
-//! the flat one, and both honour the same degradation matrix: cache
-//! trouble is a miss + recompute, never an abort. The layout is picked by
+//! capacity-bounded eviction; **flat** writes one serialized tensor file
+//! per sample (the original layout, kept as the bit-exactness reference).
+//! A lossless chunked cache is bit-exact with the flat one, and both
+//! honour the same degradation matrix: cache trouble is a miss +
+//! recompute, never an abort. The layout is picked by
 //! [`crate::config::EgeriaConfig::cache_store`].
 
 use crate::config::CacheStoreKind;
@@ -30,8 +43,12 @@ use std::sync::Arc;
 /// Cache performance counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Batch lookups fully served from memory or disk.
+    /// Batch lookups fully served from memory or disk, promotions
+    /// included.
     pub hits: usize,
+    /// Hits whose entries sat at an earlier boundary than the lookup's
+    /// prefix, so the trainer carried them forward.
+    pub promotions: usize,
     /// Batch lookups with at least one missing sample.
     pub misses: usize,
     /// Samples currently resident in memory.
@@ -74,8 +91,16 @@ pub struct ActivationCache {
     /// Batch-granularity eviction queue: the ids of the most recent batches.
     recent: VecDeque<Vec<u64>>,
     mem_batches: usize,
-    /// Frozen-prefix length the cached activations were computed at; a
-    /// change invalidates everything.
+    /// The boundary each entry this process put (in memory or on disk)
+    /// was computed at.
+    bounds: HashMap<u64, usize>,
+    /// The boundary of the entries a resume took over from a persisted
+    /// store, which `bounds` does not list: an id absent from `bounds` is
+    /// read at this boundary, and never read when it is `None`.
+    adopted: Option<usize>,
+    /// The boundary of the newest put since the last reset, or the one a
+    /// resume adopted — what a persisted store is tagged with; `None`
+    /// until then.
     valid_prefix: Option<usize>,
     stats: CacheStats,
     faults: Option<Arc<FaultInjector>>,
@@ -190,9 +215,8 @@ impl Disk {
         }
     }
 
-    /// Removes every entry; what is written next belongs to `prefix`
-    /// (which only the chunked layout can record).
-    fn clear(&mut self, prefix: Option<usize>) {
+    /// Removes every entry.
+    fn clear(&mut self) {
         match self {
             Disk::Flat(flat) => {
                 // Only this layout's files — those an earlier process left
@@ -209,19 +233,30 @@ impl Disk {
                 flat.sizes.clear();
                 flat.live = 0;
             }
+            Disk::Chunked(store) => store.clear(),
+        }
+    }
+
+    /// Makes what was put durable, every entry computed at boundary
+    /// `prefix` (chunked: tag + flush + manifest save; flat writes through
+    /// and records no boundary, so a no-op). Returns how many writes were
+    /// lost.
+    fn persist(&mut self, prefix: Option<usize>) -> Result<usize> {
+        match self {
+            Disk::Flat(_) => Ok(0),
             Disk::Chunked(store) => {
-                store.clear();
                 store.set_valid_prefix(prefix.map(|p| p as u64));
+                Ok(store.persist()?.failed)
             }
         }
     }
 
-    /// Makes what was put durable (chunked: flush + manifest save; flat
-    /// writes through, so a no-op). Returns how many writes were lost.
-    fn persist(&mut self) -> Result<usize> {
+    /// The boundary a persisted store was tagged with (chunked); `None`
+    /// on flat, whose layout records none.
+    fn persisted_prefix(&self) -> Option<usize> {
         match self {
-            Disk::Flat(_) => Ok(0),
-            Disk::Chunked(store) => Ok(store.persist()?.failed),
+            Disk::Flat(_) => None,
+            Disk::Chunked(store) => store.valid_prefix().map(|p| p as usize),
         }
     }
 
@@ -251,6 +286,8 @@ impl ActivationCache {
             mem: HashMap::new(),
             recent: VecDeque::new(),
             mem_batches: mem_batches.max(1),
+            bounds: HashMap::new(),
+            adopted: None,
             valid_prefix: None,
             stats: CacheStats::default(),
             faults: None,
@@ -274,28 +311,21 @@ impl ActivationCache {
     }
 
     /// Creates a **chunked-backend** cache over an [`egeria_store`]
-    /// chunk/shard store rooted at `dir`. A corrupt manifest left in the
-    /// directory degrades to an empty store and counts one
-    /// `corrupt_entries` (the degraded-open row of the matrix).
+    /// chunk/shard store rooted at `dir`. What the store holds is served
+    /// only once [`resume_at`](Self::resume_at) adopts it. A corrupt
+    /// manifest left in the directory degrades to an empty store and
+    /// counts one `corrupt_entries` (the degraded-open row of the matrix).
     pub fn with_store(
         dir: impl Into<PathBuf>,
         mem_batches: usize,
         store_cfg: StoreConfig,
     ) -> Result<Self> {
         let store = ChunkStore::open(dir, store_cfg)?;
-        // Adopt the persisted prefix: a resumed run whose frozen prefix
-        // matches keeps its cached activations instead of wiping them on
-        // the first put (flat can't do this — its layout stores no prefix
-        // — so resume always recomputes there).
-        let valid_prefix = store.valid_prefix().map(|p| p as usize);
-        let degraded_open = store.recovered_corrupt_manifest();
+        let corrupt = store.stats().corrupt_chunks as usize;
         let mut cache = Self::over(Disk::Chunked(Box::new(store)), mem_batches);
-        cache.valid_prefix = valid_prefix;
-        if degraded_open {
-            // Nothing is attached yet: `set_telemetry` / `set_health`
-            // mirror this count when they are.
-            cache.stats.corrupt_entries += 1;
-        }
+        // Nothing is attached yet: `set_telemetry` / `set_health` mirror
+        // this count when they are.
+        cache.stats.corrupt_entries += corrupt;
         cache.sync_disk_stats();
         Ok(cache)
     }
@@ -331,11 +361,33 @@ impl ActivationCache {
         }
     }
 
-    /// Flushes pending store writes and saves the store manifest (chunked
-    /// backend; a no-op on flat). Called at checkpoint boundaries so a
-    /// resumed run reopens a consistent store.
+    /// Drops every entry computed at a boundary other than
+    /// [`valid_prefix`](Self::valid_prefix), then flushes pending store
+    /// writes and saves the store manifest tagged with that boundary
+    /// (chunked backend; flat has nothing to save). Called at checkpoint
+    /// boundaries, so a resumed run reopens a store whose entries all sit
+    /// at its one tagged boundary. Both backends drop alike, so their
+    /// counters stay equal. Adopted entries are not listed one by one, so
+    /// while they may sit at an older boundary the store is tagged with
+    /// none, and a resume from it recomputes.
     pub fn persist(&mut self) -> Result<()> {
-        let failed = self.disk.persist()?;
+        if let Some(v) = self.valid_prefix {
+            let mut stale: Vec<u64> = self
+                .bounds
+                .iter()
+                .filter(|&(_, &b)| b != v)
+                .map(|(&id, _)| id)
+                .collect();
+            if !stale.is_empty() {
+                stale.sort_unstable();
+                self.forget(&stale);
+            }
+        }
+        let tag = match self.adopted {
+            Some(a) if Some(a) != self.valid_prefix => None,
+            _ => self.valid_prefix,
+        };
+        let failed = self.disk.persist(tag)?;
         if failed > 0 {
             self.stats.write_errors += failed;
             self.telemetry
@@ -358,7 +410,8 @@ impl ActivationCache {
     }
 
     /// Attaches a telemetry handle; cache counters (`cache.hits`,
-    /// `cache.misses`, `cache.corrupt_entries`, `cache.write_errors`)
+    /// `cache.promotions`, `cache.misses`, `cache.corrupt_entries`,
+    /// `cache.write_errors`)
     /// mirror [`CacheStats`] into its registry, starting with the
     /// corruption a degraded open counted before any handle was attached.
     /// On the chunked backend the store mirrors its own counters under the
@@ -380,6 +433,11 @@ impl ActivationCache {
         if let Some(h) = &self.health {
             h.resolve("cache-quarantine");
         }
+    }
+
+    fn count_promotion(&mut self) {
+        self.stats.promotions += 1;
+        self.telemetry.counter("cache.promotions").inc();
     }
 
     fn count_miss(&mut self) {
@@ -410,38 +468,73 @@ impl ActivationCache {
         (self.stats.disk_bytes_written, self.stats.disk_bytes_live) = self.disk.footprint();
     }
 
-    /// The frozen-prefix length current entries are valid for.
+    /// The boundary the newest entries were put at, or the one
+    /// [`resume_at`](Self::resume_at) adopted (`None` before either since
+    /// an open or an invalidation); the one boundary
+    /// [`persist`](Self::persist) keeps.
     pub fn valid_prefix(&self) -> Option<usize> {
         self.valid_prefix
     }
 
-    /// Invalidates everything (called when the frozen prefix changes: the
-    /// cached activations were produced by a different sub-network).
+    /// Invalidates everything (called on an unfreeze: the cached
+    /// activations were produced by weights that are about to move).
     pub fn invalidate(&mut self) {
-        self.reset(None);
+        self.reset();
     }
 
-    /// Empties memory and disk; what is put next is valid for `prefix`.
-    fn reset(&mut self, prefix: Option<usize>) {
+    /// Takes over what an earlier process persisted, for a run resumed at
+    /// frozen prefix `prefix`: a store tagged with that boundary is served
+    /// as computed there; anything else (another tag, an untagged or flat
+    /// store, or puts already made here) is dropped. A run that never
+    /// calls this — a fresh one — reads nothing it did not put.
+    pub fn resume_at(&mut self, prefix: usize) {
+        let tag = self.disk.persisted_prefix();
+        if self.valid_prefix.is_none() && tag == Some(prefix) {
+            self.adopted = tag;
+            self.valid_prefix = tag;
+        } else {
+            self.reset();
+        }
+    }
+
+    /// Empties memory and disk.
+    fn reset(&mut self) {
         self.mem.clear();
         self.recent.clear();
-        self.valid_prefix = prefix;
-        self.disk.clear(prefix);
+        self.bounds.clear();
+        self.adopted = None;
+        self.valid_prefix = None;
+        self.disk.clear();
         self.stats.mem_entries = 0;
         self.sync_disk_stats();
     }
 
-    /// Stores one batch's frozen-prefix activation, computed at prefix
-    /// length `prefix`. Invalidates the cache first if the prefix changed.
+    /// Removes the given samples' entries from memory and disk.
+    fn forget(&mut self, ids: &[u64]) {
+        self.disk.delete(ids);
+        for id in ids {
+            self.mem.remove(id);
+            self.bounds.remove(id);
+        }
+        self.stats.mem_entries = self.mem.len();
+        self.sync_disk_stats();
+    }
+
+    /// Stores one batch's frozen-prefix activation, computed at boundary
+    /// `prefix`. Entries at other boundaries stay; the first put after an
+    /// open or an invalidation clears what an earlier process left in the
+    /// directory.
     ///
     /// Disk-write failures (ENOSPC and friends) are *not* errors: the
-    /// entry stays memory-resident, `write_errors` is counted, and the
-    /// next lookup after eviction simply misses and recomputes. Only
-    /// caller bugs (batch/id mismatch) return `Err`.
+    /// entry stays memory-resident, its disk copy from any older boundary
+    /// is deleted, `write_errors` is counted, and the next lookup after
+    /// eviction simply misses and recomputes. Only caller bugs (batch/id
+    /// mismatch) return `Err`.
     pub fn put_batch(&mut self, ids: &[u64], activation: &Tensor, prefix: usize) -> Result<()> {
-        if self.valid_prefix != Some(prefix) {
-            self.reset(Some(prefix));
+        if self.valid_prefix.is_none() {
+            self.reset();
         }
+        self.valid_prefix = Some(prefix);
         let b = *activation.dims().first().ok_or(TensorError::ShapeMismatch {
             op: "cache put",
             lhs: activation.dims().to_vec(),
@@ -477,7 +570,10 @@ impl ActivationCache {
                 }
                 self.stats.write_errors += 1;
                 self.telemetry.counter("cache.write_errors").inc();
+                // The older boundary's entry must not answer for this one.
+                self.disk.delete(&[id]);
             }
+            self.bounds.insert(id, prefix);
             self.mem.insert(id, sample);
         }
         self.sync_disk_stats();
@@ -497,18 +593,43 @@ impl ActivationCache {
         Ok(())
     }
 
-    /// Fetches a whole batch; `None` (a miss) if any sample is absent from
-    /// both memory and disk, corrupt on disk, shape-inconsistent, or the
-    /// cache is valid for a different prefix. A corrupt or mismatched
-    /// entry is quarantined so the subsequent recompute refills it —
-    /// cache trouble degrades to a miss, never an error, and a hit is
-    /// counted only once the batch has actually been assembled (a lookup
-    /// that ends in recompute must read as a miss; DESIGN.md §5a).
+    /// Fetches a whole batch computed at exactly boundary `prefix`; `None`
+    /// (a miss) if any sample is absent from both memory and disk, corrupt
+    /// on disk, shape-inconsistent, or computed at another boundary. A
+    /// corrupt or mismatched entry is quarantined so the subsequent
+    /// recompute refills it — cache trouble degrades to a miss, never an
+    /// error, and a hit is counted only once the batch has actually been
+    /// assembled (a lookup that ends in recompute must read as a miss;
+    /// DESIGN.md §5a).
     pub fn get_batch(&mut self, ids: &[u64], prefix: usize) -> Result<Option<Tensor>> {
-        if self.valid_prefix != Some(prefix) {
+        Ok(self.fetch(ids, prefix, true)?.map(|(batch, _)| batch))
+    }
+
+    /// The trainer's lookup for a step at frozen prefix `prefix`: the
+    /// batch together with the boundary it was computed at, which every
+    /// entry of the batch shares and which is at most `prefix`. A boundary
+    /// below `prefix` is a promotion — the caller carries the activation
+    /// forward and puts it back — counted as a hit and a promotion. The
+    /// rest is [`get_batch`](Self::get_batch)'s miss and degradation rule.
+    pub fn lookup(&mut self, ids: &[u64], prefix: usize) -> Result<Option<(Tensor, usize)>> {
+        self.fetch(ids, prefix, false)
+    }
+
+    fn fetch(
+        &mut self,
+        ids: &[u64],
+        prefix: usize,
+        exact: bool,
+    ) -> Result<Option<(Tensor, usize)>> {
+        // One shared boundary, settled before any disk read.
+        let bound = |id: &u64| self.bounds.get(id).copied().or(self.adopted);
+        let at = ids.first().and_then(bound).filter(|&b| {
+            (b == prefix || (!exact && b < prefix)) && ids.iter().all(|id| bound(id) == Some(b))
+        });
+        let Some(at) = at else {
             self.count_miss();
             return Ok(None);
-        }
+        };
         let mut parts: Vec<Tensor> = Vec::with_capacity(ids.len());
         let mut disk_ids: Vec<u64> = Vec::new();
         let mut expected_tail: Option<Vec<usize>> = None;
@@ -561,17 +682,12 @@ impl ActivationCache {
                 if !from_disk {
                     self.mem.remove(&id);
                 }
-                self.disk.delete(&disk_ids);
-                self.sync_disk_stats();
-                for did in &disk_ids {
-                    self.mem.remove(did);
-                }
+                self.forget(&disk_ids);
                 self.count_corrupt();
                 eprintln!(
                     "egeria: shape-mismatched cache entry in batch lookup (sample {id}); quarantined, will recompute"
                 );
                 self.count_miss();
-                self.stats.mem_entries = self.mem.len();
                 return Ok(None);
             }
             expected_tail.get_or_insert_with(|| dims[1..].to_vec());
@@ -581,7 +697,10 @@ impl ActivationCache {
         match Tensor::concat(&views, 0) {
             Ok(batch) => {
                 self.count_hit();
-                Ok(Some(batch))
+                if at < prefix {
+                    self.count_promotion();
+                }
+                Ok(Some((batch, at)))
             }
             // Unreachable given the shape audit above, but the degradation
             // matrix still applies: assembly trouble is a miss + recompute.
@@ -640,17 +759,30 @@ mod tests {
     }
 
     #[test]
-    fn prefix_change_invalidates() {
+    fn entries_outlive_a_prefix_advance_until_invalidated() {
+        let tele = Telemetry::enabled();
         let mut c = ActivationCache::new(tmp_dir("prefix"), 5).unwrap();
-        let act = Tensor::ones(&[1, 2]);
-        c.put_batch(&[1], &act, 1).unwrap();
+        c.set_telemetry(tele.clone());
+        let one = Tensor::ones(&[1, 2]);
+        c.put_batch(&[1], &one, 1).unwrap();
+        c.put_batch(&[2], &one, 2).unwrap();
+        // `get_batch` wants the exact boundary; `lookup` takes any at or
+        // below the prefix and says which.
         assert!(c.get_batch(&[1], 1).unwrap().is_some());
-        // Asking at a different prefix misses.
         assert!(c.get_batch(&[1], 2).unwrap().is_none());
-        // Writing at the new prefix wipes the old entries.
-        c.put_batch(&[2], &act, 2).unwrap();
-        assert!(c.get_batch(&[1], 2).unwrap().is_none());
-        assert!(c.get_batch(&[2], 2).unwrap().is_some());
+        assert_eq!(c.lookup(&[1], 2).unwrap(), Some((one.clone(), 1)));
+        assert_eq!(c.lookup(&[2], 2).unwrap(), Some((one.clone(), 2)));
+        // Never a boundary past the prefix, never a batch of mixed ones.
+        assert!(c.lookup(&[2], 1).unwrap().is_none());
+        assert!(c.lookup(&[1, 2], 2).unwrap().is_none());
+        let s = c.stats();
+        assert_eq!((s.hits, s.promotions, s.misses), (3, 1, 3));
+        let snap = tele.metrics_snapshot();
+        assert_eq!(snap.counter("cache.promotions"), Some(1));
+        assert_eq!(snap.counter("cache.hits"), Some(3));
+        c.invalidate();
+        assert!(c.lookup(&[1], 2).unwrap().is_none());
+        assert!(c.lookup(&[2], 2).unwrap().is_none());
     }
 
     #[test]
@@ -669,7 +801,15 @@ mod tests {
         assert!(!path_of(&c, 1).exists());
         c.put_batch(&[1], &act, 1).unwrap();
         c.put_batch(&[2], &act, 2).unwrap(); // prefix change
-        assert!(!path_of(&c, 1).exists(), "the old prefix's entry must go");
+        assert!(
+            path_of(&c, 1).exists(),
+            "an advance keeps the old boundary's entry"
+        );
+        c.persist().unwrap();
+        assert!(
+            !path_of(&c, 1).exists(),
+            "persist drops the old boundary's entry"
+        );
         assert!(path_of(&c, 2).exists());
         for f in &foreign {
             assert!(f.exists(), "{} was removed", f.display());
@@ -902,9 +1042,13 @@ mod tests {
             assert!(c.stats().disk_bytes_live > 0);
             assert_eq!(c.stats().disk_bytes_written, c.stats().disk_bytes_live);
         }
+        // A fresh open serves nothing an earlier process left.
         let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
-        // The store's manifest carries the prefix across restarts, so a
-        // same-prefix put does NOT invalidate the inherited entries.
+        assert_eq!(c.valid_prefix(), None);
+        assert!(c.lookup(&[1, 2], 1).unwrap().is_none());
+        // A resume at the tagged prefix adopts the entries, so a
+        // same-prefix put does NOT invalidate them.
+        c.resume_at(1);
         assert_eq!(c.valid_prefix(), Some(1));
         assert!(c.stats().disk_bytes_live > 0, "inherited bytes count as live");
         c.put_batch(&[3], &Tensor::ones(&[1, 3]), 1).unwrap();
@@ -933,6 +1077,7 @@ mod tests {
         // Reopen so reads go to the shard file, not the store's decoded
         // block cache.
         let mut c = ActivationCache::with_store(&dir, 1, cfg).unwrap();
+        c.resume_at(0);
         let live_before = c.stats().disk_bytes_live;
         // Flip bytes in the middle of the shard file.
         let shard = dir.join("shard_00000.egs");
@@ -999,9 +1144,9 @@ mod tests {
     #[test]
     fn chunked_clear_spares_files_it_did_not_write() {
         // The chunked twin of `flat_clear_spares_files_it_did_not_write`:
-        // an invalidation, a prefix change, a corrupt-manifest reopen and a
-        // codec-change reopen each remove the store's shards and manifest
-        // and nothing else.
+        // an invalidation, a corrupt-manifest reopen and a codec-change
+        // reopen each remove the store's shards and manifest and nothing
+        // else.
         let dir = tmp_dir("ck_bystander");
         let cfg = StoreConfig {
             chunk_samples: 4,
@@ -1033,10 +1178,7 @@ mod tests {
         assert_eq!(shards(), ["shard_00000.egs"]);
         c.invalidate();
         assert!(shards().is_empty(), "invalidate removes the store's shards");
-        c.put_batch(&[1], &act, 1).unwrap();
-        c.persist().unwrap();
-        c.put_batch(&[2], &act, 2).unwrap(); // prefix change
-        assert!(shards().is_empty(), "the old prefix's shard must go");
+        c.put_batch(&[2], &act, 2).unwrap();
         c.persist().unwrap();
         drop(c);
         fs::write(&manifest, b"garbage").unwrap();
@@ -1059,17 +1201,76 @@ mod tests {
     }
 
     #[test]
-    fn chunked_prefix_change_invalidates_store() {
-        let mut c = chunked_cache("ck_prefix", 5);
-        let act = Tensor::ones(&[1, 2]);
-        c.put_batch(&[1], &act, 1).unwrap();
-        c.persist().unwrap();
-        assert!(c.stats().disk_bytes_live > 0);
-        c.put_batch(&[2], &act, 2).unwrap();
-        assert!(c.get_batch(&[1], 2).unwrap().is_none());
-        assert!(c.get_batch(&[2], 2).unwrap().is_some());
-        let st = c.store_stats().unwrap();
-        assert_eq!(st.live_bytes, c.stats().disk_bytes_live);
+    fn chunked_reopen_serves_only_the_persisted_boundary() {
+        // A persisted store carries one boundary tag for all its entries,
+        // so `persist` must drop entries computed at any other: a reopened
+        // store would serve them as if computed at the tagged one.
+        let dir = tmp_dir("ck_prefix");
+        let cfg = StoreConfig {
+            chunk_samples: 4,
+            chunks_per_shard: 2,
+            ..StoreConfig::default()
+        };
+        let (one, two) = (Tensor::ones(&[1, 2]), Tensor::full(&[1, 2], 2.0));
+        {
+            let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
+            c.put_batch(&[1, 5], &Tensor::concat(&[&one, &one], 0).unwrap(), 1)
+                .unwrap();
+            c.persist().unwrap();
+            // The prefix advances: 5 is carried forward, 1 is not yet.
+            c.put_batch(&[5], &two, 2).unwrap();
+            assert_eq!(c.lookup(&[1], 2).unwrap(), Some((one.clone(), 1)));
+            c.persist().unwrap();
+            assert!(c.lookup(&[1], 2).unwrap().is_none(), "persist dropped it");
+            let st = c.store_stats().unwrap();
+            assert_eq!(st.live_bytes, c.stats().disk_bytes_live);
+        }
+        {
+            let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
+            c.resume_at(2);
+            assert_eq!(c.valid_prefix(), Some(2));
+            assert!(c.lookup(&[1], 2).unwrap().is_none());
+            assert_eq!(c.lookup(&[5], 2).unwrap(), Some((two.clone(), 2)));
+            assert_eq!(c.stats().disk_reads, 1);
+            // Another advance: the adopted 5 still promotes, but it is not
+            // listed, so this persist cannot drop it and tags nothing.
+            c.put_batch(&[6], &two, 3).unwrap();
+            assert_eq!(c.lookup(&[5], 3).unwrap(), Some((two.clone(), 2)));
+            c.persist().unwrap();
+        }
+        let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
+        assert_eq!(c.disk.persisted_prefix(), None);
+        c.resume_at(3);
+        assert!(c.lookup(&[6], 3).unwrap().is_none());
+        assert!(c.lookup(&[5], 3).unwrap().is_none());
+    }
+
+    #[test]
+    fn failed_write_never_serves_an_older_boundary() {
+        // A write that fails leaves the sample's older-boundary entry on
+        // disk unless it is deleted; once memory evicts the new copy, a
+        // lookup would read it as the new boundary's.
+        let chunked = StoreConfig {
+            chunk_samples: 4,
+            chunks_per_shard: 2,
+            ..StoreConfig::default()
+        };
+        for store in [None, Some(chunked)] {
+            let dir = tmp_dir("failed_write");
+            let mut c = match store {
+                None => ActivationCache::new(&dir, 1).unwrap(),
+                Some(cfg) => ActivationCache::with_store(&dir, 1, cfg).unwrap(),
+            };
+            let faults = FaultInjector::new();
+            c.set_faults(Some(faults.clone()));
+            c.put_batch(&[1], &Tensor::ones(&[1, 2]), 1).unwrap();
+            c.persist().unwrap();
+            faults.arm(FaultSite::CacheWrite, 0, 1, FaultAction::Fail);
+            c.put_batch(&[1], &Tensor::full(&[1, 2], 2.0), 2).unwrap();
+            assert_eq!(c.stats().write_errors, 1);
+            c.put_batch(&[2], &Tensor::ones(&[1, 2]), 2).unwrap(); // evicts 1
+            assert!(c.lookup(&[1], 2).unwrap().is_none(), "{:?}", c.store_kind());
+        }
     }
 
     #[test]

@@ -72,16 +72,17 @@ impl PolicyKind {
 /// Default freeze period of [`PolicyKind::Interval`] when none is given.
 pub const DEFAULT_INTERVAL_EVERY: usize = 5;
 
-/// Which backend the activation cache persists to (DESIGN §5j). Flat is
-/// the original one-file-per-sample layout; chunked is the egeria-store
-/// chunk/shard layout. Both are bit-exact under a lossless codec, so the
-/// golden run pins the same fingerprint either way.
+/// Which backend the activation cache persists to (DESIGN §5j). Chunked,
+/// the default, is the egeria-store chunk/shard layout; flat is the
+/// original one-file-per-sample layout, kept as the bit-exactness
+/// reference. Both are bit-exact under a lossless codec, so the golden run
+/// pins the same fingerprint either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheStoreKind {
     /// One serialized tensor file per sample in a flat directory.
-    #[default]
     Flat,
     /// Chunked + compressed + sharded store (`egeria-store`).
+    #[default]
     Chunked,
 }
 
@@ -172,7 +173,7 @@ impl Default for EgeriaConfig {
             cache_fp: true,
             cache_mem_batches: 5,
             policy: PolicyKind::Paper,
-            cache_store: CacheStoreKind::Flat,
+            cache_store: CacheStoreKind::Chunked,
         }
     }
 }
@@ -275,7 +276,7 @@ mod tests {
         );
         assert_eq!(CacheStoreKind::parse("zarr"), None);
         let c = EgeriaConfig::default();
-        assert_eq!(c.cache_store, CacheStoreKind::Flat);
+        assert_eq!(c.cache_store, CacheStoreKind::Chunked);
         assert_eq!(CacheStoreKind::Flat.name(), "flat");
         assert_eq!(CacheStoreKind::Chunked.name(), "chunked");
     }

@@ -5,7 +5,8 @@
 //! knowledge-guided pipeline — bootstrap monitoring, reference generation
 //! and refresh, periodic plasticity evaluation, Algorithm 1
 //! freezing/unfreezing, and cached-FP (a synchronous lookup on the
-//! training thread, in the step that needs the batch). With
+//! training thread, in the step that needs the batch — probe steps
+//! included). With
 //! `egeria: None` it is the vanilla baseline the paper compares against.
 //! Either way it emits a [`TrainReport`] whose per-iteration records feed
 //! the performance simulator.
@@ -145,7 +146,13 @@ pub struct IterationRecord {
     pub epoch: u32,
     /// Frozen-prefix length during this iteration.
     pub frozen_prefix: u16,
-    /// Whether the frozen prefix's forward pass was served from the cache.
+    /// Whether the frozen prefix's forward pass was served from the cache
+    /// (a hit, or a promotion that ran only the modules frozen since),
+    /// probe steps included. The record does not say which: the compute
+    /// accounting built on it (the scenario `compute_saved` column, the
+    /// simulator's replay) counts a promoted step as skipping the whole
+    /// prefix's forward, which overstates it by the forward of the modules
+    /// frozen since its entry was computed.
     pub fp_cached: bool,
 }
 
@@ -231,17 +238,17 @@ struct Step {
     lr: f32,
 }
 
-/// How one step runs its forward/backward pass (phase 1's verdict).
-#[derive(Clone, Copy)]
-enum StepPath {
-    /// Plasticity evaluation: full pass with module `front`'s activation
-    /// hooked for the probe.
-    Probe { front: usize },
-    /// The frozen `prefix` modules' forward is served from the activation
-    /// cache (filled on a miss).
-    Cached { prefix: usize },
-    /// Plain full pass.
-    Full,
+/// How one step runs its forward/backward pass (phase 1's verdict); the
+/// default is the vanilla baseline's whole walk.
+#[derive(Clone, Copy, Default)]
+struct StepPath {
+    /// Plasticity evaluation: module `front`'s activation is hooked for
+    /// the probe.
+    probe: Option<usize>,
+    /// The frozen prefix whose output the step takes from the activation
+    /// cache: a hit, a promotion of an earlier boundary, or a fill. `None`
+    /// runs the whole walk.
+    cached: Option<usize>,
 }
 
 /// Everything one Egeria-enabled run owns beyond the model and optimizer.
@@ -316,18 +323,17 @@ impl EgeriaRun {
 
     /// Phase 1. `prefix` is the frozen prefix the step started with.
     fn select_path(&self, model: &dyn Model, prefix: usize, step: Step) -> StepPath {
-        if self.bootstrap.is_done()
+        let probe = (self.bootstrap.is_done()
             && step.index.is_multiple_of(self.cfg.n)
-            && self.reference.is_ready()
-        {
-            StepPath::Probe {
-                front: self.freezer.front(),
-            }
-        } else if prefix > 0 && self.cache.is_some() && model.supports_cached_fp(prefix) {
-            StepPath::Cached { prefix }
-        } else {
-            StepPath::Full
-        }
+            && self.reference.is_ready())
+        .then(|| self.freezer.front());
+        // A probe hooks an active module, which a resumed walk still runs.
+        let cached = (prefix > 0
+            && self.cache.is_some()
+            && model.supports_cached_fp(prefix)
+            && probe.is_none_or(|front| front >= prefix))
+        .then_some(prefix);
+        StepPath { probe, cached }
     }
 
     /// Phase 3. Captures the reference activation for the hooked training
@@ -378,13 +384,15 @@ impl EgeriaRun {
         }
         match event {
             FreezeEvent::None => {}
+            // Entries at the old boundary stay valid: the modules they
+            // cover are still frozen, and lookups carry them forward.
             FreezeEvent::Froze(k) => model.freeze_prefix(k)?,
-            FreezeEvent::Unfroze => model.unfreeze_all(),
-        }
-        if event != FreezeEvent::None {
-            // The cached activations came from a different sub-network.
-            if let Some(c) = self.cache.as_mut() {
-                c.invalidate();
+            FreezeEvent::Unfroze => {
+                model.unfreeze_all();
+                // The thawed weights will move, so every entry goes stale.
+                if let Some(c) = self.cache.as_mut() {
+                    c.invalidate();
+                }
             }
         }
         record_event(
@@ -445,7 +453,11 @@ impl EgeriaRun {
         // dir belongs to the other world (flat sample files vs chunked
         // shards). Invalidate so the resumed run starts from a clean cache.
         // (Either backend removes only the files of its own layout, so the
-        // other layout's files stay behind, unread.)
+        // other layout's files stay behind, unread.) Otherwise adopt the
+        // store only if it was persisted at this checkpoint's prefix: one
+        // persisted at another was written after it (a later checkpoint
+        // was lost), and its entries may come from weights this run never
+        // had.
         if let Some(c) = self.cache.as_mut() {
             if c.store_kind().name() != ckpt.cache_store {
                 eprintln!(
@@ -454,14 +466,17 @@ impl EgeriaRun {
                     c.store_kind().name()
                 );
                 c.invalidate();
+            } else {
+                c.resume_at(ckpt.frozen_prefix as usize);
             }
         }
         self.evals_since_ref_update = ckpt.evals_since_ref_update as usize;
         Ok(())
     }
 
-    /// Flushes the activation store (chunked backend; a no-op on flat) so
-    /// the on-disk state stays consistent for a later resume. Failure is a
+    /// Drops the cache entries not at the newest boundary (both backends),
+    /// then flushes the chunked store and tags its manifest, so the
+    /// on-disk state stays consistent for a later resume. Failure is a
     /// degradation — the resume recomputes — never fatal.
     fn persist_cache(&mut self, when: &str) {
         if let Some(c) = self.cache.as_mut() {
@@ -577,7 +592,7 @@ impl EgeriaTrainer {
                 let prefix = self.model.frozen_prefix();
 
                 // Phase 1: pick the path.
-                let path = run.as_ref().map_or(StepPath::Full, |run| {
+                let path = run.as_ref().map_or_else(StepPath::default, |run| {
                     run.select_path(self.model.as_ref(), prefix, step)
                 });
                 let step_span = telemetry.span("train_step");
@@ -586,7 +601,7 @@ impl EgeriaTrainer {
                     self.forward_backward(run.as_mut(), path, &batch, step)?;
                 // Phases 3–4: fold plasticity, bootstrap/reference upkeep.
                 if let Some(run) = run.as_mut() {
-                    if let StepPath::Probe { front } = path {
+                    if let Some(front) = path.probe {
                         let a_train = result.captured.take().ok_or_else(|| {
                             TensorError::Numerical("capture hook returned nothing".into())
                         })?;
@@ -671,21 +686,12 @@ impl EgeriaTrainer {
         batch: &Batch,
         step: Step,
     ) -> Result<(StepResult, bool)> {
-        match (path, run) {
-            (StepPath::Probe { front }, _) => {
-                Ok((self.model.train_step(batch, Some(front))?, false))
-            }
-            (
-                StepPath::Cached { prefix },
-                Some(EgeriaRun {
-                    cache: Some(cache),
-                    telemetry,
-                    ..
-                }),
-            ) => {
-                let cached = cache.get_batch(&batch.sample_ids, prefix)?;
+        let cache = run.and_then(|run| Some((run.cache.as_mut()?, &run.telemetry)));
+        match (path.cached, cache) {
+            (Some(prefix), Some((cache, telemetry))) => {
+                let model = self.model.as_mut();
+                let (boundary, outcome) = frozen_boundary(model, cache, batch, prefix)?;
                 if telemetry.is_enabled() {
-                    let outcome = if cached.is_some() { "hit" } else { "miss" };
                     telemetry.instant(
                         "cache_lookup",
                         Some(step.index as u64),
@@ -693,20 +699,10 @@ impl EgeriaTrainer {
                         vec![("outcome", ArgValue::Str(outcome))],
                     );
                 }
-                match cached {
-                    Some(act) => Ok((self.model.train_step_from(batch, prefix, &act, None)?, true)),
-                    None => {
-                        // Fill the cache with the frozen boundary's
-                        // activation while doing the full forward.
-                        let r = self.model.train_step(batch, Some(prefix - 1))?;
-                        if let Some(act) = &r.captured {
-                            cache.put_batch(&batch.sample_ids, act, prefix)?;
-                        }
-                        Ok((r, false))
-                    }
-                }
+                let r = model.train_step_from(batch, prefix, &boundary, path.probe)?;
+                Ok((r, outcome != "miss"))
             }
-            _ => Ok((self.model.train_step(batch, None)?, false)),
+            _ => Ok((self.model.train_step(batch, path.probe)?, false)),
         }
     }
 
@@ -848,6 +844,27 @@ impl EgeriaTrainer {
         report.resumed_from_epoch = Some(ckpt.next_epoch as usize);
         Ok(())
     }
+}
+
+/// The output of the frozen prefix `0..prefix` for `batch`, so each
+/// sample crosses a frozen module once per unfreeze cycle: the cached
+/// boundary (`"hit"`), a cached earlier boundary carried forward over the
+/// modules frozen since (`"promoted"`), or a fresh capture (`"miss"`). The
+/// last two are put back at `prefix`. Frozen modules run in `Mode::Eval` on
+/// every path, so all three give the same bits.
+fn frozen_boundary(
+    model: &mut dyn Model,
+    cache: &mut ActivationCache,
+    batch: &Batch,
+    prefix: usize,
+) -> Result<(Tensor, &'static str)> {
+    let (boundary, outcome) = match cache.lookup(&batch.sample_ids, prefix)? {
+        Some((act, at)) if at == prefix => return Ok((act, "hit")),
+        Some((act, at)) => (model.forward_from(batch, at, &act, prefix)?, "promoted"),
+        None => (model.capture_activation(batch, prefix - 1)?, "miss"),
+    };
+    cache.put_batch(&batch.sample_ids, &boundary, prefix)?;
+    Ok((boundary, outcome))
 }
 
 /// Evaluates a model over a full dataset pass; returns `(loss, metric)`

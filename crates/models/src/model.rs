@@ -1,6 +1,6 @@
 //! The uniform model interface Egeria trains through.
 //!
-//! Every family implements the four forward entry points below as ranges of
+//! Every family implements the five forward entry points below as ranges of
 //! one walk over its modules — `nn::Network::forward_range`, the only loop
 //! that decides what a frozen module does (the Transformer's two-input
 //! decoder stack keeps the one other loop) — followed by one `loss` tail:
@@ -11,10 +11,12 @@
 //! | `train_step_from` | `prefix..`, from the cached output of `prefix − 1` | same | same, `≥ prefix` |
 //! | `eval_batch` | all | `Eval` | none |
 //! | `capture_activation` | `..= module` | `Eval` | the range's output |
+//! | `forward_from` | `start..until`, from the cached output of `start − 1` | `Eval` | the range's output |
 //!
-//! So a frozen module computes the same function in all four, which is what
-//! lets a cached step resume from a stored activation and a reference probe
-//! be compared with a training hook.
+//! So a frozen module computes the same function in all five, which is what
+//! lets a cached step resume from a stored activation, a stored activation
+//! be carried forward over newly frozen modules, and a reference probe be
+//! compared with a training hook.
 
 use crate::input::{Batch, EvalResult, StepResult};
 use egeria_nn::Parameter;
@@ -88,6 +90,31 @@ pub trait Model: Send {
         Err(egeria_tensor::TensorError::Numerical(
             "cached-FP training is not supported by this model".into(),
         ))
+    }
+
+    /// Forward-only walk over modules `start..until`, resumed from
+    /// `activation`, the output of module `start − 1`: the activation
+    /// cache carries an entry stored at boundary `start` forward to a
+    /// frozen prefix that has since advanced to `until`. Always runs in
+    /// eval mode, so it returns exactly what
+    /// `capture_activation(batch, until − 1)` does.
+    ///
+    /// The default recomputes that capture from the batch, ignoring
+    /// `start` and `activation`; the same bits, without the saving.
+    fn forward_from(
+        &mut self,
+        batch: &Batch,
+        _start: usize,
+        _activation: &egeria_tensor::Tensor,
+        until: usize,
+    ) -> Result<egeria_tensor::Tensor> {
+        let last = until
+            .checked_sub(1)
+            .ok_or(egeria_tensor::TensorError::AxisOutOfRange {
+                axis: until,
+                rank: self.modules().len(),
+            })?;
+        self.capture_activation(batch, last)
     }
 
     /// Forward-only evaluation of one batch (loss + task metric).

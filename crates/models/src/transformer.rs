@@ -483,6 +483,24 @@ impl Model for Seq2SeqTransformer {
         self.step(batch, Some((prefix, prefix_activation)), capture)
     }
 
+    fn forward_from(
+        &mut self,
+        batch: &Batch,
+        start: usize,
+        activation: &Tensor,
+        until: usize,
+    ) -> Result<Tensor> {
+        if !self.supports_cached_fp(start) {
+            return Err(TensorError::AxisOutOfRange {
+                axis: start,
+                rank: self.num_modules(),
+            });
+        }
+        Ok(self
+            .walk(batch, Some((start, activation)), until, Mode::Eval, None)?
+            .0)
+    }
+
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
         let (d, _) = self.walk(batch, None, self.num_modules(), Mode::Eval, None)?;
         let (loss, _, metric) = self.loss(&d, &batch.targets, Mode::Eval)?;

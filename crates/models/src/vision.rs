@@ -222,6 +222,24 @@ impl Model for VisionModel {
         self.step(batch, Some((prefix, prefix_activation)), capture)
     }
 
+    fn forward_from(
+        &mut self,
+        batch: &Batch,
+        start: usize,
+        activation: &Tensor,
+        until: usize,
+    ) -> Result<Tensor> {
+        if !self.supports_cached_fp(start) {
+            return Err(TensorError::AxisOutOfRange {
+                axis: start,
+                rank: self.net.num_blocks(),
+            });
+        }
+        Ok(self
+            .walk(batch, Some((start, activation)), until, Mode::Eval, None)?
+            .0)
+    }
+
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
         let (logits, _) = self.walk(batch, None, self.net.num_blocks(), Mode::Eval, None)?;
         let (loss, _, metric) = self.loss(&logits, &batch.targets)?;

@@ -114,15 +114,18 @@ pub struct ScenarioResult {
     pub tta_epochs: Option<usize>,
     /// Mean fraction of training compute skipped across iterations
     /// (frozen-parameter share × backward fraction, full share when the
-    /// cached-FP path also skipped the forward).
+    /// cached-FP path also skipped the forward). A promoted step — an
+    /// entry from an earlier boundary carried forward — counts as fully
+    /// cached, though it ran the forward of the modules frozen since, so
+    /// the column is an upper bound where the run promoted.
     pub compute_saved: f64,
     /// Mean fraction of gradient-synchronization traffic skipped (frozen
     /// parameter share per iteration).
     pub comm_skipped: f64,
-    /// Activation-cache hit rate over cache lookups; `None` (an empty CSV
-    /// cell) when the run made no lookup, so no rate was measured — with
-    /// `n = 1` every post-bootstrap step is a probe step and the cached
-    /// path is unreachable.
+    /// Activation-cache hit rate over cache lookups (promotions count as
+    /// hits); `None` (an empty CSV cell) when the run made no lookup, so
+    /// no rate was measured. Probe steps read the cache too, so the
+    /// matrix's `n = 1` runs make lookups once a prefix is frozen.
     pub cache_hit_rate: Option<f64>,
     /// Frozen-prefix length at the end of training.
     pub frozen_final: usize,

@@ -135,8 +135,6 @@ pub struct ChunkStore {
     block_cache: Vec<(u64, BTreeMap<u16, Vec<u8>>)>,
     stats: StoreStats,
     telemetry: Telemetry,
-    /// Whether open found a manifest it had to throw away.
-    recovered_corrupt_manifest: bool,
 }
 
 impl ChunkStore {
@@ -190,7 +188,6 @@ impl ChunkStore {
             block_cache: Vec::new(),
             stats: StoreStats::default(),
             telemetry: Telemetry::disabled(),
-            recovered_corrupt_manifest: recovered,
         };
         if recovered {
             // No handle is attached yet; `set_telemetry` mirrors the count.
@@ -214,11 +211,6 @@ impl ChunkStore {
                 .add(self.stats.corrupt_chunks);
         }
         self.telemetry = telemetry;
-    }
-
-    /// Whether open had to discard a corrupt manifest.
-    pub fn recovered_corrupt_manifest(&self) -> bool {
-        self.recovered_corrupt_manifest
     }
 
     /// The store's configuration.
@@ -726,7 +718,7 @@ mod tests {
             s.persist().unwrap();
         }
         let mut s = ChunkStore::open(&dir, small_cfg()).unwrap();
-        assert!(!s.recovered_corrupt_manifest());
+        assert_eq!(s.stats().corrupt_chunks, 0);
         let got = s.get(5).unwrap();
         assert_eq!(got.dims(), t.dims());
         for (a, b) in got.data().iter().zip(t.data()) {
@@ -863,7 +855,6 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let mut s = ChunkStore::open(&dir, small_cfg()).unwrap();
-        assert!(s.recovered_corrupt_manifest());
         assert_eq!(s.stats().corrupt_chunks, 1, "degraded open counts once");
         // The open ran before a handle could be attached; attaching mirrors it.
         let tele = Telemetry::enabled();

@@ -103,6 +103,7 @@ fn run(store: CacheStoreKind, dir: &Path) -> (TrainReport, String) {
     for (name, value) in &snap.counters {
         if name.starts_with("cache.hits")
             || name.starts_with("cache.misses")
+            || name.starts_with("cache.promotions")
             || name.starts_with("cache.corrupt")
             || name.starts_with("cache.write")
         {

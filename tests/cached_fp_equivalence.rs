@@ -9,7 +9,10 @@
 //! the one block walk (`nn::Network::forward_range`), so the invariant is
 //! checked as one table over all five. The walk runs every frozen block in
 //! `Mode::Eval`, which is what keeps a frozen BatchNorm's running statistics
-//! still; the families that have BatchNorm pin that too.
+//! still; the families that have BatchNorm pin that too. The same walk
+//! carries a stored boundary forward when the prefix advances
+//! (`Model::forward_from`), and that promotion is pinned against a fresh
+//! capture.
 
 use egeria_models::bert::{BertConfig, BertQa};
 use egeria_models::deeplab::{deeplab_v3, DeepLabConfig};
@@ -299,4 +302,102 @@ fn cache_round_trip_preserves_training_equivalence() {
     let r2 = m.train_step_from(&b, prefix, &loaded, None).unwrap();
     assert_eq!(r.loss.to_bits(), r2.loss.to_bits());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A model that keeps the trait's default `forward_from` (recompute from
+/// the batch), to hold each family's override against it.
+struct Recompute(Box<dyn Model>);
+
+impl Model for Recompute {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn modules(&self) -> Vec<egeria_models::ModuleMeta> {
+        self.0.modules()
+    }
+    fn frozen_prefix(&self) -> usize {
+        self.0.frozen_prefix()
+    }
+    fn freeze_prefix(&mut self, k: usize) -> egeria_tensor::Result<()> {
+        self.0.freeze_prefix(k)
+    }
+    fn unfreeze_all(&mut self) {
+        self.0.unfreeze_all()
+    }
+    fn train_step(
+        &mut self,
+        batch: &Batch,
+        capture: Option<usize>,
+    ) -> egeria_tensor::Result<egeria_models::StepResult> {
+        self.0.train_step(batch, capture)
+    }
+    fn eval_batch(&mut self, batch: &Batch) -> egeria_tensor::Result<egeria_models::EvalResult> {
+        self.0.eval_batch(batch)
+    }
+    fn capture_activation(
+        &mut self,
+        batch: &Batch,
+        module: usize,
+    ) -> egeria_tensor::Result<Tensor> {
+        self.0.capture_activation(batch, module)
+    }
+    fn params(&self) -> Vec<&egeria_nn::Parameter> {
+        self.0.params()
+    }
+    fn params_mut(&mut self) -> Vec<&mut egeria_nn::Parameter> {
+        self.0.params_mut()
+    }
+    fn zero_grad(&mut self) {
+        self.0.zero_grad()
+    }
+    fn clone_boxed(&self) -> Box<dyn Model> {
+        self.0.clone_boxed()
+    }
+}
+
+#[test]
+fn promotion_matches_a_fresh_boundary_exactly() {
+    // The cache's promotion: an entry stored at boundary `k` is carried
+    // over modules `k..k2` once the prefix has advanced to `k2`. The
+    // modules under it stayed frozen while the ones above trained, so it
+    // must equal a boundary captured fresh at `k2`, bit for bit — and the
+    // trait default, which recomputes that capture, must agree.
+    for family in families() {
+        let n = (family.model)().modules().len();
+        let b = (family.batch)(0);
+        let mut promoted_any = false;
+        for k in 0..=n + 1 {
+            if !(family.model)().supports_cached_fp(k) {
+                let err = (family.model)().forward_from(&b, k, &Tensor::zeros(&[1]), n);
+                assert!(
+                    matches!(err, Err(TensorError::AxisOutOfRange { .. })),
+                    "{} start {k}",
+                    family.name
+                );
+                continue;
+            }
+            for k2 in k + 1..=n {
+                let at = format!("{} {k} -> {k2}", family.name);
+                let mut m = (family.model)();
+                m.freeze_prefix(k).unwrap();
+                let stored = m.capture_activation(&b, k - 1).unwrap();
+                // The active modules train on before the prefix advances.
+                m.train_step(&(family.batch)(1), None).unwrap();
+                Sgd::new(0.1, 0.0, 0.0).step(&mut m.params_mut()).unwrap();
+                m.zero_grad();
+                if k2 < n {
+                    m.freeze_prefix(k2).unwrap();
+                }
+                let promoted = m.forward_from(&b, k, &stored, k2).unwrap();
+                let fresh = m.capture_activation(&b, k2 - 1).unwrap();
+                assert_eq!(bits(&promoted), bits(&fresh), "{at}");
+                let default = Recompute(m.clone_boxed())
+                    .forward_from(&b, k, &stored, k2)
+                    .unwrap();
+                assert_eq!(bits(&default), bits(&promoted), "{at}: trait default");
+                promoted_any = true;
+            }
+        }
+        assert!(promoted_any, "{}: no promotion was exercised", family.name);
+    }
 }

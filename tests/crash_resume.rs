@@ -7,12 +7,14 @@
 use egeria_core::checkpoint::{CheckpointOptions, CheckpointStore};
 use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions, TrainReport};
+use egeria_core::config::CacheStoreKind;
 use egeria_core::EgeriaConfig;
 use egeria_data::images::{ImageDataConfig, SyntheticImages};
-use egeria_data::DataLoader;
+use egeria_data::{DataLoader, Dataset};
 use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
 use egeria_nn::optim::Sgd;
 use egeria_nn::sched::MultiStepDecay;
+use egeria_store::{ChunkStore, StoreConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -29,8 +31,8 @@ fn sync_config() -> EgeriaConfig {
     }
 }
 
-fn data_and_loader() -> (SyntheticImages, DataLoader) {
-    let data = SyntheticImages::new(
+fn images(seed: u64) -> SyntheticImages {
+    SyntheticImages::new(
         ImageDataConfig {
             samples: 64,
             classes: 4,
@@ -38,10 +40,13 @@ fn data_and_loader() -> (SyntheticImages, DataLoader) {
             noise: 0.3,
             augment: true,
         },
-        11,
-    );
+        seed,
+    )
+}
+
+fn data_and_loader() -> (SyntheticImages, DataLoader) {
     let loader = DataLoader::new(64, 16, 13, true);
-    (data, loader)
+    (images(11), loader)
 }
 
 fn make_trainer(
@@ -50,6 +55,20 @@ fn make_trainer(
     checkpoint: Option<CheckpointOptions>,
     faults: Option<Arc<FaultInjector>>,
 ) -> EgeriaTrainer {
+    trainer_for(EPOCHS, cfg, cache_dir, checkpoint, faults)
+}
+
+fn trainer_for(
+    epochs: usize,
+    cfg: EgeriaConfig,
+    cache_dir: PathBuf,
+    checkpoint: Option<CheckpointOptions>,
+    faults: Option<Arc<FaultInjector>>,
+) -> EgeriaTrainer {
+    // The ISA is process-wide and the kernels' bits depend on it: every
+    // test pins the same one before its first run, so no run of one test
+    // sees another switch it.
+    egeria_tensor::simd::set_isa(egeria_tensor::simd::Isa::Scalar);
     let model = resnet_cifar(
         ResNetCifarConfig {
             n: 2,
@@ -64,7 +83,7 @@ fn make_trainer(
         Optimizer::Sgd(Sgd::new(0.05, 0.9, 1e-4)),
         Box::new(MultiStepDecay::new(0.05, 0.1, vec![usize::MAX])),
         TrainerOptions {
-            epochs: EPOCHS,
+            epochs,
             egeria: Some(cfg),
             cache_dir: Some(cache_dir),
             checkpoint,
@@ -283,4 +302,157 @@ fn resume_without_checkpointed_reference_regenerates_it() {
         report.plasticity.iter().any(|p| p.iteration >= resume_step),
         "no plasticity evaluation ran after the resume"
     );
+}
+
+/// Everything a stale cache entry would disturb: per-epoch loss bits, the
+/// events and every plasticity value.
+fn trajectory(r: &TrainReport) -> String {
+    let mut out = String::new();
+    for e in &r.epochs {
+        out += &format!(
+            "epoch {} loss {:08x} frozen {}\n",
+            e.epoch,
+            e.train_loss.to_bits(),
+            e.frozen_prefix
+        );
+    }
+    for (iteration, kind, prefix) in freeze_timeline(r) {
+        out += &format!("event iter {iteration} {kind} prefix {prefix}\n");
+    }
+    for p in &r.plasticity {
+        out += &format!(
+            "plasticity iter {} {:08x} {:08x}\n",
+            p.iteration,
+            p.raw.to_bits(),
+            p.smoothed.to_bits()
+        );
+    }
+    out
+}
+
+#[test]
+fn resume_on_the_same_chunked_store_reads_no_stale_boundary() {
+    // The cache keeps entries across a prefix advance and carries them
+    // forward batch by batch, so an epoch that advanced k → k' ends with
+    // entries at both boundaries. A store carries one boundary tag, so the
+    // checkpoint's persist must drop the older entries: a resumed run that
+    // reopened them would take activations computed at k for ones at k'.
+    let cfg = EgeriaConfig {
+        cache_store: CacheStoreKind::Chunked,
+        ..sync_config()
+    };
+    let (data, loader) = data_and_loader();
+    let steps_per_epoch = loader.epoch_plan(0).len();
+    let full = make_trainer(cfg, scratch("stale_full"), None, None)
+        .train(&data, &loader, None)
+        .unwrap();
+    // The first advance from a cached prefix that leaves steps of its
+    // epoch to run at the new one.
+    let advance = full
+        .events
+        .windows(2)
+        .find(|w| {
+            w[0].kind == "freeze"
+                && w[0].prefix >= 1
+                && w[1].kind == "freeze"
+                && w[1].iteration % steps_per_epoch + 1 < steps_per_epoch
+        })
+        .map(|w| w[1].iteration)
+        .expect("no mid-epoch advance from a cached prefix; the check would be vacuous");
+    let epoch = advance / steps_per_epoch;
+    assert!(epoch + 1 < EPOCHS);
+
+    // Crash early in the next epoch: the newest checkpoint is the one
+    // written at the end of the advancing epoch.
+    let (ckpt_dir, cache_dir) = (scratch("stale_ckpt"), scratch("stale_cache"));
+    let faults = FaultInjector::new();
+    faults.arm(
+        FaultSite::TrainStep,
+        (epoch + 1) * steps_per_epoch + 2,
+        1,
+        FaultAction::Fail,
+    );
+    let mut crashed = make_trainer(
+        cfg,
+        cache_dir.clone(),
+        Some(CheckpointOptions::new(&ckpt_dir)),
+        Some(faults),
+    );
+    crashed.train(&data, &loader, None).unwrap_err();
+    drop(crashed);
+    let mut store = ChunkStore::open(&cache_dir, StoreConfig::default()).unwrap();
+    let after = full.events.iter().rfind(|e| e.iteration <= advance).unwrap();
+    assert_eq!(store.valid_prefix(), Some(after.prefix as u64));
+    let kept = (0..data.len() as u64)
+        .filter(|&id| store.get(id).is_some())
+        .count();
+    assert!(
+        kept > 0 && kept < data.len(),
+        "the persisted store holds {kept} of {} samples: no entry at the old boundary was dropped",
+        data.len()
+    );
+    drop(store);
+
+    let resumed = make_trainer(
+        cfg,
+        cache_dir.clone(),
+        Some(CheckpointOptions::new(&ckpt_dir)),
+        None,
+    )
+    .train(&data, &loader, None)
+    .unwrap();
+    assert_eq!(resumed.resumed_from_epoch, Some(epoch + 1));
+    assert_eq!(trajectory(&resumed), trajectory(&full));
+    for dir in [scratch("stale_full"), ckpt_dir, cache_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn a_fresh_run_reads_nothing_an_earlier_run_left_in_its_cache_dir() {
+    // A caller-named cache dir outlives its run, and the run's end leaves
+    // the store tagged with its final prefix. A later run on that dir that
+    // does not resume must not serve those entries: they came from other
+    // weights, and here from other images under the same sample ids.
+    let cfg = EgeriaConfig {
+        cache_store: CacheStoreKind::Chunked,
+        ..sync_config()
+    };
+    let (data, loader) = data_and_loader();
+    let other = images(12);
+    let fresh = make_trainer(cfg, scratch("unused_cache"), None, None)
+        .train(&other, &loader, None)
+        .unwrap();
+    let first_freeze = fresh
+        .events
+        .iter()
+        .find(|e| e.kind == "freeze")
+        .expect("the run never froze; the check would be vacuous")
+        .prefix;
+    // An earlier run that stops at that prefix, so its entries sit where
+    // the later run first reads the cache.
+    let earlier = make_trainer(cfg, scratch("earlier_cache"), None, None)
+        .train(&data, &loader, None)
+        .unwrap();
+    let epochs = 1 + earlier
+        .epochs
+        .iter()
+        .position(|e| e.frozen_prefix == first_freeze)
+        .expect("the earlier run never stopped at the first freeze's prefix");
+    let cache_dir = scratch("reused_cache");
+    trainer_for(epochs, cfg, cache_dir.clone(), None, None)
+        .train(&data, &loader, None)
+        .unwrap();
+    let tag = ChunkStore::open(&cache_dir, StoreConfig::default())
+        .unwrap()
+        .valid_prefix();
+    assert_eq!(tag, Some(first_freeze as u64));
+
+    let reused = make_trainer(cfg, cache_dir.clone(), None, None)
+        .train(&other, &loader, None)
+        .unwrap();
+    assert_eq!(trajectory(&reused), trajectory(&fresh));
+    for tag in ["unused_cache", "earlier_cache", "reused_cache"] {
+        let _ = std::fs::remove_dir_all(scratch(tag));
+    }
 }

@@ -34,6 +34,7 @@ use std::path::PathBuf;
 const PINNED_COUNTER_PREFIXES: &[&str] = &[
     "cache.hits",
     "cache.misses",
+    "cache.promotions",
     "cache.corrupt",
     "cache.write",
     "freezer.",
