@@ -12,15 +12,47 @@ cargo_test() { timeout "$TEST_TIMEOUT" cargo test "$@"; }
 # Scratch directory for everything the smoke runs write (reports, traces),
 # so a CI run never dirties the checked-in full-mode BENCH_*.json files.
 trace_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir"' EXIT
 
+# Step timing: `step <label>` closes the running step and opens the next.
+# At exit — a failed step included — the trap closes the last step and
+# prints the five slowest, then removes the scratch directory.
+step_secs=()
+step_names=()
+step_label=""
+step_start=$SECONDS
+step() {
+    if [ -n "$step_label" ]; then
+        step_secs+=($(( SECONDS - step_start )))
+        step_names+=("$step_label")
+    fi
+    step_label="$1"
+    step_start=$SECONDS
+}
+on_exit() {
+    local status=$?
+    if [ "$status" -ne 0 ] && [ -n "$step_label" ]; then
+        step_label="$step_label (failed, exit $status)"
+    fi
+    step ""
+    rm -rf "$trace_dir"
+    echo "ci.sh: five slowest steps of ${#step_secs[@]} (${SECONDS}s in all):" >&2
+    for i in "${!step_secs[@]}"; do
+        printf '%6ds  %s\n' "${step_secs[$i]}" "${step_names[$i]}"
+    done | sort -rn | head -n 5 >&2 || true
+    exit "$status"
+}
+trap on_exit EXIT
+
+step "cargo build --release"
 cargo build --release
 
+step "layering gate"
 # Layering gate: the serving crate stays off the training path. (grep -c,
 # not -q: an early exit would SIGPIPE cargo under pipefail.)
 [ "$(cargo tree --offline -p egeria-core -e normal | grep -c egeria-serve)" = 0 ] \
     || { echo "egeria-core depends on egeria-serve" >&2; exit 1; }
 
+step "std-only runtime gate"
 # A std-only runtime (DESIGN §2 "Dependency justification"): every package
 # in the normal dependency graph is a workspace member — the root package or
 # one under crates/. Vendored stand-ins (proptest, criterion) may appear on
@@ -30,6 +62,7 @@ outside="$(cargo tree --offline --workspace -e normal --prefix none \
 [ -z "$outside" ] \
     || { echo "non-workspace packages in the runtime graph:" >&2; echo "$outside" >&2; exit 1; }
 
+step "wire-layer gate"
 # One wire layer under every on-disk format (DESIGN "On-disk formats"):
 # little-endian decoding lives only in egeria_tensor::wire (plus the LZSS
 # token kernel) — so a sixth hand-rolled cursor cannot come back unnoticed.
@@ -38,6 +71,7 @@ stray_cursors="$(grep -rln "from_le_bytes" crates/{tensor,core,store}/src \
 [ -z "$stray_cursors" ] \
     || { echo "from_le_bytes outside the wire module: $stray_cursors" >&2; exit 1; }
 
+step "egeria-lint"
 # Workspace contract lint: the line-local rules (unsafe/SAFETY audit,
 # kernel panic ban, float exact-eq, determinism, vendored-deps) plus the
 # graph tier (panic/wallclock/entropy reachability from kernel and
@@ -57,6 +91,7 @@ if [ "$lint_elapsed" -ge 5 ]; then
     exit 1
 fi
 
+step "lint baseline"
 # The checked-in baseline must be byte-identical to what --bless-baseline
 # would write today: a stale baseline silently widens or mislabels the
 # warn ratchet. (Bless to a scratch file and compare.)
@@ -73,9 +108,12 @@ cmp "$trace_dir/lint-baseline.json" lint-baseline.json \
 # The second pass also runs every crate's own unit and integration tests
 # (`--workspace`): the layer contracts, the allocation oracles and the
 # kernel proptests live there, not under the root package's tests/.
+step "test: 1 thread, scalar"
 EGERIA_THREADS=1 EGERIA_SIMD=scalar cargo_test -q
+step "test: workspace"
 cargo_test -q --workspace
 
+step "scenario_ab"
 # Freezing-policy A/B matrix (DESIGN §5i): the release-built harness runs
 # every policy over every model family on fixed seeds, verifies each cell
 # against its checked-in golden fingerprint (tests/golden/policies/),
@@ -89,17 +127,21 @@ for key in model policy final_loss tta_epochs compute_saved comm_skipped; do
 done
 grep -q '^model,policy,final_loss' results/scenario_ab_report.csv
 
+step "golden_run at 8 threads"
 # The golden-run fingerprint must be pool-size invariant: the full suite
 # above already pins EGERIA_THREADS=1; re-pin the golden run at 8 threads.
 EGERIA_THREADS=8 cargo_test -q --test golden_run
 
+step "clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+step "rustdoc"
 # Rustdoc gate: every intra-doc link must resolve, unambiguously and to a
 # public item — so a doc that names a deleted item fails here instead of
 # rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+step "bench_ops smoke"
 # Kernel perf smoke: times the hot paths against the reference oracle and
 # under the SIMD microkernel layer, emitting a machine-readable report
 # (BENCH_ops.json, written into the scratch dir — the checked-in one holds
@@ -113,6 +155,7 @@ for key in simd_isa conv2d_resnet56 qmatmul softmax permute_heads bias_add adam_
     grep -q "\"$key\"" "$trace_dir/BENCH_ops.json"
 done
 
+step "telemetry smoke"
 # Telemetry smoke: a traced quickstart must emit schema-valid JSONL that
 # trace_report can validate and summarize (trace_report exits non-zero on
 # any schema violation).
@@ -124,6 +167,7 @@ cargo run --release -p egeria-bench --bin trace_report -- "$trace_dir/quickstart
     > "$trace_dir/report.txt"
 grep -q "freeze timeline" "$trace_dir/report.txt"
 
+step "serving smoke"
 # Serving smoke (DESIGN §5e; the standalone library, off the training
 # path): a traced serving run must emit schema-valid JSONL whose
 # trace_report summary includes the serve-batch section, and bench_serve
@@ -138,6 +182,7 @@ grep -q "serve batches" "$trace_dir/serving_report.txt"
 grep -q '"open_loop"' "$trace_dir/BENCH_serve.json"
 grep -q '"closed_loop"' "$trace_dir/BENCH_serve.json"
 
+step "chaos soak"
 # Chaos-soak smoke (DESIGN §5f): bounded e2e training under a fixed-seed
 # fault schedule. Hard gate: fallback-covered faults must leave the loss
 # curve bit-identical, degradation-only faults must never abort, and
@@ -145,6 +190,7 @@ grep -q '"closed_loop"' "$trace_dir/BENCH_serve.json"
 # reproduces exactly with the same command.)
 EGERIA_CHAOS_SEED=1337 cargo_test -q --test chaos_soak
 
+step "cache store gate"
 # Cache store gate (DESIGN §5j): the flat backend, no longer the default,
 # must hold the same golden-run fingerprint as chunked (lossless is
 # bit-exact) and survive a full quickstart, and the cache benchmark must
@@ -158,6 +204,7 @@ grep -q '"footprint_ratio"' "$trace_dir/BENCH_cache.json"
 grep -q '"file_ratio"' "$trace_dir/BENCH_cache.json"
 grep -q '"chunked_int8"' "$trace_dir/BENCH_cache.json"
 
+step "benchmark smoke"
 # End-to-end benchmark smoke (benchmark/README.md): builds the benchmark
 # package as checked in against the workspace crates and trains every
 # workload once at reduced size through the real trainer (~30 s). Hard

@@ -9,15 +9,20 @@
 use egeria_analysis::pwcca::{activation_matrix, pwcca_distance};
 use egeria_bench::experiments::train_with_snapshots;
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::Kind;
+use egeria_scenarios::registry::{recipe, Recipe};
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let epochs = 48;
+    let resnet56 = Recipe {
+        epochs,
+        loader_seed: 119,
+        ..recipe("resnet56").expect("registry entry")
+    };
     let snap_epochs: Vec<usize> = (0..epochs).step_by(4).collect();
     eprintln!("training with {} snapshots...", snap_epochs.len());
     let (snaps, mut final_model, probe) =
-        train_with_snapshots(Kind::ResNet56, 42, epochs, &snap_epochs, 64).expect("training");
+        train_with_snapshots(&resnet56, &snap_epochs, 64).expect("training");
     let n_modules = final_model.modules().len();
     // Final-model activations per module.
     let final_acts: Vec<_> = (0..n_modules)

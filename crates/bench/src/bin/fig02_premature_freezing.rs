@@ -5,35 +5,31 @@
 //! compares converged validation accuracy against the unfrozen baseline.
 //! Deep modules frozen early must lose the most accuracy.
 
+use egeria_bench::experiments::{train_epoch, val_metric};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::{Kind, Workload};
-use egeria_core::trainer::evaluate;
+use egeria_scenarios::registry::{build, recipe, Recipe};
 use egeria_tensor::Result;
+
+fn resnet56() -> Recipe {
+    Recipe {
+        loader_seed: 7,
+        ..recipe("resnet56").expect("registry entry")
+    }
+}
 
 /// Trains ResNet-56 with a static freeze of modules `0..=module` applied at
 /// `freeze_epoch` (`None` = baseline), returning the converged accuracy.
 fn run(module: Option<usize>, freeze_epoch: usize, epochs: usize) -> Result<f32> {
-    let mut w = Workload::make(Kind::ResNet56, 42);
-    let loader = w.loader(7);
-    let val_loader = w.val_loader();
-    let mut opt = w.optimizer();
-    let schedule = w.schedule();
+    let mut w = build(&resnet56())?;
     for epoch in 0..epochs {
         if let Some(m) = module {
             if epoch == freeze_epoch {
                 w.model.freeze_prefix(m + 1)?;
             }
         }
-        opt.set_lr(schedule.lr(epoch));
-        for plan in loader.epoch_plan(epoch) {
-            let batch = w.train.materialize(&plan.indices)?;
-            let _ = w.model.train_step(&batch, None)?;
-            opt.step(&mut w.model.params_mut())?;
-            w.model.zero_grad();
-        }
+        train_epoch(&mut w, epoch)?;
     }
-    let (_, acc) = evaluate(w.model.as_mut(), w.val.as_ref(), &val_loader)?;
-    Ok(acc)
+    val_metric(&mut w)
 }
 
 fn main() {
@@ -44,10 +40,7 @@ fn main() {
     let later = 10;
     let baseline = run(None, 0, epochs).expect("baseline");
     let mut rows = vec![format!("baseline,-,{baseline:.4},0.0")];
-    let n_freezable = {
-        let w = Workload::make(Kind::ResNet56, 42);
-        w.model.modules().len() - 1
-    };
+    let n_freezable = build(&resnet56()).expect("build").model.modules().len() - 1;
     for module in 0..n_freezable {
         for (label, at) in [("early", early), ("later", later)] {
             let acc = run(Some(module), at, epochs).expect("static freeze run");

@@ -10,32 +10,36 @@
 //! emitted alongside, matching Figure 4b.
 
 use egeria_analysis::sp_loss;
-use egeria_bench::experiments::train_with_snapshots;
+use egeria_bench::experiments::{train_epoch, train_with_snapshots, val_metric};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::{Kind, Workload};
-use egeria_core::trainer::evaluate;
 use egeria_quant::{quantize_reference, Precision};
+use egeria_scenarios::registry::{build, recipe, Recipe};
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let epochs = 36;
     let ref_epoch = epochs / 4;
+    // Both passes shuffle with the same loader seed.
+    let resnet56 = Recipe {
+        epochs,
+        loader_seed: 119,
+        ..recipe("resnet56").expect("registry entry")
+    };
     // First pass: obtain the partially-trained reference snapshot.
     eprintln!("pass 1: training to epoch {ref_epoch} for the reference snapshot");
+    let first_pass = Recipe {
+        epochs: ref_epoch,
+        ..resnet56.clone()
+    };
     let (snaps, _, probe) =
-        train_with_snapshots(Kind::ResNet56, 42, ref_epoch, &[ref_epoch - 1], 64)
-            .expect("reference training");
+        train_with_snapshots(&first_pass, &[ref_epoch - 1], 64).expect("reference training");
     let (_, ref_snapshot) = snaps.into_iter().last().expect("snapshot");
     let mut reference =
         quantize_reference(ref_snapshot.as_ref(), Precision::Int8).expect("quantize");
 
     // Second pass: fresh training, recording plasticity per module per epoch.
     eprintln!("pass 2: fresh training with plasticity tracing");
-    let mut w = Workload::make(Kind::ResNet56, 42);
-    let loader = w.loader(119);
-    let val_loader = w.val_loader();
-    let mut opt = w.optimizer();
-    let schedule = w.schedule();
+    let mut w = build(&resnet56).expect("build");
     let n_modules = w.model.modules().len();
     let ref_acts: Vec<_> = (0..n_modules)
         .map(|m| reference.capture_activation(&probe, m).expect("ref capture"))
@@ -43,18 +47,12 @@ fn main() {
     let mut series: Vec<Vec<f32>> = vec![Vec::new(); n_modules];
     let mut accs = Vec::new();
     for epoch in 0..epochs {
-        opt.set_lr(schedule.lr(epoch));
-        for plan in loader.epoch_plan(epoch) {
-            let batch = w.train.materialize(&plan.indices).expect("batch");
-            let _ = w.model.train_step(&batch, None).expect("step");
-            opt.step(&mut w.model.params_mut()).expect("opt");
-            w.model.zero_grad();
-        }
+        train_epoch(&mut w, epoch).expect("epoch");
         for m in 0..n_modules {
             let act = w.model.capture_activation(&probe, m).expect("capture");
             series[m].push(sp_loss(&act, &ref_acts[m]).expect("sp"));
         }
-        let (_, acc) = evaluate(w.model.as_mut(), w.val.as_ref(), &val_loader).expect("eval");
+        let acc = val_metric(&mut w).expect("eval");
         accs.push(acc);
         eprintln!("epoch {epoch}: acc {acc:.3}");
     }

@@ -8,19 +8,21 @@
 //! variation relative to its mean in the later training phase.
 
 use egeria_analysis::sp_loss;
+use egeria_bench::experiments::train_epoch;
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::{Kind, Workload};
 use egeria_quant::{quantize_reference, Precision};
+use egeria_scenarios::registry::{build, recipe, Recipe};
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let epochs = 28;
     let gen_epoch = 4;
     let update_every = 4;
-    let mut w = Workload::make(Kind::ResNet56, 42);
-    let loader = w.loader(33);
-    let mut opt = w.optimizer();
-    let schedule = w.schedule();
+    let mut w = build(&Recipe {
+        loader_seed: 33,
+        ..recipe("resnet56").expect("registry entry")
+    })
+    .expect("build");
     let probe = w
         .train
         .materialize(&(0..64.min(w.train.len())).collect::<Vec<_>>())
@@ -31,21 +33,16 @@ fn main() {
     let mut stale_series = Vec::new();
     let mut fresh_series = Vec::new();
     for epoch in 0..epochs {
-        opt.set_lr(schedule.lr(epoch));
-        for plan in loader.epoch_plan(epoch) {
-            let batch = w.train.materialize(&plan.indices).expect("batch");
-            let _ = w.model.train_step(&batch, None).expect("step");
-            opt.step(&mut w.model.params_mut()).expect("opt");
-            w.model.zero_grad();
-        }
+        train_epoch(&mut w, epoch).expect("epoch");
+        let model = &mut w.model;
         if epoch == gen_epoch {
-            stale_ref = Some(quantize_reference(w.model.as_ref(), Precision::Int8).expect("q"));
-            fresh_ref = Some(quantize_reference(w.model.as_ref(), Precision::Int8).expect("q"));
+            stale_ref = Some(quantize_reference(model.as_ref(), Precision::Int8).expect("q"));
+            fresh_ref = Some(quantize_reference(model.as_ref(), Precision::Int8).expect("q"));
         } else if epoch > gen_epoch && (epoch - gen_epoch) % update_every == 0 {
-            fresh_ref = Some(quantize_reference(w.model.as_ref(), Precision::Int8).expect("q"));
+            fresh_ref = Some(quantize_reference(model.as_ref(), Precision::Int8).expect("q"));
         }
         if let (Some(s), Some(f)) = (stale_ref.as_mut(), fresh_ref.as_mut()) {
-            let act = w.model.capture_activation(&probe, 0).expect("capture");
+            let act = model.capture_activation(&probe, 0).expect("capture");
             let ps = sp_loss(&act, &s.capture_activation(&probe, 0).expect("s")).expect("sp");
             let pf = sp_loss(&act, &f.capture_activation(&probe, 0).expect("f")).expect("sp");
             stale_series.push(ps);

@@ -3,10 +3,10 @@
 //! tasks: ResNet-50-style classification, DeepLabv3-style segmentation,
 //! Transformer-Base translation (perplexity), and BERT-style QA (F1).
 
-use egeria_bench::experiments::{default_egeria, metric_series, run_workload, trace_of};
+use egeria_bench::experiments::{metric_series, run_workload, trace_of};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::Kind;
 use egeria_nn::loss::perplexity;
+use egeria_scenarios::registry::{recipe, Recipe};
 use egeria_simsys::device::ClusterSpec;
 use egeria_simsys::iteration::CommPolicy;
 use egeria_simsys::tta::epoch_times;
@@ -14,21 +14,21 @@ use egeria_simsys::tta::epoch_times;
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let tasks = [
-        (Kind::ResNet50, "resnet50", ClusterSpec::v100_cluster(1)),
-        (Kind::DeepLabV3, "deeplabv3", ClusterSpec::v100_cluster(1)),
-        (
-            Kind::TransformerBase,
-            "transformer_base",
-            ClusterSpec::v100_cluster(4),
-        ),
-        (Kind::BertQa, "bert_qa", ClusterSpec::v100_cluster(1)),
+        ("resnet50", ClusterSpec::v100_cluster(1)),
+        ("deeplabv3", ClusterSpec::v100_cluster(1)),
+        ("transformer_base", ClusterSpec::v100_cluster(4)),
+        ("bert_qa", ClusterSpec::v100_cluster(1)),
     ];
     let mut rows = Vec::new();
-    for (kind, name, cluster) in tasks {
+    for (name, cluster) in tasks {
+        let entry = recipe(name).expect("registry entry");
         for egeria in [false, true] {
             eprintln!("== {name} egeria={egeria}");
-            let cfg = egeria.then(|| default_egeria(kind));
-            let out = run_workload(kind, 42, cfg, None).expect("run");
+            let run = Recipe {
+                egeria: entry.egeria.filter(|_| egeria),
+                ..entry.clone()
+            };
+            let out = run_workload(&run).expect("run");
             let times = epoch_times(
                 &out.arch,
                 &cluster,
@@ -41,7 +41,7 @@ fn main() {
                 if let Some(metric) = m {
                     // Translation additionally reports perplexity derived
                     // from the validation loss (the paper's Figure 9c axis).
-                    let extra = if kind == Kind::TransformerBase {
+                    let extra = if name == "transformer_base" {
                         out.report.epochs[e]
                             .val_loss
                             .map(perplexity)

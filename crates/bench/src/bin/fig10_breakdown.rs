@@ -7,9 +7,9 @@
 //! CNNs should gain more from FP caching than language models, and the
 //! caching slice should stay under ~10% (the paper's observation).
 
-use egeria_bench::experiments::{default_egeria, run_workload, trace_of};
+use egeria_bench::experiments::{run_workload, trace_of};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::Kind;
+use egeria_scenarios::registry::recipe;
 use egeria_simsys::device::ClusterSpec;
 use egeria_simsys::iteration::CommPolicy;
 use egeria_simsys::tta::epoch_times;
@@ -20,9 +20,15 @@ fn main() {
     let mut rows = Vec::new();
     // Representative subset: two CNNs (front-heavy FLOPs → FP caching
     // matters) and two language models (balanced blocks → BP dominates).
-    for kind in [Kind::ResNet50, Kind::ResNet56, Kind::TransformerBase, Kind::BertQa] {
-        eprintln!("== {kind:?}");
-        let out = run_workload(kind, 42, Some(default_egeria(kind)), None).expect("egeria run");
+    // Rows keep the CSV's CamelCase model labels.
+    for (name, label) in [
+        ("resnet50", "ResNet50"),
+        ("resnet56", "ResNet56"),
+        ("transformer_base", "TransformerBase"),
+        ("bert_qa", "BertQa"),
+    ] {
+        eprintln!("== {label}");
+        let out = run_workload(&recipe(name).expect("registry entry")).expect("egeria run");
         let trace = trace_of(&out.report);
         // (a) Baseline: same epoch count, never frozen.
         let base_trace: Vec<_> = trace
@@ -52,8 +58,7 @@ fn main() {
         let bp_saving = (t_base - t_freeze) / t_base * 100.0;
         let fp_saving = (t_freeze - t_full) / t_base * 100.0;
         rows.push(format!(
-            "{:?},{t_base:.1},{t_freeze:.1},{t_full:.1},{bp_saving:.2},{fp_saving:.2}",
-            kind
+            "{label},{t_base:.1},{t_freeze:.1},{t_full:.1},{bp_saving:.2},{fp_saving:.2}"
         ));
     }
     write_csv(

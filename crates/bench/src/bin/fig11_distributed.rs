@@ -7,9 +7,9 @@
 //! models (may even dip slightly), Egeria's freezing raises throughput, and
 //! the two compose.
 
-use egeria_bench::experiments::{default_egeria, run_workload, trace_of};
+use egeria_bench::experiments::{run_workload, trace_of};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::Kind;
+use egeria_scenarios::registry::recipe;
 use egeria_simsys::device::ClusterSpec;
 use egeria_simsys::iteration::CommPolicy;
 use egeria_simsys::tta::{throughput, IterTrace};
@@ -17,9 +17,13 @@ use egeria_simsys::tta::{throughput, IterTrace};
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let mut rows = Vec::new();
-    for kind in [Kind::ResNet50, Kind::TransformerBase] {
-        eprintln!("== {kind:?}");
-        let eg = run_workload(kind, 42, Some(default_egeria(kind)), None).expect("egeria");
+    // Rows keep the CSV's CamelCase model labels.
+    for (name, label) in [
+        ("resnet50", "ResNet50"),
+        ("transformer_base", "TransformerBase"),
+    ] {
+        eprintln!("== {label}");
+        let eg = run_workload(&recipe(name).expect("registry entry")).expect("egeria");
         let eg_trace = trace_of(&eg.report);
         let base_trace: Vec<IterTrace> = eg_trace
             .iter()
@@ -39,8 +43,7 @@ fn main() {
             let egeria = tp(&eg_trace, CommPolicy::Vanilla);
             let egeria_bs = tp(&eg_trace, CommPolicy::ByteScheduler);
             rows.push(format!(
-                "{:?},{nodes}x2,{baseline:.0},{bytescheduler:.0},{egeria:.0},{egeria_bs:.0}",
-                kind
+                "{label},{nodes}x2,{baseline:.0},{bytescheduler:.0},{egeria:.0},{egeria_bs:.0}"
             ));
         }
     }

@@ -6,16 +6,15 @@
 //! decays must trigger the unfreeze mechanism, and refreezing afterwards
 //! must be faster than the initial freeze (relaxed criteria, §4.2.2).
 
-use egeria_bench::experiments::{default_egeria, run_workload};
+use egeria_bench::experiments::run_workload;
 use egeria_bench::runner::{write_csv, write_json, ResultsDir};
-use egeria_bench::workloads::Kind;
 use egeria_core::trainer::EventRecord;
 use egeria_obs::jsonl::Object;
+use egeria_scenarios::registry::recipe;
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
-    let out = run_workload(Kind::ResNet56, 42, Some(default_egeria(Kind::ResNet56)), None)
-        .expect("egeria run");
+    let out = run_workload(&recipe("resnet56").expect("registry entry")).expect("egeria run");
     let mut rows = Vec::new();
     for e in &out.report.epochs {
         rows.push(format!(

@@ -6,18 +6,22 @@
 //! moderate-to-large `W`; only very small `W` freezes eagerly and can dent
 //! accuracy.
 
-use egeria_bench::experiments::{converged_metric, default_egeria, run_workload};
+use egeria_bench::experiments::{converged_metric, run_workload};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::Kind;
+use egeria_scenarios::registry::{recipe, Recipe};
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
+    let resnet56 = recipe("resnet56").expect("registry entry");
     let mut rows = Vec::new();
     for w in [3usize, 6, 12, 24] {
         eprintln!("== W = {w}");
-        let cfg = default_egeria(Kind::ResNet56).with_window(w);
-        let out = run_workload(Kind::ResNet56, 42, Some(cfg), None).expect("run");
-        let acc = converged_metric(&out.report, true);
+        let run = Recipe {
+            egeria: resnet56.egeria.map(|c| c.with_window(w)),
+            ..resnet56.clone()
+        };
+        let out = run_workload(&run).expect("run");
+        let acc = converged_metric(&out.report);
         let max_prefix = out
             .report
             .iterations

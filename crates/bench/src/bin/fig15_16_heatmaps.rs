@@ -11,14 +11,19 @@ use egeria_analysis::pwcca::{activation_matrix, pwcca_distance};
 use egeria_analysis::sp_loss;
 use egeria_bench::experiments::train_with_snapshots;
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::Kind;
+use egeria_scenarios::registry::{recipe, Recipe};
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let epochs = 32;
+    let resnet56 = Recipe {
+        epochs,
+        loader_seed: 119,
+        ..recipe("resnet56").expect("registry entry")
+    };
     let snap_epochs = [epochs / 4, epochs / 2, 3 * epochs / 4, epochs - 1];
     let (snaps, mut final_model, probe) =
-        train_with_snapshots(Kind::ResNet56, 42, epochs, &snap_epochs, 64).expect("training");
+        train_with_snapshots(&resnet56, &snap_epochs, 64).expect("training");
     let n = final_model.modules().len();
     let final_acts: Vec<_> = (0..n)
         .map(|m| final_model.capture_activation(&probe, m).expect("capture"))

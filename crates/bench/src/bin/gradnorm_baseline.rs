@@ -6,14 +6,13 @@
 //! gradient-norm freezing (same window machinery, hard-label signal), and
 //! Egeria — and reports final accuracy plus how much got frozen how early.
 
-use egeria_bench::experiments::{converged_metric, default_egeria, run_workload};
+use egeria_bench::experiments::{converged_metric, run_workload, val_metric};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::{Kind, Workload};
 use egeria_core::config::EgeriaConfig;
 use egeria_core::freezer::FreezeEvent;
 use egeria_core::plasticity::PlasticityTracker;
-use egeria_core::trainer::evaluate;
 use egeria_models::Model;
+use egeria_scenarios::registry::{build, recipe, Recipe};
 use egeria_tensor::Result;
 
 /// Gradient-norm-guided freezing (the paper's accuracy-losing baseline):
@@ -95,21 +94,18 @@ struct GradNormOutcome {
     max_prefix: usize,
 }
 
-/// Trains with gradient-norm freezing using Egeria's evaluation cadence.
-fn run_gradnorm(epochs: usize) -> Result<GradNormOutcome> {
-    let mut w = Workload::make(Kind::ResNet56, 42);
-    let cfg = default_egeria(Kind::ResNet56);
-    let loader = w.loader(1042);
-    let val_loader = w.val_loader();
-    let mut opt = w.optimizer();
-    let schedule = w.schedule();
+/// Trains `resnet56` with gradient-norm freezing on Egeria's evaluation
+/// cadence and windows.
+fn run_gradnorm(resnet56: &Recipe) -> Result<GradNormOutcome> {
+    let cfg = resnet56.egeria.expect("Table 1 entries run Egeria");
+    let mut w = build(resnet56)?;
     let mut freezer = GradNormFreezer::new(w.model.modules().len(), &cfg);
     let mut step = 0usize;
     let mut first_freeze = -1i64;
     let mut max_prefix = 0usize;
-    for epoch in 0..epochs {
-        opt.set_lr(schedule.lr(epoch));
-        for plan in loader.epoch_plan(epoch) {
+    for epoch in 0..resnet56.epochs {
+        w.optimizer.set_lr(w.schedule.lr(epoch));
+        for plan in w.loader.epoch_plan(epoch) {
             let batch = w.train.materialize(&plan.indices)?;
             let _ = w.model.train_step(&batch, None)?;
             if step.is_multiple_of(cfg.n) {
@@ -125,14 +121,13 @@ fn run_gradnorm(epochs: usize) -> Result<GradNormOutcome> {
                     }
                 }
             }
-            opt.step(&mut w.model.params_mut())?;
+            w.optimizer.step(&mut w.model.params_mut())?;
             w.model.zero_grad();
             step += 1;
         }
     }
-    let (_, final_acc) = evaluate(w.model.as_mut(), w.val.as_ref(), &val_loader)?;
     Ok(GradNormOutcome {
-        final_acc,
+        final_acc: val_metric(&mut w)?,
         first_freeze_iter: first_freeze,
         max_prefix,
     })
@@ -140,21 +135,23 @@ fn run_gradnorm(epochs: usize) -> Result<GradNormOutcome> {
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
-    let epochs = 40;
+    // 40 of the entry's 60 epochs; the LR milestones stay at 30 and 45.
+    let resnet56 = Recipe {
+        epochs: 40,
+        ..recipe("resnet56").expect("registry entry")
+    };
     eprintln!("== vanilla baseline");
-    let base = run_workload(Kind::ResNet56, 42, None, Some(epochs)).expect("baseline");
-    let base_acc = converged_metric(&base.report, true);
+    let baseline = Recipe {
+        egeria: None,
+        ..resnet56.clone()
+    };
+    let base = run_workload(&baseline).expect("baseline");
+    let base_acc = converged_metric(&base.report);
     eprintln!("== gradient-norm freezing");
-    let gn = run_gradnorm(epochs).expect("gradnorm run");
+    let gn = run_gradnorm(&resnet56).expect("gradnorm run");
     eprintln!("== egeria (plasticity) freezing");
-    let eg = run_workload(
-        Kind::ResNet56,
-        42,
-        Some(default_egeria(Kind::ResNet56)),
-        Some(epochs),
-    )
-    .expect("egeria run");
-    let eg_acc = converged_metric(&eg.report, true);
+    let eg = run_workload(&resnet56).expect("egeria run");
+    let eg_acc = converged_metric(&eg.report);
     let eg_first = eg
         .report
         .events

@@ -9,35 +9,38 @@
 
 use egeria_analysis::sp_loss;
 
-use egeria_bench::experiments::{default_egeria, run_workload};
+use egeria_bench::experiments::run_workload;
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::{Kind, Workload};
 use egeria_core::reference::ReferenceManager;
 use egeria_core::EgeriaConfig;
 use egeria_quant::{quantize_reference, Precision};
+use egeria_scenarios::registry::{build, recipe, Recipe};
 use std::time::Instant;
 
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let mut rows = Vec::new();
+    let resnet56 = recipe("resnet56").expect("registry entry");
 
     // 1. Reference generation latency (static int8 quantization of a
     //    ResNet snapshot + dynamic-style for the Transformer).
-    for kind in [Kind::ResNet56, Kind::TransformerBase] {
-        let w = Workload::make(kind, 42);
+    for name in ["resnet56", "transformer_base"] {
+        let model = build(&recipe(name).expect("registry entry"))
+            .expect("build")
+            .model;
         let t0 = Instant::now();
         let reps = 5;
         for _ in 0..reps {
-            let _ = quantize_reference(w.model.as_ref(), Precision::Int8).expect("quantize");
+            let _ = quantize_reference(model.as_ref(), Precision::Int8).expect("quantize");
         }
         let per = t0.elapsed().as_secs_f64() / reps as f64;
-        rows.push(format!("reference_generation_s,{},{per:.4}", w.name));
+        rows.push(format!("reference_generation_s,{name},{per:.4}"));
     }
 
     // 2. Inline probe cost on the training thread: what the trainer adds
     //    at every `n`-th step (ResNet's front module, 16 samples).
     {
-        let w = Workload::make(Kind::ResNet56, 42);
+        let w = build(&resnet56).expect("build");
         let mut model = w.model;
         let probe = w
             .train
@@ -57,7 +60,7 @@ fn main() {
         let t1 = Instant::now();
         let _ = model.train_step(&probe, None).expect("step");
         let iter_s = t1.elapsed().as_secs_f64();
-        let n = default_egeria(Kind::ResNet56).n;
+        let n = resnet56.egeria.expect("Table 1 entries run Egeria").n;
         rows.push(format!("probe_s,resnet56,{probe_s:.6}"));
         rows.push(format!("train_iteration_s,resnet56,{iter_s:.4}"));
         rows.push(format!(
@@ -68,8 +71,12 @@ fn main() {
 
     // 3. Cache storage ratio from a real Egeria run.
     {
-        let out = run_workload(Kind::ResNet56, 42, Some(default_egeria(Kind::ResNet56)), Some(30))
-            .expect("egeria run");
+        // 30 of the entry's 60 epochs; the LR milestones stay at 30 and 45.
+        let run = Recipe {
+            epochs: 30,
+            ..resnet56
+        };
+        let out = run_workload(&run).expect("egeria run");
         let ratio = out.report.cache_stats.disk_bytes_written as f64
             / out.report.input_bytes.max(1) as f64
             // Normalize per epoch: disk stores one copy per sample, input

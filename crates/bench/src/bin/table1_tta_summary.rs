@@ -5,33 +5,35 @@
 //! paper does the same), cost both iteration traces on the paper's testbed
 //! via the performance simulator, and report the TTA speedup. Multi-node
 //! rows rerun the cost model on larger clusters (the trace is per-worker;
-//! data-parallel scaling enters through the all-reduce term).
+//! data-parallel scaling enters through the all-reduce term). An arm that
+//! never reaches the target prints `not reached` in its TTA cell and leaves
+//! the row's speedup empty.
 
 use egeria_bench::experiments::{
-    converged_metric, default_egeria, metric_series, run_workload, running_best, trace_of,
+    converged_metric, metric_series, run_workload, running_best, trace_of,
 };
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::{Kind, ALL_KINDS};
+use egeria_scenarios::registry::{table1, Recipe};
 use egeria_simsys::device::ClusterSpec;
 use egeria_simsys::iteration::CommPolicy;
 use egeria_simsys::tta::{epoch_times, time_to_target, tta_speedup};
 
-fn clusters_for(kind: Kind) -> Vec<(&'static str, ClusterSpec)> {
-    match kind {
-        Kind::ResNet50 => vec![
+fn clusters_for(name: &str) -> Vec<(&'static str, ClusterSpec)> {
+    match name {
+        "resnet50" => vec![
             ("1x2", ClusterSpec::v100_cluster(1)),
             ("2x2", ClusterSpec::v100_cluster(2)),
             ("3x2", ClusterSpec::v100_cluster(3)),
             ("4x2", ClusterSpec::v100_cluster(4)),
             ("5x2", ClusterSpec::v100_cluster(5)),
         ],
-        Kind::TransformerBase => vec![
+        "transformer_base" => vec![
             ("4x2", ClusterSpec::v100_cluster(4)),
             ("2x2", ClusterSpec::v100_cluster(2)),
             ("3x2", ClusterSpec::v100_cluster(3)),
             ("5x2", ClusterSpec::v100_cluster(5)),
         ],
-        Kind::TransformerTiny => vec![("1x8", ClusterSpec::rtx_single_node())],
+        "transformer_tiny" => vec![("1x8", ClusterSpec::rtx_single_node())],
         _ => vec![("1x2", ClusterSpec::v100_cluster(1))],
     }
 }
@@ -39,23 +41,26 @@ fn clusters_for(kind: Kind) -> Vec<(&'static str, ClusterSpec)> {
 fn main() {
     let results = ResultsDir::resolve().expect("results dir");
     let mut rows = Vec::new();
-    for kind in ALL_KINDS {
-        eprintln!("== {kind:?}: baseline run");
-        let base = run_workload(kind, 42, None, None).expect("baseline run");
-        eprintln!("== {kind:?}: egeria run");
-        let eg = run_workload(kind, 42, Some(default_egeria(kind)), None).expect("egeria run");
-        let higher = base.higher_is_better;
-        let base_metric = converged_metric(&base.report, higher);
-        let eg_metric = converged_metric(&eg.report, higher);
+    for entry in table1() {
+        eprintln!("== {}: baseline run", entry.name);
+        let baseline = Recipe {
+            egeria: None,
+            ..entry.clone()
+        };
+        let base = run_workload(&baseline).expect("baseline run");
+        eprintln!("== {}: egeria run", entry.name);
+        let eg = run_workload(&entry).expect("egeria run");
+        let base_metric = converged_metric(&base.report);
+        let eg_metric = converged_metric(&eg.report);
         // Target: slightly relaxed baseline-converged metric (the paper's
         // targets are the baseline's converged accuracy; the relaxation
         // absorbs small-validation-set noise at reproduction scale).
-        let target = if higher { base_metric * 0.97 } else { base_metric * 1.03 };
+        let target = base_metric * 0.97;
         let base_trace = trace_of(&base.report);
         let eg_trace = trace_of(&eg.report);
-        let base_metrics = running_best(&metric_series(&base.report), higher);
-        let eg_metrics = running_best(&metric_series(&eg.report), higher);
-        for (label, cluster) in clusters_for(kind) {
+        let base_metrics = running_best(&metric_series(&base.report));
+        let eg_metrics = running_best(&metric_series(&eg.report));
+        for (label, cluster) in clusters_for(entry.name) {
             let bt = epoch_times(
                 &base.arch,
                 &cluster,
@@ -70,27 +75,25 @@ fn main() {
                 eg.batch_size,
                 CommPolicy::Vanilla,
             );
-            let b_tta = time_to_target(&bt, &base_metrics, target, higher);
-            let e_tta = time_to_target(&et, &eg_metrics, target, higher);
-            let (speedup, b_s, e_s) = match (b_tta, e_tta) {
-                (Some(b), Some(e)) => (tta_speedup(b, e), b, e),
-                // Fall back to full-run time at equal-or-better accuracy.
-                _ => (
-                    tta_speedup(*bt.last().unwrap(), *et.last().unwrap()),
-                    *bt.last().unwrap(),
-                    *et.last().unwrap(),
-                ),
+            let b_tta = time_to_target(&bt, &base_metrics, target, true);
+            let e_tta = time_to_target(&et, &eg_metrics, target, true);
+            // An arm that never reaches the target has no TTA, and the row
+            // no speedup.
+            let cell = |tta: Option<f64>| tta.map_or("not reached".into(), |t| format!("{t:.1}"));
+            let speedup = match (b_tta, e_tta) {
+                (Some(b), Some(e)) => format!("{:.1}", tta_speedup(b, e) * 100.0),
+                _ => String::new(),
             };
             rows.push(format!(
-                "{},{},{:.4},{:.4},{:.4},{:.1},{:.1},{:.1}",
-                kind_name(kind),
+                "{},{},{:.4},{:.4},{:.4},{},{},{}",
+                entry.name,
                 label,
                 base_metric,
                 eg_metric,
                 target,
-                b_s,
-                e_s,
-                speedup * 100.0
+                cell(b_tta),
+                cell(e_tta),
+                speedup
             ));
         }
     }
@@ -100,16 +103,4 @@ fn main() {
         &rows,
     )
     .expect("write table 1");
-}
-
-fn kind_name(kind: Kind) -> &'static str {
-    match kind {
-        Kind::ResNet50 => "resnet50",
-        Kind::MobileNetV2 => "mobilenet_v2",
-        Kind::ResNet56 => "resnet56",
-        Kind::DeepLabV3 => "deeplabv3",
-        Kind::TransformerBase => "transformer_base",
-        Kind::TransformerTiny => "transformer_tiny",
-        Kind::BertQa => "bert_qa",
-    }
 }

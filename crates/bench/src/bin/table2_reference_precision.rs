@@ -8,12 +8,13 @@
 //! and (3) the reference accuracy gap — the quantized snapshot's own
 //! validation accuracy versus the f32 snapshot's.
 
-use egeria_bench::experiments::{converged_metric, default_egeria, run_workload};
+use egeria_bench::experiments::{converged_metric, run_workload, train_epoch};
 use egeria_bench::runner::{write_csv, ResultsDir};
-use egeria_bench::workloads::{Kind, Workload};
 use egeria_core::trainer::evaluate;
+use egeria_core::EgeriaConfig;
 use egeria_quant::qtensor::{qmatmul, Granularity, QTensor};
 use egeria_quant::{quantize_reference, Precision};
+use egeria_scenarios::registry::{build, recipe, Recipe};
 use egeria_tensor::{Rng, Tensor};
 use std::time::Instant;
 
@@ -44,31 +45,28 @@ fn main() {
     eprintln!("measured int8 matmul speedup: {int8_speed:.2}x");
 
     // Reference accuracy gap: quantize a trained model and evaluate it.
-    let mut w = Workload::make(Kind::ResNet56, 42);
+    let resnet56 = recipe("resnet56").expect("registry entry");
+    let mut w = build(&Recipe {
+        loader_seed: 5,
+        ..resnet56.clone()
+    })
+    .expect("build");
     // Quick pre-training to a sensible accuracy for the gap measurement.
-    {
-        let loader = w.loader(5);
-        let mut opt = w.optimizer();
-        let schedule = w.schedule();
-        for epoch in 0..24 {
-            opt.set_lr(schedule.lr(epoch));
-            for plan in loader.epoch_plan(epoch) {
-                let batch = w.train.materialize(&plan.indices).expect("batch");
-                let _ = w.model.train_step(&batch, None).expect("step");
-                opt.step(&mut w.model.params_mut()).expect("opt");
-                w.model.zero_grad();
-            }
-        }
+    for epoch in 0..24 {
+        train_epoch(&mut w, epoch).expect("epoch");
     }
-    let val_loader = w.val_loader();
-    let gap_of = |precision: Precision, w: &Workload| -> f32 {
+    let (val, val_loader) = w
+        .val
+        .as_ref()
+        .expect("Table 1 entries hold out a validation set");
+    let gap_of = |precision: Precision| -> f32 {
         let mut q = quantize_reference(w.model.as_ref(), precision).expect("quantize");
-        let (_, acc) = evaluate(q.as_mut(), w.val.as_ref(), &val_loader).expect("eval");
+        let (_, acc) = evaluate(q.as_mut(), val.as_ref(), val_loader).expect("eval");
         acc
     };
-    let acc_f32 = gap_of(Precision::F32, &w);
-    let acc_f16 = gap_of(Precision::F16, &w);
-    let acc_int8 = gap_of(Precision::Int8, &w);
+    let acc_f32 = gap_of(Precision::F32);
+    let acc_f16 = gap_of(Precision::F16);
+    let acc_int8 = gap_of(Precision::Int8);
 
     // Final-accuracy rows: full Egeria runs per reference precision.
     let mut rows = Vec::new();
@@ -78,12 +76,15 @@ fn main() {
         ("float32", Precision::F32, 1.0),
     ] {
         eprintln!("== egeria run with {name} reference");
-        let cfg = egeria_core::EgeriaConfig {
-            reference_precision: precision,
-            ..default_egeria(Kind::ResNet56)
+        let run = Recipe {
+            egeria: resnet56.egeria.map(|c| EgeriaConfig {
+                reference_precision: precision,
+                ..c
+            }),
+            ..resnet56.clone()
         };
-        let out = run_workload(Kind::ResNet56, 42, Some(cfg), None).expect("run");
-        let final_acc = converged_metric(&out.report, true);
+        let out = run_workload(&run).expect("run");
+        let final_acc = converged_metric(&out.report);
         let ref_gap = match precision {
             Precision::Int8 => acc_int8 - acc_f32,
             Precision::F16 => acc_f16 - acc_f32,

@@ -1,8 +1,9 @@
-//! Shared experiment runners built on the workload definitions.
+//! Shared experiment runners built on the workload registry
+//! (`egeria_scenarios::registry`).
 
-use crate::workloads::{Kind, Workload};
-use egeria_core::trainer::{EgeriaTrainer, TrainReport, TrainerOptions};
-use egeria_core::EgeriaConfig;
+use crate::workloads::arch_spec;
+use egeria_core::trainer::{evaluate, TrainReport};
+use egeria_scenarios::registry::{build, Built, Recipe};
 use egeria_simsys::tta::IterTrace;
 use egeria_simsys::ArchSpec;
 use egeria_tensor::Result;
@@ -15,74 +16,40 @@ pub struct RunOutput {
     pub arch: ArchSpec,
     /// Batch size used.
     pub batch_size: usize,
-    /// Whether the validation metric improves upward.
-    pub higher_is_better: bool,
 }
 
-/// The Egeria hyperparameters used for a workload family.
-///
-/// The paper's guidance (§4.2.2): the four knobs are coupled and robust.
-/// These defaults were picked once per family on the reproduction scale and
-/// shared across all experiments (the W-sensitivity figure sweeps W
-/// explicitly).
-pub fn default_egeria(kind: Kind) -> EgeriaConfig {
-    let base = EgeriaConfig {
-        n: 5,
-        w: 12,
-        s: 12,
-        t: 1.0, // Trend-to-variation ratio (see PlasticityTracker).
-        bootstrap_rate: 0.10,
-        reference_update_every: 8,
-        ..Default::default()
-    };
-    match kind {
-        // Fine-tuning converges fast: shorter windows.
-        Kind::BertQa => EgeriaConfig {
-            w: 8,
-            s: 8,
-            ..base
-        },
-        _ => base,
-    }
-}
-
-/// Trains a workload end to end and returns the report + cost spec.
-pub fn run_workload(
-    kind: Kind,
-    seed: u64,
-    egeria: Option<EgeriaConfig>,
-    epochs_override: Option<usize>,
-) -> Result<RunOutput> {
-    let w = Workload::make(kind, seed);
-    let arch = w.arch_spec();
-    let batch_size = w.batch_size;
-    let higher = w.higher_is_better;
-    let loader = w.loader(seed.wrapping_add(1000));
-    let val_loader = w.val_loader();
-    let epochs = epochs_override.unwrap_or(w.epochs);
-    let optimizer = w.optimizer();
-    let schedule = w.schedule();
-    let Workload {
-        model, train, val, lr_per_iteration, ..
-    } = w;
-    let mut trainer = EgeriaTrainer::new(
-        model,
-        optimizer,
-        schedule,
-        TrainerOptions {
-            epochs,
-            egeria,
-            lr_per_iteration,
-            ..Default::default()
-        },
-    );
-    let report = trainer.train(train.as_ref(), &loader, Some((val.as_ref(), &val_loader)))?;
+/// Trains a Table 1 entry end to end and returns the report + cost spec.
+pub fn run_workload(recipe: &Recipe) -> Result<RunOutput> {
+    let built = build(recipe)?;
+    let arch = arch_spec(recipe.name, built.model.as_ref());
     Ok(RunOutput {
-        report,
+        report: built.train()?,
         arch,
-        batch_size,
-        higher_is_better: higher,
+        batch_size: recipe.batch_size,
     })
+}
+
+/// Trains a built entry for one epoch without Egeria: the LR from the
+/// schedule at `epoch` (indexed per epoch), then an optimizer step per
+/// batch.
+pub fn train_epoch(w: &mut Built, epoch: usize) -> Result<()> {
+    w.optimizer.set_lr(w.schedule.lr(epoch));
+    for plan in w.loader.epoch_plan(epoch) {
+        let batch = w.train.materialize(&plan.indices)?;
+        let _ = w.model.train_step(&batch, None)?;
+        w.optimizer.step(&mut w.model.params_mut())?;
+        w.model.zero_grad();
+    }
+    Ok(())
+}
+
+/// The built model's metric on its entry's validation set.
+///
+/// # Panics
+/// When the entry holds no validation set (every Table 1 entry does).
+pub fn val_metric(w: &mut Built) -> Result<f32> {
+    let (val, loader) = w.val.as_ref().expect("entry holds a validation set");
+    Ok(evaluate(w.model.as_mut(), val.as_ref(), loader)?.1)
 }
 
 /// Converts a report's iteration records into the simulator's trace type.
@@ -103,21 +70,18 @@ pub fn metric_series(report: &TrainReport) -> Vec<Option<f32>> {
     report.epochs.iter().map(|e| e.val_metric).collect()
 }
 
-/// Running-best transform of a metric series: epoch `e` carries the best
-/// value seen up to `e`. Time-to-accuracy on small validation sets is
+/// Running-best transform of a metric series: epoch `e` carries the
+/// highest value seen up to `e` (every registry metric is
+/// higher-is-better). Time-to-accuracy on small validation sets is
 /// jittery; the paper's convergence targets are effectively monotone, so
 /// TTA is extracted from the running best.
-pub fn running_best(series: &[Option<f32>], higher_is_better: bool) -> Vec<Option<f32>> {
+pub fn running_best(series: &[Option<f32>]) -> Vec<Option<f32>> {
     let mut best: Option<f32> = None;
     series
         .iter()
         .map(|m| {
             if let Some(v) = m {
-                best = Some(match best {
-                    Some(b) if higher_is_better => b.max(*v),
-                    Some(b) => b.min(*v),
-                    None => *v,
-                });
+                best = Some(best.map_or(*v, |b| b.max(*v)));
             }
             best
         })
@@ -132,35 +96,26 @@ pub type SnapshotRun = (
     egeria_models::Batch,
 );
 
-/// Manually trains a workload (no Egeria), returning model snapshots at the
-/// requested epoch boundaries plus the final model and a fixed probe batch
-/// for activation analysis. Used by the post hoc PWCCA / SP-loss figures.
+/// Manually trains an entry for its epochs (no Egeria, LR indexed per
+/// epoch), returning model snapshots at the requested epoch boundaries plus the final model
+/// and a fixed probe batch (the first `probe_batch` training samples) for
+/// activation analysis. Used by the post hoc PWCCA / SP-loss figures.
 pub fn train_with_snapshots(
-    kind: Kind,
-    seed: u64,
-    epochs: usize,
+    recipe: &Recipe,
     snap_epochs: &[usize],
     probe_batch: usize,
 ) -> Result<SnapshotRun> {
-    let mut w = Workload::make(kind, seed);
-    let loader = w.loader(seed.wrapping_add(77));
-    let mut opt = w.optimizer();
-    let schedule = w.schedule();
+    let mut w = build(recipe)?;
     let probe = w
         .train
         .materialize(&(0..probe_batch.min(w.train.len())).collect::<Vec<_>>())?;
+    let epochs = recipe.epochs;
     let mut snaps = Vec::new();
     for epoch in 0..epochs {
         if snap_epochs.contains(&epoch) {
             snaps.push((epoch, w.model.clone_boxed()));
         }
-        opt.set_lr(schedule.lr(epoch));
-        for plan in loader.epoch_plan(epoch) {
-            let batch = w.train.materialize(&plan.indices)?;
-            let _ = w.model.train_step(&batch, None)?;
-            opt.step(&mut w.model.params_mut())?;
-            w.model.zero_grad();
-        }
+        train_epoch(&mut w, epoch)?;
         if snap_epochs.contains(&(epoch + 1)) && epoch + 1 == epochs {
             snaps.push((epochs, w.model.clone_boxed()));
         }
@@ -170,7 +125,7 @@ pub fn train_with_snapshots(
 
 /// The best (final-plateau) metric of a run: the median of the last three
 /// evaluated epochs, robust to single-epoch noise.
-pub fn converged_metric(report: &TrainReport, higher_is_better: bool) -> f32 {
+pub fn converged_metric(report: &TrainReport) -> f32 {
     let mut vals: Vec<f32> = report
         .epochs
         .iter()
@@ -179,7 +134,7 @@ pub fn converged_metric(report: &TrainReport, higher_is_better: bool) -> f32 {
         .take(3)
         .collect();
     if vals.is_empty() {
-        return if higher_is_better { 0.0 } else { f32::INFINITY };
+        return 0.0;
     }
     vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     vals[vals.len() / 2]

@@ -8,9 +8,8 @@
 //! Bless mode (`--bless` or `EGERIA_BLESS=1`) rewrites the golden files
 //! from the current run instead of comparing.
 
-use egeria_scenarios::{
-    golden_file_name, policy_label, policy_matrix, run_family, ModelFamily, ScenarioResult,
-};
+use egeria_scenarios::registry::scenarios;
+use egeria_scenarios::{golden_file_name, policy_label, policy_matrix, run_family, ScenarioResult};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,13 +32,19 @@ fn main() -> ExitCode {
 
     let bless = std::env::args().any(|a| a == "--bless") || std::env::var("EGERIA_BLESS").is_ok();
 
+    let families = scenarios();
+    let names: Vec<&str> = families.iter().map(|r| r.name).collect();
     let mut results: Vec<ScenarioResult> = Vec::new();
-    for family in ModelFamily::all() {
-        eprintln!("running family {} ({} policies)", family.name(), policy_matrix().len());
+    for family in &families {
+        eprintln!(
+            "running family {} ({} policies)",
+            family.name,
+            policy_matrix().len()
+        );
         match run_family(family) {
             Ok(r) => results.extend(r),
             Err(e) => {
-                eprintln!("FAIL: family {} errored: {e:?}", family.name());
+                eprintln!("FAIL: family {} errored: {e:?}", family.name);
                 return ExitCode::FAILURE;
             }
         }
@@ -51,16 +56,14 @@ fn main() -> ExitCode {
     // bit-exact trace, or the A/B comparison is measuring nothing. The
     // fingerprint header embeds the policy name, so compare the body
     // (everything after the first line) to catch real coincidences.
-    for family in ModelFamily::all() {
+    for &family in &names {
         let mut bodies: HashMap<String, String> = HashMap::new();
-        for r in results.iter().filter(|r| r.model == family.name()) {
+        for r in results.iter().filter(|r| r.model == family) {
             let body: String = r.fingerprint.lines().skip(1).collect::<Vec<_>>().join("\n");
             if let Some(prev) = bodies.insert(body, r.policy.clone()) {
                 eprintln!(
                     "FAIL: policies {} and {} are indistinguishable on {}",
-                    prev,
-                    r.policy,
-                    family.name()
+                    prev, r.policy, family
                 );
                 failures += 1;
             }
@@ -70,11 +73,11 @@ fn main() -> ExitCode {
     let dir = golden_dir();
     if bless {
         std::fs::create_dir_all(&dir).expect("create golden dir");
-        for family in ModelFamily::all() {
+        for &family in &names {
             for policy in policy_matrix() {
                 let r = results
                     .iter()
-                    .find(|r| r.model == family.name() && r.policy == policy_label(policy))
+                    .find(|r| r.model == family && r.policy == policy_label(policy))
                     .expect("matrix is complete");
                 let path = dir.join(golden_file_name(family, policy));
                 std::fs::write(&path, &r.fingerprint).expect("write golden");
@@ -82,11 +85,11 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        for family in ModelFamily::all() {
+        for &family in &names {
             for policy in policy_matrix() {
                 let r = results
                     .iter()
-                    .find(|r| r.model == family.name() && r.policy == policy_label(policy))
+                    .find(|r| r.model == family && r.policy == policy_label(policy))
                     .expect("matrix is complete");
                 let path = dir.join(golden_file_name(family, policy));
                 match std::fs::read_to_string(&path) {
@@ -95,7 +98,7 @@ fn main() -> ExitCode {
                         eprintln!(
                             "FAIL: fingerprint drift for ({}, {}) vs {}\n\
                              regenerate intentionally with: cargo run --release --bin scenario_ab -- --bless",
-                            family.name(),
+                            family,
                             r.policy,
                             path.display()
                         );

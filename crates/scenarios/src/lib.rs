@@ -1,15 +1,19 @@
-//! The policy A/B scenario harness (DESIGN §5i).
+//! The workload registry and the policy A/B scenario harness (DESIGN §3,
+//! §5i).
 //!
-//! Drives every [`PolicyKind`] across the five model families on fixed
-//! seeds and tiny reproduction-scale configs, producing per-(policy, model)
-//! results: a bit-exact *fingerprint* (loss bits + decision timeline,
-//! pinned under `tests/golden/policies/`) and A/B metrics (time-to-accuracy
-//! vs the never-freeze baseline, compute saved, communication skipped).
+//! [`registry`] holds the workloads behind the reproduced evidence — Table
+//! 1's seven and the matrix's five families — as plain data, with the one
+//! builder that turns an entry into a run. The harness drives every
+//! [`PolicyKind`] across the five [`registry::scenarios`] families,
+//! producing per-(policy, model) results: a bit-exact *fingerprint* (loss
+//! bits + decision timeline, pinned under `tests/golden/policies/`) and A/B
+//! metrics (time-to-accuracy vs the never-freeze baseline, compute saved,
+//! communication skipped).
 //!
 //! ## Determinism contract
 //!
-//! Every scenario is a pure function of its hard-coded `(seed, config)`
-//! pair: synthetic data, shuffling, and weight init all derive from fixed
+//! Every scenario is a pure function of its registry entry and policy:
+//! synthetic data, shuffling, and weight init all derive from fixed
 //! seeds; the scalar ISA is forced (vector ISAs are toleranced, not
 //! bit-identical, per DESIGN §5g); and the reference is probed inline on
 //! the training thread, so no decision depends on thread scheduling.
@@ -19,24 +23,14 @@
 //! set (it would override the matrix); the `scenario_ab` binary clears it
 //! defensively.
 
-use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::{EgeriaConfig, PolicyKind};
-use egeria_data::images::{ImageDataConfig, SyntheticImages};
-use egeria_data::qa::{QaDataConfig, SyntheticQa};
-use egeria_data::segmentation::{SegDataConfig, SyntheticSegmentation};
-use egeria_data::translation::{SyntheticTranslation, TranslationConfig};
-use egeria_data::{DataLoader, Dataset};
-use egeria_models::bert::{BertConfig, BertQa};
-use egeria_models::deeplab::{deeplab_v3, DeepLabConfig};
-use egeria_models::mobilenet::{mobilenet_v2, MobileNetConfig};
-use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
-use egeria_models::transformer::{Seq2SeqTransformer, TransformerConfig};
-use egeria_nn::optim::{Adam, Sgd};
-use egeria_nn::sched::{InverseSqrt, LinearDecay, LrSchedule, MultiStepDecay};
 use egeria_obs::jsonl::{to_string_pretty, Object};
 use egeria_tensor::Result;
+use registry::{build, Recipe};
 use std::fmt::Write as _;
 use std::path::Path;
+
+pub mod registry;
 
 /// Fraction of a training step spent in the backward pass (the 2/3 rule of
 /// thumb the paper's compute accounting uses: backward ≈ 2× forward).
@@ -45,45 +39,6 @@ const BACKWARD_FRACTION: f64 = 2.0 / 3.0;
 /// TTA tolerance: a policy "reaches accuracy" at the first epoch whose
 /// training loss is within 2% of the never-freeze baseline's final loss.
 const TTA_TOLERANCE: f64 = 1.02;
-
-/// The model families in the scenario matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelFamily {
-    /// ResNet-style CIFAR classifier (the golden run's architecture).
-    ResNet,
-    /// MobileNetV2-style classifier.
-    MobileNet,
-    /// DeepLabv3-style segmenter.
-    DeepLab,
-    /// Encoder–decoder Transformer on synthetic translation.
-    Transformer,
-    /// BERT-style QA fine-tuning.
-    BertTiny,
-}
-
-impl ModelFamily {
-    /// Every family, in matrix order.
-    pub fn all() -> [ModelFamily; 5] {
-        [
-            ModelFamily::ResNet,
-            ModelFamily::MobileNet,
-            ModelFamily::DeepLab,
-            ModelFamily::Transformer,
-            ModelFamily::BertTiny,
-        ]
-    }
-
-    /// Stable short name (fingerprint files, report keys).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ModelFamily::ResNet => "resnet",
-            ModelFamily::MobileNet => "mobilenet",
-            ModelFamily::DeepLab => "deeplab",
-            ModelFamily::Transformer => "transformer",
-            ModelFamily::BertTiny => "bert_tiny",
-        }
-    }
-}
 
 /// The policy axis of the matrix: the paper rule, the learned predictor,
 /// the two baselines, and the regression-aware variant.
@@ -137,26 +92,30 @@ pub struct ScenarioResult {
     pub curve: Vec<f32>,
 }
 
-/// One scenario: a family trained once under one policy.
-pub fn run_scenario(family: ModelFamily, policy: PolicyKind) -> Result<ScenarioResult> {
+/// One scenario: a family ([`registry::scenarios`] entry) trained once
+/// under one policy.
+pub fn run_scenario(family: &Recipe, policy: PolicyKind) -> Result<ScenarioResult> {
     // Pin the scalar-ISA numerics (DESIGN §5g): fingerprints must not
     // depend on the host's SIMD support.
     egeria_tensor::simd::set_isa(egeria_tensor::simd::Isa::Scalar);
-    let (mut trainer, data, loader) = build(family, policy);
-    let module_params: Vec<usize> = trainer
-        .model()
+    let built = build(&Recipe {
+        egeria: family.egeria.map(|c| EgeriaConfig { policy, ..c }),
+        ..family.clone()
+    })?;
+    let module_params: Vec<usize> = built
+        .model
         .modules()
         .iter()
         .map(|m| m.param_count)
         .collect();
-    let report = trainer.train(data.as_ref(), &loader, None)?;
+    let report = built.train()?;
 
     // Fingerprint: epoch losses bit-for-bit plus the decision timeline.
     let mut fp = String::new();
     let _ = writeln!(
         fp,
         "scenario fingerprint v1 model {} policy {}",
-        family.name(),
+        family.name,
         policy_label(policy)
     );
     for e in &report.epochs {
@@ -195,7 +154,7 @@ pub fn run_scenario(family: ModelFamily, policy: PolicyKind) -> Result<ScenarioR
 
     let final_loss = report.epochs.last().map(|e| e.train_loss).unwrap_or(f32::NAN);
     Ok(ScenarioResult {
-        model: family.name().to_string(),
+        model: family.name.to_string(),
         policy: policy_label(policy),
         fingerprint: fp,
         final_loss,
@@ -212,7 +171,7 @@ pub fn run_scenario(family: ModelFamily, policy: PolicyKind) -> Result<ScenarioR
 
 /// Runs one family across the whole policy matrix; TTA is measured against
 /// the never-freeze run of the same family.
-pub fn run_family(family: ModelFamily) -> Result<Vec<ScenarioResult>> {
+pub fn run_family(family: &Recipe) -> Result<Vec<ScenarioResult>> {
     // The baseline must run first: its final loss defines the TTA target.
     let baseline = run_scenario(family, PolicyKind::NeverFreeze)?;
     let target = baseline.final_loss as f64 * TTA_TOLERANCE;
@@ -241,8 +200,8 @@ pub fn policy_label(policy: PolicyKind) -> String {
 }
 
 /// Fingerprint golden file name of a (family, policy) cell.
-pub fn golden_file_name(family: ModelFamily, policy: PolicyKind) -> String {
-    format!("{}_{}.txt", family.name(), policy_label(policy))
+pub fn golden_file_name(family: &str, policy: PolicyKind) -> String {
+    format!("{family}_{}.txt", policy_label(policy))
 }
 
 /// Writes the A/B report as JSON and CSV into `dir` (created if missing).
@@ -288,187 +247,6 @@ pub fn write_report(results: &[ScenarioResult], dir: &Path) -> std::io::Result<(
         );
     }
     std::fs::write(dir.join("scenario_ab_report.csv"), csv)
-}
-
-// ---------------------------------------------------------------------------
-// Per-family scenario construction (fixed seeds, tiny configs)
-// ---------------------------------------------------------------------------
-
-type Scenario = (EgeriaTrainer, Box<dyn Dataset>, DataLoader);
-
-fn egeria_cfg(policy: PolicyKind, n: usize, w: usize, s: usize, t: f32) -> EgeriaConfig {
-    EgeriaConfig {
-        n,
-        w,
-        s,
-        t,
-        bootstrap_rate: 0.9,
-        reference_update_every: 4,
-        policy,
-        ..Default::default()
-    }
-}
-
-fn build(family: ModelFamily, policy: PolicyKind) -> Scenario {
-    match family {
-        ModelFamily::ResNet => {
-            let model = resnet_cifar(
-                ResNetCifarConfig {
-                    n: 2,
-                    width: 4,
-                    classes: 4,
-                    ..Default::default()
-                },
-                7,
-            );
-            let data = SyntheticImages::new(
-                ImageDataConfig {
-                    samples: 64,
-                    classes: 4,
-                    size: 8,
-                    noise: 0.3,
-                    augment: true,
-                },
-                2,
-            );
-            let epochs = 8;
-            let trainer = EgeriaTrainer::new(
-                Box::new(model),
-                Optimizer::Sgd(Sgd::new(0.05, 0.9, 0.0)),
-                Box::new(MultiStepDecay::new(0.05, 0.1, vec![5])) as Box<dyn LrSchedule>,
-                TrainerOptions {
-                    epochs,
-                    egeria: Some(egeria_cfg(policy, 1, 3, 2, 5.0)),
-                    ..Default::default()
-                },
-            );
-            (trainer, Box::new(data), DataLoader::new(64, 16, 3, true))
-        }
-        ModelFamily::MobileNet => {
-            let model = mobilenet_v2(
-                MobileNetConfig {
-                    width_div: 16,
-                    classes: 4,
-                    ..Default::default()
-                },
-                5,
-            );
-            let data = SyntheticImages::new(
-                ImageDataConfig {
-                    samples: 64,
-                    classes: 4,
-                    size: 8,
-                    noise: 0.3,
-                    augment: true,
-                },
-                4,
-            );
-            let epochs = 8;
-            let trainer = EgeriaTrainer::new(
-                Box::new(model),
-                Optimizer::Sgd(Sgd::new(0.05, 0.9, 0.0)),
-                Box::new(MultiStepDecay::new(0.05, 0.1, vec![5])) as Box<dyn LrSchedule>,
-                TrainerOptions {
-                    epochs,
-                    egeria: Some(egeria_cfg(policy, 1, 3, 2, 5.0)),
-                    ..Default::default()
-                },
-            );
-            (trainer, Box::new(data), DataLoader::new(64, 16, 5, true))
-        }
-        ModelFamily::DeepLab => {
-            let model = deeplab_v3(
-                DeepLabConfig {
-                    stages: vec![1, 1, 1],
-                    width: 4,
-                    classes: 3,
-                    ..Default::default()
-                },
-                6,
-            );
-            let data = SyntheticSegmentation::new(
-                SegDataConfig {
-                    samples: 48,
-                    classes: 3,
-                    size: 8,
-                },
-                7,
-            );
-            let epochs = 8;
-            let trainer = EgeriaTrainer::new(
-                Box::new(model),
-                Optimizer::Sgd(Sgd::new(0.05, 0.9, 0.0)),
-                Box::new(MultiStepDecay::new(0.05, 0.1, vec![5])) as Box<dyn LrSchedule>,
-                TrainerOptions {
-                    epochs,
-                    egeria: Some(egeria_cfg(policy, 1, 3, 2, 5.0)),
-                    ..Default::default()
-                },
-            );
-            (trainer, Box::new(data), DataLoader::new(48, 16, 7, true))
-        }
-        ModelFamily::Transformer => {
-            let model = Seq2SeqTransformer::new("t", TransformerConfig::tiny(16), 5)
-                .expect("transformer builds");
-            let data = SyntheticTranslation::new(
-                TranslationConfig {
-                    samples: 48,
-                    vocab: 16,
-                    len: 6,
-                },
-                6,
-            );
-            let epochs = 8;
-            let trainer = EgeriaTrainer::new(
-                Box::new(model),
-                Optimizer::Adam(Adam::new(3e-3, 0.0)),
-                Box::new(InverseSqrt::new(3e-3, 30)) as Box<dyn LrSchedule>,
-                TrainerOptions {
-                    epochs,
-                    egeria: Some(egeria_cfg(policy, 1, 4, 3, 2.5)),
-                    lr_per_iteration: true,
-                    ..Default::default()
-                },
-            );
-            (trainer, Box::new(data), DataLoader::new(48, 16, 7, true))
-        }
-        ModelFamily::BertTiny => {
-            let model = BertQa::new(
-                "bert",
-                BertConfig {
-                    vocab: 16,
-                    d_model: 16,
-                    heads: 2,
-                    d_ff: 32,
-                    layers: 4,
-                },
-                9,
-            )
-            .expect("bert builds");
-            let data = SyntheticQa::new(
-                QaDataConfig {
-                    samples: 48,
-                    vocab: 16,
-                    len: 10,
-                    answer_len: 2,
-                },
-                10,
-            );
-            let epochs = 8;
-            let trainer = EgeriaTrainer::new(
-                Box::new(model),
-                Optimizer::Adam(Adam::new(1e-3, 0.0)),
-                Box::new(LinearDecay::new(1e-3, 200)) as Box<dyn LrSchedule>,
-                TrainerOptions {
-                    epochs,
-                    egeria: Some(egeria_cfg(policy, 1, 4, 3, 2.5)),
-                    lr_per_iteration: true,
-                    ..Default::default()
-                },
-            );
-            (trainer, Box::new(data), DataLoader::new(48, 16, 11, true))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -542,11 +320,11 @@ mod tests {
     #[test]
     fn golden_file_names_follow_the_matrix_labels() {
         assert_eq!(
-            golden_file_name(ModelFamily::BertTiny, PolicyKind::Interval { every: 3 }),
+            golden_file_name("bert_tiny", PolicyKind::Interval { every: 3 }),
             "bert_tiny_interval3.txt"
         );
         assert_eq!(
-            golden_file_name(ModelFamily::ResNet, PolicyKind::Paper),
+            golden_file_name("resnet", PolicyKind::Paper),
             "resnet_paper.txt"
         );
     }

@@ -16,7 +16,8 @@
 //! cargo run --release -p egeria-scenarios --bin scenario_ab -- --bless
 //! ```
 
-use egeria_scenarios::{golden_file_name, policy_matrix, run_scenario, ModelFamily};
+use egeria_scenarios::registry::recipe;
+use egeria_scenarios::{golden_file_name, policy_matrix, run_scenario};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -33,10 +34,11 @@ fn resnet_policy_fingerprints_match_goldens_and_are_distinct() {
     // would silently force every cell onto one policy.
     std::env::remove_var("EGERIA_FREEZE_POLICY");
 
+    let resnet = recipe("resnet").expect("registry entry");
     let mut bodies: HashMap<String, String> = HashMap::new();
     for policy in policy_matrix() {
-        let r = run_scenario(ModelFamily::ResNet, policy).expect("scenario trains");
-        let path = golden_dir().join(golden_file_name(ModelFamily::ResNet, policy));
+        let r = run_scenario(&resnet, policy).expect("scenario trains");
+        let path = golden_dir().join(golden_file_name(resnet.name, policy));
         let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             panic!(
                 "cannot read {}: {e}\nbless with: cargo run --release -p egeria-scenarios --bin scenario_ab -- --bless",
