@@ -74,12 +74,12 @@ stray_cursors="$(grep -rln "from_le_bytes" crates/{tensor,core,store}/src \
 step "egeria-lint"
 # Workspace contract lint: the line-local rules (unsafe/SAFETY audit,
 # kernel panic ban, float exact-eq, determinism, vendored-deps) plus the
-# graph tier (panic/wallclock/entropy reachability from kernel and
+# graph rules (panic/wallclock/entropy reachability from kernel and
 # serialize entries, lock-order cycles, unjoined spawns — DESIGN.md §5h)
-# — hard gate before any test runs. Deny findings fail outright; warn
-# findings fail only when new vs the checked-in lint-baseline.json
-# ratchet. The gate doubles as the lint's own perf smoke: parsing and
-# resolving the whole workspace must stay under 5 seconds. The root build
+# — hard gate before any test runs: any finding fails it (a false
+# positive takes an inline `allow(<rule>)` pragma). The gate doubles as
+# the lint's own perf smoke: parsing and resolving the whole workspace
+# must stay under 5 seconds. The root build
 # above covers only the façade package, so build the lint first: the
 # timed window holds its run, never its compilation.
 cargo build --release -p egeria-lint
@@ -90,15 +90,6 @@ if [ "$lint_elapsed" -ge 5 ]; then
     echo "egeria-lint took ${lint_elapsed}s — over the 5s self-perf budget" >&2
     exit 1
 fi
-
-step "lint baseline"
-# The checked-in baseline must be byte-identical to what --bless-baseline
-# would write today: a stale baseline silently widens or mislabels the
-# warn ratchet. (Bless to a scratch file and compare.)
-cargo run --release -p egeria-lint -- --workspace --bless-baseline \
-    --baseline "$trace_dir/lint-baseline.json" >/dev/null
-cmp "$trace_dir/lint-baseline.json" lint-baseline.json \
-    || { echo "lint-baseline.json is stale — rerun with --bless-baseline" >&2; exit 1; }
 
 # The parallel compute backend must be bit-identical at every pool size
 # and well-behaved at every ISA: run the suite pinned to 1 thread with the
@@ -191,13 +182,11 @@ step "chaos soak"
 EGERIA_CHAOS_SEED=1337 cargo_test -q --test chaos_soak
 
 step "cache store gate"
-# Cache store gate (DESIGN §5j): the flat backend, no longer the default,
-# must hold the same golden-run fingerprint as chunked (lossless is
-# bit-exact) and survive a full quickstart, and the cache benchmark must
-# emit a well-formed BENCH_cache.json carrying the acceptance ratios
-# (flat-vs-chunked footprint and file count).
-EGERIA_CACHE_STORE=flat cargo_test -q --test golden_run
-EGERIA_CACHE_STORE=flat cargo run --release --example quickstart >/dev/null
+# Cache store gate (DESIGN §5j): the cache benchmark must emit a
+# well-formed BENCH_cache.json carrying the acceptance ratios
+# (flat-vs-chunked footprint and file count). That the flat backend holds
+# the chunked golden-run fingerprint is a test in both passes above
+# (golden_run, cache_store_differential).
 (cd "$trace_dir" && cargo run --release -p egeria-bench \
     --manifest-path "$OLDPWD/Cargo.toml" --bin bench_cache -- --smoke >/dev/null)
 grep -q '"footprint_ratio"' "$trace_dir/BENCH_cache.json"

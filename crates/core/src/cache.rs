@@ -102,6 +102,10 @@ pub struct ActivationCache {
     /// resume adopted — what a persisted store is tagged with; `None`
     /// until then.
     valid_prefix: Option<usize>,
+    /// The trailing dims (past the batch axis) of the entries at each
+    /// boundary: recorded by every put, and for a boundary only an adopted
+    /// store holds, asked of the lookup's caller once.
+    geometry: HashMap<usize, Vec<usize>>,
     stats: CacheStats,
     faults: Option<Arc<FaultInjector>>,
     telemetry: Telemetry,
@@ -246,7 +250,7 @@ impl Disk {
             Disk::Flat(_) => Ok(0),
             Disk::Chunked(store) => {
                 store.set_valid_prefix(prefix.map(|p| p as u64));
-                Ok(store.persist()?.failed)
+                store.persist()
             }
         }
     }
@@ -289,6 +293,7 @@ impl ActivationCache {
             bounds: HashMap::new(),
             adopted: None,
             valid_prefix: None,
+            geometry: HashMap::new(),
             stats: CacheStats::default(),
             faults: None,
             telemetry: Telemetry::disabled(),
@@ -504,6 +509,7 @@ impl ActivationCache {
         self.bounds.clear();
         self.adopted = None;
         self.valid_prefix = None;
+        self.geometry.clear();
         self.disk.clear();
         self.stats.mem_entries = 0;
         self.sync_disk_stats();
@@ -546,6 +552,10 @@ impl ActivationCache {
                 lhs: activation.dims().to_vec(),
                 rhs: vec![ids.len()],
             });
+        }
+        let tail = &activation.dims()[1..];
+        if self.geometry.get(&prefix).map(Vec::as_slice) != Some(tail) {
+            self.geometry.insert(prefix, tail.to_vec());
         }
         for (row, &id) in ids.iter().enumerate() {
             let sample = activation.narrow(0, row, 1)?;
@@ -602,7 +612,7 @@ impl ActivationCache {
     /// assembled (a lookup that ends in recompute must read as a miss;
     /// DESIGN.md §5a).
     pub fn get_batch(&mut self, ids: &[u64], prefix: usize) -> Result<Option<Tensor>> {
-        Ok(self.fetch(ids, prefix, true)?.map(|(batch, _)| batch))
+        Ok(self.fetch(ids, prefix, true, |_| Ok(None))?.map(|(batch, _)| batch))
     }
 
     /// The trainer's lookup for a step at frozen prefix `prefix`: the
@@ -611,8 +621,19 @@ impl ActivationCache {
     /// below `prefix` is a promotion — the caller carries the activation
     /// forward and puts it back — counted as a hit and a promotion. The
     /// rest is [`get_batch`](Self::get_batch)'s miss and degradation rule.
-    pub fn lookup(&mut self, ids: &[u64], prefix: usize) -> Result<Option<(Tensor, usize)>> {
-        self.fetch(ids, prefix, false)
+    ///
+    /// `model_geometry(b)` gives the model's trailing dims at boundary
+    /// `b`. It is called only for a boundary no put has shown this cache —
+    /// one that only an adopted store holds — and only once per such
+    /// boundary. A batch whose dims differ from the boundary's (a store
+    /// another model left) empties the cache: one corrupt entry and a miss.
+    pub fn lookup(
+        &mut self,
+        ids: &[u64],
+        prefix: usize,
+        model_geometry: impl FnOnce(usize) -> Result<Vec<usize>>,
+    ) -> Result<Option<(Tensor, usize)>> {
+        self.fetch(ids, prefix, false, |at| model_geometry(at).map(Some))
     }
 
     fn fetch(
@@ -620,6 +641,7 @@ impl ActivationCache {
         ids: &[u64],
         prefix: usize,
         exact: bool,
+        model_geometry: impl FnOnce(usize) -> Result<Option<Vec<usize>>>,
     ) -> Result<Option<(Tensor, usize)>> {
         // One shared boundary, settled before any disk read.
         let bound = |id: &u64| self.bounds.get(id).copied().or(self.adopted);
@@ -693,6 +715,30 @@ impl ActivationCache {
             expected_tail.get_or_insert_with(|| dims[1..].to_vec());
             parts.push(part);
         }
+        // The parts agree with each other; they must also fit the boundary.
+        if let Some(tail) = expected_tail {
+            let fits = match self.geometry.get(&at) {
+                Some(known) => *known == tail,
+                None => match model_geometry(at)? {
+                    Some(model) if model == tail => {
+                        self.geometry.insert(at, model);
+                        true
+                    }
+                    Some(_) => false,
+                    None => true,
+                },
+            };
+            if !fits {
+                eprintln!(
+                    "egeria: cached activations at boundary {at} have dims {tail:?}, \
+                     which do not fit the model; cache dropped, will recompute"
+                );
+                self.reset();
+                self.count_corrupt();
+                self.count_miss();
+                return Ok(None);
+            }
+        }
         let views: Vec<&Tensor> = parts.iter().collect();
         match Tensor::concat(&views, 0) {
             Ok(batch) => {
@@ -721,6 +767,11 @@ impl ActivationCache {
 mod tests {
     use super::*;
     use egeria_tensor::Rng;
+
+    /// The trailing dims every test model here has at every boundary.
+    fn model_dims(_: usize) -> Result<Vec<usize>> {
+        Ok(vec![2])
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("egeria_cache_test_{tag}_{}", std::process::id()));
@@ -770,19 +821,19 @@ mod tests {
         // below the prefix and says which.
         assert!(c.get_batch(&[1], 1).unwrap().is_some());
         assert!(c.get_batch(&[1], 2).unwrap().is_none());
-        assert_eq!(c.lookup(&[1], 2).unwrap(), Some((one.clone(), 1)));
-        assert_eq!(c.lookup(&[2], 2).unwrap(), Some((one.clone(), 2)));
+        assert_eq!(c.lookup(&[1], 2, model_dims).unwrap(), Some((one.clone(), 1)));
+        assert_eq!(c.lookup(&[2], 2, model_dims).unwrap(), Some((one.clone(), 2)));
         // Never a boundary past the prefix, never a batch of mixed ones.
-        assert!(c.lookup(&[2], 1).unwrap().is_none());
-        assert!(c.lookup(&[1, 2], 2).unwrap().is_none());
+        assert!(c.lookup(&[2], 1, model_dims).unwrap().is_none());
+        assert!(c.lookup(&[1, 2], 2, model_dims).unwrap().is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.promotions, s.misses), (3, 1, 3));
         let snap = tele.metrics_snapshot();
         assert_eq!(snap.counter("cache.promotions"), Some(1));
         assert_eq!(snap.counter("cache.hits"), Some(3));
         c.invalidate();
-        assert!(c.lookup(&[1], 2).unwrap().is_none());
-        assert!(c.lookup(&[2], 2).unwrap().is_none());
+        assert!(c.lookup(&[1], 2, model_dims).unwrap().is_none());
+        assert!(c.lookup(&[2], 2, model_dims).unwrap().is_none());
     }
 
     #[test]
@@ -1045,7 +1096,7 @@ mod tests {
         // A fresh open serves nothing an earlier process left.
         let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
         assert_eq!(c.valid_prefix(), None);
-        assert!(c.lookup(&[1, 2], 1).unwrap().is_none());
+        assert!(c.lookup(&[1, 2], 1, model_dims).unwrap().is_none());
         // A resume at the tagged prefix adopts the entries, so a
         // same-prefix put does NOT invalidate them.
         c.resume_at(1);
@@ -1219,9 +1270,9 @@ mod tests {
             c.persist().unwrap();
             // The prefix advances: 5 is carried forward, 1 is not yet.
             c.put_batch(&[5], &two, 2).unwrap();
-            assert_eq!(c.lookup(&[1], 2).unwrap(), Some((one.clone(), 1)));
+            assert_eq!(c.lookup(&[1], 2, model_dims).unwrap(), Some((one.clone(), 1)));
             c.persist().unwrap();
-            assert!(c.lookup(&[1], 2).unwrap().is_none(), "persist dropped it");
+            assert!(c.lookup(&[1], 2, model_dims).unwrap().is_none(), "persist dropped it");
             let st = c.store_stats().unwrap();
             assert_eq!(st.live_bytes, c.stats().disk_bytes_live);
         }
@@ -1229,20 +1280,58 @@ mod tests {
             let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
             c.resume_at(2);
             assert_eq!(c.valid_prefix(), Some(2));
-            assert!(c.lookup(&[1], 2).unwrap().is_none());
-            assert_eq!(c.lookup(&[5], 2).unwrap(), Some((two.clone(), 2)));
+            assert!(c.lookup(&[1], 2, model_dims).unwrap().is_none());
+            assert_eq!(c.lookup(&[5], 2, model_dims).unwrap(), Some((two.clone(), 2)));
             assert_eq!(c.stats().disk_reads, 1);
             // Another advance: the adopted 5 still promotes, but it is not
             // listed, so this persist cannot drop it and tags nothing.
             c.put_batch(&[6], &two, 3).unwrap();
-            assert_eq!(c.lookup(&[5], 3).unwrap(), Some((two.clone(), 2)));
+            assert_eq!(c.lookup(&[5], 3, model_dims).unwrap(), Some((two.clone(), 2)));
             c.persist().unwrap();
         }
         let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
         assert_eq!(c.disk.persisted_prefix(), None);
         c.resume_at(3);
-        assert!(c.lookup(&[6], 3).unwrap().is_none());
-        assert!(c.lookup(&[5], 3).unwrap().is_none());
+        assert!(c.lookup(&[6], 3, model_dims).unwrap().is_none());
+        assert!(c.lookup(&[5], 3, model_dims).unwrap().is_none());
+    }
+
+    #[test]
+    fn adopted_entries_of_another_geometry_empty_the_cache() {
+        // A caller-named dir another model filled: the tag and grid match,
+        // the dims do not. The first lookup asks the model once, finds the
+        // mismatch, and drops everything: one corrupt entry and a miss.
+        let dir = tmp_dir("ck_geometry");
+        let cfg = StoreConfig {
+            chunk_samples: 4,
+            chunks_per_shard: 2,
+            ..StoreConfig::default()
+        };
+        {
+            let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
+            c.put_batch(&[1, 2], &Tensor::ones(&[2, 3]), 1).unwrap();
+            c.persist().unwrap();
+        }
+        let mut c = ActivationCache::with_store(&dir, 5, cfg).unwrap();
+        c.resume_at(1);
+        let mut asked = Vec::new();
+        let got = c
+            .lookup(&[1, 2], 1, |at| {
+                asked.push(at);
+                model_dims(at)
+            })
+            .unwrap();
+        assert!(got.is_none());
+        assert_eq!(asked, [1]);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.corrupt_entries), (0, 1, 1));
+        assert_eq!(s.disk_bytes_live, 0);
+        assert_eq!(c.valid_prefix(), None);
+        // Entries of the model's own geometry are served as before, and a
+        // boundary a put has shown is never asked about again.
+        c.put_batch(&[1, 2], &Tensor::ones(&[2, 2]), 1).unwrap();
+        let never = |_: usize| -> Result<Vec<usize>> { panic!("geometry is known") };
+        assert!(c.lookup(&[1, 2], 1, never).unwrap().is_some());
     }
 
     #[test]
@@ -1269,7 +1358,7 @@ mod tests {
             c.put_batch(&[1], &Tensor::full(&[1, 2], 2.0), 2).unwrap();
             assert_eq!(c.stats().write_errors, 1);
             c.put_batch(&[2], &Tensor::ones(&[1, 2]), 2).unwrap(); // evicts 1
-            assert!(c.lookup(&[1], 2).unwrap().is_none(), "{:?}", c.store_kind());
+            assert!(c.lookup(&[1], 2, model_dims).unwrap().is_none(), "{:?}", c.store_kind());
         }
     }
 

@@ -517,8 +517,6 @@ pub struct CheckpointStore {
     dir: PathBuf,
     keep: usize,
     faults: Option<Arc<FaultInjector>>,
-    /// Save failures survived so far (degradation counter).
-    pub save_errors: usize,
 }
 
 impl CheckpointStore {
@@ -530,7 +528,6 @@ impl CheckpointStore {
             dir,
             keep: keep.max(1),
             faults: None,
-            save_errors: 0,
         })
     }
 

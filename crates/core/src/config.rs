@@ -46,31 +46,7 @@ impl PolicyKind {
             PolicyKind::RegressionAware => "regression",
         }
     }
-
-    /// Parses `"paper" | "learned" | "interval[:N]" | "never" |
-    /// "regression"` (the `EGERIA_FREEZE_POLICY` syntax).
-    pub fn parse(s: &str) -> Option<PolicyKind> {
-        let s = s.trim();
-        if let Some(rest) = s.strip_prefix("interval") {
-            let every = match rest.strip_prefix(':') {
-                Some(n) => n.parse().ok().filter(|&n| n > 0)?,
-                None if rest.is_empty() => DEFAULT_INTERVAL_EVERY,
-                None => return None,
-            };
-            return Some(PolicyKind::Interval { every });
-        }
-        match s {
-            "paper" => Some(PolicyKind::Paper),
-            "learned" => Some(PolicyKind::Learned),
-            "never" => Some(PolicyKind::NeverFreeze),
-            "regression" => Some(PolicyKind::RegressionAware),
-            _ => None,
-        }
-    }
 }
-
-/// Default freeze period of [`PolicyKind::Interval`] when none is given.
-pub const DEFAULT_INTERVAL_EVERY: usize = 5;
 
 /// Which backend the activation cache persists to (DESIGN §5j). Chunked,
 /// the default, is the egeria-store chunk/shard layout; flat is the
@@ -92,15 +68,6 @@ impl CacheStoreKind {
         match self {
             CacheStoreKind::Flat => "flat",
             CacheStoreKind::Chunked => "chunked",
-        }
-    }
-
-    /// Parses the `EGERIA_CACHE_STORE` syntax (`"flat" | "chunked"`).
-    pub fn parse(s: &str) -> Option<CacheStoreKind> {
-        match s.trim() {
-            "flat" => Some(CacheStoreKind::Flat),
-            "chunked" => Some(CacheStoreKind::Chunked),
-            _ => None,
         }
     }
 }
@@ -151,11 +118,9 @@ pub struct EgeriaConfig {
     pub cache_fp: bool,
     /// In-memory cache window, in batches (the paper keeps 5).
     pub cache_mem_batches: usize,
-    /// Freeze/unfreeze decision policy (DESIGN §5i). Overridable at run
-    /// time via `EGERIA_FREEZE_POLICY` ([`EgeriaConfig::with_env_overrides`]).
+    /// Freeze/unfreeze decision policy (DESIGN §5i).
     pub policy: PolicyKind,
-    /// Activation-cache backend (DESIGN §5j). Overridable at run time via
-    /// `EGERIA_CACHE_STORE` ([`EgeriaConfig::with_env_overrides`]).
+    /// Activation-cache backend (DESIGN §5j).
     pub cache_store: CacheStoreKind,
 }
 
@@ -186,42 +151,11 @@ impl EgeriaConfig {
         self
     }
 
-    /// Applies the two run-time overrides a config honours —
-    /// `EGERIA_FREEZE_POLICY` over [`policy`](Self::policy) and
-    /// `EGERIA_CACHE_STORE` over [`cache_store`](Self::cache_store). The
-    /// trainer calls this once per run, on its own copy of the config.
-    pub fn with_env_overrides(mut self) -> Self {
-        if let Some(policy) = env_override(
-            "EGERIA_FREEZE_POLICY",
-            "paper|learned|interval[:N]|never|regression",
-            PolicyKind::parse,
-        ) {
-            self.policy = policy;
-        }
-        if let Some(store) =
-            env_override("EGERIA_CACHE_STORE", "flat|chunked", CacheStoreKind::parse)
-        {
-            self.cache_store = store;
-        }
-        self
-    }
-
     /// Halved-criteria variant used for refreezing after an unfreeze
     /// (§4.2.2: "halve the counter and history buffer for refreezing").
     pub fn relaxed_for_refreeze(&self) -> (usize, usize) {
         ((self.w / 2).max(2), (self.s / 2).max(1))
     }
-}
-
-/// Reads one `EGERIA_*` override; `None` when unset. An unparsable value is
-/// reported and ignored rather than aborting training.
-fn env_override<T>(key: &str, expected: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
-    let raw = std::env::var(key).ok()?;
-    let parsed = parse(&raw);
-    if parsed.is_none() {
-        eprintln!("egeria: ignoring unparsable {key}={raw:?} (expected {expected})");
-    }
-    parsed
 }
 
 #[cfg(test)]
@@ -243,39 +177,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_parses_all_spellings() {
-        assert_eq!(PolicyKind::parse("paper"), Some(PolicyKind::Paper));
-        assert_eq!(PolicyKind::parse("learned"), Some(PolicyKind::Learned));
-        assert_eq!(PolicyKind::parse("never"), Some(PolicyKind::NeverFreeze));
-        assert_eq!(
-            PolicyKind::parse("regression"),
-            Some(PolicyKind::RegressionAware)
-        );
-        assert_eq!(
-            PolicyKind::parse("interval"),
-            Some(PolicyKind::Interval {
-                every: DEFAULT_INTERVAL_EVERY
-            })
-        );
-        assert_eq!(
-            PolicyKind::parse("interval:3"),
-            Some(PolicyKind::Interval { every: 3 })
-        );
-        assert_eq!(PolicyKind::parse("interval:0"), None);
-        assert_eq!(PolicyKind::parse("interval:x"), None);
-        assert_eq!(PolicyKind::parse("bogus"), None);
-        assert_eq!(EgeriaConfig::default().policy, PolicyKind::Paper);
-    }
-
-    #[test]
-    fn cache_store_kind_parses_all_spellings() {
-        assert_eq!(CacheStoreKind::parse("flat"), Some(CacheStoreKind::Flat));
-        assert_eq!(
-            CacheStoreKind::parse(" chunked "),
-            Some(CacheStoreKind::Chunked)
-        );
-        assert_eq!(CacheStoreKind::parse("zarr"), None);
+    fn defaults_are_the_paper_policy_on_the_chunked_store() {
         let c = EgeriaConfig::default();
+        assert_eq!(c.policy, PolicyKind::Paper);
         assert_eq!(c.cache_store, CacheStoreKind::Chunked);
         assert_eq!(CacheStoreKind::Flat.name(), "flat");
         assert_eq!(CacheStoreKind::Chunked.name(), "chunked");

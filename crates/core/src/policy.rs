@@ -22,7 +22,7 @@
 //! container; the versioning rules (kind must match, versions only
 //! upgradable) are specified in DESIGN §5i.
 
-use crate::config::{EgeriaConfig, PolicyKind, UnfreezePolicy, DEFAULT_INTERVAL_EVERY};
+use crate::config::{EgeriaConfig, PolicyKind, UnfreezePolicy};
 use crate::plasticity::PlasticityObservation;
 use egeria_tensor::{Result, TensorError};
 
@@ -436,12 +436,6 @@ impl IntervalPolicy {
         IntervalPolicy {
             every: every.max(1),
         }
-    }
-}
-
-impl Default for IntervalPolicy {
-    fn default() -> Self {
-        IntervalPolicy::new(DEFAULT_INTERVAL_EVERY)
     }
 }
 

@@ -29,7 +29,6 @@ use egeria_tensor::{Result, Tensor, TensorError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The optimizer driving parameter updates.
 pub enum Optimizer {
@@ -86,8 +85,6 @@ pub struct TrainerOptions {
     /// on, each run makes a temp dir of its own and removes it when it
     /// ends; a directory named here is never removed.
     pub cache_dir: Option<PathBuf>,
-    /// Evaluate on the validation set every this many epochs (1 = every).
-    pub eval_every: usize,
     /// Crash-consistent checkpointing; `None` disables it. When set, the
     /// trainer auto-resumes from the newest valid checkpoint in the
     /// directory before the first epoch.
@@ -111,7 +108,6 @@ impl Default for TrainerOptions {
             egeria: None,
             lr_per_iteration: false,
             cache_dir: None,
-            eval_every: 1,
             checkpoint: None,
             faults: None,
             health: None,
@@ -127,9 +123,9 @@ pub struct EpochRecord {
     pub epoch: usize,
     /// Mean training loss.
     pub train_loss: f32,
-    /// Validation loss (if evaluated this epoch).
+    /// Validation loss (`None` when the run has no validation set).
     pub val_loss: Option<f32>,
-    /// Validation task metric (if evaluated this epoch).
+    /// Validation task metric (`None` when the run has no validation set).
     pub val_metric: Option<f32>,
     /// Learning rate in effect at the epoch start.
     pub lr: f32,
@@ -199,9 +195,6 @@ pub struct TrainReport {
     pub cache_stats: CacheStats,
     /// Reference counters.
     pub reference_stats: ReferenceStats,
-    /// Wall-clock seconds of the whole run (this machine, not the
-    /// simulated testbed).
-    pub wall_seconds: f64,
     /// Total bytes of input data materialized (for the cache-storage-ratio
     /// report).
     pub input_bytes: u64,
@@ -265,7 +258,7 @@ struct StepPath {
 /// 5. `EgeriaTrainer::optimizer_step` — model parameters, optimizer.
 /// 6. `EgeriaTrainer::save_checkpoint` — cache flush, checkpoint store.
 struct EgeriaRun {
-    /// This run's copy of the config, env overrides applied.
+    /// This run's copy of the config.
     cfg: EgeriaConfig,
     bootstrap: BootstrapMonitor,
     freezer: FreezingEngine,
@@ -520,25 +513,22 @@ impl EgeriaTrainer {
 
     /// Runs the full training loop.
     ///
-    /// `val` is evaluated every `eval_every` epochs with its own loader.
+    /// `val` is evaluated after every epoch with its own loader.
     pub fn train(
         &mut self,
         train: &dyn Dataset,
         loader: &DataLoader,
         val: Option<(&dyn Dataset, &DataLoader)>,
     ) -> Result<TrainReport> {
-        let started = Instant::now();
         let telemetry = self.options.telemetry.clone();
         let health = self
             .options
             .health
             .clone()
             .unwrap_or_else(|| HealthMonitor::new(telemetry.clone()));
-        // Env overrides apply to this run's copy of the config only — the
-        // options keep what the caller configured.
         let mut run = match self.options.egeria {
             Some(cfg) => Some(EgeriaRun::start(
-                cfg.with_env_overrides(),
+                cfg,
                 self.model.as_ref(),
                 &self.options,
                 Arc::clone(&health),
@@ -628,12 +618,12 @@ impl EgeriaTrainer {
                 global_step += 1;
             }
 
-            let (val_loss, val_metric) = match (&val, epoch % self.options.eval_every.max(1)) {
-                (Some((vd, vl)), 0) => {
+            let (val_loss, val_metric) = match &val {
+                Some((vd, vl)) => {
                     let (l, m) = evaluate(self.model.as_mut(), *vd, vl)?;
                     (Some(l), Some(m))
                 }
-                _ => (None, None),
+                None => (None, None),
             };
             report.epochs.push(EpochRecord {
                 epoch,
@@ -662,7 +652,6 @@ impl EgeriaTrainer {
                 reasons.into_iter().map(str::to_string).collect()
             }
         };
-        report.wall_seconds = started.elapsed().as_secs_f64();
         Ok(report)
     }
 
@@ -752,7 +741,6 @@ impl EgeriaTrainer {
             .iteration(global_step as u64);
         if let Err(e) = store.save(&ckpt) {
             eprintln!("egeria: checkpoint save failed at epoch {epoch}: {e}");
-            store.save_errors += 1;
             report.checkpoint_save_errors += 1;
             telemetry.counter("checkpoint.save_errors").inc();
         } else {
@@ -851,14 +839,22 @@ impl EgeriaTrainer {
 /// boundary (`"hit"`), a cached earlier boundary carried forward over the
 /// modules frozen since (`"promoted"`), or a fresh capture (`"miss"`). The
 /// last two are put back at `prefix`. Frozen modules run in `Mode::Eval` on
-/// every path, so all three give the same bits.
+/// every path, so all three give the same bits. Entries whose dims do not
+/// fit the model (a reused `cache_dir`) are a miss, never an abort.
 fn frozen_boundary(
     model: &mut dyn Model,
     cache: &mut ActivationCache,
     batch: &Batch,
     prefix: usize,
 ) -> Result<(Tensor, &'static str)> {
-    let (boundary, outcome) = match cache.lookup(&batch.sample_ids, prefix)? {
+    // Asked only of a boundary this run has not computed, i.e. one a
+    // resume adopted: its dims are the model's output of module `at - 1`.
+    // The trainer never caches boundary 0 (the input), so nothing fits it.
+    let geometry = |at: usize| match at.checked_sub(1) {
+        Some(module) => Ok(model.capture_activation(batch, module)?.dims()[1..].to_vec()),
+        None => Ok(Vec::new()),
+    };
+    let (boundary, outcome) = match cache.lookup(&batch.sample_ids, prefix, geometry)? {
         Some((act, at)) if at == prefix => return Ok((act, "hit")),
         Some((act, at)) => (model.forward_from(batch, at, &act, prefix)?, "promoted"),
         None => (model.capture_activation(batch, prefix - 1)?, "miss"),

@@ -51,7 +51,7 @@ pub struct Config {
     /// Per-rule tables, keyed by rule id.
     pub rules: BTreeMap<String, RuleConfig>,
     /// The `[graph]` table: call-graph entry points (`kernel_entries`,
-    /// `serialize_entries`) shared by the graph-tier rules (§5h).
+    /// `serialize_entries`) shared by the graph rules (§5h).
     pub graph: RuleConfig,
 }
 
@@ -66,7 +66,7 @@ impl Config {
         self.rules.get(rule).cloned().unwrap_or_default()
     }
 
-    /// Whether a `[rules.<id>]` table is declared at all. Graph-tier rules
+    /// Whether a `[rules.<id>]` table is declared at all. Graph rules
     /// only run when declared, so pre-graph configs keep exact behavior.
     pub fn has_rule(&self, rule: &str) -> bool {
         self.rules.contains_key(rule)
@@ -282,7 +282,7 @@ kernel_entries = [\"egeria_tensor::gemm::*\"]
 serialize_entries = [\"egeria_core::checkpoint::to_bytes\"]
 
 [rules.lock-order]
-tier = \"warn\"
+skip_test_code = true
 ";
         let cfg = parse(src).unwrap();
         assert_eq!(cfg.graph.list("kernel_entries"), ["egeria_tensor::gemm::*"]);
@@ -292,7 +292,7 @@ tier = \"warn\"
         );
         assert!(cfg.has_rule("lock-order"));
         assert!(!cfg.has_rule("unjoined-spawn"));
-        assert_eq!(cfg.rule("lock-order").strings["tier"], "warn");
+        assert!(cfg.rule("lock-order").bool("skip_test_code", false));
     }
 
     #[test]

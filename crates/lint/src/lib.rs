@@ -16,7 +16,6 @@
 
 pub mod config;
 pub mod graph;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod reach;
@@ -24,7 +23,7 @@ pub mod rules;
 pub mod rules_graph;
 
 pub use config::Config;
-pub use rules::{Finding, Tier};
+pub use rules::Finding;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -51,7 +50,7 @@ pub fn lint_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
 /// by path, then position.
 ///
 /// Runs in two phases: the token-level rules see each file alone; the
-/// graph-tier rules ([`rules_graph`]) then run over the whole parsed
+/// graph rules ([`rules_graph`]) then run over the whole parsed
 /// workspace at once, so their findings can cite cross-file witness call
 /// paths. Graph findings honor the same `allow` pragma mechanism — a
 /// pragma on the finding's anchor line in the anchor file suppresses it.

@@ -5,49 +5,28 @@
 //! egeria-lint [--root DIR] FILE...         # lint specific files
 //! ```
 //!
-//! Flags:
-//!
-//! * `--json` — emit the findings as a machine-readable document (schema 1,
-//!   stable sort: rule, file, line) on stdout instead of one line per
-//!   finding.
-//! * `--baseline FILE` — warn-tier ratchet file (default:
-//!   `<root>/lint-baseline.json` when it exists). Warn findings whose
-//!   `(rule, path)` is covered by the baseline pass; new ones fail.
-//! * `--bless-baseline` — rewrite the baseline from the current warn
-//!   findings, then gate only the deny tier.
-//!
-//! Exits 0 when the gate passes (no deny findings, no new warn findings),
-//! 1 when it fails, 2 on usage/config errors. The config is read from
-//! `<root>/lint.toml`; `--root` defaults to the current directory (ci.sh
-//! runs from the repo root).
+//! Exits 0 when there are no findings, 1 when there is any, 2 on
+//! usage/config errors. The config is read from `<root>/lint.toml`;
+//! `--root` defaults to the current directory (ci.sh runs from the repo
+//! root).
 
 #![forbid(unsafe_code)]
 
-use egeria_lint::{json, Tier};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut workspace = false;
-    let mut as_json = false;
-    let mut bless = false;
     let mut root = PathBuf::from(".");
-    let mut baseline_arg: Option<PathBuf> = None;
     let mut files: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--json" => as_json = true,
-            "--bless-baseline" => bless = true,
             "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage("--root requires a directory"),
-            },
-            "--baseline" => match args.next() {
-                Some(path) => baseline_arg = Some(PathBuf::from(path)),
-                None => return usage("--baseline requires a file"),
             },
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -71,7 +50,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let (mut findings, scanned) = if workspace {
+    let (findings, scanned) = if workspace {
         match egeria_lint::lint_tree(&root, &cfg) {
             Ok(report) => (report.findings, report.files_scanned),
             Err(e) => {
@@ -96,61 +75,21 @@ fn main() -> ExitCode {
         (findings, scanned)
     };
 
-    // Baseline: explicit flag wins; otherwise the conventional file at the
-    // root, when present. No baseline → every warn finding is new.
-    let baseline_path = baseline_arg.unwrap_or_else(|| root.join("lint-baseline.json"));
-    if bless {
-        let doc = json::render_baseline(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, doc) {
-            eprintln!("egeria-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("egeria-lint: blessed {}", baseline_path.display());
+    for f in &findings {
+        println!("{f}");
     }
-    let baseline = if baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|src| json::parse_baseline(&src))
-        {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("egeria-lint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Vec::new()
-    };
-
-    let deny = findings.iter().filter(|f| f.tier == Tier::Deny).count();
-    let new_warn = json::new_warn_findings(&findings, &baseline).len();
-    let warn = findings.iter().filter(|f| f.tier == Tier::Warn).count();
-
-    if as_json {
-        print!("{}", json::render(&mut findings, scanned));
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-    }
-
     if findings.is_empty() {
         eprintln!("egeria-lint: clean ({scanned} files scanned)");
         return ExitCode::SUCCESS;
     }
     eprintln!(
-        "egeria-lint: {deny} deny, {warn} warn ({new_warn} new vs baseline) \
-         in {scanned} scanned file(s)"
+        "egeria-lint: {} finding(s) in {scanned} scanned file(s)",
+        findings.len()
     );
-    if deny > 0 || new_warn > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::FAILURE
 }
 
-const USAGE: &str = "usage: egeria-lint --workspace [--root DIR] [--json] \
-                     [--baseline FILE] [--bless-baseline] | egeria-lint FILE...";
+const USAGE: &str = "usage: egeria-lint --workspace [--root DIR] | egeria-lint [--root DIR] FILE...";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("egeria-lint: {msg}");

@@ -39,7 +39,7 @@ pub const VENDORED_DEPS_ONLY: &str = "vendored-deps-only";
 pub const NO_WALLCLOCK_SLEEP_RETRY: &str = "no-wallclock-sleep-retry";
 pub const ARCH_INTRINSICS_CONFINED: &str = "arch-intrinsics-confined";
 
-/// All rule ids (token tier + graph tier), for pragma validation.
+/// All rule ids (token rules + graph rules), for pragma validation.
 pub const ALL_RULES: &[&str] = &[
     UNSAFE_NEEDS_SAFETY,
     NO_PANIC_IN_KERNELS,
@@ -55,29 +55,10 @@ pub const ALL_RULES: &[&str] = &[
     crate::rules_graph::UNJOINED_SPAWN,
 ];
 
-/// Enforcement tier. `Deny` findings always fail the gate; `Warn` findings
-/// are ratcheted against the checked-in `lint-baseline.json` — known ones
-/// pass, new ones fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
-    Deny,
-    Warn,
-}
-
-impl Tier {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Tier::Deny => "deny",
-            Tier::Warn => "warn",
-        }
-    }
-}
-
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: &'static str,
-    pub tier: Tier,
     pub path: String,
     pub line: u32,
     pub col: u32,
@@ -203,7 +184,6 @@ fn unsafe_needs_safety(rel: &str, scan: &Scan, findings: &mut Vec<Finding>) {
         });
         if !covered {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: UNSAFE_NEEDS_SAFETY,
                 path: rel.to_string(),
                 line: t.line,
@@ -237,7 +217,6 @@ fn no_panic(rel: &str, scan: &Scan, findings: &mut Vec<Finding>, skip: impl Fn(u
         };
         if flagged {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: NO_PANIC_IN_KERNELS,
                 path: rel.to_string(),
                 line: t.line,
@@ -274,7 +253,6 @@ fn float_exact_eq(rel: &str, scan: &Scan, findings: &mut Vec<Finding>, skip: imp
         };
         if lhs_float || rhs_float {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: FLOAT_EXACT_EQ,
                 path: rel.to_string(),
                 line: t.line,
@@ -317,7 +295,6 @@ fn determinism(rel: &str, scan: &Scan, cfg: &Config, findings: &mut Vec<Finding>
                 || t.text == "from_entropy";
             if banned_time {
                 findings.push(Finding {
-                    tier: Tier::Deny,
                     rule: DETERMINISM,
                     path: rel.to_string(),
                     line: t.line,
@@ -332,7 +309,6 @@ fn determinism(rel: &str, scan: &Scan, cfg: &Config, findings: &mut Vec<Finding>
         }
         if serialize_module && (t.text == "HashMap" || t.text == "HashSet") {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: DETERMINISM,
                 path: rel.to_string(),
                 line: t.line,
@@ -349,7 +325,6 @@ fn determinism(rel: &str, scan: &Scan, cfg: &Config, findings: &mut Vec<Finding>
             && (seq(i, &["thread", "::", "spawn"]) || seq(i, &["thread", "::", "Builder"]))
         {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: DETERMINISM,
                 path: rel.to_string(),
                 line: t.line,
@@ -388,7 +363,6 @@ fn no_wallclock_sleep_retry(
             || t.text == "SystemTime";
         if flagged {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: NO_WALLCLOCK_SLEEP_RETRY,
                 path: rel.to_string(),
                 line: t.line,
@@ -421,7 +395,6 @@ fn arch_intrinsics_confined(rel: &str, scan: &Scan, findings: &mut Vec<Finding>)
         }
         if seq(i, &[&t.text, "::", "arch"]) {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: ARCH_INTRINSICS_CONFINED,
                 path: rel.to_string(),
                 line: t.line,
@@ -478,7 +451,6 @@ pub fn check_manifest(manifest_rel: &str, manifest_src: &str) -> Vec<Finding> {
     for (dep, line) in externals {
         if !patched.iter().any(|(p, _)| *p == dep) {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: VENDORED_DEPS_ONLY,
                 path: manifest_rel.to_string(),
                 line,
@@ -494,7 +466,6 @@ pub fn check_manifest(manifest_rel: &str, manifest_src: &str) -> Vec<Finding> {
     for (patch, line) in patched {
         if !deps.contains(&patch) {
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: VENDORED_DEPS_ONLY,
                 path: manifest_rel.to_string(),
                 line,
@@ -517,7 +488,6 @@ pub fn unknown_pragma_rules(rel: &str, scan: &Scan) -> Vec<Finding> {
         if !ALL_RULES.contains(&rule.as_str()) {
             let line = lines.iter().next().copied().unwrap_or(1);
             findings.push(Finding {
-                tier: Tier::Deny,
                 rule: "unknown-pragma",
                 path: rel.to_string(),
                 line,

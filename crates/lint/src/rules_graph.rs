@@ -1,4 +1,4 @@
-//! The call-graph rule tier (DESIGN.md §5h).
+//! The call-graph rules (DESIGN.md §5h).
 //!
 //! Where the token rules in [`crate::rules`] are line-local, these rules
 //! reason over the workspace call graph built by [`crate::graph`]:
@@ -16,8 +16,7 @@
 //!   the call graph; a cycle in the resulting lock-order graph is a
 //!   potential deadlock. Lock identity is the heuristic `(crate, receiver
 //!   ident)` pair, and guard release is not modeled — both conservative,
-//!   which is why this rule defaults to the warn tier and rides the
-//!   `lint-baseline.json` ratchet.
+//!   so a false positive takes an `allow(lock-order)` pragma.
 //! - `unjoined-spawn` — a `thread::spawn` / `Builder…spawn` whose
 //!   JoinHandle is discarded (statement position or `let _ =`), so nothing
 //!   can ever join or supervise the thread.
@@ -26,14 +25,14 @@
 //! [`crate::reach::Reachability::witness`]); every rule honors the
 //! standard `// egeria-lint: allow(<rule>): <reason>` pragma at the
 //! finding's anchor line. A rule only runs when its `[rules.<id>]` table
-//! exists in lint.toml, so configs written before the graph tier keep
+//! exists in lint.toml, so configs written before the graph rules keep
 //! their exact behavior.
 
 use crate::config::Config;
 use crate::graph::{CallGraph, FnId};
 use crate::parser::{ParsedFile, SinkKind};
 use crate::reach::Reachability;
-use crate::rules::{Finding, Tier};
+use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub const PANIC_REACHABLE: &str = "panic-reachable-from-kernel";
@@ -42,7 +41,7 @@ pub const ENTROPY_REACHABLE: &str = "entropy-reachable";
 pub const LOCK_ORDER: &str = "lock-order";
 pub const UNJOINED_SPAWN: &str = "unjoined-spawn";
 
-/// All graph-tier rule ids (spliced into [`crate::rules::ALL_RULES`]).
+/// All graph rule ids (spliced into [`crate::rules::ALL_RULES`]).
 pub const GRAPH_RULES: &[&str] = &[
     PANIC_REACHABLE,
     WALLCLOCK_REACHABLE,
@@ -50,14 +49,6 @@ pub const GRAPH_RULES: &[&str] = &[
     LOCK_ORDER,
     UNJOINED_SPAWN,
 ];
-
-fn tier_of(cfg: &Config, rule: &str, default: Tier) -> Tier {
-    match cfg.rule(rule).strings.get("tier").map(String::as_str) {
-        Some("warn") => Tier::Warn,
-        Some("deny") => Tier::Deny,
-        _ => default,
-    }
-}
 
 /// Runs every configured graph rule over the parsed workspace. `deps` is
 /// the transitively closed crate dependency map used to prune impossible
@@ -84,7 +75,6 @@ pub fn run_graph_rules(
             &reach,
             SinkKind::Panic,
             PANIC_REACHABLE,
-            tier_of(cfg, PANIC_REACHABLE, Tier::Deny),
             "reachable from a kernel entry point; a panic mid-train-step breaks \
              checkpoint/resume and freezing-timeline replay",
             &mut findings,
@@ -97,7 +87,6 @@ pub fn run_graph_rules(
             &reach,
             SinkKind::WallClock,
             WALLCLOCK_REACHABLE,
-            tier_of(cfg, WALLCLOCK_REACHABLE, Tier::Deny),
             "wall-clock read reachable from a kernel/serialize entry point; \
              bit-identical replay (golden-run fingerprint) forbids time-dependent \
              values on these paths",
@@ -111,14 +100,13 @@ pub fn run_graph_rules(
             &reach,
             SinkKind::Entropy,
             ENTROPY_REACHABLE,
-            tier_of(cfg, ENTROPY_REACHABLE, Tier::Deny),
             "entropy source reachable from a kernel/serialize entry point; \
              bit-identical replay forbids nondeterministic values on these paths",
             &mut findings,
         );
     }
     if cfg.has_rule(LOCK_ORDER) {
-        lock_order(files, &graph, cfg, &mut findings);
+        lock_order(files, &graph, &mut findings);
     }
     if cfg.has_rule(UNJOINED_SPAWN) {
         unjoined_spawn(files, cfg, &mut findings);
@@ -127,13 +115,11 @@ pub fn run_graph_rules(
 }
 
 /// Emits one finding per sink site of `kind` inside a reachable function.
-#[allow(clippy::too_many_arguments)]
 fn sink_findings(
     files: &[ParsedFile],
     reach: &Reachability,
     kind: SinkKind,
     rule: &'static str,
-    tier: Tier,
     why: &str,
     findings: &mut Vec<Finding>,
 ) {
@@ -149,7 +135,6 @@ fn sink_findings(
             let witness = reach.witness(files, id, &sink.what, sink.line, sink.col);
             findings.push(Finding {
                 rule,
-                tier,
                 path: pf.rel.clone(),
                 line: sink.line,
                 col: sink.col,
@@ -173,9 +158,7 @@ struct AcqSite {
 /// `lock-order`: builds per-function acquisition lists, propagates
 /// "eventually acquires" sets through the call graph, adds held→acquired
 /// edges, and reports every strongly-connected component of ≥ 2 locks.
-fn lock_order(files: &[ParsedFile], graph: &CallGraph, cfg: &Config, findings: &mut Vec<Finding>) {
-    let tier = tier_of(cfg, LOCK_ORDER, Tier::Warn);
-
+fn lock_order(files: &[ParsedFile], graph: &CallGraph, findings: &mut Vec<Finding>) {
     // Known Mutex/RwLock field names per crate, so `.read()`/`.write()`
     // (which also name ubiquitous io methods) only count on lock fields.
     // `.lock()` always counts.
@@ -395,7 +378,6 @@ fn lock_order(files: &[ParsedFile], graph: &CallGraph, cfg: &Config, findings: &
         let names: Vec<String> = members.iter().map(|m| format!("`{}`", m.1)).collect();
         findings.push(Finding {
             rule: LOCK_ORDER,
-            tier,
             path: anchor.file.clone(),
             line: anchor.line,
             col: anchor.col,
@@ -465,7 +447,6 @@ fn sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 
 /// `unjoined-spawn`: spawn sites whose JoinHandle is discarded.
 fn unjoined_spawn(files: &[ParsedFile], cfg: &Config, findings: &mut Vec<Finding>) {
-    let tier = tier_of(cfg, UNJOINED_SPAWN, Tier::Deny);
     let skip_tests = cfg.rule(UNJOINED_SPAWN).bool("skip_test_code", true);
     for pf in files {
         if !cfg.rule_applies(UNJOINED_SPAWN, &pf.rel) {
@@ -477,7 +458,6 @@ fn unjoined_spawn(files: &[ParsedFile], cfg: &Config, findings: &mut Vec<Finding
             }
             findings.push(Finding {
                 rule: UNJOINED_SPAWN,
-                tier,
                 path: pf.rel.clone(),
                 line: s.line,
                 col: s.col,

@@ -1,9 +1,9 @@
-//! Integration tests for the graph-rule tier: the seeded fixture mini-tree
+//! Integration tests for the graph rules: the seeded fixture mini-tree
 //! under `tests/graph_fixtures/` (known call chains, exact findings, exact
-//! witness-path text), the `--json` / baseline-ratchet binary surface, and
-//! the workspace-wide gate mirroring `lint_tests::workspace_is_clean`.
+//! witness-path text), the binary's exit status over that corpus, and the
+//! workspace-wide gate mirroring `lint_tests::workspace_is_clean`.
 
-use egeria_lint::{json, lint_tree, load_config, rules_graph, Tier};
+use egeria_lint::{lint_tree, load_config, rules_graph};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -18,7 +18,7 @@ fn repo_root() -> PathBuf {
         .expect("repo root")
 }
 
-/// The graph corpus findings, down to (path, line, col, rule, tier). The
+/// The graph corpus findings, down to (path, line, col, rule). The
 /// pragma fixture's reachable `.expect()` must NOT appear (suppressed), and
 /// the bound-and-joined spawn in `supervised` must not be flagged.
 #[test]
@@ -26,22 +26,22 @@ fn graph_fixture_findings_are_exact() {
     let root = fixtures_root();
     let cfg = load_config(&root).expect("fixture lint.toml");
     let report = lint_tree(&root, &cfg).expect("lint graph fixtures");
-    let got: Vec<(String, u32, u32, &str, Tier)> = report
+    let got: Vec<(String, u32, u32, &str)> = report
         .findings
         .iter()
-        .map(|f| (f.path.clone(), f.line, f.col, f.rule, f.tier))
+        .map(|f| (f.path.clone(), f.line, f.col, f.rule))
         .collect();
-    let want: Vec<(String, u32, u32, &str, Tier)> = [
-        ("crates/core/src/locks.rs", 13, 25, rules_graph::LOCK_ORDER, Tier::Warn),
-        ("crates/core/src/rng.rs", 4, 19, rules_graph::ENTROPY_REACHABLE, Tier::Deny),
-        ("crates/core/src/ser.rs", 8, 24, rules_graph::WALLCLOCK_REACHABLE, Tier::Deny),
-        ("crates/core/src/ser.rs", 9, 16, rules_graph::WALLCLOCK_REACHABLE, Tier::Deny),
-        ("crates/core/src/spawner.rs", 4, 18, rules_graph::UNJOINED_SPAWN, Tier::Deny),
-        ("crates/core/src/spawner.rs", 13, 26, rules_graph::UNJOINED_SPAWN, Tier::Deny),
-        ("crates/core/src/util.rs", 4, 16, rules_graph::PANIC_REACHABLE, Tier::Deny),
+    let want: Vec<(String, u32, u32, &str)> = [
+        ("crates/core/src/locks.rs", 13, 25, rules_graph::LOCK_ORDER),
+        ("crates/core/src/rng.rs", 4, 19, rules_graph::ENTROPY_REACHABLE),
+        ("crates/core/src/ser.rs", 8, 24, rules_graph::WALLCLOCK_REACHABLE),
+        ("crates/core/src/ser.rs", 9, 16, rules_graph::WALLCLOCK_REACHABLE),
+        ("crates/core/src/spawner.rs", 4, 18, rules_graph::UNJOINED_SPAWN),
+        ("crates/core/src/spawner.rs", 13, 26, rules_graph::UNJOINED_SPAWN),
+        ("crates/core/src/util.rs", 4, 16, rules_graph::PANIC_REACHABLE),
     ]
     .into_iter()
-    .map(|(p, l, c, r, t)| (p.to_string(), l, c, r, t))
+    .map(|(p, l, c, r)| (p.to_string(), l, c, r))
     .collect();
     assert_eq!(got, want);
 }
@@ -83,7 +83,6 @@ fn lock_order_cycle_cites_both_directions() {
         .iter()
         .find(|f| f.rule == rules_graph::LOCK_ORDER)
         .expect("lock-order finding");
-    assert_eq!(f.tier, Tier::Warn);
     assert!(f.message.contains("cycle among `a`, `b`"), "{}", f.message);
     assert!(
         f.message
@@ -99,69 +98,28 @@ fn lock_order_cycle_cites_both_directions() {
     );
 }
 
-/// `--json` output parses with the dependency-free reader, carries every
-/// corpus finding in stable (rule, file, line) order, and embeds the
-/// witness arrows.
+/// The binary fails on the graph corpus and counts every finding, the
+/// lock-order cycle included: each rule gates alike.
 #[test]
-fn json_output_parses_and_is_stably_sorted() {
+fn binary_fails_on_every_graph_finding() {
     let out = Command::new(env!("CARGO_BIN_EXE_egeria-lint"))
-        .args(["--workspace", "--json", "--root"])
+        .args(["--workspace", "--root"])
         .arg(fixtures_root())
         .output()
-        .expect("run egeria-lint --json");
+        .expect("run egeria-lint");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 json");
-    let entries = json::parse_baseline(&stdout).expect("parse --json output");
-    assert_eq!(entries.len(), 7);
-    let rules: Vec<&str> = entries.iter().map(|e| e.rule.as_str()).collect();
-    let mut sorted = rules.clone();
-    sorted.sort();
-    assert_eq!(rules, sorted, "findings must sort by rule first");
-    assert!(stdout.contains("\u{2192}"), "witness arrows survive JSON");
-}
-
-/// The warn-tier ratchet end-to-end: bless a baseline, re-run against it,
-/// and the lock-order warn finding no longer counts as new (the corpus
-/// still fails on its deny findings; dropping them is the fixture tree's
-/// job, not the baseline's).
-#[test]
-fn bless_then_rerun_ratchets_warn_findings() {
-    let dir = std::env::temp_dir().join(format!("egeria-lint-baseline-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let baseline = dir.join("baseline.json");
-
-    let bless = Command::new(env!("CARGO_BIN_EXE_egeria-lint"))
-        .args(["--workspace", "--bless-baseline", "--baseline"])
-        .arg(&baseline)
-        .args(["--root"])
-        .arg(fixtures_root())
-        .output()
-        .expect("bless run");
-    let doc = std::fs::read_to_string(&baseline).expect("blessed baseline");
-    let entries = json::parse_baseline(&doc).expect("parse blessed baseline");
-    assert_eq!(entries.len(), 1, "only the warn finding is baselined: {doc}");
-    assert_eq!(entries[0].rule, "lock-order");
-    let stderr = String::from_utf8_lossy(&bless.stderr);
-    assert!(stderr.contains("0 new vs baseline"), "stderr:\n{stderr}");
-
-    let rerun = Command::new(env!("CARGO_BIN_EXE_egeria-lint"))
-        .args(["--workspace", "--baseline"])
-        .arg(&baseline)
-        .args(["--root"])
-        .arg(fixtures_root())
-        .output()
-        .expect("rerun");
-    let stderr = String::from_utf8_lossy(&rerun.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 7, "stdout:\n{stdout}");
     assert!(
-        stderr.contains("6 deny, 1 warn (0 new vs baseline)"),
-        "stderr:\n{stderr}"
+        stdout.contains("crates/core/src/locks.rs:13:25: [lock-order]"),
+        "stdout:\n{stdout}"
     );
-    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("7 finding(s)"), "stderr:\n{stderr}");
 }
 
 /// The workspace-wide graph gate, mirroring `lint_tests::workspace_is_clean`:
-/// zero deny findings, and every warn finding covered by the checked-in
-/// `lint-baseline.json`.
+/// every graph rule runs on the repo's config, and the tree has no finding.
 #[test]
 fn workspace_graph_gate_holds() {
     let root = repo_root();
@@ -169,7 +127,7 @@ fn workspace_graph_gate_holds() {
     for rule in rules_graph::GRAPH_RULES {
         assert!(
             cfg.has_rule(rule),
-            "repo lint.toml must declare [rules.{rule}] so the graph tier runs"
+            "repo lint.toml must declare [rules.{rule}] so the graph rules run"
         );
     }
     assert!(
@@ -177,24 +135,6 @@ fn workspace_graph_gate_holds() {
         "repo lint.toml must declare [graph] kernel_entries"
     );
     let report = lint_tree(&root, &cfg).expect("lint workspace");
-    let deny: Vec<String> = report
-        .findings
-        .iter()
-        .filter(|f| f.tier == Tier::Deny)
-        .map(|f| f.to_string())
-        .collect();
-    assert!(deny.is_empty(), "workspace has deny findings:\n{}", deny.join("\n"));
-
-    let baseline_src = std::fs::read_to_string(root.join("lint-baseline.json"))
-        .expect("checked-in lint-baseline.json");
-    let baseline = json::parse_baseline(&baseline_src).expect("parse lint-baseline.json");
-    let fresh: Vec<String> = json::new_warn_findings(&report.findings, &baseline)
-        .iter()
-        .map(|f| f.to_string())
-        .collect();
-    assert!(
-        fresh.is_empty(),
-        "workspace has warn findings not covered by lint-baseline.json:\n{}",
-        fresh.join("\n")
-    );
+    let findings: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
+    assert!(findings.is_empty(), "workspace has findings:\n{}", findings.join("\n"));
 }

@@ -3,7 +3,7 @@
 //! manifest vendor-patch rule, binary exit codes, and the workspace-clean
 //! gate over the real source tree.
 
-use egeria_lint::{json, lint_tree, load_config, rules, Tier};
+use egeria_lint::{lint_tree, load_config, rules};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -89,10 +89,8 @@ fn binary_exits_zero_on_clean_file() {
 }
 
 /// The real source tree is clean under the checked-in lint.toml — this is
-/// the invariant ci.sh enforces: zero deny-tier findings, and every
-/// warn-tier finding covered by the checked-in `lint-baseline.json`
-/// ratchet. Prints every finding on failure so the assert message is
-/// actionable.
+/// the invariant ci.sh enforces: zero findings. Prints every finding on
+/// failure so the assert message is actionable.
 #[test]
 fn workspace_is_clean() {
     let root = repo_root();
@@ -103,33 +101,14 @@ fn workspace_is_clean() {
         "walker found only {} files — exclusions are eating the tree",
         report.files_scanned
     );
-    let deny: Vec<String> = report
-        .findings
-        .iter()
-        .filter(|f| f.tier == Tier::Deny)
-        .map(|f| f.to_string())
-        .collect();
+    let findings: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
     assert!(
-        deny.is_empty(),
-        "workspace has deny-tier lint findings:\n{}",
-        deny.join("\n")
-    );
-    let baseline_src = std::fs::read_to_string(root.join("lint-baseline.json"))
-        .expect("checked-in lint-baseline.json");
-    let baseline = json::parse_baseline(&baseline_src).expect("parse lint-baseline.json");
-    let fresh: Vec<String> = json::new_warn_findings(&report.findings, &baseline)
-        .iter()
-        .map(|f| f.to_string())
-        .collect();
-    assert!(
-        fresh.is_empty(),
-        "workspace has warn findings not in lint-baseline.json:\n{}",
-        fresh.join("\n")
+        findings.is_empty(),
+        "workspace has lint findings:\n{}",
+        findings.join("\n")
     );
 }
 
-/// vendored-deps-only: an external workspace dependency without a
-/// `[patch.crates-io]` entry is flagged; path deps and patched deps pass.
 #[test]
 fn manifest_vendor_patch_rule() {
     let bad = r#"

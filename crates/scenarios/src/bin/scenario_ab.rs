@@ -26,10 +26,6 @@ fn golden_dir() -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    // The trainer honors EGERIA_FREEZE_POLICY as a config override; inside
-    // the matrix that would silently force every cell onto one policy.
-    std::env::remove_var("EGERIA_FREEZE_POLICY");
-
     let bless = std::env::args().any(|a| a == "--bless") || std::env::var("EGERIA_BLESS").is_ok();
 
     let families = scenarios();

@@ -19,9 +19,7 @@
 //! the training thread, so no decision depends on thread scheduling.
 //! Fingerprints are therefore bit-stable across machines and
 //! `EGERIA_THREADS` settings — any drift is a behavioral change, and CI
-//! treats it as such. Scenario runs must not have `EGERIA_FREEZE_POLICY`
-//! set (it would override the matrix); the `scenario_ab` binary clears it
-//! defensively.
+//! treats it as such.
 
 use egeria_core::{EgeriaConfig, PolicyKind};
 use egeria_obs::jsonl::{to_string_pretty, Object};

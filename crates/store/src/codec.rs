@@ -18,10 +18,10 @@
 //!
 //! `decode(encode(bytes))` must equal `bytes` for every byte codec, and
 //! `decode_sample(encode_sample(t))` must reproduce `t` **bit-for-bit**
-//! under [`Transform::Exact`]. This is what lets
-//! `EGERIA_CACHE_STORE=chunked` hold the same golden-run fingerprint as
-//! the flat store: compression may change how bytes rest on disk, never
-//! which f32 bits come back.
+//! under [`Transform::Exact`]. This is what lets the chunked cache store
+//! hold the same golden-run fingerprint as the flat one
+//! (`tests/golden_run.rs` runs both): compression may change how bytes
+//! rest on disk, never which f32 bits come back.
 
 use crate::lz;
 use crate::shuffle::{shuffle, unshuffle};

@@ -40,4 +40,4 @@ pub mod shuffle;
 pub mod store;
 
 pub use codec::StoreCodec;
-pub use store::{ChunkStore, FlushOutcome, StoreConfig, StoreStats};
+pub use store::{ChunkStore, StoreConfig, StoreStats};

@@ -105,15 +105,6 @@ impl StoreStats {
     }
 }
 
-/// What a flush did; failures are counts, not errors (training goes on).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlushOutcome {
-    /// Chunks successfully written.
-    pub written: usize,
-    /// Chunks dropped because their shard append failed.
-    pub failed: usize,
-}
-
 /// Compact a shard once garbage exceeds live bytes and the file is at
 /// least this large.
 const COMPACT_MIN_BYTES: u64 = 4096;
@@ -339,8 +330,10 @@ impl ChunkStore {
     /// (counted, stderr-noted) rather than erroring — the activation is
     /// still memory-resident upstream and a later lookup just misses.
     /// Enforces the disk cap and compacts garbage-heavy shards after.
-    pub fn flush(&mut self) -> FlushOutcome {
-        let mut outcome = FlushOutcome::default();
+    /// Returns the number of chunks dropped — a count, not an error
+    /// (training goes on).
+    pub fn flush(&mut self) -> usize {
+        let mut failed = 0;
         let dirty = std::mem::take(&mut self.dirty);
         for (chunk, mut slots) in dirty {
             // Merge slots already on disk (dirty wins on conflict).
@@ -353,15 +346,12 @@ impl ChunkStore {
                 self.drop_entry(chunk);
             }
             match self.write_chunk(chunk, &slots) {
-                Ok(()) => {
-                    outcome.written += 1;
-                    self.cache_block(chunk, slots);
-                }
+                Ok(()) => self.cache_block(chunk, slots),
                 Err(e) => {
-                    if outcome.failed == 0 {
+                    if failed == 0 {
                         eprintln!("egeria: store flush failed for chunk {chunk} ({e}); dropping");
                     }
-                    outcome.failed += 1;
+                    failed += 1;
                     self.stats.write_errors += 1;
                     self.telemetry.counter("store.write_errors").inc();
                 }
@@ -370,14 +360,15 @@ impl ChunkStore {
         self.enforce_cap();
         self.compact_garbage();
         self.sync_level_stats();
-        outcome
+        failed
     }
 
     /// Flushes and saves the manifest: the store's checkpoint boundary.
-    pub fn persist(&mut self) -> Result<FlushOutcome> {
-        let outcome = self.flush();
+    /// Returns [`flush`](Self::flush)'s dropped-chunk count.
+    pub fn persist(&mut self) -> Result<usize> {
+        let failed = self.flush();
         self.manifest.save(&self.dir)?;
-        Ok(outcome)
+        Ok(failed)
     }
 
     // ---- internals --------------------------------------------------------

@@ -9,9 +9,6 @@
 //! DESIGN §5j exercised through the whole trainer rather than the codec
 //! unit tests: compression may change how bytes rest on disk, never which
 //! f32 bits come back out of the frozen-prefix cache.
-//!
-//! The backends are selected programmatically (not via
-//! `EGERIA_CACHE_STORE`) so parallel tests cannot race on process env.
 
 use egeria_core::config::CacheStoreKind;
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainReport, TrainerOptions};

@@ -4,6 +4,7 @@
 //! paths (disk-full cache, corrupted cache entries, failed checkpoint
 //! saves) through a full training run.
 
+use egeria_core::cache::ActivationCache;
 use egeria_core::checkpoint::{CheckpointOptions, CheckpointStore};
 use egeria_resil::fault::{FaultAction, FaultInjector, FaultSite};
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions, TrainReport};
@@ -12,6 +13,7 @@ use egeria_core::EgeriaConfig;
 use egeria_data::images::{ImageDataConfig, SyntheticImages};
 use egeria_data::{DataLoader, Dataset};
 use egeria_models::resnet::{resnet_cifar, ResNetCifarConfig};
+use egeria_models::Model;
 use egeria_nn::optim::Sgd;
 use egeria_nn::sched::MultiStepDecay;
 use egeria_store::{ChunkStore, StoreConfig};
@@ -454,5 +456,77 @@ fn a_fresh_run_reads_nothing_an_earlier_run_left_in_its_cache_dir() {
     assert_eq!(trajectory(&reused), trajectory(&fresh));
     for tag in ["unused_cache", "earlier_cache", "reused_cache"] {
         let _ = std::fs::remove_dir_all(scratch(tag));
+    }
+}
+
+#[test]
+fn a_resume_over_another_models_store_degrades_to_a_miss() {
+    // A caller-named cache dir another model filled: its store is tagged
+    // with the prefix the resumed checkpoint froze, on the trainer's grid,
+    // but its activations have another geometry. The resume must drop them
+    // as one corrupt entry and recompute, not abort the first cached step.
+    let cfg = EgeriaConfig {
+        cache_store: CacheStoreKind::Chunked,
+        ..sync_config()
+    };
+    let (data, loader) = data_and_loader();
+    let full = make_trainer(cfg, scratch("geometry_full"), None, None)
+        .train(&data, &loader, None)
+        .unwrap();
+
+    let ckpt_dir = scratch("geometry_ckpt");
+    let faults = FaultInjector::new();
+    faults.arm(FaultSite::TrainStep, 25, 1, FaultAction::Fail);
+    make_trainer(
+        cfg,
+        scratch("geometry_crash_cache"),
+        Some(CheckpointOptions::new(&ckpt_dir)),
+        Some(faults),
+    )
+    .train(&data, &loader, None)
+    .unwrap_err();
+    let opts = CheckpointOptions::new(&ckpt_dir);
+    let prefix = CheckpointStore::open(&opts.dir, opts.keep)
+        .unwrap()
+        .load_latest()
+        .expect("the crashed run left a checkpoint")
+        .frozen_prefix as usize;
+    assert!(prefix > 0, "the checkpoint froze nothing; the check would be vacuous");
+
+    // The other model: the same family at twice the width.
+    let mut other = resnet_cifar(
+        ResNetCifarConfig {
+            n: 2,
+            width: 8,
+            classes: 4,
+            ..Default::default()
+        },
+        7,
+    );
+    let cache_dir = scratch("geometry_cache");
+    let mut cache =
+        ActivationCache::with_store(&cache_dir, cfg.cache_mem_batches, StoreConfig::default())
+            .unwrap();
+    for plan in loader.epoch_plan(0) {
+        let batch = data.materialize(&plan.indices).unwrap();
+        let act = other.capture_activation(&batch, prefix - 1).unwrap();
+        cache.put_batch(&batch.sample_ids, &act, prefix).unwrap();
+    }
+    cache.persist().unwrap();
+    drop(cache);
+
+    let resumed = make_trainer(cfg, cache_dir.clone(), Some(opts), None)
+        .train(&data, &loader, None)
+        .unwrap();
+    assert!(resumed.resumed_from_epoch.is_some());
+    assert_eq!(resumed.cache_stats.corrupt_entries, 1);
+    assert_eq!(trajectory(&resumed), trajectory(&full));
+    for dir in [
+        scratch("geometry_full"),
+        scratch("geometry_crash_cache"),
+        ckpt_dir,
+        cache_dir,
+    ] {
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

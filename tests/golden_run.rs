@@ -17,7 +17,12 @@
 //! polynomial exp/tanh that are toleranced, not bit-identical, to libm
 //! (DESIGN §5g), so the test forces `Isa::Scalar` regardless of the
 //! machine's SIMD support or `EGERIA_SIMD`.
+//!
+//! Both activation-cache backends must reproduce the same file: the
+//! chunked store under its lossless codec is bit-exact with the flat one
+//! (DESIGN §5j).
 
+use egeria_core::config::CacheStoreKind;
 use egeria_core::trainer::{EgeriaTrainer, Optimizer, TrainerOptions};
 use egeria_core::{EgeriaConfig, Telemetry};
 use egeria_data::images::{ImageDataConfig, SyntheticImages};
@@ -41,7 +46,7 @@ const PINNED_COUNTER_PREFIXES: &[&str] = &[
     "reference.",
 ];
 
-fn run_fingerprint() -> String {
+fn run_fingerprint(cache_store: CacheStoreKind) -> String {
     // Pin the legacy libm numerics: the golden file predates the SIMD layer
     // and must stay valid on any host (DESIGN §5g).
     egeria_tensor::simd::set_isa(egeria_tensor::simd::Isa::Scalar);
@@ -68,6 +73,7 @@ fn run_fingerprint() -> String {
                 t: 5.0,
                 bootstrap_rate: 0.9,
                 reference_update_every: 4,
+                cache_store,
                 ..Default::default()
             }),
             telemetry: telemetry.clone(),
@@ -156,13 +162,22 @@ fn diff_report(expected: &str, actual: &str) -> String {
     out
 }
 
+fn read_golden(path: &std::path::Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {}: {e}\nfirst run? generate it with: EGERIA_BLESS=1 cargo test --test golden_run",
+            path.display()
+        )
+    })
+}
+
 #[test]
 fn fixed_seed_run_matches_golden_fingerprint() {
-    let actual = run_fingerprint();
+    let actual = run_fingerprint(CacheStoreKind::Chunked);
 
     // The fingerprint must be reproducible within one process before it is
     // worth comparing across processes.
-    let again = run_fingerprint();
+    let again = run_fingerprint(CacheStoreKind::Chunked);
     assert_eq!(
         actual, again,
         "fingerprint differs between two in-process runs"
@@ -194,12 +209,21 @@ fn fixed_seed_run_matches_golden_fingerprint() {
         );
         return;
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e}\nfirst run? generate it with: EGERIA_BLESS=1 cargo test --test golden_run",
-            path.display()
-        )
-    });
+    let expected = read_golden(&path);
+    if expected != actual {
+        panic!("{}", diff_report(&expected, &actual));
+    }
+}
+
+/// The flat backend reproduces the chunked default's golden file. It
+/// never blesses: the chunked run above owns the file.
+#[test]
+fn flat_store_run_matches_golden_fingerprint() {
+    if std::env::var("EGERIA_BLESS").is_ok() {
+        return;
+    }
+    let actual = run_fingerprint(CacheStoreKind::Flat);
+    let expected = read_golden(&golden_path());
     if expected != actual {
         panic!("{}", diff_report(&expected, &actual));
     }

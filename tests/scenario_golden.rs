@@ -30,10 +30,6 @@ fn golden_dir() -> PathBuf {
 
 #[test]
 fn resnet_policy_fingerprints_match_goldens_and_are_distinct() {
-    // The trainer honors EGERIA_FREEZE_POLICY as a config override, which
-    // would silently force every cell onto one policy.
-    std::env::remove_var("EGERIA_FREEZE_POLICY");
-
     let resnet = recipe("resnet").expect("registry entry");
     let mut bodies: HashMap<String, String> = HashMap::new();
     for policy in policy_matrix() {
