@@ -5,8 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Every test invocation runs under a wall-clock cap (seconds): a hung test
-# fails the gate loudly (exit 124) instead of stalling it.
-TEST_TIMEOUT="${TEST_TIMEOUT:-3600}"
+# fails the gate loudly (exit 124) instead of stalling it. The warm
+# workspace pass takes well under a minute, so 15 minutes leaves room for
+# a cold build on 2 cores.
+TEST_TIMEOUT="${TEST_TIMEOUT:-900}"
 cargo_test() { timeout "$TEST_TIMEOUT" cargo test "$@"; }
 
 # Scratch directory for everything the smoke runs write (reports, traces),

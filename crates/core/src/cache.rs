@@ -17,7 +17,9 @@
 //! on a resume that changed backend. What an earlier process left on disk
 //! is read only by a resume that adopts it
 //! ([`ActivationCache::resume_at`]); a fresh run clears it at its first
-//! put.
+//! put. Every such reset also empties the validation set's boundaries
+//! (`ValidationBoundaries`): one slot per validation batch, held in
+//! memory only and never counted in [`CacheStats`].
 //!
 //! The cache is that memory window over **one disk layer** with two
 //! layouts (DESIGN §5j): **chunked** (the default) delegates to
@@ -107,9 +109,70 @@ pub struct ActivationCache {
     /// store holds, asked of the lookup's caller once.
     geometry: HashMap<usize, Vec<usize>>,
     stats: CacheStats,
+    /// The validation set's boundaries: memory only, never persisted or
+    /// counted, and emptied with everything else by `reset`.
+    validation: ValidationBoundaries,
     faults: Option<Arc<FaultInjector>>,
     telemetry: Telemetry,
     health: Option<Arc<HealthMonitor>>,
+}
+
+/// The frozen prefix's output on each validation batch, one slot per
+/// batch of the validation pass, so that validation crosses the prefix
+/// once per unfreeze cycle. A slot holds its batch's sample ids, the
+/// boundary it was computed at and the activation. It is keyed by batch
+/// position rather than sample id, so it needs no namespace apart from
+/// the training entries (both number their samples from 0), and it rests
+/// on a validation input being a pure function of its index.
+#[derive(Default)]
+pub(crate) struct ValidationBoundaries {
+    slots: Vec<Option<ValidationSlot>>,
+}
+
+struct ValidationSlot {
+    ids: Vec<u64>,
+    boundary: usize,
+    activation: Tensor,
+}
+
+impl ValidationBoundaries {
+    /// Validation batch `slot`'s activation at boundary `prefix`, the
+    /// batch holding samples `ids`. A slot that holds this batch at
+    /// `prefix` is served as it is. Otherwise `compute` makes the
+    /// activation and it is stored in the slot's place: `compute` gets
+    /// the slot's activation and boundary when it holds this batch at an
+    /// earlier boundary (to carry forward), and `None` when it is empty,
+    /// holds other samples or a later boundary.
+    pub(crate) fn at(
+        &mut self,
+        slot: usize,
+        ids: &[u64],
+        prefix: usize,
+        compute: impl FnOnce(Option<(&Tensor, usize)>) -> Result<Tensor>,
+    ) -> Result<&Tensor> {
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        let kept = match self.slots[slot].take() {
+            Some(s) if s.ids == ids && s.boundary == prefix => s,
+            stored => {
+                let earlier = stored
+                    .as_ref()
+                    .filter(|s| s.ids == ids && s.boundary < prefix)
+                    .map(|s| (&s.activation, s.boundary));
+                ValidationSlot {
+                    ids: ids.to_vec(),
+                    boundary: prefix,
+                    activation: compute(earlier)?,
+                }
+            }
+        };
+        Ok(&self.slots[slot].insert(kept).activation)
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+    }
 }
 
 /// The disk layer under the memory window: where entries live once they
@@ -295,6 +358,7 @@ impl ActivationCache {
             valid_prefix: None,
             geometry: HashMap::new(),
             stats: CacheStats::default(),
+            validation: ValidationBoundaries::default(),
             faults: None,
             telemetry: Telemetry::disabled(),
             health: None,
@@ -502,8 +566,15 @@ impl ActivationCache {
         }
     }
 
-    /// Empties memory and disk.
+    /// The validation set's stored boundaries. They live and die with
+    /// the cache's entries: every reset empties them.
+    pub(crate) fn validation(&mut self) -> &mut ValidationBoundaries {
+        &mut self.validation
+    }
+
+    /// Empties memory and disk, the validation boundaries included.
     fn reset(&mut self) {
+        self.validation.clear();
         self.mem.clear();
         self.recent.clear();
         self.bounds.clear();
@@ -834,6 +905,40 @@ mod tests {
         c.invalidate();
         assert!(c.lookup(&[1], 2, model_dims).unwrap().is_none());
         assert!(c.lookup(&[2], 2, model_dims).unwrap().is_none());
+    }
+
+    #[test]
+    fn validation_boundaries_are_uncounted_and_die_with_the_entries() {
+        let mut c = ActivationCache::new(tmp_dir("validation"), 5).unwrap();
+        // What each `at` handed its `compute`, or `served` when it was not
+        // called; `compute` answers with the boundary it was asked for.
+        let ask = |c: &mut ActivationCache, slot, ids: &[u64], prefix| {
+            let mut seen = String::from("served");
+            let act = c
+                .validation()
+                .at(slot, ids, prefix, |stored| {
+                    seen = format!("{:?}", stored.map(|(t, at)| (t.data()[0], at)));
+                    Ok(Tensor::full(&[2, 1], prefix as f32))
+                })
+                .unwrap();
+            assert_eq!(act.data(), [prefix as f32; 2]);
+            seen
+        };
+        assert_eq!(ask(&mut c, 1, &[4, 5], 2), "None");
+        assert_eq!(ask(&mut c, 1, &[4, 5], 2), "served");
+        // An advance carries the stored boundary forward and keeps it.
+        assert_eq!(ask(&mut c, 1, &[4, 5], 3), "Some((2.0, 2))");
+        assert_eq!(ask(&mut c, 1, &[4, 5], 3), "served");
+        // Other samples in the slot, or a later boundary, are no answer.
+        assert_eq!(ask(&mut c, 1, &[4, 6], 3), "None");
+        assert_eq!(ask(&mut c, 1, &[4, 6], 2), "None");
+        assert_eq!(ask(&mut c, 0, &[4, 5], 2), "None");
+        assert_eq!(c.stats(), CacheStats::default());
+        c.invalidate();
+        assert_eq!(ask(&mut c, 1, &[4, 6], 2), "None");
+        // A resume starts from none: the slots are never persisted.
+        c.resume_at(2);
+        assert_eq!(ask(&mut c, 1, &[4, 6], 2), "None");
     }
 
     #[test]

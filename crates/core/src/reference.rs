@@ -291,6 +291,14 @@ mod tests {
         fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
             self.inner.eval_batch(batch)
         }
+        fn eval_batch_from(
+            &mut self,
+            batch: &Batch,
+            start: usize,
+            activation: &Tensor,
+        ) -> Result<EvalResult> {
+            self.inner.eval_batch_from(batch, start, activation)
+        }
         fn capture_activation(&mut self, batch: &Batch, module: usize) -> Result<Tensor> {
             self.inner.capture_activation(batch, module)
         }

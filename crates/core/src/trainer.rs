@@ -6,13 +6,13 @@
 //! and refresh, periodic plasticity evaluation, Algorithm 1
 //! freezing/unfreezing, and cached-FP (a synchronous lookup on the
 //! training thread, in the step that needs the batch — probe steps
-//! included). With
+//! included — and for validation, a stored boundary per batch). With
 //! `egeria: None` it is the vanilla baseline the paper compares against.
 //! Either way it emits a [`TrainReport`] whose per-iteration records feed
 //! the performance simulator.
 
 use crate::bootstrap::BootstrapMonitor;
-use crate::cache::{ActivationCache, CacheStats};
+use crate::cache::{ActivationCache, CacheStats, ValidationBoundaries};
 use crate::checkpoint::{CheckpointOptions, CheckpointStore, TrainerCheckpoint};
 use crate::config::EgeriaConfig;
 use crate::freezer::{FreezeEvent, FreezingEngine};
@@ -513,7 +513,14 @@ impl EgeriaTrainer {
 
     /// Runs the full training loop.
     ///
-    /// `val` is evaluated after every epoch with its own loader.
+    /// `val` is evaluated after every epoch with its own loader, and must
+    /// give the same input for an index every time it is materialized.
+    /// With the activation cache on, each validation batch crosses the
+    /// frozen prefix once per unfreeze cycle: while the prefix stays
+    /// frozen, it is scored from its stored prefix output with
+    /// `Model::eval_batch_from`. Those outputs are held in memory, never
+    /// counted in the cache stats, and emptied with the cache on an
+    /// unfreeze. The scores are the bits `eval_batch` gives.
     pub fn train(
         &mut self,
         train: &dyn Dataset,
@@ -620,7 +627,19 @@ impl EgeriaTrainer {
 
             let (val_loss, val_metric) = match &val {
                 Some((vd, vl)) => {
-                    let (l, m) = evaluate(self.model.as_mut(), *vd, vl)?;
+                    let boundaries = run
+                        .as_mut()
+                        .and_then(|run| run.cache.as_mut())
+                        .map(ActivationCache::validation);
+                    let model = self.model.as_mut();
+                    let span = telemetry.span("evaluate").iteration(global_step as u64);
+                    let (l, m, tally) = validate(model, *vd, vl, boundaries)?;
+                    drop(
+                        span.arg("batches", tally.batches)
+                            .arg("served", tally.served)
+                            .arg("promoted", tally.promoted)
+                            .arg("recomputed", tally.recomputed),
+                    );
                     (Some(l), Some(m))
                 }
                 None => (None, None),
@@ -866,18 +885,72 @@ fn frozen_boundary(
 /// Evaluates a model over a full dataset pass; returns `(loss, metric)`
 /// averaged by sample count.
 pub fn evaluate(model: &mut dyn Model, data: &dyn Dataset, loader: &DataLoader) -> Result<(f32, f32)> {
+    let (loss, metric, _) = validate(model, data, loader, None)?;
+    Ok((loss, metric))
+}
+
+/// How one validation pass scored its batches: `batches` in all; of them,
+/// `served` from a stored boundary, `promoted` from one carried forward
+/// over the modules frozen since, and `recomputed` from a fresh capture.
+/// The rest ran the whole network.
+#[derive(Default)]
+struct ValidationTally {
+    batches: u64,
+    served: u64,
+    promoted: u64,
+    recomputed: u64,
+}
+
+/// The one evaluation loop behind [`evaluate`]. Given the cache's
+/// validation boundaries, and while the model can resume at its frozen
+/// prefix, each batch crosses that prefix once per unfreeze cycle: it is
+/// scored with `eval_batch_from` from its stored boundary, from one
+/// carried forward with `forward_from` (a promotion), or from a fresh
+/// `capture_activation`; the last two are stored. Frozen modules run in
+/// `Mode::Eval` on every path, so every batch scores the same bits as an
+/// `eval_batch`.
+fn validate(
+    model: &mut dyn Model,
+    data: &dyn Dataset,
+    loader: &DataLoader,
+    boundaries: Option<&mut ValidationBoundaries>,
+) -> Result<(f32, f32, ValidationTally)> {
+    let prefix = model.frozen_prefix();
+    let mut boundaries = boundaries.filter(|_| prefix > 0 && model.supports_cached_fp(prefix));
+    let mut tally = ValidationTally::default();
     let mut loss = 0.0f64;
     let mut metric = 0.0f64;
     let mut count = 0usize;
-    for plan in loader.epoch_plan(0) {
+    for (slot, plan) in loader.epoch_plan(0).iter().enumerate() {
         let batch = data.materialize(&plan.indices)?;
-        let r = model.eval_batch(&batch)?;
+        let r = match boundaries.as_deref_mut() {
+            Some(table) => {
+                let (mut promoted, mut recomputed) = (0, 0);
+                let boundary =
+                    table.at(slot, &batch.sample_ids, prefix, |stored| match stored {
+                        Some((act, at)) => {
+                            promoted = 1;
+                            model.forward_from(&batch, at, act, prefix)
+                        }
+                        None => {
+                            recomputed = 1;
+                            model.capture_activation(&batch, prefix - 1)
+                        }
+                    })?;
+                tally.promoted += promoted;
+                tally.recomputed += recomputed;
+                tally.served += 1 - promoted - recomputed;
+                model.eval_batch_from(&batch, prefix, boundary)?
+            }
+            None => model.eval_batch(&batch)?,
+        };
+        tally.batches += 1;
         loss += r.loss as f64 * r.count as f64;
         metric += r.metric as f64 * r.count as f64;
         count += r.count;
     }
     let n = count.max(1) as f64;
-    Ok(((loss / n) as f32, (metric / n) as f32))
+    Ok(((loss / n) as f32, (metric / n) as f32, tally))
 }
 
 fn batch_input_bytes(batch: &egeria_models::Batch) -> u64 {

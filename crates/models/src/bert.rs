@@ -128,6 +128,19 @@ impl BertQa {
         Ok((0.5 * (l1 + l2), grad, f1))
     }
 
+    /// One evaluation: an `Eval` walk (from the tokens, or resumed), then
+    /// the loss tail.
+    fn eval(&mut self, batch: &Batch, resume: Option<(usize, &Tensor)>) -> Result<EvalResult> {
+        let n = self.net.num_blocks();
+        let (h, _) = self.walk(batch, resume, n, Mode::Eval, None)?;
+        let (loss, _, metric) = self.loss(&h, &batch.targets, Mode::Eval)?;
+        Ok(EvalResult {
+            loss,
+            metric,
+            count: batch.input.batch_size(),
+        })
+    }
+
     /// One training step: walk (from the tokens, or resumed), loss, backward.
     fn step(
         &mut self,
@@ -256,13 +269,22 @@ impl Model for BertQa {
     }
 
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
-        let (h, _) = self.walk(batch, None, self.net.num_blocks(), Mode::Eval, None)?;
-        let (loss, _, metric) = self.loss(&h, &batch.targets, Mode::Eval)?;
-        Ok(EvalResult {
-            loss,
-            metric,
-            count: batch.input.batch_size(),
-        })
+        self.eval(batch, None)
+    }
+
+    fn eval_batch_from(
+        &mut self,
+        batch: &Batch,
+        start: usize,
+        activation: &Tensor,
+    ) -> Result<EvalResult> {
+        if !self.supports_cached_fp(start) {
+            return Err(TensorError::AxisOutOfRange {
+                axis: start,
+                rank: self.net.num_blocks(),
+            });
+        }
+        self.eval(batch, Some((start, activation)))
     }
 
     fn capture_activation(&mut self, batch: &Batch, module: usize) -> Result<Tensor> {

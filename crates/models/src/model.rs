@@ -1,6 +1,6 @@
 //! The uniform model interface Egeria trains through.
 //!
-//! Every family implements the five forward entry points below as ranges of
+//! Every family implements the six forward entry points below as ranges of
 //! one walk over its modules — `nn::Network::forward_range`, the only loop
 //! that decides what a frozen module does (the Transformer's two-input
 //! decoder stack keeps the one other loop) — followed by one `loss` tail:
@@ -10,13 +10,14 @@
 //! | `train_step` | all | `Train` (frozen ⇒ `Eval`) | the hooked module, if any |
 //! | `train_step_from` | `prefix..`, from the cached output of `prefix − 1` | same | same, `≥ prefix` |
 //! | `eval_batch` | all | `Eval` | none |
+//! | `eval_batch_from` | `start..`, from the stored output of `start − 1` | `Eval` | none |
 //! | `capture_activation` | `..= module` | `Eval` | the range's output |
 //! | `forward_from` | `start..until`, from the cached output of `start − 1` | `Eval` | the range's output |
 //!
-//! So a frozen module computes the same function in all five, which is what
-//! lets a cached step resume from a stored activation, a stored activation
-//! be carried forward over newly frozen modules, and a reference probe be
-//! compared with a training hook.
+//! So a frozen module computes the same function in all six, which is what
+//! lets a cached step or a validation batch resume from a stored
+//! activation, a stored activation be carried forward over newly frozen
+//! modules, and a reference probe be compared with a training hook.
 
 use crate::input::{Batch, EvalResult, StepResult};
 use egeria_nn::Parameter;
@@ -119,6 +120,22 @@ pub trait Model: Send {
 
     /// Forward-only evaluation of one batch (loss + task metric).
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult>;
+
+    /// [`Model::eval_batch`] resumed from `activation`, the output of
+    /// module `start − 1`: only modules `start..` run. Validation scores a
+    /// batch this way while the modules before `start` stay frozen, so
+    /// it returns exactly what `eval_batch` does.
+    ///
+    /// The default runs `eval_batch` on the batch, ignoring `start` and
+    /// `activation`; the same bits, without the saving.
+    fn eval_batch_from(
+        &mut self,
+        batch: &Batch,
+        _start: usize,
+        _activation: &egeria_tensor::Tensor,
+    ) -> Result<EvalResult> {
+        self.eval_batch(batch)
+    }
 
     /// Forward-only activation capture of one module (reference-model path;
     /// always runs in eval mode).

@@ -355,6 +355,19 @@ impl Seq2SeqTransformer {
         Ok((loss, grad.reshape(logits.dims())?, metric))
     }
 
+    /// One evaluation: an `Eval` walk (from the tokens, or resumed), then
+    /// the loss tail.
+    fn eval(&mut self, batch: &Batch, resume: Option<(usize, &Tensor)>) -> Result<EvalResult> {
+        let n = self.num_modules();
+        let (d, _) = self.walk(batch, resume, n, Mode::Eval, None)?;
+        let (loss, _, metric) = self.loss(&d, &batch.targets, Mode::Eval)?;
+        Ok(EvalResult {
+            loss,
+            metric,
+            count: batch.input.batch_size(),
+        })
+    }
+
     /// One training step: walk (from the tokens, or resumed), loss, then
     /// backward through the active decoders, the memory, and the active
     /// encoder suffix.
@@ -502,13 +515,22 @@ impl Model for Seq2SeqTransformer {
     }
 
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
-        let (d, _) = self.walk(batch, None, self.num_modules(), Mode::Eval, None)?;
-        let (loss, _, metric) = self.loss(&d, &batch.targets, Mode::Eval)?;
-        Ok(EvalResult {
-            loss,
-            metric,
-            count: batch.input.batch_size(),
-        })
+        self.eval(batch, None)
+    }
+
+    fn eval_batch_from(
+        &mut self,
+        batch: &Batch,
+        start: usize,
+        activation: &Tensor,
+    ) -> Result<EvalResult> {
+        if !self.supports_cached_fp(start) {
+            return Err(TensorError::AxisOutOfRange {
+                axis: start,
+                rank: self.num_modules(),
+            });
+        }
+        self.eval(batch, Some((start, activation)))
     }
 
     fn capture_activation(&mut self, batch: &Batch, module: usize) -> Result<Tensor> {

@@ -111,6 +111,19 @@ impl VisionModel {
         }
     }
 
+    /// One evaluation: an `Eval` walk (from the image, or resumed), then
+    /// the loss tail.
+    fn eval(&mut self, batch: &Batch, resume: Option<(usize, &Tensor)>) -> Result<EvalResult> {
+        let n = self.net.num_blocks();
+        let (logits, _) = self.walk(batch, resume, n, Mode::Eval, None)?;
+        let (loss, _, metric) = self.loss(&logits, &batch.targets)?;
+        Ok(EvalResult {
+            loss,
+            metric,
+            count: batch.input.batch_size(),
+        })
+    }
+
     /// One training step: walk (from the image, or resumed), loss, backward.
     fn step(
         &mut self,
@@ -241,13 +254,22 @@ impl Model for VisionModel {
     }
 
     fn eval_batch(&mut self, batch: &Batch) -> Result<EvalResult> {
-        let (logits, _) = self.walk(batch, None, self.net.num_blocks(), Mode::Eval, None)?;
-        let (loss, _, metric) = self.loss(&logits, &batch.targets)?;
-        Ok(EvalResult {
-            loss,
-            metric,
-            count: batch.input.batch_size(),
-        })
+        self.eval(batch, None)
+    }
+
+    fn eval_batch_from(
+        &mut self,
+        batch: &Batch,
+        start: usize,
+        activation: &Tensor,
+    ) -> Result<EvalResult> {
+        if !self.supports_cached_fp(start) {
+            return Err(TensorError::AxisOutOfRange {
+                axis: start,
+                rank: self.net.num_blocks(),
+            });
+        }
+        self.eval(batch, Some((start, activation)))
     }
 
     fn capture_activation(&mut self, batch: &Batch, module: usize) -> Result<Tensor> {

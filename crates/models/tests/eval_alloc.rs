@@ -1,10 +1,10 @@
-//! An inference walk holds nothing once it returns: `eval_batch` and
-//! `capture_activation` run every layer in `Mode::Eval`, which keeps no
-//! backward context (the `Layer` contract), so the live heap after either
-//! call is what it was before plus the returned tensor. A reference copy
-//! that only ever runs these walks therefore stays parameter-sized between
-//! probes, and a trained model's validation pass releases the activations
-//! its last training step left behind.
+//! An inference walk holds nothing once it returns: `eval_batch`,
+//! `eval_batch_from` and `capture_activation` run every layer in
+//! `Mode::Eval`, which keeps no backward context (the `Layer` contract), so
+//! the live heap after any of them is what it was before plus the returned
+//! tensor. A reference copy that only ever runs these walks therefore stays
+//! parameter-sized between probes, and a trained model's validation pass
+//! releases the activations its last training step left behind.
 //!
 //! Measured on the three families the end-to-end benchmark trains, at its
 //! shapes (batch 16; ResNet-56 at width 4 on 10×10 images, Transformer-Base
@@ -152,6 +152,13 @@ fn inference_walks_retain_no_activations() {
             let kept = retained(|| Some(copy.capture_activation(&batch, m).unwrap()));
             assert!(kept <= SLACK, "{name}: capture at module {m} kept {kept} bytes");
         }
+        // Validation resumed from a stored boundary keeps nothing either.
+        let boundary = copy.capture_activation(&batch, 0).unwrap();
+        let kept = retained(|| {
+            copy.eval_batch_from(&batch, 1, &boundary).unwrap();
+            None
+        });
+        assert!(kept <= SLACK, "{name}: eval_batch_from on a copy kept {kept} bytes");
 
         // The trained model: validation drops what the training step kept.
         let kept = retained(|| {

@@ -121,6 +121,25 @@ pub struct HealthTransition {
     pub level: u64,
 }
 
+/// Aggregates over the trainer's `evaluate` spans, one per validation
+/// pass: how its batches crossed the frozen prefix.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ValidationStat {
+    /// Validation passes (one span each).
+    pub passes: u64,
+    /// Batches scored across all passes.
+    pub batches: u64,
+    /// Batches scored from a stored prefix output.
+    pub served: u64,
+    /// Batches scored from a stored output carried over modules frozen
+    /// since.
+    pub promoted: u64,
+    /// Batches whose prefix output was captured afresh, then stored.
+    pub recomputed: u64,
+    /// Total time across passes in µs.
+    pub total_us: u64,
+}
+
 /// Resilience-layer aggregates: watchdog and health counters plus the
 /// health-transition timeline.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -214,6 +233,8 @@ pub struct TraceSummary {
     pub splits: Vec<SplitStat>,
     /// Serving-engine batch aggregates from `serve_batch` spans.
     pub serve: ServeBatchStat,
+    /// Validation-pass aggregates from `evaluate` spans.
+    pub validation: ValidationStat,
     /// Resilience-layer aggregates (watchdogs, health).
     pub resilience: ResilienceStat,
     /// Chunked activation-store aggregates (cache v2; zero when flat).
@@ -298,6 +319,14 @@ pub fn summarize(text: &str) -> Result<TraceSummary, String> {
                         Some((_, n)) => *n += 1,
                         None => summary.serve.batch_size_hist.push((requests, 1)),
                     }
+                } else if ty == "span" && kind == "evaluate" {
+                    let v = &mut summary.validation;
+                    v.passes += 1;
+                    v.batches += arg_u64(&obj, "batches").unwrap_or(0);
+                    v.served += arg_u64(&obj, "served").unwrap_or(0);
+                    v.promoted += arg_u64(&obj, "promoted").unwrap_or(0);
+                    v.recomputed += arg_u64(&obj, "recomputed").unwrap_or(0);
+                    v.total_us += dur;
                 } else if ty == "instant" && kind == "health_transition" {
                     let arg_str = |key: &str| {
                         obj.get("args")
@@ -504,6 +533,23 @@ pub fn render(summary: &TraceSummary) -> String {
             s.frozen_prefix, s.fp_cached, s.count, s.mean_dur_us
         );
     }
+    let _ = writeln!(out, "\n== validation ==");
+    if summary.validation.passes == 0 {
+        let _ = writeln!(out, "(no evaluate spans recorded)");
+    } else {
+        let v = &summary.validation;
+        let _ = writeln!(
+            out,
+            "{} passes, {} batches in {} us: {} from a stored prefix output, {} promoted, {} recomputed, {} through the whole network",
+            v.passes,
+            v.batches,
+            v.total_us,
+            v.served,
+            v.promoted,
+            v.recomputed,
+            v.batches.saturating_sub(v.served + v.promoted + v.recomputed)
+        );
+    }
     let _ = writeln!(out, "\n== serve batches ==");
     if summary.serve.batches == 0 {
         let _ = writeln!(out, "(no serve_batch spans recorded)");
@@ -631,6 +677,16 @@ mod tests {
                 ("value", ArgValue::F64(0.0125)),
             ],
         );
+        for (served, promoted, recomputed) in [(0u64, 0u64, 4u64), (3, 1, 0)] {
+            let _s = t
+                .span("evaluate")
+                .iteration(4)
+                .arg("batches", 4u64)
+                .arg("served", served)
+                .arg("promoted", promoted)
+                .arg("recomputed", recomputed);
+        }
+        drop(t.span("evaluate").iteration(8).arg("batches", 4u64));
         for requests in [1u64, 3, 3] {
             let _s = t
                 .span("serve_batch")
@@ -709,6 +765,18 @@ mod tests {
         assert_eq!(s.serve.batch_size_hist, vec![(1, 1), (3, 2)]);
         assert_eq!(s.serve.total_queue_wait_us, 30);
         assert!((s.serve.mean_batch_size() - 7.0 / 3.0).abs() < 1e-12);
+        // Validation passes: one of them ran every batch whole.
+        assert_eq!(
+            s.validation,
+            ValidationStat {
+                passes: 3,
+                batches: 12,
+                served: 3,
+                promoted: 1,
+                recomputed: 4,
+                total_us: s.validation.total_us,
+            }
+        );
         // Degradation counters flow into the serve section.
         assert_eq!(s.serve.shed, 2);
         // Resilience aggregates: counters plus the transition timeline.
@@ -741,6 +809,7 @@ mod tests {
             "== freeze timeline ==",
             "== per-layer frozen time ==",
             "== observed iteration split ==",
+            "== validation ==",
             "== serve batches ==",
             "== resilience ==",
             "== cache v2 ==",
@@ -751,6 +820,10 @@ mod tests {
         }
         assert!(text.contains("froze -> prefix 2"));
         assert!(text.contains("cache.hits = 3"));
+        assert!(text.contains("3 passes, 12 batches in "));
+        assert!(text.contains(
+            "us: 3 from a stored prefix output, 1 promoted, 4 recomputed, 4 through the whole network"
+        ));
         assert!(text.contains("3 batches, 7 requests (14 rows), mean batch size 2.33"));
         assert!(text.contains("latency split: queue wait 30 us"));
         assert!(text.contains("shed at admission (overloaded): 2"));
@@ -773,6 +846,7 @@ mod tests {
         let text = render(&s);
         assert!(text.contains("(no resilience events recorded)"));
         assert!(text.contains("(no pool occupancy recorded)"));
+        assert!(text.contains("(no evaluate spans recorded)"));
     }
 
     #[test]

@@ -158,29 +158,43 @@ struct WorkerCtx {
     /// [`ServeEngine::supervise`].
     handles: Mutex<Vec<JoinHandle<()>>>,
     seq: AtomicUsize,
+    /// Holds the next spawn, once its worker is registered, until the
+    /// test sends on the gate: a granted respawn's guard then stays open
+    /// while its replacement runs (and dies).
+    #[cfg(test)]
+    respawn_gate: Mutex<Option<Receiver<()>>>,
 }
 
 /// Spawns one worker thread wired to `ctx` and registers its handle.
 /// Increments `live` up front; the worker's guard decrements it on exit.
 fn spawn_worker(ctx: &Arc<WorkerCtx>) -> std::io::Result<()> {
-    let i = ctx.seq.fetch_add(1, Ordering::Relaxed);
     ctx.live.fetch_add(1, Ordering::SeqCst);
+    spawn_in_slot(ctx).inspect_err(|_| {
+        ctx.live.fetch_sub(1, Ordering::SeqCst);
+    })
+}
+
+/// Spawns a worker into a liveness slot already counted in `live`: a new
+/// one [`spawn_worker`] counted, or the one a dying worker hands its
+/// replacement.
+fn spawn_in_slot(ctx: &Arc<WorkerCtx>) -> std::io::Result<()> {
+    let i = ctx.seq.fetch_add(1, Ordering::Relaxed);
     let c = Arc::clone(ctx);
-    match std::thread::Builder::new()
+    let h = std::thread::Builder::new()
         .name(format!("egeria-serve-worker-{i}"))
         .spawn(move || {
             let guard = WorkerGuard { ctx: c };
             worker_loop(&guard.ctx);
-        }) {
-        Ok(h) => {
-            lock(&ctx.handles).push(h);
-            Ok(())
-        }
-        Err(e) => {
-            ctx.live.fetch_sub(1, Ordering::SeqCst);
-            Err(e)
+        })?;
+    lock(&ctx.handles).push(h);
+    #[cfg(test)]
+    {
+        let gate = lock(&ctx.respawn_gate).take();
+        if let Some(gate) = gate {
+            let _ = gate.recv();
         }
     }
+    Ok(())
 }
 
 /// Runs on every worker exit. A normal exit (work queue disconnected at
@@ -206,12 +220,13 @@ impl Drop for WorkerGuard {
         }
         ctx.telemetry.counter("serve.worker_panics").inc();
         ctx.telemetry.counter("serve.worker_deaths").inc();
-        // Heal before decrementing `live`, so a granted respawn never
-        // exposes a transient zero to a sibling guard's exhaustion
-        // check.
-        if ctx.watchdog.request_respawn() && spawn_worker(ctx).is_ok() {
+        // A granted respawn hands this worker's liveness slot to its
+        // replacement instead of counting a second one: a replacement
+        // that dies before this guard returns must find itself the last
+        // worker, or neither guard drains and a queued ticket waits
+        // forever.
+        if ctx.watchdog.request_respawn() && spawn_in_slot(ctx).is_ok() {
             ctx.telemetry.counter("serve.worker_respawns").inc();
-            ctx.live.fetch_sub(1, Ordering::SeqCst);
             return;
         }
         let live = ctx.live.fetch_sub(1, Ordering::SeqCst) - 1;
@@ -286,6 +301,8 @@ impl ServeEngine {
             dispatch_gate: Mutex::new(()),
             handles: Mutex::new(Vec::with_capacity(workers_n)),
             seq: AtomicUsize::new(0),
+            #[cfg(test)]
+            respawn_gate: Mutex::new(None),
         });
         for _ in 0..workers_n {
             spawn_worker(&worker_ctx).expect("spawn serve worker");
@@ -1010,6 +1027,66 @@ mod tests {
             ServeError::Shutdown,
             "exhausted engine sheds at admission"
         );
+    }
+
+    /// Regression: a replacement can die before the guard that spawned it
+    /// returns. Both deaths here leave no worker, so the engine must end
+    /// exhausted whatever their order. When the dying worker's slot was
+    /// counted apart from its replacement's, the replacement's guard saw a
+    /// sibling still counted and skipped the drain, the parent's guard
+    /// skipped it as a granted respawn, and the next probe waited forever
+    /// (one `./ci.sh` run in nine, on `respawn_budget_exhaustion_goes_critical`).
+    /// The gate holds the parent's guard open until the replacement has
+    /// died, so that order is no longer left to the scheduler.
+    #[test]
+    fn replacement_dying_before_its_parent_guard_returns_still_exhausts() {
+        let faults = FaultInjector::new();
+        faults.arm(FaultSite::PoolTaskPanic, 0, 2, egeria_resil::FaultAction::Fail);
+        let e = ServeEngine::with_faults(
+            ServeConfig {
+                worker_respawn_budget: 1,
+                max_wait: Duration::from_secs(60),
+                ..ServeConfig::default()
+            },
+            RealClock::shared(),
+            Telemetry::disabled(),
+            Some(faults),
+            None,
+        );
+        let (release, gate) = std::sync::mpsc::channel();
+        *lock(&e.worker_ctx.respawn_gate) = Some(gate);
+        e.publish(&model(), Precision::F32).unwrap();
+        // Two groups queued at once: the worker dies on the first, and its
+        // replacement takes the second and dies while the parent's guard
+        // waits at the gate.
+        let t1 = e
+            .submit(ProbeRequest { batch: image_batch(1, 2), module: 0, deadline: None })
+            .unwrap();
+        let t2 = e
+            .submit(ProbeRequest { batch: image_batch(2, 2), module: 1, deadline: None })
+            .unwrap();
+        e.flush();
+        assert_eq!(t1.wait().unwrap_err(), ServeError::Shutdown);
+        assert_eq!(t2.wait().unwrap_err(), ServeError::Shutdown);
+        // Reap the replacement once its thread, guard included, has
+        // ended; the parent's is still held at the gate.
+        let mut reaped = 0;
+        for _ in 0..600 {
+            reaped += e.supervise();
+            if reaped > 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!((reaped, e.worker_count()), (1, 1), "the replacement has ended");
+        release.send(()).unwrap();
+        supervise_until_worker_count(&e, 0);
+        assert_eq!(e.worker_count(), 0, "both workers are gone");
+        assert!(
+            e.worker_ctx.exhausted.load(Ordering::SeqCst),
+            "no worker is left, but the engine does not know it"
+        );
+        assert_eq!(e.probe_blocking(&image_batch(3, 2), 0).unwrap_err(), ServeError::Shutdown);
     }
 
     #[test]

@@ -16,9 +16,17 @@
 //! ResNet's LR drop thaws a prefix that then refreezes at the same
 //! boundary, so a missing invalidation on unfreeze would serve stale
 //! entries and fail it.
+//!
+//! Validation goes through the cache too: while a prefix stays frozen,
+//! each validation batch is scored from its stored boundary. Every cached
+//! run must score at least one validation batch that way (read from the
+//! trainer's `evaluate` spans), and ResNet must do so again after its
+//! refreeze, so stale validation boundaries would show in the per-epoch
+//! `val_loss` / `val_metric` bits.
 
 use egeria_core::trainer::TrainReport;
 use egeria_core::EgeriaConfig;
+use egeria_obs::{ArgValue, Telemetry};
 use egeria_scenarios::registry::{build, scenarios, Recipe, Sched, Val};
 use std::fmt::Write as _;
 
@@ -56,14 +64,56 @@ fn families() -> Vec<Recipe> {
         .collect()
 }
 
-fn train(f: &Recipe, cache_fp: bool) -> TrainReport {
+/// One validation pass as its `evaluate` span reports it: the global
+/// step it followed, and how many batches it scored from a stored or a
+/// promoted boundary.
+struct Validation {
+    after_step: u64,
+    from_store: u64,
+}
+
+fn train(f: &Recipe, cache_fp: bool) -> (TrainReport, Vec<Validation>) {
     // Bit-level comparison: pin the scalar ISA (DESIGN §5g).
     egeria_tensor::simd::set_isa(egeria_tensor::simd::Isa::Scalar);
     let run = Recipe {
         egeria: f.egeria.map(|c| EgeriaConfig { cache_fp, ..c }),
         ..f.clone()
     };
-    build(&run).unwrap().train().unwrap()
+    let telemetry = Telemetry::enabled();
+    let mut built = build(&run).unwrap();
+    built.options.telemetry = telemetry.clone();
+    let report = built.train().unwrap();
+    let (events, dropped) = telemetry.trace_events();
+    assert_eq!(dropped, 0, "{}: the trace ring dropped events", f.name);
+    let arg = |args: &[(&str, ArgValue)], key: &str| match args.iter().find(|(k, _)| *k == key) {
+        Some((_, ArgValue::U64(v))) => *v,
+        other => panic!("{}: evaluate span arg {key}: {other:?}", f.name),
+    };
+    let passes = events
+        .iter()
+        .filter(|e| e.kind == "evaluate")
+        .map(|e| Validation {
+            after_step: e.iteration.unwrap_or(0),
+            from_store: arg(&e.args, "served") + arg(&e.args, "promoted"),
+        })
+        .collect();
+    (report, passes)
+}
+
+/// The step of the first freeze that reaches a prefix an unfreeze thawed
+/// before it.
+fn refreeze_step(r: &TrainReport) -> Option<usize> {
+    let mut thawed = None;
+    let mut prefix = 0;
+    for e in &r.events {
+        match e.kind.as_str() {
+            "unfreeze" => thawed = Some(prefix),
+            "freeze" if thawed == Some(e.prefix) => return Some(e.iteration),
+            _ => {}
+        }
+        prefix = e.prefix;
+    }
+    None
 }
 
 /// Everything the cache must leave alone, as comparable text.
@@ -104,8 +154,35 @@ fn trajectory(r: &TrainReport) -> String {
 #[test]
 fn cache_on_and_off_train_bit_identically_on_every_family() {
     for f in families() {
-        let off = train(&f, false);
-        let on = train(&f, true);
+        let (off, off_passes) = train(&f, false);
+        let (on, on_passes) = train(&f, true);
+        assert_eq!(
+            on_passes.len(),
+            EPOCHS,
+            "{}: one evaluate span per epoch",
+            f.name
+        );
+        assert!(
+            off_passes.iter().all(|p| p.from_store == 0),
+            "{}: validation used stored boundaries with the cache off",
+            f.name
+        );
+        assert!(
+            on_passes.iter().any(|p| p.from_store > 0),
+            "{}: no validation batch was scored from a stored boundary",
+            f.name
+        );
+        if f.name == "resnet" {
+            let refreeze = refreeze_step(&on).unwrap_or_else(|| {
+                panic!("resnet: no refreeze at a thawed boundary: {:?}", on.events)
+            });
+            assert!(
+                on_passes
+                    .iter()
+                    .any(|p| p.after_step > refreeze as u64 && p.from_store > 0),
+                "resnet: no validation batch scored from a stored boundary after the refreeze"
+            );
+        }
         assert!(
             on.events.iter().any(|e| e.kind == "freeze"),
             "{}: nothing froze; the oracle would compare nothing",

@@ -12,7 +12,13 @@
 //! still; the families that have BatchNorm pin that too. The same walk
 //! carries a stored boundary forward when the prefix advances
 //! (`Model::forward_from`), and that promotion is pinned against a fresh
-//! capture.
+//! capture. Validation resumes the same way (`Model::eval_batch_from`), from
+//! a fresh boundary or a promoted one, and must score what `eval_batch`
+//! does.
+//!
+//! The tests run under whatever ISA the process starts with: `ci.sh` runs
+//! them once with `EGERIA_SIMD=scalar` and once at the machine's vector
+//! ISA, and each equality must hold under both.
 
 use egeria_models::bert::{BertConfig, BertQa};
 use egeria_models::deeplab::{deeplab_v3, DeepLabConfig};
@@ -304,8 +310,9 @@ fn cache_round_trip_preserves_training_equivalence() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A model that keeps the trait's default `forward_from` (recompute from
-/// the batch), to hold each family's override against it.
+/// A model that keeps the trait's defaults for `forward_from` and
+/// `eval_batch_from` (recompute from the batch), to hold each family's
+/// overrides against them.
 struct Recompute(Box<dyn Model>);
 
 impl Model for Recompute {
@@ -399,5 +406,64 @@ fn promotion_matches_a_fresh_boundary_exactly() {
             }
         }
         assert!(promoted_any, "{}: no promotion was exercised", family.name);
+    }
+}
+
+#[test]
+fn eval_from_a_stored_boundary_matches_the_whole_walk() {
+    // Validation's resume: while modules `..p` stay frozen, a batch is
+    // scored from the output of module `p − 1` — captured fresh, or stored
+    // at an earlier boundary `q` and carried over `q..p` once the prefix
+    // advanced. Both must score exactly what the whole walk does, and so
+    // must the trait default.
+    let same = |a: &egeria_models::EvalResult, b: &egeria_models::EvalResult, at: &str| {
+        assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{at}: loss");
+        assert_eq!(a.metric.to_bits(), b.metric.to_bits(), "{at}: metric");
+        assert_eq!(a.count, b.count, "{at}: count");
+    };
+    for family in families() {
+        let n = (family.model)().modules().len();
+        let b = (family.batch)(0);
+        let (mut fresh, mut promoted) = (0, 0);
+        for p in 0..=n + 1 {
+            if !(family.model)().supports_cached_fp(p) {
+                let err = (family.model)().eval_batch_from(&b, p, &Tensor::zeros(&[1]));
+                assert!(
+                    matches!(err, Err(TensorError::AxisOutOfRange { .. })),
+                    "{} start {p}",
+                    family.name
+                );
+                continue;
+            }
+            for q in 1..=p {
+                if !(family.model)().supports_cached_fp(q) {
+                    continue;
+                }
+                let at = format!("{} {q} -> {p}", family.name);
+                let mut m = (family.model)();
+                m.freeze_prefix(q).unwrap();
+                let stored = m.capture_activation(&b, q - 1).unwrap();
+                // The active modules train on before the prefix advances.
+                m.train_step(&(family.batch)(1), None).unwrap();
+                Sgd::new(0.1, 0.0, 0.0).step(&mut m.params_mut()).unwrap();
+                m.zero_grad();
+                m.freeze_prefix(p).unwrap();
+                let boundary = if q == p {
+                    fresh += 1;
+                    m.capture_activation(&b, p - 1).unwrap()
+                } else {
+                    promoted += 1;
+                    m.forward_from(&b, q, &stored, p).unwrap()
+                };
+                let whole = m.eval_batch(&b).unwrap();
+                same(&m.eval_batch_from(&b, p, &boundary).unwrap(), &whole, &at);
+                let default = Recompute(m.clone_boxed())
+                    .eval_batch_from(&b, p, &boundary)
+                    .unwrap();
+                same(&default, &whole, &format!("{at}: trait default"));
+            }
+        }
+        assert!(fresh > 0, "{}: no boundary was exercised", family.name);
+        assert!(promoted > 0, "{}: no promotion was exercised", family.name);
     }
 }

@@ -172,6 +172,74 @@ fn resume_matches_uninterrupted_run() {
 }
 
 #[test]
+fn resume_with_validation_matches_uninterrupted_run_bit_for_bit() {
+    // Validation scores each batch from a stored prefix output that lives
+    // in memory only, so a resumed run rebuilds it from nothing. Every
+    // epoch's validation bits must still be the uninterrupted run's: the
+    // ones the checkpoint carries over from before the crash, and the ones
+    // the resumed run computes after it.
+    let (data, loader) = data_and_loader();
+    let val = SyntheticImages::new(
+        ImageDataConfig {
+            samples: 32,
+            classes: 4,
+            size: 8,
+            noise: 0.3,
+            augment: false,
+        },
+        17,
+    );
+    let val_loader = DataLoader::new(val.len(), 16, 0, false);
+    let validated = Some((&val as &dyn Dataset, &val_loader));
+    let mut full = make_trainer(sync_config(), scratch("val_full_cache"), None, None);
+    let full_report = full.train(&data, &loader, validated).unwrap();
+
+    let ckpt_dir = scratch("val_ckpt");
+    let faults = FaultInjector::new();
+    faults.arm(FaultSite::TrainStep, 25, 1, FaultAction::Fail);
+    let mut crashed = make_trainer(
+        sync_config(),
+        scratch("val_crash_cache"),
+        Some(CheckpointOptions::new(&ckpt_dir)),
+        Some(faults),
+    );
+    crashed.train(&data, &loader, validated).unwrap_err();
+    drop(crashed);
+    let mut resumed = make_trainer(
+        sync_config(),
+        scratch("val_resume_cache"),
+        Some(CheckpointOptions::new(&ckpt_dir)),
+        None,
+    );
+    let resumed_report = resumed.train(&data, &loader, validated).unwrap();
+    let resume_epoch = resumed_report.resumed_from_epoch.expect("run must resume");
+
+    // The resumed epochs validate with a frozen prefix, so the boundaries
+    // are rebuilt and served after the resume, not only before it.
+    assert!(
+        full_report.epochs[resume_epoch..]
+            .iter()
+            .any(|e| e.frozen_prefix > 0),
+        "nothing was frozen after the resume; the comparison would be vacuous"
+    );
+    let val_bits = |r: &TrainReport| -> Vec<(usize, Option<u32>, Option<u32>)> {
+        r.epochs
+            .iter()
+            .map(|e| {
+                (
+                    e.epoch,
+                    e.val_loss.map(f32::to_bits),
+                    e.val_metric.map(f32::to_bits),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(val_bits(&resumed_report).len(), EPOCHS);
+    assert!(val_bits(&full_report).iter().all(|(_, l, m)| l.is_some() && m.is_some()));
+    assert_eq!(val_bits(&full_report), val_bits(&resumed_report));
+}
+
+#[test]
 fn resume_survives_corrupt_latest_checkpoint() {
     let (data, loader) = data_and_loader();
     let ckpt_dir = scratch("ckpt_corrupt");
