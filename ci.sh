@@ -106,6 +106,12 @@ EGERIA_THREADS=1 EGERIA_SIMD=scalar cargo_test -q
 step "test: workspace"
 cargo_test -q --workspace
 
+step "hostile_bytes --release"
+# Hostile bytes on decode (DESIGN §5n) must hold in both profiles: in
+# release an overflowing value wraps instead of panicking, which the two
+# debug passes above cannot see.
+cargo_test -q --release --test hostile_bytes
+
 step "scenario_ab"
 # Freezing-policy A/B matrix (DESIGN §5i): the release-built harness runs
 # every policy over every model family on fixed seeds, verifies each cell

@@ -3,29 +3,28 @@
 //! A checkpoint captures *everything* the trainer needs to continue a run
 //! as if it had never stopped: model parameters (by name) and BatchNorm
 //! running statistics, optimizer slots, the freezing state machine
-//! (frozen prefix, per-module plasticity histories, event log), the
-//! bootstrap monitor, the active reference-model snapshot, and the report
-//! accumulators. The LR schedule and data order need no cursor state —
-//! both are pure functions of `(seed, epoch/step)`.
+//! (frontmost active module, per-module plasticity histories, policy
+//! state), the bootstrap monitor, the active reference-model snapshot, and
+//! the report accumulators (the freeze/unfreeze events among them). The LR
+//! schedule and data order need no cursor state — both are pure functions
+//! of `(seed, epoch/step)`. Each fact is stored once: the model's frozen
+//! prefix on resume is the freezer's `front`, and the trackers' criteria
+//! follow from the config and the freezer's `relaxed` flag.
 //!
-//! On-disk container (little-endian), format version 3:
+//! On-disk container (little-endian), format version 4:
 //!
 //! ```text
 //! magic        u32  = 0x4B434745 ("EGCK")
-//! version      u8   = 3
+//! version      u8   = 4
 //! payload_len  u64
 //! crc32        u32  (IEEE CRC-32 of the payload)
 //! payload      (the encoded TrainerCheckpoint)
 //! ```
 //!
-//! Version history: v2 added the freeze-policy state block
-//! ([`crate::policy::PolicyState`]) to the freezer section. v3 appended
-//! the activation-cache backend kind (`cache_store`) so a resumed run can
-//! detect a backend switch and start from an empty cache instead of
-//! reading the other layout's files. Older files are still
-//! decodable — v1 freezer state upgrades with [`PolicyState::legacy`]
-//! (those runs were always paper-policy driven), and v≤2 upgrades with
-//! `cache_store = "flat"` (the only backend that existed).
+//! A reader accepts exactly the version it writes, like every other
+//! on-disk format here: any change to the payload — a policy's
+//! [`PolicyState`] layout included — bumps [`FORMAT_VERSION`], and a file
+//! of another version is skipped like a corrupt one.
 //!
 //! Atomicity protocol: the file is written to `<name>.tmp`, fsynced, then
 //! renamed over the final name — a crash mid-save leaves at most a stale
@@ -35,7 +34,7 @@
 //! checkpoint silently yields the previous one.
 
 use crate::bootstrap::BootstrapSnapshot;
-use crate::freezer::{FreezeEvent, FreezerSnapshot};
+use crate::freezer::FreezerSnapshot;
 use crate::plasticity::TrackerSnapshot;
 use crate::policy::PolicyState;
 use crate::reference::ReferenceSnapshot;
@@ -52,11 +51,8 @@ use std::sync::Arc;
 /// Magic number of checkpoint files ("EGCK").
 pub const MAGIC: u32 = 0x4B43_4745;
 
-/// Current checkpoint container version.
-pub const FORMAT_VERSION: u8 = 3;
-
-/// Oldest container version this binary still decodes.
-pub const MIN_FORMAT_VERSION: u8 = 1;
+/// The checkpoint container version: the only one written and read.
+pub const FORMAT_VERSION: u8 = 4;
 
 /// Checkpointing options for the trainer.
 #[derive(Debug, Clone)]
@@ -91,8 +87,6 @@ pub struct TrainerCheckpoint {
     pub global_step: u64,
     /// Evaluations since the last reference refresh.
     pub evals_since_ref_update: u64,
-    /// Frozen-prefix length.
-    pub frozen_prefix: u64,
     /// Model parameters keyed by name.
     pub params: Vec<(String, Tensor)>,
     /// Non-parameter model state (BatchNorm running statistics), in
@@ -100,13 +94,13 @@ pub struct TrainerCheckpoint {
     pub state_buffers: Vec<Tensor>,
     /// Optimizer state (kind, LR, step count, name-keyed slots).
     pub optimizer: OptimizerState,
-    /// Freezing-engine state (`None` when Egeria is off).
+    /// Freezing-engine state (`None` when Egeria is off). Its `front` is
+    /// the model's frozen prefix on resume (0 when `None`).
     pub freezer: Option<FreezerSnapshot>,
     /// Bootstrap-monitor state (`None` when Egeria is off).
     pub bootstrap: Option<BootstrapSnapshot>,
     /// The active reference model (`None` before bootstrap completes).
-    /// Checkpoints written by the async-controller runs of earlier versions
-    /// carry none after it either; resume then regenerates the reference
+    /// Should one be missing after it, resume regenerates the reference
     /// from the restored weights.
     pub reference: Option<ReferenceSnapshot>,
     /// Per-epoch report records accumulated so far.
@@ -121,7 +115,7 @@ pub struct TrainerCheckpoint {
     pub input_bytes: u64,
     /// Activation-cache backend name (`"flat"` / `"chunked"`) the run was
     /// using; a resumed run on a different backend invalidates its cache
-    /// instead of reading a foreign layout. v≤2 files decode as `"flat"`.
+    /// instead of reading a foreign layout.
     pub cache_store: String,
 }
 
@@ -168,14 +162,10 @@ fn put_tracker(out: &mut Vec<u8>, t: &TrackerSnapshot) {
     put_f32_vec(out, &t.raw);
     put_f32_vec(out, &t.smoothed);
     put_u64(out, t.stale as u64);
-    put_u64(out, t.w as u64);
-    put_u64(out, t.s as u64);
-    put_f32(out, t.t);
 }
 
 fn put_policy_state(out: &mut Vec<u8>, p: &PolicyState) {
     put_string(out, &p.kind);
-    put_u32(out, p.version);
     put_f32_vec(out, &p.scalars);
     put_u64(out, p.counters.len() as u64);
     for &c in &p.counters {
@@ -183,12 +173,11 @@ fn put_policy_state(out: &mut Vec<u8>, p: &PolicyState) {
     }
 }
 
-fn encode_payload(ckpt: &TrainerCheckpoint, version: u8, out: &mut Vec<u8>) {
+fn encode_payload(ckpt: &TrainerCheckpoint, out: &mut Vec<u8>) {
     put_string(out, &ckpt.model_name);
     put_u64(out, ckpt.next_epoch);
     put_u64(out, ckpt.global_step);
     put_u64(out, ckpt.evals_since_ref_update);
-    put_u64(out, ckpt.frozen_prefix);
     put_named_tensors(out, &ckpt.params);
     put_u64(out, ckpt.state_buffers.len() as u64);
     for t in &ckpt.state_buffers {
@@ -212,25 +201,11 @@ fn encode_payload(ckpt: &TrainerCheckpoint, version: u8, out: &mut Vec<u8>) {
             put_opt_f32(out, f.lr_at_first_freeze);
             put_bool(out, f.relaxed);
             put_u64(out, f.evaluations as u64);
-            put_u64(out, f.events.len() as u64);
-            for (at, ev) in &f.events {
-                put_u64(out, *at as u64);
-                match ev {
-                    FreezeEvent::None => put_u8(out, 0),
-                    FreezeEvent::Froze(k) => {
-                        put_u8(out, 1);
-                        put_u64(out, *k as u64);
-                    }
-                    FreezeEvent::Unfroze => put_u8(out, 2),
-                }
-            }
             put_u64(out, f.trackers.len() as u64);
             for t in &f.trackers {
                 put_tracker(out, t);
             }
-            if version >= 2 {
-                put_policy_state(out, &f.policy);
-            }
+            put_policy_state(out, &f.policy);
         }
     }
     // Bootstrap.
@@ -285,9 +260,7 @@ fn encode_payload(ckpt: &TrainerCheckpoint, version: u8, out: &mut Vec<u8>) {
         put_u64(out, e.prefix as u64);
     }
     put_u64(out, ckpt.input_bytes);
-    if version >= 3 {
-        put_string(out, &ckpt.cache_store);
-    }
+    put_string(out, &ckpt.cache_store);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,38 +321,22 @@ fn tracker(r: &mut Reader) -> Result<TrackerSnapshot> {
         raw: f32_vec(r, "tracker.raw")?,
         smoothed: f32_vec(r, "tracker.smoothed")?,
         stale: r.u64("tracker.stale")? as usize,
-        w: r.u64("tracker.w")? as usize,
-        s: r.u64("tracker.s")? as usize,
-        t: r.f32("tracker.t")?,
     })
 }
 
 fn policy_state(r: &mut Reader) -> Result<PolicyState> {
     Ok(PolicyState {
         kind: r.string("policy.kind")?,
-        version: r.u32("policy.version")?,
         scalars: f32_vec(r, "policy.scalars")?,
         counters: list(r, 8, "policy.counters", |r| r.u64("policy.counter"))?,
     })
 }
 
-fn freeze_event(r: &mut Reader) -> Result<(usize, FreezeEvent)> {
-    let at = r.u64("freezer.event.at")? as usize;
-    let ev = match r.u8("freezer.event.kind")? {
-        0 => FreezeEvent::None,
-        1 => FreezeEvent::Froze(r.u64("freezer.event.k")? as usize),
-        2 => FreezeEvent::Unfroze,
-        other => return Err(r.corrupt(format_args!("unknown freeze event tag {other}"))),
-    };
-    Ok((at, ev))
-}
-
-fn decode_payload(r: &mut Reader, version: u8) -> Result<TrainerCheckpoint> {
+fn decode_payload(r: &mut Reader) -> Result<TrainerCheckpoint> {
     let model_name = r.string("model_name")?;
     let next_epoch = r.u64("next_epoch")?;
     let global_step = r.u64("global_step")?;
     let evals_since_ref_update = r.u64("evals_since_ref_update")?;
-    let frozen_prefix = r.u64("frozen_prefix")?;
     let params = named_tensors(r, "params")?;
     let state_buffers = tensors(r, "state_buffers")?;
     let optimizer = OptimizerState {
@@ -400,15 +357,8 @@ fn decode_payload(r: &mut Reader, version: u8) -> Result<TrainerCheckpoint> {
             lr_at_first_freeze: opt_f32(r, "freezer.lr_at_first_freeze")?,
             relaxed: flag(r, "freezer.relaxed")?,
             evaluations: r.u64("freezer.evaluations")? as usize,
-            events: list(r, 9, "freezer.events", freeze_event)?,
-            trackers: list(r, 44, "freezer.trackers", tracker)?,
-            // v1 predates the policy framework; those runs were always
-            // paper-policy driven, so the upgrade is lossless.
-            policy: if version >= 2 {
-                policy_state(r)?
-            } else {
-                PolicyState::legacy()
-            },
+            trackers: list(r, 24, "freezer.trackers", tracker)?,
+            policy: policy_state(r)?,
         }),
     };
     let bootstrap = match r.u8("bootstrap.tag")? {
@@ -459,18 +409,12 @@ fn decode_payload(r: &mut Reader, version: u8) -> Result<TrainerCheckpoint> {
         })
     })?;
     let input_bytes = r.u64("input_bytes")?;
-    // v≤2 predates the chunked backend; those runs were always flat.
-    let cache_store = if version >= 3 {
-        r.string("cache_store")?
-    } else {
-        "flat".to_string()
-    };
+    let cache_store = r.string("cache_store")?;
     Ok(TrainerCheckpoint {
         model_name,
         next_epoch,
         global_step,
         evals_since_ref_update,
-        frozen_prefix,
         params,
         state_buffers,
         optimizer,
@@ -488,24 +432,14 @@ fn decode_payload(r: &mut Reader, version: u8) -> Result<TrainerCheckpoint> {
 
 /// Serializes a checkpoint into the versioned, checksummed container.
 pub fn to_bytes(ckpt: &TrainerCheckpoint) -> Vec<u8> {
-    to_bytes_versioned(ckpt, FORMAT_VERSION)
+    wire::frame(MAGIC, FORMAT_VERSION, 0, |out| encode_payload(ckpt, out))
 }
 
-/// Serializes with an explicit container version (old versions drop the
-/// fields they predate). Only the current version is written in production;
-/// this exists so backward-compat decoding stays testable, here and in the
-/// workspace's hostile-bytes tests.
-#[doc(hidden)]
-pub fn to_bytes_versioned(ckpt: &TrainerCheckpoint, version: u8) -> Vec<u8> {
-    wire::frame(MAGIC, version, 0, |out| encode_payload(ckpt, version, out))
-}
-
-/// Deserializes a checkpoint, validating magic, version, length, and CRC
-/// before interpreting any payload byte.
+/// Deserializes a checkpoint, validating magic, version ([`FORMAT_VERSION`]
+/// only), length, and CRC before interpreting any payload byte.
 pub fn from_bytes(buf: &[u8]) -> Result<TrainerCheckpoint> {
-    let versions = MIN_FORMAT_VERSION..=FORMAT_VERSION;
-    let (version, mut r) = wire::unframe("checkpoint", buf, MAGIC, versions)?;
-    let ckpt = decode_payload(&mut r, version)?;
+    let (_, mut r) = wire::unframe("checkpoint", buf, MAGIC, FORMAT_VERSION..=FORMAT_VERSION)?;
+    let ckpt = decode_payload(&mut r)?;
     // By path: egeria-lint resolves a `.finish()` method call by name alone
     // and would route this decode root through `EgeriaRun::finish`.
     Reader::finish(r)?;
@@ -685,7 +619,6 @@ mod tests {
             next_epoch: 3,
             global_step: 12,
             evals_since_ref_update: 2,
-            frozen_prefix: 1,
             params: vec![
                 ("w".into(), Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap()),
                 ("b".into(), Tensor::scalar(0.5)),
@@ -705,18 +638,13 @@ mod tests {
                 lr_at_first_freeze: Some(0.05),
                 relaxed: false,
                 evaluations: 6,
-                events: vec![(4, FreezeEvent::Froze(1)), (6, FreezeEvent::Unfroze)],
                 trackers: vec![TrackerSnapshot {
                     raw: vec![0.5, 0.4],
                     smoothed: vec![0.5, 0.45],
                     stale: 1,
-                    w: 3,
-                    s: 2,
-                    t: 1.0,
                 }],
                 policy: PolicyState {
                     kind: "regression".into(),
-                    version: 1,
                     scalars: vec![0.4],
                     counters: vec![1, 7, 0],
                 },
@@ -763,7 +691,6 @@ mod tests {
         assert_eq!(a.model_name, b.model_name);
         assert_eq!(a.next_epoch, b.next_epoch);
         assert_eq!(a.global_step, b.global_step);
-        assert_eq!(a.frozen_prefix, b.frozen_prefix);
         assert_eq!(a.params.len(), b.params.len());
         for ((na, ta), (nb, tb)) in a.params.iter().zip(b.params.iter()) {
             assert_eq!(na, nb);
@@ -793,45 +720,29 @@ mod tests {
         assert_round_trip(&c, &back);
     }
 
-    #[test]
-    fn format_v1_checkpoints_decode_with_legacy_policy_state() {
-        let c = tiny_checkpoint();
-        let v1_bytes = to_bytes_versioned(&c, 1);
-        let back = from_bytes(&v1_bytes).unwrap();
-        // Everything except the policy block survives; the freezer state
-        // upgrades with the legacy (paper, version-0) policy state.
-        assert_eq!(back.model_name, c.model_name);
-        let f = back.freezer.expect("freezer section survives");
-        let orig = c.freezer.unwrap();
-        assert_eq!(f.front, orig.front);
-        assert_eq!(f.events, orig.events);
-        assert_eq!(f.trackers, orig.trackers);
-        assert_eq!(f.policy, PolicyState::legacy());
-    }
-
-    #[test]
-    fn format_v2_checkpoints_decode_as_flat_cache_store() {
-        let c = tiny_checkpoint();
-        let v2_bytes = to_bytes_versioned(&c, 2);
-        let back = from_bytes(&v2_bytes).unwrap();
-        // Everything up to the v3 field survives; the backend kind
-        // upgrades to the only one v2 runs could have used.
-        assert_eq!(back.model_name, c.model_name);
-        assert_eq!(back.freezer, c.freezer);
-        assert_eq!(back.input_bytes, c.input_bytes);
-        assert_eq!(back.cache_store, "flat");
+    /// `bytes` relabelled as container `version`. The frame's CRC covers
+    /// only the payload, so the result is intact but for its version.
+    fn with_version(mut bytes: Vec<u8>, version: u8) -> Vec<u8> {
+        bytes[4] = version; // the byte after the u32 magic
+        bytes
     }
 
     #[test]
     fn future_format_versions_are_rejected() {
-        let bytes = to_bytes_versioned(&tiny_checkpoint(), FORMAT_VERSION + 1);
-        assert!(from_bytes(&bytes).is_err());
+        let bytes = to_bytes(&tiny_checkpoint());
+        assert!(from_bytes(&bytes).is_ok());
+        for version in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let err = from_bytes(&with_version(bytes.clone(), version)).unwrap_err();
+            assert!(err.to_string().contains("version"), "v{version}: {err}");
+        }
     }
 
     /// `(length, crc32)` of every on-disk format's encoding of a fixed
-    /// value, recorded at the parent commit 8d3c159 — before the five
-    /// formats moved onto `egeria_tensor::wire` — so neither today's bytes
-    /// nor the legacy-decode fixtures (checkpoint v1, v2) can drift.
+    /// value: the tensor, record, chunk-block and manifest literals were
+    /// recorded at commit 8d3c159, before the five formats moved onto
+    /// `egeria_tensor::wire`; the checkpoint's when container version 4
+    /// dropped the facts it stored twice. A change to any of them must
+    /// bump that format's version.
     #[test]
     fn on_disk_bytes_are_unchanged_from_parent() {
         use egeria_store::chunk::ChunkBlock;
@@ -855,10 +766,7 @@ mod tests {
         assert_eq!(pin(&int8), (56, 0xbc26_96bf), "int8 record");
 
         let c = tiny_checkpoint();
-        assert_eq!(pin(&to_bytes(&c)), (722, 0x986a_e1d5), "checkpoint v3");
-        let (v2, v1) = (to_bytes_versioned(&c, 2), to_bytes_versioned(&c, 1));
-        assert_eq!(pin(&v2), (711, 0x8f51_1fc3), "checkpoint v2");
-        assert_eq!(pin(&v1), (649, 0x5502_7de7), "checkpoint v1");
+        assert_eq!(pin(&to_bytes(&c)), (656, 0x7c3e_c301), "checkpoint v4");
 
         let records = [(0u16, exact), (5, Vec::new()), (63, f16)];
         let block = ChunkBlock {
@@ -954,20 +862,29 @@ mod tests {
 
     #[test]
     fn corrupt_latest_falls_back_to_previous() {
-        let dir = tmp_dir("fallback");
-        let mut store = CheckpointStore::open(&dir, 3).unwrap();
-        let mut c = tiny_checkpoint();
-        c.next_epoch = 1;
-        store.save(&c).unwrap();
-        c.next_epoch = 2;
-        let latest_path = store.save(&c).unwrap();
-        // Flip a payload byte of the newest file on disk.
-        let mut bytes = fs::read(&latest_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&latest_path, &bytes).unwrap();
-        let loaded = store.load_latest().unwrap();
-        assert_eq!(loaded.next_epoch, 1, "must fall back past the corrupt file");
+        // The newest file with a payload byte flipped, and the newest file
+        // labelled with the previous container version: neither may be read.
+        for (tag, older) in [("fallback", false), ("fallback_older", true)] {
+            let mut store = CheckpointStore::open(tmp_dir(tag), 3).unwrap();
+            let mut c = tiny_checkpoint();
+            c.next_epoch = 1;
+            store.save(&c).unwrap();
+            c.next_epoch = 2;
+            let latest_path = store.save(&c).unwrap();
+            let mut bytes = fs::read(&latest_path).unwrap();
+            if older {
+                bytes = with_version(bytes, FORMAT_VERSION - 1);
+            } else {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xFF;
+            }
+            fs::write(&latest_path, &bytes).unwrap();
+            let loaded = store.load_latest().unwrap();
+            assert_eq!(
+                loaded.next_epoch, 1,
+                "{tag}: must fall back past the newest file"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use egeria_quant::Precision;
 
 /// Which freeze/unfreeze decision policy drives the [`crate::freezer::FreezingEngine`]
 /// (DESIGN §5i). The engine owns the per-module plasticity trackers and the
-/// event log; the policy owns only the *decision rule*, so every variant
+/// frozen front; the policy owns only the *decision rule*, so every variant
 /// shares one probe pipeline and one determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {

@@ -4,8 +4,9 @@
 //! into its history, advances the frozen prefix on a policy's decision, and
 //! handles unfreezing with relaxed refreeze criteria. The decision rule
 //! itself lives behind [`FreezePolicy`] (DESIGN §5i): the engine owns the
-//! shared mechanics — trackers, front cursor, event log, telemetry, tail
-//! guard — and delegates freeze/unfreeze/hold to the configured policy.
+//! shared mechanics — trackers, front cursor, telemetry, tail guard — and
+//! delegates freeze/unfreeze/hold to the configured policy. The events it
+//! returns are recorded by the caller (`TrainReport::events`).
 
 use crate::config::{EgeriaConfig, UnfreezePolicy};
 use crate::plasticity::{PlasticityObservation, PlasticityTracker, TrackerSnapshot};
@@ -14,24 +15,26 @@ use egeria_obs::Telemetry;
 use egeria_tensor::{Result, Tensor};
 
 /// The complete persistent state of a [`FreezingEngine`], exposed for
-/// checkpointing. Restoring it (against the same config) reproduces the
-/// engine's future freeze/unfreeze decisions exactly.
+/// checkpointing. Restoring it against the same config reproduces the
+/// engine's future freeze/unfreeze decisions exactly. It holds each fact
+/// once: `front` is also the model's frozen prefix on resume, and the
+/// trackers' criteria follow from the config and `relaxed`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FreezerSnapshot {
     /// Frontmost active module (frozen-prefix length).
     pub front: usize,
     /// LR recorded when the current freeze run started.
     pub lr_at_first_freeze: Option<f32>,
-    /// Whether refreeze criteria are relaxed.
+    /// Whether refreeze criteria are relaxed: every tracker runs
+    /// [`EgeriaConfig::relaxed_for_refreeze`] instead of the config's
+    /// `(w, s)`.
     pub relaxed: bool,
     /// Total evaluations folded so far.
     pub evaluations: usize,
-    /// Event history `(evaluation index, event)`.
-    pub events: Vec<(usize, FreezeEvent)>,
-    /// Per-module tracker states, in module order.
+    /// Per-module tracker histories, in module order.
     pub trackers: Vec<TrackerSnapshot>,
-    /// The decision policy's own state (versioned; DESIGN §5i). Legacy
-    /// format-v1 checkpoints decode to [`PolicyState::legacy`].
+    /// The decision policy's own state (DESIGN §5i); its layout is
+    /// versioned by the checkpoint container's version.
     pub policy: PolicyState,
 }
 
@@ -61,8 +64,6 @@ pub struct FreezingEngine {
     lr_at_first_freeze: Option<f32>,
     /// Whether refreeze criteria are currently relaxed.
     relaxed: bool,
-    /// History of events with the evaluation index they occurred at.
-    events: Vec<(usize, FreezeEvent)>,
     evaluations: usize,
     /// Telemetry handle; excluded from snapshots (observability is not
     /// training state).
@@ -94,7 +95,6 @@ impl FreezingEngine {
             base: *cfg,
             lr_at_first_freeze: None,
             relaxed: false,
-            events: Vec::new(),
             evaluations: 0,
             telemetry: Telemetry::disabled(),
         }
@@ -122,11 +122,6 @@ impl FreezingEngine {
     /// stays active, per Algorithm 1's assertion).
     pub fn can_freeze(&self) -> bool {
         self.front + 1 < self.num_modules
-    }
-
-    /// Recorded freeze/unfreeze events `(evaluation index, event)`.
-    pub fn events(&self) -> &[(usize, FreezeEvent)] {
-        &self.events
     }
 
     /// The plasticity tracker of a module (for trace export).
@@ -200,7 +195,6 @@ impl FreezingEngine {
                 }
                 self.front += 1;
                 let event = FreezeEvent::Froze(self.front);
-                self.events.push((self.evaluations, event));
                 self.telemetry.counter("freezer.freezes").inc();
                 self.telemetry.gauge("freezer.front").set(self.front as f64);
                 self.policy.on_freeze(self.front, &obs);
@@ -224,7 +218,6 @@ impl FreezingEngine {
         for t in &mut self.trackers {
             t.relax(w, s);
         }
-        self.events.push((self.evaluations, FreezeEvent::Unfroze));
         self.telemetry.counter("freezer.unfreezes").inc();
         self.telemetry.gauge("freezer.front").set(0.0);
         self.policy.on_unfreeze();
@@ -242,7 +235,6 @@ impl FreezingEngine {
             lr_at_first_freeze: self.lr_at_first_freeze,
             relaxed: self.relaxed,
             evaluations: self.evaluations,
-            events: self.events.clone(),
             trackers: self.trackers.iter().map(|t| t.snapshot()).collect(),
             policy: self.policy.snapshot(),
         }
@@ -250,27 +242,35 @@ impl FreezingEngine {
 
     /// Restores a previously snapshotted state into this engine.
     ///
-    /// The engine must have been built for the same module count (and the
-    /// same config, though only the tracker criteria embedded in the
-    /// snapshot are actually consulted afterwards).
-    pub fn restore(&mut self, s: &FreezerSnapshot) -> Result<()> {
-        if s.trackers.len() != self.num_modules || s.front > self.num_modules {
+    /// The engine must have been built for the same module count and
+    /// config: every tracker gets the config's criteria, relaxed as
+    /// [`EgeriaConfig::relaxed_for_refreeze`] when the snapshot is.
+    pub fn restore(&mut self, snap: &FreezerSnapshot) -> Result<()> {
+        if snap.trackers.len() != self.num_modules || snap.front > self.num_modules {
             return Err(egeria_tensor::TensorError::Corrupt(format!(
                 "freezer snapshot covers {} modules (front {}), engine has {}",
-                s.trackers.len(),
-                s.front,
+                snap.trackers.len(),
+                snap.front,
                 self.num_modules
             )));
         }
         // Validate the policy state before mutating anything so a rejected
         // restore leaves the engine untouched.
-        self.policy.restore(&s.policy)?;
-        self.front = s.front;
-        self.lr_at_first_freeze = s.lr_at_first_freeze;
-        self.relaxed = s.relaxed;
-        self.evaluations = s.evaluations;
-        self.events = s.events.clone();
-        self.trackers = s.trackers.iter().map(PlasticityTracker::from_snapshot).collect();
+        self.policy.restore(&snap.policy)?;
+        self.front = snap.front;
+        self.lr_at_first_freeze = snap.lr_at_first_freeze;
+        self.relaxed = snap.relaxed;
+        self.evaluations = snap.evaluations;
+        let (w, s) = if snap.relaxed {
+            self.base.relaxed_for_refreeze()
+        } else {
+            (self.base.w, self.base.s)
+        };
+        self.trackers = snap
+            .trackers
+            .iter()
+            .map(|h| PlasticityTracker::from_snapshot(h, w, s, self.base.t))
+            .collect();
         Ok(())
     }
 }
@@ -400,20 +400,5 @@ mod tests {
         let (_, ev) = e.observe(&a, &b, 1e-6).unwrap();
         assert_ne!(ev, FreezeEvent::Unfroze);
         assert!(e.front() >= 1);
-    }
-
-    #[test]
-    fn events_are_recorded_in_order() {
-        let mut e = FreezingEngine::new(4, &cfg());
-        let mut rng = Rng::new(7);
-        for _ in 0..40 {
-            let (a, b) = stable_pair(&mut rng);
-            let _ = e.observe(&a, &b, 0.1).unwrap();
-        }
-        let evs = e.events();
-        assert!(!evs.is_empty());
-        for w in evs.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-        }
     }
 }

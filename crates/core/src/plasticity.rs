@@ -21,9 +21,10 @@ pub struct PlasticityObservation {
     pub converged: bool,
 }
 
-/// The complete persistent state of a [`PlasticityTracker`], exposed for
-/// checkpointing. Restoring it reproduces the tracker's future decisions
-/// exactly (the histories, stale counter and criteria are its only state).
+/// The persistent history of a [`PlasticityTracker`], exposed for
+/// checkpointing. Restored under the same criteria, it reproduces the
+/// tracker's future decisions exactly. The criteria are not part of it:
+/// they follow from the config (see [`crate::freezer::FreezerSnapshot`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackerSnapshot {
     /// Raw SP-loss history.
@@ -32,12 +33,6 @@ pub struct TrackerSnapshot {
     pub smoothed: Vec<f32>,
     /// Consecutive sub-tolerance evaluations so far.
     pub stale: usize,
-    /// Current window `W`.
-    pub w: usize,
-    /// Current stale threshold `S`.
-    pub s: usize,
-    /// Slope tolerance `T`.
-    pub t: f32,
 }
 
 /// Plasticity history of one layer module.
@@ -121,27 +116,23 @@ impl PlasticityTracker {
         &self.smoothed
     }
 
-    /// Serializable view of the tracker for checkpointing.
+    /// Serializable history of the tracker for checkpointing.
     pub fn snapshot(&self) -> TrackerSnapshot {
         TrackerSnapshot {
             raw: self.raw.clone(),
             smoothed: self.smoothed.clone(),
             stale: self.stale,
-            w: self.w,
-            s: self.s,
-            t: self.t,
         }
     }
 
-    /// Rebuilds a tracker from a [`TrackerSnapshot`].
-    pub fn from_snapshot(s: &TrackerSnapshot) -> Self {
+    /// Rebuilds a tracker from a [`TrackerSnapshot`] under window `w`,
+    /// stale threshold `s` and tolerance `t` (as [`PlasticityTracker::new`]).
+    pub fn from_snapshot(h: &TrackerSnapshot, w: usize, s: usize, t: f32) -> Self {
         PlasticityTracker {
-            raw: s.raw.clone(),
-            smoothed: s.smoothed.clone(),
-            stale: s.stale,
-            w: s.w.max(1),
-            s: s.s.max(1),
-            t: s.t,
+            raw: h.raw.clone(),
+            smoothed: h.smoothed.clone(),
+            stale: h.stale,
+            ..PlasticityTracker::new(w, s, t)
         }
     }
 

@@ -1,8 +1,8 @@
 //! Pluggable freeze/unfreeze decision policies (DESIGN §5i).
 //!
 //! [`crate::freezer::FreezingEngine`] owns the mechanics every policy
-//! shares — per-module plasticity trackers, the frozen-front cursor, the
-//! event log, telemetry, and the tail-module guard — while a
+//! shares — per-module plasticity trackers, the frozen-front cursor,
+//! telemetry, and the tail-module guard — while a
 //! [`FreezePolicy`] owns only the *decision rule*. One evaluation is folded
 //! in two phases, mirroring Algorithm 1's ordering exactly:
 //!
@@ -18,9 +18,9 @@
 //! The engine enforces the global invariants no policy may break: the tail
 //! module never freezes, and unfreezing below an empty front is a no-op.
 //!
-//! Policy state is checkpointed through the versioned [`PolicyState`]
-//! container; the versioning rules (kind must match, versions only
-//! upgradable) are specified in DESIGN §5i.
+//! Policy state is checkpointed through the schema-free [`PolicyState`]
+//! container; its one rule (the kind must match) and how its layout is
+//! versioned are specified in DESIGN §5i.
 
 use crate::config::{EgeriaConfig, PolicyKind, UnfreezePolicy};
 use crate::plasticity::PlasticityObservation;
@@ -76,23 +76,17 @@ pub struct PostCtx<'a> {
 /// Serializable policy state for checkpointing.
 ///
 /// The container is deliberately schema-free — two flat arrays plus a
-/// `(kind, version)` header — so the checkpoint format does not change
-/// shape when a policy gains state. Versioning rules (DESIGN §5i):
-///
-/// - `kind` must match the restoring policy's name exactly; resuming a
-///   checkpoint under a different policy is a corruption error, not a
-///   silent re-interpretation.
-/// - a policy must accept every version `<=` its current one (upgrading in
-///   place) and must reject newer versions (a checkpoint from a newer
-///   binary is not downgradable).
-/// - version 0 is the legacy pre-policy state: format-v1 checkpoints decode
-///   to `PolicyState::legacy()` and only the paper policy accepts it.
+/// `kind` header — so the checkpoint's shape does not change when a policy
+/// gains state. `kind` must match the restoring policy's name exactly:
+/// resuming a checkpoint under a different policy is a corruption error,
+/// not a silent re-interpretation. The arrays' layout carries no version
+/// of its own: a change to any policy's layout bumps the checkpoint's
+/// [`crate::checkpoint::FORMAT_VERSION`], which reads only the version it
+/// writes (DESIGN §5i).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyState {
     /// Policy kind name this state belongs to.
     pub kind: String,
-    /// Per-kind state-layout version.
-    pub version: u32,
     /// Float state, layout owned by the policy.
     pub scalars: Vec<f32>,
     /// Integer state, layout owned by the policy.
@@ -101,37 +95,22 @@ pub struct PolicyState {
 
 impl PolicyState {
     /// Fresh state for a policy with no persistent fields.
-    pub fn empty(kind: &str, version: u32) -> Self {
+    pub fn empty(kind: &str) -> Self {
         PolicyState {
             kind: kind.to_string(),
-            version,
             scalars: Vec::new(),
             counters: Vec::new(),
         }
     }
-
-    /// The state a format-v1 (pre-policy-framework) checkpoint decodes to:
-    /// those runs were always driven by the paper policy, which is
-    /// stateless, so the upgrade is lossless.
-    pub fn legacy() -> Self {
-        PolicyState::empty("paper", 0)
-    }
 }
 
-/// Validates the `(kind, version)` header shared by every policy.
-fn check_state(s: &PolicyState, kind: &str, current_version: u32) -> Result<()> {
+/// Validates the `kind` header shared by every policy.
+fn check_state(s: &PolicyState, kind: &str) -> Result<()> {
     if s.kind != kind {
         return Err(TensorError::Corrupt(format!(
             "policy state is for {:?}, engine runs {kind:?} — resume must use \
              the checkpointed policy",
             s.kind
-        )));
-    }
-    if s.version > current_version {
-        return Err(TensorError::Corrupt(format!(
-            "policy {kind:?} state version {} is newer than this binary \
-             supports ({current_version})",
-            s.version
         )));
     }
     Ok(())
@@ -207,9 +186,6 @@ pub struct PaperPolicy {
     unfreeze: UnfreezePolicy,
 }
 
-/// Current [`PolicyState::version`] written by [`PaperPolicy`].
-pub const PAPER_STATE_VERSION: u32 = 1;
-
 impl PaperPolicy {
     /// Creates the paper policy with the configured unfreeze mode.
     pub fn new(unfreeze: UnfreezePolicy) -> Self {
@@ -255,13 +231,11 @@ impl FreezePolicy for PaperPolicy {
     }
 
     fn snapshot(&self) -> PolicyState {
-        PolicyState::empty(self.name(), PAPER_STATE_VERSION)
+        PolicyState::empty(self.name())
     }
 
     fn restore(&mut self, s: &PolicyState) -> Result<()> {
-        // Version 0 is the legacy pre-framework state (format-v1
-        // checkpoints); the paper policy is stateless either way.
-        check_state(s, self.name(), PAPER_STATE_VERSION)
+        check_state(s, self.name())
     }
 }
 
@@ -287,9 +261,6 @@ pub struct LearnedPolicy {
     /// Consecutive evaluations scored above threshold.
     hot: usize,
 }
-
-/// Current [`PolicyState::version`] written by [`LearnedPolicy`].
-pub const LEARNED_STATE_VERSION: u32 = 1;
 
 /// Logistic weights of the five features, then the bias. Distilled from
 /// paper-policy traces; see `score` for the feature order.
@@ -402,14 +373,13 @@ impl FreezePolicy for LearnedPolicy {
     fn snapshot(&self) -> PolicyState {
         PolicyState {
             kind: self.name().to_string(),
-            version: LEARNED_STATE_VERSION,
             scalars: Vec::new(),
             counters: vec![self.hot as u64],
         }
     }
 
     fn restore(&mut self, s: &PolicyState) -> Result<()> {
-        check_state(s, self.name(), LEARNED_STATE_VERSION)?;
+        check_state(s, self.name())?;
         self.hot = s.counters.first().copied().unwrap_or(0) as usize;
         Ok(())
     }
@@ -426,9 +396,6 @@ impl FreezePolicy for LearnedPolicy {
 pub struct IntervalPolicy {
     every: usize,
 }
-
-/// Current [`PolicyState::version`] written by [`IntervalPolicy`].
-pub const INTERVAL_STATE_VERSION: u32 = 1;
 
 impl IntervalPolicy {
     /// Creates the baseline with the given period (floored to 1).
@@ -461,14 +428,13 @@ impl FreezePolicy for IntervalPolicy {
         // mismatched resume (same kind, different period) detectable.
         PolicyState {
             kind: self.name().to_string(),
-            version: INTERVAL_STATE_VERSION,
             scalars: Vec::new(),
             counters: vec![self.every as u64],
         }
     }
 
     fn restore(&mut self, s: &PolicyState) -> Result<()> {
-        check_state(s, self.name(), INTERVAL_STATE_VERSION)?;
+        check_state(s, self.name())?;
         if let Some(&every) = s.counters.first() {
             if every as usize != self.every {
                 return Err(TensorError::Corrupt(format!(
@@ -486,9 +452,6 @@ impl FreezePolicy for IntervalPolicy {
 #[derive(Debug, Clone, Copy)]
 pub struct NeverFreezePolicy;
 
-/// Current [`PolicyState::version`] written by [`NeverFreezePolicy`].
-pub const NEVER_STATE_VERSION: u32 = 1;
-
 impl FreezePolicy for NeverFreezePolicy {
     fn kind(&self) -> PolicyKind {
         PolicyKind::NeverFreeze
@@ -503,11 +466,11 @@ impl FreezePolicy for NeverFreezePolicy {
     }
 
     fn snapshot(&self) -> PolicyState {
-        PolicyState::empty(self.name(), NEVER_STATE_VERSION)
+        PolicyState::empty(self.name())
     }
 
     fn restore(&mut self, s: &PolicyState) -> Result<()> {
-        check_state(s, self.name(), NEVER_STATE_VERSION)
+        check_state(s, self.name())
     }
 }
 
@@ -538,9 +501,6 @@ pub struct RegressionAwarePolicy {
     /// Consecutive rebound probes so far.
     hot: usize,
 }
-
-/// Current [`PolicyState::version`] written by [`RegressionAwarePolicy`].
-pub const REGRESSION_STATE_VERSION: u32 = 1;
 
 /// Rebound threshold relative to the freeze-time plasticity level.
 pub const REBOUND_FACTOR: f32 = 1.15;
@@ -613,7 +573,6 @@ impl FreezePolicy for RegressionAwarePolicy {
     fn snapshot(&self) -> PolicyState {
         PolicyState {
             kind: self.name().to_string(),
-            version: REGRESSION_STATE_VERSION,
             scalars: vec![self.baseline.unwrap_or(0.0)],
             counters: vec![
                 self.baseline.is_some() as u64,
@@ -624,7 +583,7 @@ impl FreezePolicy for RegressionAwarePolicy {
     }
 
     fn restore(&mut self, s: &PolicyState) -> Result<()> {
-        check_state(s, self.name(), REGRESSION_STATE_VERSION)?;
+        check_state(s, self.name())?;
         let has_base = s.counters.first().copied().unwrap_or(0) != 0;
         self.baseline = has_base.then(|| s.scalars.first().copied().unwrap_or(0.0));
         self.watch_left = s.counters.get(1).copied().unwrap_or(0) as usize;
@@ -847,16 +806,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_kind_mismatch_and_future_versions() {
+    fn restore_rejects_kind_mismatch() {
         let mut paper = PaperPolicy::new(UnfreezePolicy::LrAnnealing);
-        let wrong_kind = PolicyState::empty("learned", 1);
-        assert!(paper.restore(&wrong_kind).is_err());
-        let future = PolicyState::empty("paper", PAPER_STATE_VERSION + 1);
-        assert!(paper.restore(&future).is_err());
-        // Legacy v0 state restores into the paper policy only.
-        assert!(paper.restore(&PolicyState::legacy()).is_ok());
+        assert!(paper.restore(&PolicyState::empty("learned")).is_err());
+        assert!(paper.restore(&PolicyState::empty("paper")).is_ok());
         let mut learned = LearnedPolicy::new(4, 4);
-        assert!(learned.restore(&PolicyState::legacy()).is_err());
+        assert!(learned.restore(&PolicyState::empty("paper")).is_err());
     }
 
     #[test]

@@ -432,9 +432,8 @@ impl EgeriaRun {
         // The bootstrap-completion transition that normally generates the
         // reference is latched and will never re-fire after restore, so the
         // reference is reconstructed here: the exact checkpointed one for
-        // exact replay, or — for a checkpoint that carries none, as the
-        // async-controller runs of earlier versions wrote — one regenerated
-        // from the restored weights.
+        // exact replay, or — should a checkpoint carry none — one
+        // regenerated from the restored weights (degrade, never abort).
         if self.bootstrap.is_done() {
             match &ckpt.reference {
                 Some(snap) => self.reference.restore_reference(model, snap)?,
@@ -460,7 +459,7 @@ impl EgeriaRun {
                 );
                 c.invalidate();
             } else {
-                c.resume_at(ckpt.frozen_prefix as usize);
+                c.resume_at(self.freezer.front());
             }
         }
         self.evals_since_ref_update = ckpt.evals_since_ref_update as usize;
@@ -782,7 +781,6 @@ impl EgeriaTrainer {
             next_epoch: next_epoch as u64,
             global_step: global_step as u64,
             evals_since_ref_update: run.map_or(0, |r| r.evals_since_ref_update as u64),
-            frozen_prefix: self.model.frozen_prefix() as u64,
             params: params
                 .iter()
                 .map(|p| (p.name.clone(), p.value.clone()))
@@ -810,9 +808,10 @@ impl EgeriaTrainer {
     }
 
     /// Restores trainer state from a loaded checkpoint: model (parameters
-    /// by name, state buffers by position, frozen prefix) and optimizer
-    /// here, the Egeria machinery in [`EgeriaRun::restore`], and the report
-    /// accumulators so the final report covers the whole run.
+    /// by name, state buffers by position, the frozen prefix the freezer's
+    /// front records) and optimizer here, the Egeria machinery in
+    /// [`EgeriaRun::restore`], and the report accumulators so the final
+    /// report covers the whole run.
     fn resume_from(
         &mut self,
         ckpt: &TrainerCheckpoint,
@@ -835,8 +834,9 @@ impl EgeriaTrainer {
         )?;
         self.model.zero_grad();
         self.model.unfreeze_all();
-        if ckpt.frozen_prefix > 0 {
-            self.model.freeze_prefix(ckpt.frozen_prefix as usize)?;
+        let prefix = ckpt.freezer.as_ref().map_or(0, |f| f.front);
+        if prefix > 0 {
+            self.model.freeze_prefix(prefix)?;
         }
         self.optimizer
             .load_state(&ckpt.optimizer, &self.model.params())?;

@@ -35,25 +35,17 @@ fn random_checkpoint(seed: u64) -> TrainerCheckpoint {
         lr_at_first_freeze: rng.flip().then(|| rng.uniform()),
         relaxed: rng.flip(),
         evaluations: rng.below(50),
-        events: vec![
-            (rng.below(20), FreezeEvent::Froze(1 + rng.below(3))),
-            (rng.below(40), FreezeEvent::Unfroze),
-        ],
         trackers: (0..3)
             .map(|_| TrackerSnapshot {
                 raw: (0..rng.below(6)).map(|_| rng.normal()).collect(),
                 smoothed: (0..rng.below(6)).map(|_| rng.normal()).collect(),
                 stale: rng.below(4),
-                w: 1 + rng.below(8),
-                s: 1 + rng.below(4),
-                t: rng.uniform() * 2.0,
             })
             .collect(),
         policy: PolicyState {
             kind: ["paper", "learned", "interval", "never", "regression"]
                 [rng.below(5)]
             .to_string(),
-            version: rng.below(3) as u32,
             scalars: (0..rng.below(4)).map(|_| rng.normal()).collect(),
             counters: (0..rng.below(4)).map(|_| rng.below(100) as u64).collect(),
         },
@@ -71,7 +63,6 @@ fn random_checkpoint(seed: u64) -> TrainerCheckpoint {
         next_epoch: rng.below(100) as u64,
         global_step: rng.below(10_000) as u64,
         evals_since_ref_update: rng.below(16) as u64,
-        frozen_prefix: rng.below(4) as u64,
         params,
         state_buffers: vec![Tensor::randn(&[3], &mut rng)],
         optimizer: OptimizerState {
@@ -126,7 +117,6 @@ fn checkpoints_equal(a: &TrainerCheckpoint, b: &TrainerCheckpoint) -> bool {
         && a.next_epoch == b.next_epoch
         && a.global_step == b.global_step
         && a.evals_since_ref_update == b.evals_since_ref_update
-        && a.frozen_prefix == b.frozen_prefix
         && a.cache_store == b.cache_store
         && a.params == b.params
         && a.state_buffers == b.state_buffers

@@ -323,11 +323,11 @@ fn disk_faults_degrade_without_stopping_training() {
 
 #[test]
 fn resume_without_checkpointed_reference_regenerates_it() {
-    // Checkpoints written by the async-controller runs of earlier versions
-    // carry no reference model. The bootstrap transition that generates
-    // one is latched in the restored monitor and never fires again, so
-    // resume must regenerate the reference from the restored weights —
-    // otherwise no plasticity evaluation could run for the rest of the run.
+    // A checkpoint past bootstrap that carries no reference model must
+    // degrade, never abort. The bootstrap transition that generates one is
+    // latched in the restored monitor and never fires again, so resume
+    // must regenerate the reference from the restored weights — otherwise
+    // no plasticity evaluation could run for the rest of the run.
     let (data, loader) = data_and_loader();
     let ckpt_dir = scratch("ckpt_noref");
     let faults = FaultInjector::new();
@@ -341,7 +341,7 @@ fn resume_without_checkpointed_reference_regenerates_it() {
     crashed.train(&data, &loader, None).unwrap_err();
     drop(crashed);
 
-    // Rewrite the newest checkpoint the way such a run left it.
+    // Rewrite the newest checkpoint without its reference.
     let opts = CheckpointOptions::new(&ckpt_dir);
     let mut store = CheckpointStore::open(&opts.dir, opts.keep).unwrap();
     let mut ckpt = store
@@ -558,7 +558,8 @@ fn a_resume_over_another_models_store_degrades_to_a_miss() {
         .unwrap()
         .load_latest()
         .expect("the crashed run left a checkpoint")
-        .frozen_prefix as usize;
+        .freezer
+        .map_or(0, |f| f.front);
     assert!(prefix > 0, "the checkpoint froze nothing; the check would be vacuous");
 
     // The other model: the same family at twice the width.

@@ -5,8 +5,8 @@
 //! the checksum so the mutation reaches the field decoder behind it.
 //!
 //! The table covers every format a reader opens: tensor files, checkpoints
-//! at all three container versions, the store manifest, chunk blocks raw
-//! and LZSS-coded, and the f16/int8 sample records. Each is walked
+//! (the one container version a reader accepts), the store manifest, chunk
+//! blocks raw and LZSS-coded, and the f16/int8 sample records. Each is walked
 //! exhaustively (every truncation, every single-byte flip) and then fuzzed
 //! with random multi-byte mutations.
 //!
@@ -15,7 +15,7 @@
 
 use egeria_core::bootstrap::BootstrapSnapshot;
 use egeria_core::checkpoint::{self, TrainerCheckpoint};
-use egeria_core::freezer::{FreezeEvent, FreezerSnapshot};
+use egeria_core::freezer::FreezerSnapshot;
 use egeria_core::plasticity::TrackerSnapshot;
 use egeria_core::reference::ReferenceSnapshot;
 use egeria_core::trainer::{EpochRecord, EventRecord, IterationRecord, PlasticityPoint};
@@ -129,7 +129,6 @@ fn sample_checkpoint() -> TrainerCheckpoint {
         next_epoch: 3,
         global_step: 12,
         evals_since_ref_update: 2,
-        frozen_prefix: 1,
         params: vec![("w".into(), w.clone()), ("b".into(), Tensor::scalar(0.5))],
         state_buffers: vec![Tensor::ones(&[2])],
         optimizer: OptimizerState {
@@ -143,18 +142,13 @@ fn sample_checkpoint() -> TrainerCheckpoint {
             lr_at_first_freeze: Some(0.05),
             relaxed: false,
             evaluations: 6,
-            events: vec![(4, FreezeEvent::Froze(1)), (6, FreezeEvent::Unfroze)],
             trackers: vec![TrackerSnapshot {
                 raw: vec![0.5, 0.4],
                 smoothed: vec![0.5, 0.45],
                 stale: 1,
-                w: 3,
-                s: 2,
-                t: 1.0,
             }],
             policy: PolicyState {
                 kind: "regression".into(),
-                version: 1,
                 scalars: vec![0.4],
                 counters: vec![1, 7, 0],
             },
@@ -271,20 +265,8 @@ fn formats() -> Vec<(&'static str, Vec<u8>, Integrity, Decode)> {
             serialize::from_bytes(b).map(consistent)
         }),
         (
-            "checkpoint v3",
+            "checkpoint",
             checkpoint::to_bytes(&sample_checkpoint()),
-            Integrity::Frame,
-            decode_checkpoint,
-        ),
-        (
-            "checkpoint v2",
-            checkpoint::to_bytes_versioned(&sample_checkpoint(), 2),
-            Integrity::Frame,
-            decode_checkpoint,
-        ),
-        (
-            "checkpoint v1",
-            checkpoint::to_bytes_versioned(&sample_checkpoint(), 1),
             Integrity::Frame,
             decode_checkpoint,
         ),

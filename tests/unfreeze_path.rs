@@ -252,7 +252,7 @@ fn cache_stops_serving_stale_activations_after_unfreeze() {
 /// replay bit-for-bit across a mid-run crash. The regression-aware policy
 /// carries live state (baseline, watch window, hot streak) between
 /// evaluations, so this only holds if that state rides the checkpoint
-/// (PolicyState, container format v2).
+/// (the freezer's `PolicyState`).
 #[test]
 fn rebound_timeline_replays_across_resume() {
     egeria_tensor::simd::set_isa(egeria_tensor::simd::Isa::Scalar);
